@@ -46,10 +46,8 @@ _EXPORTS = {
     # tbm_solver
     "CornerImage": "solver",
     "CornerSolution": "solver",
-    "LegRatios": "solver",
     "corner_from_observation": "solver",
     "solve_depth_scales": "solver",
-    "solve_corner": "solver",
     "recover_pose": "solver",
     # diffusion_engine
     "DiffusionSchedule": "diffusion",
@@ -64,7 +62,6 @@ _EXPORTS = {
     "gaussian_denoiser": "diffusion",
     "geo_loss": "diffusion",
     "geo_loss_adjoint": "diffusion",
-    "guided_epsilon": "diffusion",
     "ray_distance_map": "diffusion",
     "uniform_timesteps": "diffusion",
     "gaussian_optimal_timesteps": "diffusion",

@@ -138,6 +138,13 @@ def _require_resolution(cfg, manifest) -> None:
         )
 
 
+def _require_schedule(sched, den) -> None:
+    """The checkpoint owns its schedule: refuse a config that names another."""
+    ours, theirs = sched.to_dict(), den.sched.to_dict()
+    if ours != theirs:
+        raise SystemExit(f"config schedule {ours} differs from the checkpoint's schedule {theirs}")
+
+
 def cmd_render_dataset(args) -> int:
     from .dataset import generate_dataset, save_config
 
@@ -170,7 +177,10 @@ def cmd_train(args) -> int:
         for r in records
     ]
     sched = cfg.schedule()
-    start = load_checkpoint(args.resume) if args.resume else None
+    start = None
+    if args.resume:
+        start = load_checkpoint(args.resume)
+        _require_schedule(sched, start)
     rng = np.random.default_rng(cfg.seed)
     result = train_denoiser(dataset, cfg.arch, cfg.opt, sched, rng, start_from=start)
 
@@ -216,6 +226,7 @@ def cmd_infer(args) -> int:
     if args.checkpoint:
         den = load_checkpoint(args.checkpoint)
         _require_resolution(cfg, manifest)
+        _require_schedule(sched, den)
 
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "images").mkdir(exist_ok=True)
@@ -241,7 +252,6 @@ def cmd_infer(args) -> int:
                 target=target,
                 rho=cfg.guidance.rho_base,
                 sharpness=cfg.guidance.sharpness,
-                mode=cfg.guidance.mode,
             )
         pending.append((rec, gt_triaxis, cond, rng, guidance))
 
@@ -260,7 +270,6 @@ def cmd_infer(args) -> int:
                 [item[2] for item in chunk],
                 [item[4] for item in chunk],
                 sched,
-                sigma=cfg.sigma,
                 steps=cfg.sample_steps,
                 rngs=[item[3] for item in chunk],
                 shape=(size, size),

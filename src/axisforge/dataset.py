@@ -20,7 +20,6 @@ from .camera import CameraIntrinsics, Pose, project_axes, project_point, project
 from .denoiser import ArchConfig, OptConfig
 from .diffusion import DiffusionSchedule, make_schedule
 from .errors import DegenerateAxis, DegenerateSamplingExhausted, ManifestError, NonPositiveDepth
-from .metrics import MetricThresholds
 from .render import DegradationSpec, apply_degradation, render_query, render_triaxis, save_f32
 
 MANIFEST_VERSION = 1
@@ -90,17 +89,15 @@ class GuidanceParams:
 
     rho_base: float = 1.0
     sharpness: float = 50.0
-    mode: str = "normalized"
 
     def to_dict(self) -> dict:
-        return {"rho_base": self.rho_base, "sharpness": self.sharpness, "mode": self.mode}
+        return {"rho_base": self.rho_base, "sharpness": self.sharpness}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GuidanceParams":
         return cls(
             rho_base=float(d.get("rho_base", 1.0)),
             sharpness=float(d.get("sharpness", 50.0)),
-            mode=str(d.get("mode", "normalized")),
         )
 
 
@@ -130,9 +127,7 @@ class RunConfig:
     arch: ArchConfig = field(default_factory=lambda: ArchConfig(image_size=32))
     opt: OptConfig = field(default_factory=OptConfig)
     guidance: GuidanceParams = field(default_factory=GuidanceParams)
-    thresholds: MetricThresholds = field(default_factory=MetricThresholds)
     sample_steps: int = 50
-    sigma: float = 0.0
     seed: int = 0
 
     def schedule(self) -> DiffusionSchedule:
@@ -150,17 +145,15 @@ class RunConfig:
             "arch": self.arch.to_dict(),
             "opt": self.opt.to_dict(),
             "guidance": self.guidance.to_dict(),
-            "thresholds": {
-                "add_frac": self.thresholds.add_frac,
-                "reproj_px": self.thresholds.reproj_px,
-            },
             "sample_steps": self.sample_steps,
-            "sigma": self.sigma,
             "seed": self.seed,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Build from a (possibly partial) dict; a missing field takes its
+        default, and a key that names no field raises ValueError."""
+        _reject_unknown_keys(d, cls().to_dict())
         kwargs = {}
         if "intrinsics" in d:
             kwargs["intrinsics"] = CameraIntrinsics.from_dict(d["intrinsics"])
@@ -176,20 +169,27 @@ class RunConfig:
             kwargs["opt"] = OptConfig.from_dict(d["opt"])
         if "guidance" in d:
             kwargs["guidance"] = GuidanceParams.from_dict(d["guidance"])
-        if "thresholds" in d:
-            kwargs["thresholds"] = MetricThresholds(
-                add_frac=float(d["thresholds"].get("add_frac", 0.2)),
-                reproj_px=float(d["thresholds"].get("reproj_px", 15.0)),
-            )
         for key in ("schedule_T", "seed"):
             if key in d:
                 kwargs[key] = int(d[key])
-        for key in ("zeta_start", "zeta_end", "sigma"):
+        for key in ("zeta_start", "zeta_end"):
             if key in d:
                 kwargs[key] = float(d[key])
         if "sample_steps" in d:
             kwargs["sample_steps"] = int(d["sample_steps"])
         return cls(**kwargs)
+
+
+def _reject_unknown_keys(d: dict, known: dict, prefix: str = "") -> None:
+    """Raise ValueError naming the first key of d, or of a section of d,
+    that ``known`` (a full configuration dict) does not have."""
+    for key, value in d.items():
+        if key not in known:
+            raise ValueError(f"unknown config key '{prefix}{key}'")
+        if isinstance(known[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config key '{prefix}{key}' must be an object")
+            _reject_unknown_keys(value, known[key], f"{prefix}{key}.")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -260,9 +260,6 @@ class Manifest:
 
     def split(self, name: str) -> list[DatasetRecord]:
         return [r for r in self.records if r.split == name]
-
-    def by_id(self) -> dict[str, DatasetRecord]:
-        return {r.id: r for r in self.records}
 
 
 def pose_is_nondegenerate(

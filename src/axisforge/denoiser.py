@@ -23,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import DenoiserInterface, DiffusionSchedule, geo_loss_adjoint, make_schedule
-from .errors import DivergedLoss, NoIntersection, VanishingMass
-from .extraction import soft_extract_with_pullback
+from .diffusion import DenoiserInterface, DiffusionSchedule, make_schedule
+from .errors import DivergedLoss
 
 CHECKPOINT_MAGIC = b"AXISFORGE-CKPT"
 CHECKPOINT_VERSION = 2  # 2: preconditioned denoiser, sigma_data in the header
@@ -67,11 +66,7 @@ class ArchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
-        return cls(
-            image_size=int(d["image_size"]),
-            hidden=int(d["hidden"]),
-            time_embed_dim=int(d["time_embed_dim"]),
-        )
+        return cls(**{k: int(d[k]) for k in cls().to_dict() if k in d})
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,6 @@ class OptConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     grad_clip: float = 1.0    # global gradient-norm cap, 0 disables
-    lambda_geo: float = 0.0   # optional auxiliary geometric term on x0_hat
-    geo_sharpness: float = 50.0
     log_every: int = 50
 
     def to_dict(self) -> dict:
@@ -96,8 +89,6 @@ class OptConfig:
             "beta2": self.beta2,
             "adam_eps": self.adam_eps,
             "grad_clip": self.grad_clip,
-            "lambda_geo": self.lambda_geo,
-            "geo_sharpness": self.geo_sharpness,
             "log_every": self.log_every,
         }
 
@@ -106,7 +97,7 @@ class OptConfig:
         return cls(**{k: d[k] for k in cls().to_dict() if k in d})
 
 
-def time_embedding(t, T: int, dim: int) -> np.ndarray:
+def time_embedding(t, dim: int) -> np.ndarray:
     """Sinusoidal embedding of the (integer) timestep, transformer style."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     half = dim // 2
@@ -153,7 +144,7 @@ class MLPDenoiser(DenoiserInterface):
     # --- forward / backward ---
 
     def _build_input(self, x_flat: np.ndarray, t, cond_flat: np.ndarray) -> np.ndarray:
-        temb = time_embedding(t, self.sched.T, self.arch.time_embed_dim)
+        temb = time_embedding(t, self.arch.time_embed_dim)
         if temb.shape[0] == 1 and x_flat.shape[0] > 1:
             temb = np.repeat(temb, x_flat.shape[0], axis=0)
         return np.concatenate([x_flat, cond_flat, temb], axis=1)
@@ -278,7 +269,6 @@ def train_denoiser(
     sched: DiffusionSchedule,
     rng: np.random.Generator,
     start_from: MLPDenoiser | None = None,
-    gt_observations=None,
 ) -> TrainResult:
     """Fit the denoiser to (tri-axis, query) pairs.
 
@@ -288,15 +278,10 @@ def train_denoiser(
     cannot dominate a batch (Hang et al., min-SNR weighting). A new
     denoiser takes sigma_data from the standard deviation of the training
     tri-axis pixels.
-
-    ``gt_observations`` (optional, parallel to dataset) enables the
-    auxiliary geometric term lambda_geo * L_geo(soft_extract(x0_hat), gt) on
-    top of the standard objective.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
     n = len(dataset)
-    size = arch.image_size
     x0s = np.stack([np.asarray(x, float).reshape(-1) for x, _ in dataset])
     conds = np.stack([np.asarray(c, float).reshape(-1) for _, c in dataset])
     if x0s.shape[1] != arch.triaxis_dim or conds.shape[1] != arch.cond_dim:
@@ -312,7 +297,6 @@ def train_denoiser(
     running = None
     initial = None
     warmup_sum = 0.0
-    use_geo = opt.lambda_geo > 0.0 and gt_observations is not None
 
     for step in range(1, opt.steps + 1):
         idx = rng.integers(0, n, size=opt.batch_size)
@@ -329,19 +313,6 @@ def train_denoiser(
         diff = out - (x0 - c_skip * x_t) / c_out
         loss = float((wgt * diff * diff).mean())
         d_out = 2.0 * wgt * diff / diff.size
-
-        if use_geo:
-            for k in range(opt.batch_size):
-                obs_gt = gt_observations[idx[k]]
-                img = (c_skip[k] * x_t[k] + c_out[k] * out[k]).reshape(size, size, 3)
-                try:
-                    gen, _, _, pullback = soft_extract_with_pullback(np.clip(img, 0.0, 1.0), opt.geo_sharpness)
-                except (VanishingMass, NoIntersection):
-                    continue
-                g_img = pullback(geo_loss_adjoint(gen, obs_gt))
-                g_img = g_img * ((img > 0.0) & (img < 1.0))
-                d_out[k] += opt.lambda_geo * c_out[k] * g_img.reshape(-1) / opt.batch_size
-
         grads_dict = den._backward(d_out, cache)
         grads = [
             grads_dict["W1"], grads_dict["b1"],

@@ -1,14 +1,14 @@
 """DDPM/DDIM machinery with geometric-consistency guidance.
 
-The sampler follows the standard implicit update: each step predicts the
-clean image from the current noise estimate, then re-mixes it at the next
-noise level. Guidance adds the gradient of a measurement-consistency loss
-to the predicted noise, scaled by sqrt(1 - alpha_bar_t): the axis directions,
-each weighted by its channel's anisotropy, and the centroid of the
-softly-extracted observation of the clean-image estimate (geo_loss), plus
-each channel's mean squared distance from the target's axis ray. The
-gradient runs through the clean-image estimate into the denoiser (Chung et
-al., arXiv:2209.14687). ``sample_batch`` runs several records through one
+The sampler is deterministic DDIM (eta = 0, Song et al., arXiv:2010.02502):
+each step predicts the clean image from the current noise estimate, then
+re-mixes it with that estimate at the next noise level. Guidance adds the
+gradient of a measurement-consistency loss to the predicted noise, scaled
+by sqrt(1 - alpha_bar_t): the axis directions, each weighted by its
+channel's anisotropy, and the centroid of the softly-extracted observation
+of the clean-image estimate (geo_loss), plus each channel's mean squared
+distance from the target's axis ray. The gradient runs through the
+clean-image estimate into the denoiser (Chung et al., arXiv:2209.14687). ``sample_batch`` runs several records through one
 denoiser pass per step.
 
 An analytic Gaussian score field doubles as a denoiser for which every
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidSchedule, InvalidSigma, NoIntersection, VanishingMass
+from .errors import InvalidSchedule, NoIntersection, VanishingMass
 from .extraction import (
     DEFAULT_SHARPNESS,
     AxisObservation,
@@ -103,33 +103,17 @@ def ddim_step(
     t: int,
     eps: np.ndarray,
     sched: DiffusionSchedule,
-    sigma: float = 0.0,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     t_prev: int | None = None,
 ) -> np.ndarray:
-    """One implicit-sampler update from timestep t to t_prev (default t - 1).
-
-    For a batch x_t of shape (B, ...), ``rng`` may be a sequence of B
-    generators; item b then draws its noise from rng[b].
-    """
+    """One deterministic implicit-sampler update from timestep t to t_prev
+    (default t - 1)."""
     if t_prev is None:
         t_prev = t - 1
     if not 0 <= t_prev < t:
         raise ValueError("t_prev must satisfy 0 <= t_prev < t")
     ab_prev = sched.abar(t_prev)
-    if sigma < 0 or sigma * sigma > 1.0 - ab_prev + 1e-15:
-        raise InvalidSigma(f"sigma^2 = {sigma * sigma:.3g} exceeds 1 - abar_prev")
     x0_hat = predict_x0(x_t, t, eps, sched)
-    out = np.sqrt(ab_prev) * x0_hat + np.sqrt(max(0.0, 1.0 - ab_prev - sigma * sigma)) * eps
-    if sigma > 0:
-        if rng is None:
-            raise ValueError("stochastic step needs an rng")
-        if isinstance(rng, np.random.Generator):
-            noise = rng.standard_normal(np.shape(x_t))
-        else:
-            noise = np.stack([r.standard_normal(np.shape(x_t)[1:]) for r in rng])
-        out = out + sigma * noise
-    return out
+    return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
 
 
 class DenoiserInterface(ABC):
@@ -235,26 +219,21 @@ def ray_distance_map(gt: AxisObservation, shape: tuple[int, int]) -> np.ndarray:
 class GuidanceConfig:
     """Measurement-consistency guidance settings.
 
-    rho is the guidance step size; in "normalized" mode the effective scale
-    is rho / (||residual|| + 1e-6), keeping the correction stable across
-    timesteps. "constant" applies rho directly. sharpness is the soft
-    threshold's sharpness at the end of sampling; guidance_sharpness gives
-    the one used at each timestep.
+    rho is the guidance step size; the effective scale is
+    rho / (sqrt(loss) + 1e-6), keeping the correction stable across
+    timesteps. sharpness is the soft threshold's sharpness at the end of
+    sampling; guidance_sharpness gives the one used at each timestep.
     """
 
     target: AxisObservation
     rho: float = 1.0
     sharpness: float = DEFAULT_SHARPNESS
-    enabled: bool = True
-    mode: str = "normalized"
 
     def __post_init__(self):
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
         if self.sharpness <= 0:
             raise ValueError("sharpness must be positive")
-        if self.mode not in ("normalized", "constant"):
-            raise ValueError("mode must be 'normalized' or 'constant'")
 
 
 def geo_image_gradient(x0_hat: np.ndarray, target: AxisObservation, sharpness: float) -> tuple[float, np.ndarray]:
@@ -301,14 +280,14 @@ def geo_guidance_gradient_batch(
     observation at guidance_sharpness -> geo_image_gradient's loss; the
     x0_hat dependence on x_t runs both directly and through the denoiser.
     Returns (eps_hat, losses, grads, errors). An item whose guidance is
-    None, disabled or has rho 0 has loss nan and gradient 0, and when no
+    None or has rho 0 has loss nan and gradient 0, and when no
     item is guided the denoiser runs without its pullback. An item whose
     soft extraction raises VanishingMass or NoIntersection has loss nan,
     gradient 0 and the exception in errors[b].
     """
     losses = np.full(len(guidances), np.nan)
     errors: list[Exception | None] = [None] * len(guidances)
-    active = [g is not None and g.enabled and g.rho != 0.0 for g in guidances]
+    active = [g is not None and g.rho != 0.0 for g in guidances]
     if not any(active):
         return denoiser.evaluate(x_t, t, cond), losses, np.zeros(np.shape(x_t)), errors
     eps, pullback = denoiser.evaluate_with_pullback(x_t, t, cond)
@@ -347,28 +326,6 @@ def geo_guidance_gradient(
     return float(losses[0]), grads[0]
 
 
-def guided_epsilon(
-    x_t: np.ndarray,
-    t: int,
-    denoiser: DenoiserInterface,
-    cond: np.ndarray | None,
-    guidance: GuidanceConfig | None,
-    sched: DiffusionSchedule,
-) -> tuple[np.ndarray, dict]:
-    """Adjusted noise estimate and a per-step log record.
-
-    Returns eps_phi + rho_eff * sqrt(1 - abar_t) * grad L_geo. The step is
-    skipped, returning the raw estimate with ``skipped`` set and the
-    exception's type name in ``skip_reason``, when soft extraction of the
-    current clean-image prediction fails: a channel with no soft mass
-    (VanishingMass) or three mutually parallel axis lines (NoIntersection).
-    """
-    eps, records = guided_epsilon_batch(
-        x_t[None], t, denoiser, None if cond is None else cond[None], [guidance], sched
-    )
-    return eps[0], records[0]
-
-
 def guided_epsilon_batch(
     x_t: np.ndarray,
     t: int,
@@ -377,8 +334,16 @@ def guided_epsilon_batch(
     guidances: Sequence[GuidanceConfig | None],
     sched: DiffusionSchedule,
 ) -> tuple[np.ndarray, list[dict]]:
-    """guided_epsilon for a batch x_t of shape (B, H, W, 3), each item with
-    its own guidance, from one geo_guidance_gradient_batch call."""
+    """Adjusted noise estimates and per-step log records for a batch x_t of
+    shape (B, H, W, 3), each item with its own guidance, from one
+    geo_guidance_gradient_batch call.
+
+    Item b's estimate is eps_phi + rho_eff * sqrt(1 - abar_t) * grad L_geo.
+    Its step is skipped, returning the raw estimate with ``skipped`` set and
+    the exception's type name in ``skip_reason``, when soft extraction of
+    the current clean-image prediction fails: a channel with no soft mass
+    (VanishingMass) or three mutually parallel axis lines (NoIntersection).
+    """
     eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, denoiser, cond, guidances, sched)
     records = [{"t": t, "guidance_norm": 0.0, "skipped": False} for _ in guidances]
     rho_eff = np.zeros(len(guidances))
@@ -387,7 +352,7 @@ def guided_epsilon_batch(
             records[b]["skipped"] = True
             records[b]["skip_reason"] = type(errors[b]).__name__
         elif not np.isnan(losses[b]):
-            rho_eff[b] = g.rho / (math.sqrt(losses[b]) + 1e-6) if g.mode == "normalized" else g.rho
+            rho_eff[b] = g.rho / (math.sqrt(losses[b]) + 1e-6)
     correction = (rho_eff * np.sqrt(1.0 - sched.abar(t)))[:, None, None, None] * grads
     for b, record in enumerate(records):
         record["guidance_norm"] = float(np.linalg.norm(correction[b]))
@@ -439,18 +404,18 @@ def sample(
     cond: np.ndarray | None,
     guidance: GuidanceConfig | None,
     sched: DiffusionSchedule,
-    sigma: float,
     steps,
     rng: np.random.Generator,
     shape: tuple[int, int] = None,
 ) -> SampleResult:
-    """Full reverse chain producing a tri-axis image.
+    """Full deterministic reverse chain producing a tri-axis image from the
+    initial noise drawn from rng.
 
     ``steps`` is either a step count (uniform stride) or an explicit
     descending timestep sequence ending at 1. ``shape`` is (H, W); it may be
     omitted when the denoiser declares an image_size.
     """
-    return sample_batch(denoiser, [cond], [guidance], sched, sigma, steps, [rng], shape)[0]
+    return sample_batch(denoiser, [cond], [guidance], sched, steps, [rng], shape)[0]
 
 
 def sample_batch(
@@ -458,7 +423,6 @@ def sample_batch(
     conds: Sequence[np.ndarray | None],
     guidances: Sequence[GuidanceConfig | None],
     sched: DiffusionSchedule,
-    sigma: float,
     steps,
     rngs: Sequence[np.random.Generator],
     shape: tuple[int, int] = None,
@@ -466,11 +430,11 @@ def sample_batch(
     """``sample`` for several records at once, one result per record.
 
     Record b has its own condition, guidance and generator: its initial
-    noise and stochastic-step noise come from rngs[b] alone, so it draws
-    the same numbers as ``sample`` would give it. Its image agrees with
-    ``sample``'s up to floating-point rounding, which may differ between a
-    batched and a single matrix product. A denoiser taking no condition
-    gets cond None for every record.
+    noise comes from rngs[b] alone, so it draws the same numbers as
+    ``sample`` would give it. Its image agrees with ``sample``'s up to
+    floating-point rounding, which may differ between a batched and a
+    single matrix product. A denoiser taking no condition gets cond None
+    for every record.
     """
     if shape is None:
         size = getattr(denoiser, "image_size", None)
@@ -489,7 +453,7 @@ def sample_batch(
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0
         eps, records = guided_epsilon_batch(x, t, denoiser, cond, guidances, sched)
-        x = ddim_step(x, t, eps, sched, sigma=sigma, rng=rngs, t_prev=t_prev)
+        x = ddim_step(x, t, eps, sched, t_prev=t_prev)
         for log, record in zip(logs, records):
             log.append(record)
     return [SampleResult(image=TriAxisImage(np.clip(xb, 0.0, 1.0)), log=log) for xb, log in zip(x, logs)]

@@ -69,10 +69,6 @@ class InvalidSchedule(AxisForgeError):
     """Variance-schedule parameters violate their preconditions."""
 
 
-class InvalidSigma(AxisForgeError):
-    """Sampler noise level exceeds the admissible bound for the step."""
-
-
 class DivergedLoss(AxisForgeError):
     """Training loss ran away from its initial value."""
 

@@ -51,7 +51,7 @@ from .errors import AxisForgeError
 from .extraction import AxisObservation, ObservationAdjoint, extract_axes_hard, extract_axes_soft, soft_extract_vjp
 from .metrics import MetricThresholds, cuboid_model, evaluate_suite, reproj_metric, rotation_geodesic
 from .render import DegradationSpec, TriAxisImage, apply_degradation, load_f32, render_query, render_triaxis
-from .solver import CornerImage, recover_pose, solve_corner
+from .solver import CornerImage, recover_pose, solve_depth_scales
 
 K128 = CameraIntrinsics(f_x=100.0, f_y=100.0, c_x=64.0, c_y=64.0, width=128, height=128)
 _SAMPLING_16 = SamplingConfig(depth_min=2.5, depth_max=3.5, lateral=0.2, min_axis_px=3.0)
@@ -190,7 +190,7 @@ def oracle_depth_scales_forward() -> tuple[str, str, bool]:
             pts.append(np.array([h[0] / h[2], h[1] / h[2], 1.0]))
         lam_true = np.array([legs[i][2] / X_O[2] for i in range(3)])
         corner = CornerImage(x_O=pts[0], x_A=pts[1], x_B=pts[2], x_C=pts[3])
-        sols = solve_corner(K128, corner)
+        sols = solve_depth_scales(corner, compute_omega(K128))
         best = min(
             float(np.max(np.abs(s.lam - lam_true) / np.abs(lam_true))) for s in sols
         )
@@ -408,7 +408,7 @@ def ddim_gaussian_chain_stats(
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0
         eps = den.evaluate(x, t)
-        x = ddim_step(x, t, eps, sched, sigma=0.0, t_prev=t_prev)
+        x = ddim_step(x, t, eps, sched, t_prev=t_prev)
     return float(np.mean(x)), float(np.var(x))
 
 
@@ -541,7 +541,7 @@ def oracle_analytic_sampler_image() -> tuple[str, str, bool]:
     x0 = render_triaxis(K, pose, thickness_px=1.5).data
     sched = make_schedule(200, 1e-4, 0.05)
     den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
-    result = sample(den, None, None, sched, sigma=0.0, steps=50, rng=rng, shape=(16, 16))
+    result = sample(den, None, None, sched, steps=50, rng=rng, shape=(16, 16))
     mae = float(np.mean(np.abs(result.image.data - x0)))
     return "mean abs error < 0.05", f"{mae:.4f}", mae < 0.05
 
@@ -574,10 +574,10 @@ def oracle_ablation_direction() -> tuple[str, str, bool]:
         den = gaussian_denoiser(
             GaussianScoreField(mean=mean_img, var=np.full(mean_img.shape, 0.01)), sched
         )
-        guidance = GuidanceConfig(target=target, rho=10.0, sharpness=50.0, mode="normalized")
+        guidance = GuidanceConfig(target=target, rho=10.0, sharpness=50.0)
         for cfg, sink in ((None, unguided_losses), (guidance, guided_losses)):
             res = sample(
-                den, None, cfg, sched, sigma=0.0, steps=25,
+                den, None, cfg, sched, steps=25,
                 rng=np.random.default_rng(10_000 + i), shape=(size, size),
             )
             try:
@@ -640,7 +640,7 @@ def oracle_infer_upper_bound() -> tuple[str, str, bool]:
         pose = sample_pose(rng, K, sampling)
         gt_img = render_triaxis(K, pose, thickness_px=1.5).data
         den = gaussian_denoiser(GaussianScoreField(mean=gt_img, var=np.full(gt_img.shape, 1e-4)), sched)
-        res = sample(den, None, None, sched, sigma=0.0, steps=50, rng=rng, shape=(size, size))
+        res = sample(den, None, None, sched, steps=50, rng=rng, shape=(size, size))
         obs = extract_axes_hard(res.image)
         pred = recover_pose(obs, K, scale_lambda_O=float(pose.T[2]), probe_px=sampling.min_axis_px)
         if reproj_metric(pose, pred, model, K) < threshold:

@@ -59,18 +59,6 @@ class CornerSolution:
         object.__setattr__(self, "legs", np.asarray(self.legs, dtype=float).reshape(3, 3))
 
 
-@dataclass(frozen=True)
-class LegRatios:
-    """Leg-length ratios of l_B and l_C relative to l_A (1:1:1 for equal axes)."""
-
-    r_B: float = 1.0
-    r_C: float = 1.0
-
-    def __post_init__(self):
-        if self.r_B <= 0 or self.r_C <= 0:
-            raise ValueError("leg ratios must be positive")
-
-
 def corner_from_observation(obs: AxisObservation, probe_px: float = 10.0) -> CornerImage:
     """Place one sample point at probe_px along each directed leg line."""
     if probe_px <= 0:
@@ -78,10 +66,6 @@ def corner_from_observation(obs: AxisObservation, probe_px: float = 10.0) -> Cor
     o = obs.origin_px
     pts = [np.array([*(o + probe_px * obs.dir[i]), 1.0]) for i in range(3)]
     return CornerImage(x_O=np.array([*o, 1.0]), x_A=pts[0], x_B=pts[1], x_C=pts[2])
-
-
-def _poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.convolve(p, q)
 
 
 def _real_roots(poly: np.ndarray) -> list[float]:
@@ -166,10 +150,10 @@ def solve_depth_scales(corner: CornerImage, omega: Omega) -> list[CornerSolution
     # (B,C) equation times DB*DC:
     #   d_BC N^2 - d_BO N DC - d_CO N DB + d_OO DB DC = 0
     poly = (
-        d["BC"] * _poly_mul(N, N)
-        - d["BO"] * _poly_mul(N, DC)
-        - d["CO"] * _poly_mul(N, DB)
-        + d["OO"] * _poly_mul(DB, DC)
+        d["BC"] * np.convolve(N, N)
+        - d["BO"] * np.convolve(N, DC)
+        - d["CO"] * np.convolve(N, DB)
+        + d["OO"] * np.convolve(DB, DC)
     )
 
     scale = np.max(np.abs(poly))
@@ -225,11 +209,6 @@ def _system_residual(lam: np.ndarray, d: dict) -> float:
     return float(max(abs(r) for r in rows))
 
 
-def solve_corner(K: CameraIntrinsics, corner: CornerImage) -> list[CornerSolution]:
-    """solve_depth_scales against the conic matrix of K."""
-    return solve_depth_scales(corner, compute_omega(K))
-
-
 def _axis_residual(K: CameraIntrinsics, pose: Pose, obs: AxisObservation) -> float:
     """Sum of angular errors between the reprojected and observed axis directions."""
     try:
@@ -246,7 +225,6 @@ def _axis_residual(K: CameraIntrinsics, pose: Pose, obs: AxisObservation) -> flo
 def recover_pose(
     obs: AxisObservation,
     K: CameraIntrinsics,
-    ratios: LegRatios = LegRatios(),
     scale_lambda_O: float = 1.0,
     probe_px: float = 10.0,
 ) -> Pose:
@@ -255,14 +233,11 @@ def recover_pose(
     Rotation columns are the normalized camera-frame legs projected to the
     nearest rotation; reflected candidates are discarded and ties are broken
     by axis reprojection residual. Translation is scale_lambda_O * K^-1 x_O.
-
-    ``ratios`` carries the corner leg-length ratios; the rotation is built
-    from normalized legs, so unit ratios (equal axes) need no correction.
     """
     if scale_lambda_O <= 0:
         raise ValueError("scale_lambda_O must be positive")
     corner = corner_from_observation(obs, probe_px)
-    solutions = solve_corner(K, corner)
+    solutions = solve_depth_scales(corner, compute_omega(K))
     T = scale_lambda_O * (K.K_inv @ corner.x_O)
 
     best: tuple[float, Pose] | None = None

@@ -93,9 +93,9 @@ def test_criterion_5_guidance_math(capsys):
     sched = make_schedule(100, 1e-4, 0.05)
     den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
     target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
-    a = sample(den, None, GuidanceConfig(target=target, rho=0.0), sched, sigma=0.0,
+    a = sample(den, None, GuidanceConfig(target=target, rho=0.0), sched,
                steps=25, rng=np.random.default_rng(42), shape=(16, 16))
-    b = sample(den, None, None, sched, sigma=0.0,
+    b = sample(den, None, None, sched,
                steps=25, rng=np.random.default_rng(42), shape=(16, 16))
     bitexact = bool(np.array_equal(a.image.data, b.image.data))
     ok = fd_ok and bitexact
@@ -130,10 +130,10 @@ def test_criterion_6_ablation_gap(capsys):
         cond = apply_degradation(
             render_query(K, pose).data, DegradationSpec(occlusion_frac=0.25, seed=50_000 + i)
         )
-        guidance = GuidanceConfig(target=target, rho=10.0, sharpness=50.0, mode="normalized")
+        guidance = GuidanceConfig(target=target, rho=10.0, sharpness=50.0)
         for arm, cfg in (("unguided", None), ("guided", guidance)):
             res = sample(
-                den, cond, cfg, sched, sigma=0.0, steps=30,
+                den, cond, cfg, sched, steps=30,
                 rng=np.random.default_rng(10_000 + i), shape=(size, size),
             )
             try:

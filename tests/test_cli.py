@@ -179,3 +179,40 @@ def test_oracle_subset(capsys):
     out = capsys.readouterr().out
     assert "PASS schedule-abar" in out
     assert "PASS omega-positive-definite" in out
+
+
+@pytest.mark.parametrize("command", ["infer", "train"])
+@pytest.mark.parametrize("override, ours, theirs", [
+    ({"schedule_T": 400}, "'T': 400", "'T': 200"),
+    ({"zeta_end": 0.06}, "'zeta_end': 0.06", "'zeta_end': 0.05"),
+])
+def test_checkpoint_schedule_mismatch_exits_2(tmp_path, config_path, capsys, command, override, ours, theirs):
+    data = _render(tmp_path, config_path)
+    run = tmp_path / "run"
+    assert main([
+        "train", "--config", str(config_path), "--dataset", str(data),
+        "--out", str(run), "--deterministic",
+    ]) == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**CONFIG, **override}))
+    capsys.readouterr()
+    ckpt = str(run / "checkpoint.bin")
+    flag = "--checkpoint" if command == "infer" else "--resume"
+    out = tmp_path / "out"
+    rc = main([
+        command, "--config", str(other), "--dataset", str(data),
+        flag, ckpt, "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ours in err and theirs in err
+    assert not out.exists()
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({**CONFIG, "guidance": {"rho": 2.0}}))
+    rc = main(["render-dataset", "--config", str(config), "--out", str(tmp_path / "data")])
+    assert rc == 2
+    assert "guidance.rho" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()

@@ -108,3 +108,24 @@ def test_run_config_from_partial_dict():
     assert cfg.seed == 7
     assert cfg.sample_steps == 12
     assert cfg.intrinsics == RunConfig().intrinsics
+
+
+def test_run_config_partial_section_takes_defaults():
+    cfg = RunConfig.from_dict({"arch": {"hidden": 64}, "opt": {"steps": 5}})
+    assert cfg.arch == dataclasses.replace(RunConfig().arch, hidden=64)
+    assert cfg.opt == dataclasses.replace(RunConfig().opt, steps=5)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"sigma": 0.0}, "'sigma'"),
+    ({"thresholds": {"reproj_px": 15.0}}, "'thresholds'"),
+    ({"guidance": {"rho": 2.0}}, "'guidance.rho'"),
+    ({"guidance": {"mode": "normalized"}}, "'guidance.mode'"),
+    ({"opt": {"momentum": 0.9}}, "'opt.momentum'"),
+    ({"intrinsics": {**default_intrinsics(16).to_dict(), "fx": 1.0}}, "'intrinsics.fx'"),
+    ({"arch": 64}, "'arch'"),
+])
+def test_run_config_rejects_unknown_keys(doc, key):
+    with pytest.raises(ValueError) as exc:
+        RunConfig.from_dict(doc)
+    assert key in str(exc.value)

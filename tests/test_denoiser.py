@@ -27,7 +27,7 @@ def _tiny_dataset(size=8):
 
 
 def test_time_embedding_shape_and_range():
-    emb = time_embedding([1, 5, 10], 10, 8)
+    emb = time_embedding([1, 5, 10], 8)
     assert emb.shape == (3, 8)
     assert np.all(np.abs(emb) <= 1.0)
     assert not np.allclose(emb[0], emb[1])

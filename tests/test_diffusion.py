@@ -23,7 +23,7 @@ from axisforge.diffusion import (
     sample_batch,
     uniform_timesteps,
 )
-from axisforge.errors import AxisForgeError, InvalidSchedule, InvalidSigma
+from axisforge.errors import AxisForgeError, InvalidSchedule
 from axisforge.extraction import AxisObservation, ObservationAdjoint, extract_axes_hard, soft_extract_with_pullback
 from axisforge.render import render_triaxis
 
@@ -63,21 +63,12 @@ def test_ddim_step_exact_with_true_noise():
     x0 = rng.uniform(0, 1, size=(4, 4, 3))
     x_t, eps = forward_diffuse(x0, 50, sched, rng)
     # stepping to t=0 with the true noise recovers x0 exactly
-    out = ddim_step(x_t, 50, eps, sched, sigma=0.0, t_prev=0)
+    out = ddim_step(x_t, 50, eps, sched, t_prev=0)
     assert np.allclose(out, x0, atol=1e-12)
     # stepping to an intermediate level reproduces the marginal mixing
-    mid = ddim_step(x_t, 50, eps, sched, sigma=0.0, t_prev=25)
+    mid = ddim_step(x_t, 50, eps, sched, t_prev=25)
     ab = sched.abar(25)
     assert np.allclose(mid, np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps, atol=1e-12)
-
-
-def test_ddim_step_sigma_validation():
-    sched = make_schedule(50, 1e-3, 0.1)
-    x = np.zeros(3)
-    with pytest.raises(InvalidSigma):
-        ddim_step(x, 50, x, sched, sigma=10.0)
-    with pytest.raises(ValueError):
-        ddim_step(x, 50, x, sched, sigma=0.1)  # stochastic step without an rng
 
 
 def test_gaussian_denoiser_matches_score():
@@ -181,8 +172,6 @@ def test_guidance_config_validation():
         GuidanceConfig(target=obs, rho=-1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(target=obs, sharpness=0.0)
-    with pytest.raises(ValueError):
-        GuidanceConfig(target=obs, mode="other")
 
 
 def test_guidance_gradient_finite_differences():
@@ -228,8 +217,8 @@ def test_rho_zero_is_bit_exact_vanilla():
     den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
     target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
     guidance = GuidanceConfig(target=target, rho=0.0)
-    a = sample(den, None, guidance, sched, sigma=0.0, steps=25, rng=np.random.default_rng(42), shape=(16, 16))
-    b = sample(den, None, None, sched, sigma=0.0, steps=25, rng=np.random.default_rng(42), shape=(16, 16))
+    a = sample(den, None, guidance, sched, steps=25, rng=np.random.default_rng(42), shape=(16, 16))
+    b = sample(den, None, None, sched, steps=25, rng=np.random.default_rng(42), shape=(16, 16))
     assert np.array_equal(a.image.data, b.image.data)
 
 
@@ -240,7 +229,7 @@ def test_sample_converges_to_analytic_mean():
     x0 = render_triaxis(K, pose, thickness_px=1.5).data
     sched = make_schedule(200, 1e-4, 0.05)
     den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
-    res = sample(den, None, None, sched, sigma=0.0, steps=50, rng=rng, shape=(16, 16))
+    res = sample(den, None, None, sched, steps=50, rng=rng, shape=(16, 16))
     assert float(np.mean(np.abs(res.image.data - x0))) < 0.05
 
 
@@ -249,9 +238,9 @@ def test_sample_timestep_validation():
     den = gaussian_denoiser(GaussianScoreField(mean=np.zeros((4, 4, 3)), var=np.full((4, 4, 3), 0.1)), sched)
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
-        sample(den, None, None, sched, sigma=0.0, steps=[50, 20], rng=rng, shape=(4, 4))  # does not end at 1
+        sample(den, None, None, sched, steps=[50, 20], rng=rng, shape=(4, 4))  # does not end at 1
     with pytest.raises(ValueError):
-        sample(den, None, None, sched, sigma=0.0, steps=[200, 1], rng=rng, shape=(4, 4))  # beyond T
+        sample(den, None, None, sched, steps=[200, 1], rng=rng, shape=(4, 4))  # beyond T
 
 
 def _guided_case(seed, size=16):
@@ -272,26 +261,20 @@ def test_sample_batch_matches_single_samples():
     means = np.stack([x0 for x0, _ in cases])
     batched = sample_batch(
         gaussian_denoiser(GaussianScoreField(mean=means, var=np.full(means.shape, 0.01)), sched),
-        [None] * 3, guidances, sched, sigma=0.0, steps=10,
+        [None] * 3, guidances, sched, steps=10,
         rngs=[np.random.default_rng(10 + b) for b in range(3)], shape=(16, 16),
     )
     for b, (x0, _) in enumerate(cases):
         den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 0.01)), sched)
-        single = sample(den, None, guidances[b], sched, sigma=0.0, steps=10, rng=np.random.default_rng(10 + b), shape=(16, 16))
+        single = sample(den, None, guidances[b], sched, steps=10, rng=np.random.default_rng(10 + b), shape=(16, 16))
         assert np.array_equal(batched[b].image.data, single.image.data)
         assert batched[b].log == single.log
-    # stochastic steps draw each item's noise from its own generator
-    x, eps = np.random.default_rng(5).standard_normal((2, 3, 16, 16, 3))
-    stepped = ddim_step(x, 20, eps, sched, sigma=0.05, rng=[np.random.default_rng(b) for b in range(3)], t_prev=10)
-    for b in range(3):
-        one = ddim_step(x[b], 20, eps[b], sched, sigma=0.05, rng=np.random.default_rng(b), t_prev=10)
-        assert np.array_equal(stepped[b], one)
     # a matrix product may round differently for a batch than for one row
     mlp = MLPDenoiser(ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15)
     conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(3)]
-    batched = sample_batch(mlp, conds, guidances, sched, 0.0, 10, [np.random.default_rng(b) for b in range(3)], (16, 16))
+    batched = sample_batch(mlp, conds, guidances, sched, 10, [np.random.default_rng(b) for b in range(3)], (16, 16))
     for b in range(3):
-        single = sample(mlp, conds[b], guidances[b], sched, 0.0, 10, np.random.default_rng(b), (16, 16))
+        single = sample(mlp, conds[b], guidances[b], sched, 10, np.random.default_rng(b), (16, 16))
         assert np.allclose(batched[b].image.data, single.image.data, rtol=0.0, atol=1e-9)
 
 
@@ -332,7 +315,7 @@ def test_skipped_guidance_step_records_reason():
     _, guidance = _guided_case(1)
     blank = np.zeros((16, 16, 3))  # no soft mass anywhere
     den = gaussian_denoiser(GaussianScoreField(mean=blank, var=np.full(blank.shape, 1e-4)), sched)
-    res = sample(den, None, guidance, sched, sigma=0.0, steps=10, rng=np.random.default_rng(0), shape=(16, 16))
+    res = sample(den, None, guidance, sched, steps=10, rng=np.random.default_rng(0), shape=(16, 16))
     assert res.skipped_steps > 0
     assert {r["skip_reason"] for r in res.log if r["skipped"]} == {"VanishingMass"}
     assert all("skip_reason" not in r for r in res.log if not r["skipped"])

@@ -18,7 +18,6 @@ from axisforge.solver import (
     CornerImage,
     corner_from_observation,
     recover_pose,
-    solve_corner,
     solve_depth_scales,
 )
 
@@ -94,7 +93,7 @@ def test_corner_solution_residuals():
 def test_legs_are_orthogonal():
     rng = np.random.default_rng(2)
     for pose, obs in _exact_poses(rng, 20):
-        best = min(solve_corner(K, corner_from_observation(obs)), key=lambda s: s.residual)
+        best = min(solve_depth_scales(corner_from_observation(obs), compute_omega(K)), key=lambda s: s.residual)
         legs = best.legs / np.linalg.norm(best.legs, axis=1, keepdims=True)
         gram = legs @ legs.T
         assert np.max(np.abs(gram - np.eye(3))) < 1e-6
@@ -147,7 +146,7 @@ def test_wrong_omega_breaks_roundtrip():
     for pose, obs in _exact_poses(rng, 10):
         corner = corner_from_observation(obs)
         lam_true = min(
-            solve_corner(K, corner), key=lambda s: s.residual
+            solve_depth_scales(corner, compute_omega(K)), key=lambda s: s.residual
         ).lam
         try:
             sols = solve_depth_scales(corner, wrong)
