@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,9 +48,11 @@ class CameraIntrinsics:
             ]
         )
 
-    @property
+    @cached_property
     def K_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.K)
+        K_inv = np.linalg.inv(self.K)
+        K_inv.flags.writeable = False  # shared by every later caller
+        return K_inv
 
     def to_dict(self) -> dict:
         return {
@@ -111,6 +114,13 @@ class Omega:
         if np.min(np.linalg.eigvalsh(m)) <= 0:
             raise ValueError("omega must be positive definite")
 
+    @cached_property
+    def chol_upper(self) -> np.ndarray:
+        """Upper-triangular U with m = U^T U, shared read-only."""
+        U = np.linalg.cholesky(self.m).T
+        U.flags.writeable = False
+        return U
+
 
 @dataclass(frozen=True)
 class AxisLines:
@@ -149,11 +159,14 @@ def project_point(K: CameraIntrinsics, pose: Pose, X_obj) -> np.ndarray:
     return h[:2] / h[2]
 
 
+@lru_cache(maxsize=16)  # the solver asks for it on every call
 def compute_omega(K: CameraIntrinsics) -> Omega:
     """Conic matrix K^-T K^-1: lets ray angles be measured from pixel coordinates."""
     Ki = K.K_inv
     m = Ki.T @ Ki
-    return Omega(0.5 * (m + m.T))
+    m = 0.5 * (m + m.T)
+    m.flags.writeable = False
+    return Omega(m)
 
 
 def project_axes(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> AxisLines:

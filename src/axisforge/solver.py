@@ -41,10 +41,6 @@ class CornerImage:
             if np.linalg.norm(getattr(self, name)[:2] - self.x_O[:2]) < 1.0:
                 raise ValueError(f"{name} must be at least 1 px from the corner")
 
-    @property
-    def legs_px(self) -> np.ndarray:
-        return np.stack([self.x_A, self.x_B, self.x_C])
-
 
 @dataclass(frozen=True)
 class CornerSolution:
@@ -140,7 +136,8 @@ def solve_depth_scales(corner: CornerImage, omega: Omega) -> list[CornerSolution
     """
     M = omega.m
     xs = {"O": corner.x_O, "A": corner.x_A, "B": corner.x_B, "C": corner.x_C}
-    d = {i + j: float(xs[i] @ M @ xs[j]) for i in "OABC" for j in "OABC"}
+    xM = {i: xs[i] @ M for i in "OABC"}
+    d = {ij: float(xM[ij[0]] @ xs[ij[1]]) for ij in ("OO", "AO", "BO", "CO", "AB", "BC", "CA")}
 
     # linear polynomials in lambda_A, coefficient order [const, linear]
     N = np.array([-d["OO"], d["AO"]])        # lam_A d_AO - d_OO
@@ -163,13 +160,14 @@ def solve_depth_scales(corner: CornerImage, omega: Omega) -> list[CornerSolution
 
     # omega = U^T U with U upper triangular (unique Cholesky) recovers K^-1,
     # so camera-frame legs are available from omega alone
-    U = np.linalg.cholesky(M).T
+    U = omega.chol_upper
     ray_O = U @ corner.x_O
+    rays = [U @ x for x in (corner.x_A, corner.x_B, corner.x_C)]
 
     sols: list[CornerSolution] = []
     seen: list[float] = []
     for lam_A in roots:
-        if not np.isfinite(lam_A) or lam_A <= 0:
+        if not math.isfinite(lam_A) or lam_A <= 0:
             continue
         num = lam_A * d["AO"] - d["OO"]
         den_B = lam_A * d["AB"] - d["BO"]
@@ -187,12 +185,12 @@ def solve_depth_scales(corner: CornerImage, omega: Omega) -> list[CornerSolution
             raise IllConditioned("depth-scale elimination denominator vanished")
         lam_B = num / den_B
         lam_C = num / den_C
-        lam = np.array([lam_A, lam_B, lam_C])
-        if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
+        if not all(math.isfinite(v) and v > 0 for v in (lam_A, lam_B, lam_C)):
             continue
+        lam = np.array([lam_A, lam_B, lam_C])
         res = _system_residual(lam, d)
         if res < RESIDUAL_TOL:
-            legs = np.stack([lam[i] * (U @ corner.legs_px[i]) - ray_O for i in range(3)])
+            legs = np.stack([lam[i] * rays[i] - ray_O for i in range(3)])
             sols.append(CornerSolution(lam=lam, legs=legs, residual=res))
     if not sols:
         raise NoValidSolution("no all-positive real depth scales")
@@ -240,19 +238,16 @@ def recover_pose(
     solutions = solve_depth_scales(corner, compute_omega(K))
     T = scale_lambda_O * (K.K_inv @ corner.x_O)
 
-    best: tuple[float, Pose] | None = None
-    rejected = 0
+    poses: list[Pose] = []
     for sol in solutions:
         legs = sol.legs / (np.linalg.norm(sol.legs, axis=1, keepdims=True))
         M = legs.T  # columns are normalized legs
         if np.linalg.det(M) <= 0:
-            rejected += 1
-            continue
-        R = nearest_rotation(M)
-        pose = Pose(R=R, T=T)
-        res = _axis_residual(K, pose, obs)
-        if best is None or res < best[0]:
-            best = (res, pose)
-    if best is None:
-        raise AllCandidatesRejected(f"all {rejected} corner candidates were reflections")
-    return best[1]
+            continue  # a reflection
+        poses.append(Pose(R=nearest_rotation(M), T=T))
+    if not poses:
+        raise AllCandidatesRejected(f"all {len(solutions)} corner candidates were reflections")
+    if len(poses) == 1:
+        return poses[0]
+    # min keeps the first of equal residuals: earlier candidates win ties
+    return min(poses, key=lambda pose: _axis_residual(K, pose, obs))
