@@ -39,6 +39,7 @@ _EXPORTS = {
     # axis_extraction
     "AxisObservation": "extraction",
     "ObservationAdjoint": "extraction",
+    "ObservationBatch": "extraction",
     "extract_axes_hard": "extraction",
     "extract_axes_soft": "extraction",
     "soft_extract_vjp": "extraction",

@@ -67,6 +67,11 @@ class CameraIntrinsics:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraIntrinsics":
+        """Build from a dict that gives every field but the optional gamma;
+        a missing field raises ValueError naming it."""
+        missing = [k for k in ("f_x", "f_y", "c_x", "c_y", "width", "height") if k not in d]
+        if missing:
+            raise ValueError(f"intrinsics must be given whole: missing {', '.join(missing)}")
         return cls(
             f_x=float(d["f_x"]),
             f_y=float(d["f_y"]),

@@ -138,11 +138,15 @@ def _require_resolution(cfg, manifest) -> None:
         )
 
 
-def _require_schedule(sched, den) -> None:
-    """The checkpoint owns its schedule: refuse a config that names another."""
-    ours, theirs = sched.to_dict(), den.sched.to_dict()
-    if ours != theirs:
-        raise SystemExit(f"config schedule {ours} differs from the checkpoint's schedule {theirs}")
+def _require_checkpoint(cfg, den) -> None:
+    """The checkpoint owns its schedule and architecture: refuse a config
+    that names others."""
+    for what, ours, theirs in (
+        ("schedule", cfg.schedule().to_dict(), den.sched.to_dict()),
+        ("arch", cfg.arch.to_dict(), den.arch.to_dict()),
+    ):
+        if ours != theirs:
+            raise SystemExit(f"config {what} {ours} differs from the checkpoint's {what} {theirs}")
 
 
 def cmd_render_dataset(args) -> int:
@@ -180,7 +184,7 @@ def cmd_train(args) -> int:
     start = None
     if args.resume:
         start = load_checkpoint(args.resume)
-        _require_schedule(sched, start)
+        _require_checkpoint(cfg, start)
     rng = np.random.default_rng(cfg.seed)
     result = train_denoiser(dataset, cfg.arch, cfg.opt, sched, rng, start_from=start)
 
@@ -209,7 +213,7 @@ def cmd_infer(args) -> int:
     )
     from .errors import AxisForgeError
     from .extraction import extract_axes_hard
-    from .render import TriAxisImage, load_f32, save_f32
+    from .render import TriAxisImage, atomic_write, load_f32, save_f32
     from .solver import recover_pose
 
     if bool(args.checkpoint) == bool(args.analytic_denoiser):
@@ -226,7 +230,7 @@ def cmd_infer(args) -> int:
     if args.checkpoint:
         den = load_checkpoint(args.checkpoint)
         _require_resolution(cfg, manifest)
-        _require_schedule(sched, den)
+        _require_checkpoint(cfg, den)
 
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "images").mkdir(exist_ok=True)
@@ -295,7 +299,7 @@ def cmd_infer(args) -> int:
                 }
             )
     n_fail = sum(1 for line in lines.values() if not line["ok"])
-    with open(args.out / "predictions.jsonl", "w") as out:
+    with atomic_write(args.out / "predictions.jsonl") as out:
         for rec in records:
             out.write(json.dumps(lines[rec.id], sort_keys=True) + "\n")
     print(f"inferred {len(records)} records ({n_fail} failed) into {args.out}")

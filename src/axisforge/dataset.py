@@ -20,7 +20,7 @@ from .camera import CameraIntrinsics, Pose, project_axes, project_point, project
 from .denoiser import ArchConfig, OptConfig
 from .diffusion import DiffusionSchedule, make_schedule
 from .errors import DegenerateAxis, DegenerateSamplingExhausted, ManifestError, NonPositiveDepth
-from .render import DegradationSpec, apply_degradation, render_query, render_triaxis, save_f32
+from .render import DegradationSpec, apply_degradation, atomic_write, render_query, render_triaxis, save_f32
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -372,7 +372,7 @@ def write_manifest(path: str | Path, manifest: Manifest) -> None:
         "render": manifest.render.to_dict(),
         "records": [r.to_dict() for r in manifest.records],
     }
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 

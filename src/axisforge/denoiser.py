@@ -25,6 +25,7 @@ import numpy as np
 
 from .diffusion import DenoiserInterface, DiffusionSchedule, make_schedule
 from .errors import DivergedLoss
+from .render import atomic_write
 
 CHECKPOINT_MAGIC = b"AXISFORGE-CKPT"
 CHECKPOINT_VERSION = 2  # 2: preconditioned denoiser, sigma_data in the header
@@ -108,13 +109,17 @@ def time_embedding(t, dim: int) -> np.ndarray:
 
 class MLPDenoiser(DenoiserInterface):
     """Two-hidden-layer tanh network F inside the preconditioned clean-image
-    estimate; the noise prediction follows from it."""
+    estimate; the noise prediction follows from it.
+
+    The weights are drawn from rng; with rng None they are allocated but
+    not drawn, for a caller that fills them, as load_checkpoint does.
+    """
 
     def __init__(
         self,
         arch: ArchConfig,
         sched: DiffusionSchedule,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         sigma_data: float = DEFAULT_SIGMA_DATA,
     ):
         if not sigma_data > 0:
@@ -126,7 +131,10 @@ class MLPDenoiser(DenoiserInterface):
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(dims, dims[1:]):
-            self.weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
+            if rng is None:
+                self.weights.append(np.empty((fan_in, fan_out)))
+            else:
+                self.weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
             self.biases.append(np.zeros(fan_out))
 
     @property
@@ -356,7 +364,7 @@ def save_checkpoint(path: str | Path, den: MLPDenoiser) -> None:
         "sigma_data": den.sigma_data,
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(hbytes)))
         f.write(hbytes)
@@ -376,8 +384,7 @@ def load_checkpoint(path: str | Path) -> MLPDenoiser:
         arch = ArchConfig.from_dict(header["arch"])
         sp = header["schedule"]
         sched = make_schedule(int(sp["T"]), float(sp["zeta_start"]), float(sp["zeta_end"]))
-        den = MLPDenoiser(arch, sched, np.random.default_rng(0), float(header["sigma_data"]))
+        den = MLPDenoiser(arch, sched, None, float(header["sigma_data"]))
         for p in den.parameters():
-            raw = np.frombuffer(f.read(p.size * 4), dtype="<f4")
-            p[...] = raw.reshape(p.shape).astype(float)
+            p[...] = np.frombuffer(f.read(p.size * 4), dtype="<f4").reshape(p.shape)
     return den

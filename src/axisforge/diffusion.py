@@ -8,8 +8,9 @@ by sqrt(1 - alpha_bar_t): the axis directions, each weighted by its
 channel's anisotropy, and the centroid of the softly-extracted observation
 of the clean-image estimate (geo_loss), plus each channel's mean squared
 distance from the target's axis ray. The gradient runs through the
-clean-image estimate into the denoiser (Chung et al., arXiv:2209.14687). ``sample_batch`` runs several records through one
-denoiser pass per step.
+clean-image estimate into the denoiser (Chung et al., arXiv:2209.14687).
+``sample_batch`` runs several records through one denoiser pass and one
+batched soft extraction per step.
 
 An analytic Gaussian score field doubles as a denoiser for which every
 quantity is exact, giving an independent verification path for the sampler.
@@ -24,11 +25,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidSchedule, NoIntersection, VanishingMass
+from .errors import InvalidSchedule
 from .extraction import (
     DEFAULT_SHARPNESS,
     AxisObservation,
     ObservationAdjoint,
+    ObservationBatch,
     soft_extract_with_pullback,
 )
 from .render import TriAxisImage
@@ -185,33 +187,42 @@ def gaussian_denoiser(fld: GaussianScoreField, sched: DiffusionSchedule) -> _Gau
 
 # --- geometric consistency ---
 
-def geo_loss(gen: AxisObservation, gt: AxisObservation, dir_weight: np.ndarray | None = None) -> float:
+def geo_loss(
+    gen: AxisObservation | ObservationBatch,
+    gt: AxisObservation | ObservationBatch,
+    dir_weight: np.ndarray | None = None,
+):
     """Squared direction mismatch summed over axes, each axis weighted by
-    dir_weight (default 1), plus squared centroid offset."""
+    dir_weight (default 1), plus squared centroid offset: a float, or a (B,)
+    array for batches of observations and (B, 3) weights."""
     d = gen.dir - gt.dir
     c = gen.centroid - gt.centroid
     w = np.ones(3) if dir_weight is None else np.asarray(dir_weight, dtype=float)
-    return float(w @ (d * d).sum(axis=1) + (c * c).sum())
+    loss = (w[..., None, :] @ (d * d).sum(axis=-1)[..., None])[..., 0, 0] + (c * c).sum(axis=-1)
+    return float(loss) if np.ndim(loss) == 0 else loss
 
 
 def geo_loss_adjoint(
-    gen: AxisObservation, gt: AxisObservation, dir_weight: np.ndarray | None = None
+    gen: AxisObservation | ObservationBatch,
+    gt: AxisObservation | ObservationBatch,
+    dir_weight: np.ndarray | None = None,
 ) -> ObservationAdjoint:
-    """Gradient of geo_loss with respect to the generated observation."""
+    """Gradient of geo_loss with respect to the generated observation(s)."""
     w = np.ones(3) if dir_weight is None else np.asarray(dir_weight, dtype=float)
     return ObservationAdjoint(
-        origin_px=np.zeros(2),
-        dir=2.0 * w[:, None] * (gen.dir - gt.dir),
+        origin_px=np.zeros(np.shape(gen.centroid)),
+        dir=2.0 * w[..., None] * (gen.dir - gt.dir),
         centroid=2.0 * (gen.centroid - gt.centroid),
     )
 
 
-def ray_distance_map(gt: AxisObservation, shape: tuple[int, int]) -> np.ndarray:
+def ray_distance_map(gt: AxisObservation | ObservationBatch, shape: tuple[int, int]) -> np.ndarray:
     """Squared pixel distance from every pixel to each target axis ray, the
-    half-line from gt.origin_px along gt.dir[i], as an (H, W, 3) map."""
+    half-line from gt.origin_px along gt.dir[i], as an (H, W, 3) map, or a
+    (B, H, W, 3) stack for a batch of targets."""
     vv, uu = np.mgrid[0 : shape[0], 0 : shape[1]].astype(float)
-    rel = np.stack([uu, vv], axis=-1) - gt.origin_px  # (H, W, 2)
-    along = np.maximum(rel @ gt.dir.T, 0.0)  # (H, W, 3)
+    rel = np.stack([uu, vv], axis=-1) - gt.origin_px[..., None, None, :]  # ([B,] H, W, 2)
+    along = np.maximum(rel @ np.swapaxes(gt.dir, -1, -2)[..., None, :, :], 0.0)  # ([B,] H, W, 3)
     return (rel * rel).sum(axis=-1, keepdims=True) - along * along
 
 
@@ -236,7 +247,12 @@ class GuidanceConfig:
             raise ValueError("sharpness must be positive")
 
 
-def geo_image_gradient(x0_hat: np.ndarray, target: AxisObservation, sharpness: float) -> tuple[float, np.ndarray]:
+def geo_image_gradient(
+    x0_hat: np.ndarray,
+    target: AxisObservation | ObservationBatch,
+    sharpness: float | np.ndarray,
+    rays: np.ndarray | None = None,
+):
     """Guidance loss of clip(x0_hat, 0, 1) and its gradient with respect to
     x0_hat: geo_loss of the soft observation with each direction weighted by
     its channel's anisotropy, plus, summed over channels, the soft-weighted
@@ -245,18 +261,32 @@ def geo_image_gradient(x0_hat: np.ndarray, target: AxisObservation, sharpness: f
     The anisotropy weight vanishes smoothly as a channel nears isotropy,
     where its principal direction, and the direction's adjoint, are
     ill-defined; the gradient stays bounded there.
+
+    One image (H, W, 3) with an AxisObservation target gives (loss,
+    gradient) and raises the soft extraction's VanishingMass or
+    NoIntersection. A batch (B, H, W, 3) with an ObservationBatch of targets
+    and a sharpness that is a number or one per image gives (losses,
+    gradients, errors) from one soft extraction and one pullback: a failed
+    image has loss nan, gradient 0 and its exception in errors. ``rays`` is
+    ray_distance_map(target, (H, W)), built here when not given.
     """
-    clamped = np.clip(x0_hat, 0.0, 1.0)
-    gen, aniso, spread, pullback = soft_extract_with_pullback(
-        clamped, sharpness, ray_distance_map(target, x0_hat.shape[:2])
-    )
-    loss = geo_loss(gen, target, aniso) + float(spread.sum())
-    dir_err = ((gen.dir - target.dir) ** 2).sum(axis=1)
-    g_img = pullback(geo_loss_adjoint(gen, target, aniso), np.ones(3), dir_err)
-    return loss, g_img * ((x0_hat > 0.0) & (x0_hat < 1.0))  # clamp pass-through
+    if np.ndim(x0_hat) == 3:
+        losses, grads, errors = geo_image_gradient(
+            x0_hat[None], ObservationBatch.stack([target]), sharpness, None if rays is None else rays[None]
+        )
+        if errors[0] is not None:
+            raise errors[0]
+        return float(losses[0]), grads[0]
+    if rays is None:
+        rays = ray_distance_map(target, x0_hat.shape[1:3])
+    gen, aniso, spread, pullback = soft_extract_with_pullback(np.clip(x0_hat, 0.0, 1.0), sharpness, rays)
+    losses = geo_loss(gen, target, aniso) + spread.sum(axis=1)
+    dir_err = ((gen.dir - target.dir) ** 2).sum(axis=-1)
+    g_img = pullback(geo_loss_adjoint(gen, target, aniso), np.ones(aniso.shape), dir_err)
+    return losses, g_img * ((x0_hat > 0.0) & (x0_hat < 1.0)), gen.errors  # clamp pass-through
 
 
-def guidance_sharpness(sharpness: float, t: int, sched: DiffusionSchedule) -> float:
+def guidance_sharpness(sharpness: float | np.ndarray, t: int, sched: DiffusionSchedule) -> float | np.ndarray:
     """Soft-threshold sharpness of the guidance measurement at timestep t:
     sharpness * abar_t. The clean-image estimate at t is a posterior mean,
     blurred in proportion to the noise, and a sharp threshold at 0.5 hides
@@ -265,45 +295,64 @@ def guidance_sharpness(sharpness: float, t: int, sched: DiffusionSchedule) -> fl
     return sharpness * sched.abar(t)
 
 
+class GuidanceBatch:
+    """The guidances of a batch of B items, stacked once for a whole chain.
+
+    An item is guided when its GuidanceConfig is given and has rho != 0;
+    ``index`` lists the guided items, and ``rho``, ``sharpness``, ``target``
+    (an ObservationBatch) and ``rays`` (their ray_distance_map, (G, H, W, 3))
+    hold their settings in that order. A target and the image shape are
+    fixed along a chain, so each ray map is built once per sample_batch
+    call, not at every step.
+    """
+
+    def __init__(self, guidances: Sequence[GuidanceConfig | None], shape: tuple[int, int]):
+        self.size = len(guidances)
+        guided = [(b, g) for b, g in enumerate(guidances) if g is not None and g.rho != 0.0]
+        self.index = np.array([b for b, _ in guided], dtype=int)
+        self.rho = np.array([g.rho for _, g in guided])
+        self.sharpness = np.array([g.sharpness for _, g in guided])
+        self.target = ObservationBatch.stack([g.target for _, g in guided]) if guided else None
+        self.rays = ray_distance_map(self.target, shape) if guided else None
+
+
 def geo_guidance_gradient_batch(
     x_t: np.ndarray,
     t: int,
     denoiser: DenoiserInterface,
     cond: np.ndarray | None,
-    guidances: Sequence[GuidanceConfig | None],
+    guidances: Sequence[GuidanceConfig | None] | GuidanceBatch,
     sched: DiffusionSchedule,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
     """Noise estimate, guidance losses and d loss / d x_t for a batch x_t of
-    shape (B, H, W, 3), from one denoiser forward and one pullback.
+    shape (B, H, W, 3), from one denoiser forward, one batched soft
+    extraction and one pullback of each.
 
     Item b's chain is x_t -> eps_hat -> x0_hat (clamped to [0, 1]) -> soft
     observation at guidance_sharpness -> geo_image_gradient's loss; the
     x0_hat dependence on x_t runs both directly and through the denoiser.
-    Returns (eps_hat, losses, grads, errors). An item whose guidance is
-    None or has rho 0 has loss nan and gradient 0, and when no
+    ``guidances`` is one GuidanceConfig or None per item, or their
+    GuidanceBatch. Returns (eps_hat, losses, grads, errors). An item whose
+    guidance is None or has rho 0 has loss nan and gradient 0, and when no
     item is guided the denoiser runs without its pullback. An item whose
-    soft extraction raises VanishingMass or NoIntersection has loss nan,
+    soft extraction fails with VanishingMass or NoIntersection has loss nan,
     gradient 0 and the exception in errors[b].
     """
-    losses = np.full(len(guidances), np.nan)
-    errors: list[Exception | None] = [None] * len(guidances)
-    active = [g is not None and g.rho != 0.0 for g in guidances]
-    if not any(active):
-        return denoiser.evaluate(x_t, t, cond), losses, np.zeros(np.shape(x_t)), errors
+    if not isinstance(guidances, GuidanceBatch):
+        guidances = GuidanceBatch(guidances, np.shape(x_t)[1:3])
+    guided = guidances.index
+    losses = np.full(guidances.size, np.nan)
+    errors = np.full(guidances.size, None, dtype=object)
+    if not len(guided):
+        return denoiser.evaluate(x_t, t, cond), losses, np.zeros(np.shape(x_t)), errors.tolist()
     eps, pullback = denoiser.evaluate_with_pullback(x_t, t, cond)
     x0_hat = predict_x0(x_t, t, eps, sched)
     g_img = np.zeros_like(x0_hat)
-    for b, g in enumerate(guidances):
-        if not active[b]:
-            continue
-        try:
-            losses[b], g_img[b] = geo_image_gradient(
-                x0_hat[b], g.target, guidance_sharpness(g.sharpness, t, sched)
-            )
-        except (VanishingMass, NoIntersection) as exc:
-            errors[b] = exc
+    losses[guided], g_img[guided], errors[guided] = geo_image_gradient(
+        x0_hat[guided], guidances.target, guidance_sharpness(guidances.sharpness, t, sched), guidances.rays
+    )
     ab = sched.abar(t)
-    return eps, losses, (g_img - np.sqrt(1.0 - ab) * pullback(g_img)) / np.sqrt(ab), errors
+    return eps, losses, (g_img - np.sqrt(1.0 - ab) * pullback(g_img)) / np.sqrt(ab), errors.tolist()
 
 
 def geo_guidance_gradient(
@@ -331,32 +380,34 @@ def guided_epsilon_batch(
     t: int,
     denoiser: DenoiserInterface,
     cond: np.ndarray | None,
-    guidances: Sequence[GuidanceConfig | None],
+    guidances: GuidanceBatch,
     sched: DiffusionSchedule,
-) -> tuple[np.ndarray, list[dict]]:
-    """Adjusted noise estimates and per-step log records for a batch x_t of
-    shape (B, H, W, 3), each item with its own guidance, from one
-    geo_guidance_gradient_batch call.
+) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
+    """Adjusted noise estimates for a batch x_t of shape (B, H, W, 3), each
+    item with its own guidance, from one geo_guidance_gradient_batch call,
+    with each item's correction norm and soft-extraction error.
 
     Item b's estimate is eps_phi + rho_eff * sqrt(1 - abar_t) * grad L_geo.
-    Its step is skipped, returning the raw estimate with ``skipped`` set and
-    the exception's type name in ``skip_reason``, when soft extraction of
-    the current clean-image prediction fails: a channel with no soft mass
-    (VanishingMass) or three mutually parallel axis lines (NoIntersection).
+    Its step is skipped, returning the raw estimate and the exception in
+    errors[b], when soft extraction of the current clean-image prediction
+    fails: a channel with no soft mass (VanishingMass) or three mutually
+    parallel axis lines (NoIntersection).
     """
     eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, denoiser, cond, guidances, sched)
-    records = [{"t": t, "guidance_norm": 0.0, "skipped": False} for _ in guidances]
-    rho_eff = np.zeros(len(guidances))
-    for b, g in enumerate(guidances):
-        if errors[b] is not None:
-            records[b]["skipped"] = True
-            records[b]["skip_reason"] = type(errors[b]).__name__
-        elif not np.isnan(losses[b]):
-            rho_eff[b] = g.rho / (math.sqrt(losses[b]) + 1e-6)
+    rho = np.zeros(guidances.size)
+    rho[guidances.index] = guidances.rho
+    rho_eff = np.where(np.isnan(losses), 0.0, rho / (np.sqrt(losses) + 1e-6))
     correction = (rho_eff * np.sqrt(1.0 - sched.abar(t)))[:, None, None, None] * grads
-    for b, record in enumerate(records):
-        record["guidance_norm"] = float(np.linalg.norm(correction[b]))
-    return eps + correction, records
+    return eps + correction, np.linalg.norm(correction.reshape(len(correction), -1), axis=1), errors
+
+
+def _log_record(t: int, guidance_norm: float, error: Exception | None) -> dict:
+    """One step's log entry: ``skipped`` is set, with the exception's type
+    name in ``skip_reason``, when the step's guidance was skipped."""
+    record = {"t": t, "guidance_norm": float(guidance_norm), "skipped": error is not None}
+    if error is not None:
+        record["skip_reason"] = type(error).__name__
+    return record
 
 
 # --- sampling ---
@@ -449,11 +500,17 @@ def sample_batch(
 
     x = np.stack([rng.standard_normal((shape[0], shape[1], 3)) for rng in rngs])
     cond = None if conds[0] is None else np.stack([np.asarray(c, dtype=float) for c in conds])
-    logs: list[list[dict]] = [[] for _ in rngs]
+    guided = GuidanceBatch(guidances, shape)
+    steps_out = []  # (t, correction norms, errors) per step
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0
-        eps, records = guided_epsilon_batch(x, t, denoiser, cond, guidances, sched)
+        eps, norms, errors = guided_epsilon_batch(x, t, denoiser, cond, guided, sched)
         x = ddim_step(x, t, eps, sched, t_prev=t_prev)
-        for log, record in zip(logs, records):
-            log.append(record)
-    return [SampleResult(image=TriAxisImage(np.clip(xb, 0.0, 1.0)), log=log) for xb, log in zip(x, logs)]
+        steps_out.append((t, norms, errors))
+    return [
+        SampleResult(
+            image=TriAxisImage(np.clip(xb, 0.0, 1.0)),
+            log=[_log_record(t, norms[b], errors[b]) for t, norms, errors in steps_out],
+        )
+        for b, xb in enumerate(x)
+    ]

@@ -12,7 +12,9 @@ Two variants share one moment-based pipeline:
 Per channel: weighted mean, principal eigenvector of the 2x2 second-moment
 matrix, then a least-squares intersection of the three lines gives the
 origin. Directions are sign-corrected to point from the origin toward the
-channel mass.
+channel mass. The pipeline works on a leading batch axis throughout, so a
+batch of images costs a fixed number of array operations; a single image
+is extracted as a batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,16 +65,41 @@ class AxisObservation:
 
 @dataclass(frozen=True)
 class ObservationAdjoint:
-    """Cotangent with the same shape as AxisObservation, without unit constraints."""
+    """Cotangent with the same shape as AxisObservation, without unit
+    constraints; a batch of B cotangents keeps its leading axis:
+    origin_px (B, 2), dir (B, 3, 2), centroid (B, 2)."""
 
     origin_px: np.ndarray
     dir: np.ndarray
     centroid: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "origin_px", np.asarray(self.origin_px, dtype=float).reshape(2))
-        object.__setattr__(self, "dir", np.asarray(self.dir, dtype=float).reshape(3, 2))
-        object.__setattr__(self, "centroid", np.asarray(self.centroid, dtype=float).reshape(2))
+        o = np.asarray(self.origin_px, dtype=float)
+        lead = o.shape[:-1]
+        object.__setattr__(self, "origin_px", o.reshape(*lead, 2))
+        object.__setattr__(self, "dir", np.asarray(self.dir, dtype=float).reshape(*lead, 3, 2))
+        object.__setattr__(self, "centroid", np.asarray(self.centroid, dtype=float).reshape(*lead, 2))
+
+
+@dataclass(frozen=True)
+class ObservationBatch:
+    """AxisObservation fields of B records stacked along a leading axis:
+    origin_px (B, 2), dir (B, 3, 2), centroid (B, 2). A record whose
+    extraction failed has nan rows and its exception in errors[b]."""
+
+    origin_px: np.ndarray
+    dir: np.ndarray
+    centroid: np.ndarray
+    errors: list[Exception | None]
+
+    @classmethod
+    def stack(cls, observations: Sequence[AxisObservation]) -> "ObservationBatch":
+        return cls(
+            origin_px=np.stack([o.origin_px for o in observations]),
+            dir=np.stack([o.dir for o in observations]),
+            centroid=np.stack([o.centroid for o in observations]),
+            errors=[None] * len(observations),
+        )
 
 
 @lru_cache(maxsize=8)
@@ -86,64 +113,70 @@ def _basis(h: int, w: int) -> np.ndarray:
 
 
 class _Moments:
-    """Weighted moments of the three channels of a (H, W, 3) weight image,
-    from one product with the coordinate monomials."""
+    """Weighted moments of the three channels of each image in a batch of
+    weight images (B, H, W, 3), from one product per image with the
+    coordinate monomials; each per-channel quantity is a (B, 3) array."""
 
     def __init__(self, w: np.ndarray):
         self.shape = w.shape
-        self.basis = _basis(*w.shape[:2])
-        raw = w.reshape(-1, 3).T @ self.basis  # (3, 6)
-        self.mass = raw[:, 0]
+        self.basis = _basis(*w.shape[1:3])
+        raw = np.swapaxes(w.reshape(len(w), -1, 3), 1, 2) @ self.basis  # (B, 3, 6)
+        self.mass = raw[..., 0]
         with np.errstate(invalid="ignore", divide="ignore"):  # empty channels are rejected by the caller
-            self.mean = raw[:, 1:3] / self.mass[:, None]
-            mu, mv = self.mean[:, 0], self.mean[:, 1]
-            self.a = raw[:, 3] / self.mass - mu * mu
-            self.b = raw[:, 4] / self.mass - mu * mv
-            self.c = raw[:, 5] / self.mass - mv * mv
+            self.mean = raw[..., 1:3] / self.mass[..., None]
+            mu, mv = self.mean[..., 0], self.mean[..., 1]
+            self.a = raw[..., 3] / self.mass - mu * mu
+            self.b = raw[..., 4] / self.mass - mu * mv
+            self.c = raw[..., 5] / self.mass - mv * mv
         half = np.hypot(self.a - self.c, 2 * self.b) / 2.0
         mid = (self.a + self.c) / 2.0
         self.lam_max, self.lam_min = mid + half, mid - half
         theta = 0.5 * np.arctan2(2 * self.b, self.a - self.c)
-        self.e = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # principal axes, (3, 2)
+        self.e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)  # principal axes, (B, 3, 2)
 
     def pullback(self, d_mass, d_mean, d_a, d_b, d_c) -> np.ndarray:
-        """Weight-image gradient, (H, W, 3), of a loss with the given
+        """Weight-image gradient, (B, H, W, 3), of a loss with the given
         cotangents of mass, mean and the central moments a, b, c."""
-        mu, mv = self.mean[:, 0], self.mean[:, 1]
+        mu, mv = self.mean[..., 0], self.mean[..., 1]
         # per pixel p = (u, v): d mean/dw = (p - mean)/m, d a/dw = ((u - mu)^2 - a)/m,
         # d b/dw = ((u - mu)(v - mv) - b)/m, d c/dw = ((v - mv)^2 - c)/m and
         # d mass/dw = 1, so the gradient is a quadratic in (u, v) per channel
         const = (
-            -d_mean[:, 0] * mu
-            - d_mean[:, 1] * mv
+            -d_mean[..., 0] * mu
+            - d_mean[..., 1] * mv
             + d_a * (mu * mu - self.a)
             + d_b * (mu * mv - self.b)
             + d_c * (mv * mv - self.c)
         )
-        g_u = d_mean[:, 0] - 2 * mu * d_a - mv * d_b
-        g_v = d_mean[:, 1] - mu * d_b - 2 * mv * d_c
-        coeff = np.stack([const, g_u, g_v, d_a, d_b, d_c]) / self.mass  # (6, 3)
-        coeff[0] += d_mass
+        g_u = d_mean[..., 0] - 2 * mu * d_a - mv * d_b
+        g_v = d_mean[..., 1] - mu * d_b - 2 * mv * d_c
+        coeff = np.stack([const, g_u, g_v, d_a, d_b, d_c], axis=1) / self.mass[:, None]  # (B, 6, 3)
+        coeff[:, 0] += d_mass
         return (self.basis @ coeff).reshape(self.shape)
 
 
-def _intersect(m: _Moments) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares intersection of the three principal lines, and the
-    normal matrix A = sum(I - e_i e_i^T) of the solve."""
-    A = 3.0 * np.eye(2) - m.e.T @ m.e
-    if abs(np.linalg.det(A)) < _INTERSECT_DET_FLOOR:
-        raise NoIntersection("axis lines are mutually parallel")
-    r = m.mean.sum(axis=0) - m.e.T @ np.einsum("ik,ik->i", m.e, m.mean)
-    return np.linalg.solve(A, r), A
+def _intersect(m: _Moments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares intersection of each image's three principal lines, the
+    normal matrices A = sum(I - e_i e_i^T) of the solves, and a mask of the
+    images whose lines are mutually parallel. Those images get A = I, so
+    that the batched solve stays defined; their origins mean nothing."""
+    e_t = np.swapaxes(m.e, 1, 2)
+    A = 3.0 * np.eye(2) - e_t @ m.e
+    with np.errstate(invalid="ignore"):  # nan moments give a nan origin, not an error
+        parallel = np.abs(np.linalg.det(A)) < _INTERSECT_DET_FLOOR
+    A[parallel] = np.eye(2)
+    r = m.mean.sum(axis=1) - (e_t @ np.einsum("bik,bik->bi", m.e, m.mean)[..., None])[..., 0]
+    return np.linalg.solve(A, r[..., None])[..., 0], A, parallel
 
 
-def _assemble(m: _Moments) -> tuple[AxisObservation, np.ndarray, np.ndarray]:
-    """Observation from channel moments, with the direction signs and the
-    intersection's normal matrix for the adjoint."""
-    origin, A = _intersect(m)
-    sign = np.where(np.einsum("ik,ik->i", m.e, m.mean - origin) >= 0, 1.0, -1.0)
-    centroid = m.mass @ m.mean / m.mass.sum()
-    return AxisObservation(origin_px=origin, dir=sign[:, None] * m.e, centroid=centroid), sign, A
+def _assemble(m: _Moments) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Origins (B, 2), directed axes (B, 3, 2) and centroids (B, 2) from
+    channel moments, with the direction signs and the intersection's normal
+    matrices for the adjoint and the mask of images without an intersection."""
+    origin, A, parallel = _intersect(m)
+    sign = np.where(np.einsum("bik,bik->bi", m.e, m.mean - origin[:, None]) >= 0, 1.0, -1.0)
+    centroid = (m.mass[:, None] @ m.mean)[:, 0] / m.mass.sum(axis=1, keepdims=True)
+    return origin, sign[..., None] * m.e, centroid, sign, A, parallel
 
 
 def extract_axes_hard(img: TriAxisImage) -> AxisObservation:
@@ -156,38 +189,47 @@ def extract_axes_hard(img: TriAxisImage) -> AxisObservation:
     """
     data = img.data
     mask = data > 0.5
-    m = _Moments(data * mask)
+    m = _Moments((data * mask)[None])
     counts = mask.sum(axis=(0, 1))
+    lam_max, lam_min = m.lam_max[0], m.lam_min[0]
     for i in range(3):
         if counts[i] < MIN_HARD_PIXELS:
             raise EmptyChannel(i)
         # a segment has one dominant moment axis; a blob does not
-        if m.lam_max[i] <= 0 or m.lam_max[i] / max(m.lam_min[i], 1e-300) < EIGEN_RATIO_FLOOR:
+        if lam_max[i] <= 0 or lam_max[i] / max(lam_min[i], 1e-300) < EIGEN_RATIO_FLOOR:
             raise DegenerateChannel(i)
-    return _assemble(m)[0]
+    origin, dirs, centroid, _, _, parallel = _assemble(m)
+    if parallel[0]:
+        raise NoIntersection("axis lines are mutually parallel")
+    return AxisObservation(origin_px=origin[0], dir=dirs[0], centroid=centroid[0])
 
 
-def soft_weights(data: np.ndarray, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
+def soft_weights(data: np.ndarray, sharpness: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Graded soft threshold at 0.5 and its derivative.
 
     A sigmoid of the given sharpness, rescaled so that 0 maps to 0 and 1 to
     1: it tends to the hard threshold as sharpness grows and to the
-    intensity itself as sharpness tends to 0.
+    intensity itself as sharpness tends to 0. sharpness is a number or an
+    array that broadcasts against data, such as one value per image of a
+    batch.
     """
-    if sharpness <= 0:
+    sharpness = np.asarray(sharpness, dtype=float)
+    if np.any(sharpness <= 0):
         raise ValueError("sharpness must be positive")
     # sigmoid(a) = (1 + tanh(a / 2)) / 2, written so that a small sharpness
-    # loses no precision
-    half_span = math.tanh(sharpness / 4.0)
+    # loses no precision; the span is math.tanh of each distinct sharpness,
+    # a value NumPy's vectorised tanh does not always match to the last bit
+    quarter, index = np.unique(sharpness / 4.0, return_inverse=True)
+    half_span = np.array([math.tanh(q) for q in quarter])[index].reshape(sharpness.shape)
     th = np.tanh(0.5 * sharpness * (data - 0.5))
     return (th + half_span) / (2.0 * half_span), (sharpness / (4.0 * half_span)) * (1.0 - th * th)
 
 
 def soft_extract_with_pullback(
     img: TriAxisImage | np.ndarray,
-    sharpness: float = DEFAULT_SHARPNESS,
+    sharpness: float | np.ndarray = DEFAULT_SHARPNESS,
     cost_map: np.ndarray | None = None,
-) -> tuple[AxisObservation, np.ndarray, np.ndarray | None, Callable[..., np.ndarray]]:
+) -> tuple[AxisObservation | ObservationBatch, np.ndarray, np.ndarray | None, Callable[..., np.ndarray]]:
     """Soft extraction and its adjoint from one forward pass.
 
     Returns the observation; each channel's anisotropy
@@ -201,38 +243,91 @@ def soft_extract_with_pullback(
     channel's direction turns ever faster as it nears isotropy, so its
     adjoint grows like 1 / (lam_max - lam_min); a loss that weights the
     direction by the anisotropy keeps a bounded gradient.
+
+    A batch of images (B, H, W, 3), with a (B, H, W, 3) cost map and a
+    sharpness that is a number or one value per image, is extracted in one
+    pass: the observation is an ObservationBatch, the anisotropies and costs
+    are (B, 3), and the pullback maps a batched cotangent and (B, 3) cost and
+    anisotropy cotangents to (B, H, W, 3). A failed image raises nothing: its
+    exception is in the observation's errors, its rows are nan and its
+    gradient is 0. A single image is extracted as a batch of one.
     """
     data = img.data if isinstance(img, TriAxisImage) else np.asarray(img, dtype=float)
-    w, dw = soft_weights(data, sharpness)
-    m = _Moments(w)
-    for i in range(3):
-        if m.mass[i] <= SOFT_MASS_FLOOR:
-            raise VanishingMass(i)
-    obs, sign, A = _assemble(m)
-    x_t, y_t, trace = m.a - m.c, 2.0 * m.b, m.a + m.c
-    trace_sq = np.maximum(trace * trace, 1e-300)
-    anisotropy = (x_t * x_t + y_t * y_t) / trace_sq
-    costs = None if cost_map is None else (w * cost_map).sum(axis=(0, 1)) / m.mass
+    if data.ndim == 4:
+        return _soft_extract_batch(data, sharpness, cost_map)
+    batch, aniso, costs, batch_pullback = _soft_extract_batch(
+        data[None], sharpness, None if cost_map is None else cost_map[None]
+    )
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    obs = AxisObservation(origin_px=batch.origin_px[0], dir=batch.dir[0], centroid=batch.centroid[0])
 
     def pullback(
         cotangent: ObservationAdjoint | AxisObservation,
         cost_cot: np.ndarray | None = None,
         aniso_cot: np.ndarray | None = None,
     ) -> np.ndarray:
-        total = m.mass.sum()
+        cot = ObservationAdjoint(cotangent.origin_px[None], cotangent.dir[None], cotangent.centroid[None])
+        return batch_pullback(
+            cot,
+            None if cost_cot is None else np.asarray(cost_cot, dtype=float)[None],
+            None if aniso_cot is None else np.asarray(aniso_cot, dtype=float)[None],
+        )[0]
+
+    return obs, aniso[0], None if costs is None else costs[0], pullback
+
+
+def _soft_extract_batch(data: np.ndarray, sharpness: float | np.ndarray, cost_map: np.ndarray | None):
+    """soft_extract_with_pullback for a batch (B, H, W, 3)."""
+    w, dw = soft_weights(data, np.reshape(sharpness, (-1, 1, 1, 1)))
+    m = _Moments(w)
+    origin, dirs, centroid, sign, A, parallel = _assemble(m)
+    vanishing = m.mass <= SOFT_MASS_FLOOR
+    failed = vanishing.any(axis=1) | parallel
+    errors: list[Exception | None] = [None] * len(data)
+    for b in np.flatnonzero(failed):
+        if vanishing[b].any():
+            errors[b] = VanishingMass(int(np.argmax(vanishing[b])))
+        else:
+            errors[b] = NoIntersection("axis lines are mutually parallel")
+    nan_rows = failed[:, None]
+    obs = ObservationBatch(
+        origin_px=np.where(nan_rows, np.nan, origin),
+        dir=np.where(nan_rows[..., None], np.nan, dirs),
+        centroid=np.where(nan_rows, np.nan, centroid),
+        errors=errors,
+    )
+    x_t, y_t, trace = m.a - m.c, 2.0 * m.b, m.a + m.c
+    trace_sq = np.maximum(trace * trace, 1e-300)
+    anisotropy = (x_t * x_t + y_t * y_t) / trace_sq
+    # an image without mass divides by zero below; its rows are discarded
+    with np.errstate(invalid="ignore", divide="ignore"):
+        costs = None if cost_map is None else (w * cost_map).sum(axis=(1, 2)) / m.mass
+
+    @np.errstate(invalid="ignore", divide="ignore")
+    def pullback(
+        cotangent: ObservationAdjoint | ObservationBatch,
+        cost_cot: np.ndarray | None = None,
+        aniso_cot: np.ndarray | None = None,
+    ) -> np.ndarray:
+        total = m.mass.sum(axis=1, keepdims=True)
         # centroid = sum(mass_i * mean_i) / total
-        d_mean = (m.mass / total)[:, None] * cotangent.centroid
-        d_mass = (m.mean - obs.centroid) @ cotangent.centroid / total
+        d_mean = (m.mass / total)[..., None] * cotangent.centroid[:, None]
+        d_mass = ((m.mean - centroid[:, None]) @ cotangent.centroid[..., None])[..., 0] / total
         # origin = A^-1 r with A = sum(P_i), r = sum(P_i mean_i), P_i = I - e_i e_i^T;
         # dL/dP_i = y (mean_i - origin)^T with y = A^-1 g_origin
-        y = np.linalg.solve(A, cotangent.origin_px)
-        rel = m.mean - obs.origin_px
-        ey = m.e @ y
-        d_e = sign[:, None] * cotangent.dir - np.outer(np.einsum("ik,ik->i", rel, m.e), y) - rel * ey[:, None]
-        d_mean += y - m.e * ey[:, None]
+        y = np.linalg.solve(A, cotangent.origin_px[..., None])[..., 0]
+        rel = m.mean - origin[:, None]
+        ey = (m.e @ y[..., None])[..., 0]
+        d_e = (
+            sign[..., None] * cotangent.dir
+            - np.einsum("bik,bik->bi", rel, m.e)[..., None] * y[:, None]
+            - rel * ey[..., None]
+        )
+        d_mean += y[:, None] - m.e * ey[..., None]
         # e = (cos theta, sin theta) with theta = atan2(2b, a - c) / 2; an
         # exactly isotropic channel has no angular sensitivity
-        d_theta = d_e[:, 1] * m.e[:, 0] - d_e[:, 0] * m.e[:, 1]
+        d_theta = d_e[..., 1] * m.e[..., 0] - d_e[..., 0] * m.e[..., 1]
         k = d_theta / np.maximum(x_t * x_t + y_t * y_t, 1e-300)
         d_a, d_b, d_c = -0.5 * y_t * k, x_t * k, 0.5 * y_t * k
         if aniso_cot is not None:
@@ -244,8 +339,10 @@ def soft_extract_with_pullback(
         g_w = m.pullback(d_mass, d_mean, d_a, d_b, d_c)
         if cost_cot is not None:
             # costs_i = sum(w_i * cost_i) / mass_i
-            g_w += (cost_map - costs) * (np.asarray(cost_cot, dtype=float) / m.mass)
-        return g_w * dw
+            g_w += (cost_map - costs[:, None, None]) * (np.asarray(cost_cot, dtype=float) / m.mass)[:, None, None]
+        g_img = g_w * dw
+        g_img[failed] = 0.0
+        return g_img
 
     return obs, anisotropy, costs, pullback
 

@@ -7,6 +7,8 @@ arrays in [0, 1]; persistence helpers store them as little-endian float32.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -253,6 +255,24 @@ def apply_degradation(img: np.ndarray, spec: DegradationSpec) -> np.ndarray:
 
 
 # --- persistence ---
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing and, when the block
+    completes, rename it over ``path``; if the block raises, delete it and
+    leave ``path`` as it was. The rename is atomic for readers and against a
+    failure of this process; without an fsync it may not survive a power
+    loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 def save_f32(path: str | Path, img: np.ndarray) -> None:
     """Raw little-endian float32, row-major, channel-interleaved."""

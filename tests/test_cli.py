@@ -209,6 +209,40 @@ def test_checkpoint_schedule_mismatch_exits_2(tmp_path, config_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["infer", "train"])
+@pytest.mark.parametrize("field, ours, theirs", [("hidden", 16, 32), ("time_embed_dim", 4, 8)])
+def test_checkpoint_arch_mismatch_exits_2(tmp_path, config_path, capsys, command, field, ours, theirs):
+    data = _render(tmp_path, config_path)
+    run = tmp_path / "run"
+    assert main([
+        "train", "--config", str(config_path), "--dataset", str(data),
+        "--out", str(run), "--deterministic",
+    ]) == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**CONFIG, "arch": {**CONFIG["arch"], field: ours}}))
+    capsys.readouterr()
+    flag = "--checkpoint" if command == "infer" else "--resume"
+    out = tmp_path / "out"
+    rc = main([
+        command, "--config", str(other), "--dataset", str(data),
+        flag, str(run / "checkpoint.bin"), "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"'{field}': {ours}" in err and f"'{field}': {theirs}" in err
+    assert not out.exists()
+
+
+def test_partial_intrinsics_exits_2(tmp_path, capsys):
+    config = tmp_path / "camera.json"
+    config.write_text(json.dumps({"intrinsics": {"f_x": 20.0}}))
+    rc = main(["render-dataset", "--config", str(config), "--out", str(tmp_path / "data")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "missing f_y, c_x, c_y, width, height" in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     config = tmp_path / "typo.json"
     config.write_text(json.dumps({**CONFIG, "guidance": {"rho": 2.0}}))

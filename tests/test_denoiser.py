@@ -119,6 +119,17 @@ def test_checkpoint_roundtrip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_failed_checkpoint_write_keeps_old_file(tmp_path):
+    den = MLPDenoiser(ARCH, SCHED, np.random.default_rng(0))
+    p = tmp_path / "ckpt.bin"
+    save_checkpoint(p, den)
+    old = p.read_bytes()
+    den.biases[-1] = "not a number"  # fails after the header and the first weights are written
+    with pytest.raises(ValueError):
+        save_checkpoint(p, den)
+    assert p.read_bytes() == old
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"not a checkpoint at all")

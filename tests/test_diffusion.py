@@ -6,6 +6,7 @@ import pytest
 from axisforge.dataset import SamplingConfig, default_intrinsics, sample_pose
 from axisforge.diffusion import (
     GaussianScoreField,
+    GuidanceBatch,
     GuidanceConfig,
     ddim_step,
     forward_diffuse,
@@ -16,6 +17,7 @@ from axisforge.diffusion import (
     geo_image_gradient,
     geo_loss,
     geo_loss_adjoint,
+    guidance_sharpness,
     make_schedule,
     predict_x0,
     ray_distance_map,
@@ -23,8 +25,14 @@ from axisforge.diffusion import (
     sample_batch,
     uniform_timesteps,
 )
-from axisforge.errors import AxisForgeError, InvalidSchedule
-from axisforge.extraction import AxisObservation, ObservationAdjoint, extract_axes_hard, soft_extract_with_pullback
+from axisforge.errors import AxisForgeError, InvalidSchedule, NoIntersection, VanishingMass
+from axisforge.extraction import (
+    AxisObservation,
+    ObservationAdjoint,
+    ObservationBatch,
+    extract_axes_hard,
+    soft_extract_with_pullback,
+)
 from axisforge.render import render_triaxis
 
 
@@ -308,6 +316,48 @@ def test_batched_guidance_gradient_finite_differences():
             if abs(an) < 1e-9 and abs(fd) < 1e-9:
                 continue  # clamp-masked pixel
             assert abs(an - fd) / max(abs(an), abs(fd), 1e-9) < 1e-3
+
+
+def test_batched_guidance_isolates_failed_and_unguided_records():
+    sched = make_schedule(50, 1e-3, 0.05)
+    x0, guidance = _guided_case(1)
+    massless = x0.copy()
+    massless[..., 1] = 0.0  # VanishingMass in channel 1
+    parallel = np.repeat(x0[..., :1], 3, axis=-1)  # three copies of one axis: NoIntersection
+    means = np.stack([x0, massless, parallel, x0])
+    guidances = [guidance, guidance, guidance, None]
+    den = gaussian_denoiser(GaussianScoreField(mean=means, var=np.full(means.shape, 1e-4)), sched)
+    x_t = np.random.default_rng(3).standard_normal(means.shape)
+    t = 10
+    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, den, None, guidances, sched)
+    # the healthy record matches its single-image computation bit for bit
+    # (the analytic denoiser is elementwise, so batching changes no arithmetic)
+    x0_hat = predict_x0(x_t, t, eps, sched)
+    sharpness = guidance_sharpness(guidance.sharpness, t, sched)
+    single_loss, single_grad = geo_image_gradient(x0_hat[0], guidance.target, sharpness)
+    img_losses, img_grads, img_errors = geo_image_gradient(
+        x0_hat[:3], ObservationBatch.stack([guidance.target] * 3), sharpness
+    )
+    assert img_losses[0] == single_loss and np.array_equal(img_grads[0], single_grad)
+    single_den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
+    loss, grad = geo_guidance_gradient(x_t[0], t, single_den, None, guidance.target, guidance.sharpness, sched)
+    assert losses[0] == loss and np.array_equal(grads[0], grad)
+    # failed records: loss nan, gradient 0, their own exception
+    assert isinstance(errors[1], VanishingMass) and errors[1].channel == 1
+    assert isinstance(errors[2], NoIntersection)
+    assert [type(e) for e in img_errors] == [type(None), VanishingMass, NoIntersection]
+    assert errors[0] is None and errors[3] is None
+    assert np.isnan(losses[1:]).all() and not np.any(grads[1:])
+    assert np.isnan(img_losses[1:]).all() and not np.any(img_grads[1:])
+    # guidance stacked once for a chain, ray maps included, gives what a
+    # fresh build gives at every step
+    stacked = GuidanceBatch(guidances, x0.shape[:2])
+    for step in (30, 10):
+        fresh = geo_guidance_gradient_batch(x_t, step, den, None, guidances, sched)
+        reused = geo_guidance_gradient_batch(x_t, step, den, None, stacked, sched)
+        assert np.array_equal(fresh[1], reused[1], equal_nan=True)
+        assert np.array_equal(fresh[2], reused[2])
+        assert [type(e) for e in fresh[3]] == [type(e) for e in reused[3]]
 
 
 def test_skipped_guidance_step_records_reason():

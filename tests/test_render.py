@@ -7,6 +7,7 @@ from axisforge.render import (
     QueryImage,
     TriAxisImage,
     apply_degradation,
+    atomic_write,
     load_f32,
     render_query,
     render_triaxis,
@@ -114,6 +115,21 @@ def test_f32_roundtrip(tmp_path):
     assert np.allclose(back, img, atol=1e-7)
     with pytest.raises(ValueError):
         load_f32(p, (4, 4, 3))
+
+
+def test_atomic_write_keeps_old_file_on_error(tmp_path):
+    p = tmp_path / "doc.json"
+    with atomic_write(p) as f:
+        f.write("old")
+    with pytest.raises(RuntimeError):
+        with atomic_write(p) as f:
+            f.write("new, half written")
+            raise RuntimeError("interrupted")
+    assert p.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [p]  # the temporary file is gone
+    with atomic_write(p, "wb") as f:
+        f.write(b"new")
+    assert p.read_bytes() == b"new"
 
 
 def test_save_ppm_header_and_size(tmp_path):
