@@ -14,6 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .config import Section
 from .errors import DegenerateAxis, NonPositiveDepth
 
 DEPTH_EPS = 1e-9
@@ -21,7 +22,7 @@ AXIS_DEGENERACY_PX = 1e-6
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
+class CameraIntrinsics(Section):
     """Pinhole parameters. The matrix K is upper triangular with positive diagonal."""
 
     f_x: float
@@ -53,34 +54,6 @@ class CameraIntrinsics:
         K_inv = np.linalg.inv(self.K)
         K_inv.flags.writeable = False  # shared by every later caller
         return K_inv
-
-    def to_dict(self) -> dict:
-        return {
-            "f_x": self.f_x,
-            "f_y": self.f_y,
-            "gamma": self.gamma,
-            "c_x": self.c_x,
-            "c_y": self.c_y,
-            "width": self.width,
-            "height": self.height,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        """Build from a dict that gives every field but the optional gamma;
-        a missing field raises ValueError naming it."""
-        missing = [k for k in ("f_x", "f_y", "c_x", "c_y", "width", "height") if k not in d]
-        if missing:
-            raise ValueError(f"intrinsics must be given whole: missing {', '.join(missing)}")
-        return cls(
-            f_x=float(d["f_x"]),
-            f_y=float(d["f_y"]),
-            gamma=float(d.get("gamma", 0.0)),
-            c_x=float(d["c_x"]),
-            c_y=float(d["c_y"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
-        )
 
 
 @dataclass(frozen=True)

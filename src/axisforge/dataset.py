@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import CameraIntrinsics, Pose, project_axes, project_point, projected_axis_lengths, random_rotation
+from .config import Section
 from .denoiser import ArchConfig, OptConfig
 from .diffusion import DiffusionSchedule, make_schedule
 from .errors import DegenerateAxis, DegenerateSamplingExhausted, ManifestError, NonPositiveDepth
@@ -34,7 +35,7 @@ def record_seed(global_seed: int, record_id: str) -> int:
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
+class SamplingConfig(Section):
     """Pose distribution and nondegeneracy thresholds for dataset generation."""
 
     depth_min: float = 3.0
@@ -51,54 +52,21 @@ class SamplingConfig:
         if not 0.0 <= self.origin_margin_frac < 0.5:
             raise ValueError("origin_margin_frac must lie in [0, 0.5)")
 
-    def to_dict(self) -> dict:
-        return {
-            "depth_min": self.depth_min,
-            "depth_max": self.depth_max,
-            "lateral": self.lateral,
-            "min_axis_px": self.min_axis_px,
-            "origin_margin_frac": self.origin_margin_frac,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplingConfig":
-        return cls(**{k: float(d[k]) for k in cls().to_dict() if k in d})
-
 
 @dataclass(frozen=True)
-class RenderParams:
+class RenderParams(Section):
     """Raster settings shared by every record of a dataset."""
 
     axis_len: float = 1.0
     thickness_px: float = 1.5
 
-    def to_dict(self) -> dict:
-        return {"axis_len": self.axis_len, "thickness_px": self.thickness_px}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RenderParams":
-        return cls(
-            axis_len=float(d.get("axis_len", 1.0)),
-            thickness_px=float(d.get("thickness_px", 1.5)),
-        )
-
 
 @dataclass(frozen=True)
-class GuidanceParams:
+class GuidanceParams(Section):
     """Guidance strength settings carried by the run configuration."""
 
     rho_base: float = 1.0
     sharpness: float = 50.0
-
-    def to_dict(self) -> dict:
-        return {"rho_base": self.rho_base, "sharpness": self.sharpness}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GuidanceParams":
-        return cls(
-            rho_base=float(d.get("rho_base", 1.0)),
-            sharpness=float(d.get("sharpness", 50.0)),
-        )
 
 
 def default_intrinsics(size: int = 32) -> CameraIntrinsics:
@@ -114,7 +82,7 @@ def default_intrinsics(size: int = 32) -> CameraIntrinsics:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Section):
     """Top-level configuration for every CLI command."""
 
     intrinsics: CameraIntrinsics = field(default_factory=default_intrinsics)
@@ -124,7 +92,7 @@ class RunConfig:
     schedule_T: int = 200
     zeta_start: float = 1e-4
     zeta_end: float = 0.05
-    arch: ArchConfig = field(default_factory=lambda: ArchConfig(image_size=32))
+    arch: ArchConfig = field(default_factory=ArchConfig)
     opt: OptConfig = field(default_factory=OptConfig)
     guidance: GuidanceParams = field(default_factory=GuidanceParams)
     sample_steps: int = 50
@@ -132,64 +100,6 @@ class RunConfig:
 
     def schedule(self) -> DiffusionSchedule:
         return make_schedule(self.schedule_T, self.zeta_start, self.zeta_end)
-
-    def to_dict(self) -> dict:
-        return {
-            "intrinsics": self.intrinsics.to_dict(),
-            "render": self.render.to_dict(),
-            "sampling": self.sampling.to_dict(),
-            "degradation": self.degradation.to_dict(),
-            "schedule_T": self.schedule_T,
-            "zeta_start": self.zeta_start,
-            "zeta_end": self.zeta_end,
-            "arch": self.arch.to_dict(),
-            "opt": self.opt.to_dict(),
-            "guidance": self.guidance.to_dict(),
-            "sample_steps": self.sample_steps,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        """Build from a (possibly partial) dict; a missing field takes its
-        default, and a key that names no field raises ValueError."""
-        _reject_unknown_keys(d, cls().to_dict())
-        kwargs = {}
-        if "intrinsics" in d:
-            kwargs["intrinsics"] = CameraIntrinsics.from_dict(d["intrinsics"])
-        if "render" in d:
-            kwargs["render"] = RenderParams.from_dict(d["render"])
-        if "sampling" in d:
-            kwargs["sampling"] = SamplingConfig.from_dict(d["sampling"])
-        if "degradation" in d:
-            kwargs["degradation"] = DegradationSpec.from_dict(d["degradation"])
-        if "arch" in d:
-            kwargs["arch"] = ArchConfig.from_dict(d["arch"])
-        if "opt" in d:
-            kwargs["opt"] = OptConfig.from_dict(d["opt"])
-        if "guidance" in d:
-            kwargs["guidance"] = GuidanceParams.from_dict(d["guidance"])
-        for key in ("schedule_T", "seed"):
-            if key in d:
-                kwargs[key] = int(d[key])
-        for key in ("zeta_start", "zeta_end"):
-            if key in d:
-                kwargs[key] = float(d[key])
-        if "sample_steps" in d:
-            kwargs["sample_steps"] = int(d["sample_steps"])
-        return cls(**kwargs)
-
-
-def _reject_unknown_keys(d: dict, known: dict, prefix: str = "") -> None:
-    """Raise ValueError naming the first key of d, or of a section of d,
-    that ``known`` (a full configuration dict) does not have."""
-    for key, value in d.items():
-        if key not in known:
-            raise ValueError(f"unknown config key '{prefix}{key}'")
-        if isinstance(known[key], dict):
-            if not isinstance(value, dict):
-                raise ValueError(f"config key '{prefix}{key}' must be an object")
-            _reject_unknown_keys(value, known[key], f"{prefix}{key}.")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -245,7 +155,7 @@ class DatasetRecord:
                 query_path=str(d["query_path"]),
                 triaxis_path=str(d["triaxis_path"]),
                 degraded_path=str(d["degraded_path"]),
-                degradation=DegradationSpec.from_dict(d["degradation"]),
+                degradation=DegradationSpec.from_dict(d["degradation"], "degradation."),
                 seed=int(d["seed"]),
             )
         except (KeyError, ValueError, TypeError) as exc:

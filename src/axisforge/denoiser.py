@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import Section
 from .diffusion import DenoiserInterface, DiffusionSchedule, make_schedule
 from .errors import DivergedLoss
 from .render import atomic_write
@@ -35,7 +36,7 @@ MAX_LOSS_WEIGHT = 5.0  # per-draw cap of the signal-to-noise loss weight
 
 
 @dataclass(frozen=True)
-class ArchConfig:
+class ArchConfig(Section):
     image_size: int = 32
     hidden: int = 512
     time_embed_dim: int = 32
@@ -58,20 +59,9 @@ class ArchConfig:
     def input_dim(self) -> int:
         return self.triaxis_dim + self.cond_dim + self.time_embed_dim
 
-    def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size,
-            "hidden": self.hidden,
-            "time_embed_dim": self.time_embed_dim,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchConfig":
-        return cls(**{k: int(d[k]) for k in cls().to_dict() if k in d})
-
 
 @dataclass(frozen=True)
-class OptConfig:
+class OptConfig(Section):
     steps: int = 2000
     batch_size: int = 32
     lr: float = 1e-3
@@ -80,22 +70,6 @@ class OptConfig:
     adam_eps: float = 1e-8
     grad_clip: float = 1.0    # global gradient-norm cap, 0 disables
     log_every: int = 50
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "grad_clip": self.grad_clip,
-            "log_every": self.log_every,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptConfig":
-        return cls(**{k: d[k] for k in cls().to_dict() if k in d})
 
 
 def time_embedding(t, dim: int) -> np.ndarray:
@@ -165,21 +139,18 @@ class MLPDenoiser(DenoiserInterface):
         out = h2 @ self.weights[2] + self.biases[2]
         return out, (X, h1, h2)
 
-    def _backward(self, d_out: np.ndarray, cache) -> dict[str, np.ndarray]:
-        """Weight gradients of <d_out, F>."""
+    def _backward(self, d_out: np.ndarray, cache) -> list[np.ndarray]:
+        """Weight gradients of <d_out, F>, in parameters() order."""
         X, h1, h2 = cache
-        grads = {}
-        grads["W3"] = h2.T @ d_out
-        grads["b3"] = d_out.sum(axis=0)
         d_h2 = d_out @ self.weights[2].T
         d_z2 = d_h2 * (1.0 - h2 * h2)
-        grads["W2"] = h1.T @ d_z2
-        grads["b2"] = d_z2.sum(axis=0)
         d_h1 = d_z2 @ self.weights[1].T
         d_z1 = d_h1 * (1.0 - h1 * h1)
-        grads["W1"] = X.T @ d_z1
-        grads["b1"] = d_z1.sum(axis=0)
-        return grads
+        return [
+            X.T @ d_z1, d_z1.sum(axis=0),
+            h1.T @ d_z2, d_z2.sum(axis=0),
+            h2.T @ d_out, d_out.sum(axis=0),
+        ]
 
     # --- DenoiserInterface ---
 
@@ -321,12 +292,7 @@ def train_denoiser(
         diff = out - (x0 - c_skip * x_t) / c_out
         loss = float((wgt * diff * diff).mean())
         d_out = 2.0 * wgt * diff / diff.size
-        grads_dict = den._backward(d_out, cache)
-        grads = [
-            grads_dict["W1"], grads_dict["b1"],
-            grads_dict["W2"], grads_dict["b2"],
-            grads_dict["W3"], grads_dict["b3"],
-        ]
+        grads = den._backward(d_out, cache)
         if opt.grad_clip > 0.0:
             gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
             if gnorm > opt.grad_clip:

@@ -515,7 +515,6 @@ def oracle_weight_grad_fd() -> tuple[str, str, bool]:
     diff = out - eps
     grads = den._backward(2.0 * diff / diff.size, cache)
     params = den.parameters()
-    names = ["W1", "b1", "W2", "b2", "W3", "b3"]
     h = 1e-5
     worst = 0.0
     for _ in range(10):
@@ -529,7 +528,7 @@ def oracle_weight_grad_fd() -> tuple[str, str, bool]:
         lm = loss()
         p.flat[j] = orig
         fd = (lp - lm) / (2 * h)
-        an = float(grads[names[pi]].flat[j])
+        an = float(grads[pi].flat[j])
         worst = max(worst, _fd_relative(an, fd, floor=1e-8))
     return "< 1e-3 relative", f"worst probe error {worst:.3e}", worst < 1e-3
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import CameraIntrinsics, Pose, project_axes, project_point
+from .config import Section
 from .errors import NonPositiveDepth
 
 _LIGHT = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)  # directional light, toward scene
@@ -68,7 +69,7 @@ class QueryImage:
 
 
 @dataclass(frozen=True)
-class DegradationSpec:
+class DegradationSpec(Section):
     """Controlled corruption: occlusion rectangle, additive noise, box blur."""
 
     occlusion_frac: float = 0.0
@@ -83,23 +84,6 @@ class DegradationSpec:
             raise ValueError("noise_sigma must be >= 0")
         if self.blur_radius < 0:
             raise ValueError("blur_radius must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "occlusion_frac": self.occlusion_frac,
-            "noise_sigma": self.noise_sigma,
-            "blur_radius": self.blur_radius,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DegradationSpec":
-        return cls(
-            occlusion_frac=float(d.get("occlusion_frac", 0.0)),
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-            blur_radius=int(d.get("blur_radius", 0)),
-            seed=int(d.get("seed", 0)),
-        )
 
 
 def _segment_distance(h: int, w: int, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:

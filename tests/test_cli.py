@@ -250,3 +250,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "guidance.rho" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def test_train_accepts_integral_floats(tmp_path, capsys):
+    config = tmp_path / "floats.json"
+    config.write_text(json.dumps({**CONFIG, "opt": {**CONFIG["opt"], "steps": 3.0, "batch_size": 2.0}}))
+    data = _render(tmp_path, config)
+    run = tmp_path / "run"
+    rc = main(["train", "--config", str(config), "--dataset", str(data), "--out", str(run), "--deterministic"])
+    assert rc == 0
+    log = [json.loads(l) for l in (run / "train_log.jsonl").read_text().splitlines()]
+    assert log[-1]["step"] == 3
+    capsys.readouterr()

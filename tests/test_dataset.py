@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from axisforge.camera import CameraIntrinsics
 from axisforge.dataset import (
+    GuidanceParams,
     Manifest,
+    RenderParams,
     RunConfig,
     SamplingConfig,
     default_intrinsics,
@@ -17,8 +20,9 @@ from axisforge.dataset import (
     sample_pose,
     save_config,
 )
+from axisforge.denoiser import ArchConfig, OptConfig
 from axisforge.errors import ManifestError
-from axisforge.render import load_f32
+from axisforge.render import DegradationSpec, load_f32
 
 CFG = dataclasses.replace(
     RunConfig(),
@@ -26,6 +30,23 @@ CFG = dataclasses.replace(
     sampling=SamplingConfig(depth_min=2.5, depth_max=3.5, lateral=0.2, min_axis_px=3.0),
     arch=dataclasses.replace(RunConfig().arch, image_size=16),
     seed=11,
+)
+
+# a non-default value in every field, so a field the codec drops or
+# mis-types fails the round trip
+ALL_SET = RunConfig(
+    intrinsics=CameraIntrinsics(f_x=20.5, f_y=21.5, c_x=12.25, c_y=11.75, width=24, height=23, gamma=0.125),
+    render=RenderParams(axis_len=0.75, thickness_px=2.25),
+    sampling=SamplingConfig(depth_min=2.5, depth_max=4.5, lateral=0.25, min_axis_px=4.5, origin_margin_frac=0.125),
+    degradation=DegradationSpec(occlusion_frac=0.3, noise_sigma=0.05, blur_radius=2, seed=2**62 + 7),
+    schedule_T=300,
+    zeta_start=2e-4,
+    zeta_end=0.07,
+    arch=ArchConfig(image_size=24, hidden=96, time_embed_dim=16),
+    opt=OptConfig(steps=123, batch_size=7, lr=5e-4, beta1=0.85, beta2=0.995, adam_eps=1e-7, grad_clip=0.5, log_every=9),
+    guidance=GuidanceParams(rho_base=2.5, sharpness=40.5),
+    sample_steps=33,
+    seed=5,
 )
 
 
@@ -87,6 +108,11 @@ def test_load_manifest_errors(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(ManifestError):
         load_manifest(tmp_path)
+    doc["version"] = 1
+    doc["records"][0]["degradation"]["sigma"] = 0.1
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="'degradation.sigma'"):
+        load_manifest(tmp_path)
 
 
 def test_load_manifest_missing_image(tmp_path):
@@ -98,9 +124,11 @@ def test_load_manifest_missing_image(tmp_path):
 
 def test_config_roundtrip(tmp_path):
     p = tmp_path / "config.json"
-    save_config(p, CFG)
-    back = load_config(p)
-    assert back == CFG
+    for cfg in (CFG, ALL_SET):
+        save_config(p, cfg)
+        back = load_config(p)
+        assert back == cfg
+        assert repr(back) == repr(cfg)  # 1 == 1.0, but their reprs differ
 
 
 def test_run_config_from_partial_dict():
@@ -114,6 +142,9 @@ def test_run_config_partial_section_takes_defaults():
     cfg = RunConfig.from_dict({"arch": {"hidden": 64}, "opt": {"steps": 5}})
     assert cfg.arch == dataclasses.replace(RunConfig().arch, hidden=64)
     assert cfg.opt == dataclasses.replace(RunConfig().opt, steps=5)
+    opt = RunConfig.from_dict({"opt": {"steps": 5.0, "lr": 1}}).opt
+    assert type(opt.steps) is int and opt.steps == 5
+    assert type(opt.lr) is float and opt.lr == 1.0
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -124,6 +155,7 @@ def test_run_config_partial_section_takes_defaults():
     ({"opt": {"momentum": 0.9}}, "'opt.momentum'"),
     ({"intrinsics": {**default_intrinsics(16).to_dict(), "fx": 1.0}}, "'intrinsics.fx'"),
     ({"arch": 64}, "'arch'"),
+    ({"arch": {"hidden": 64.5}}, "'arch.hidden'"),
 ])
 def test_run_config_rejects_unknown_keys(doc, key):
     with pytest.raises(ValueError) as exc:
