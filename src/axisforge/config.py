@@ -4,7 +4,8 @@ A section is a dataclass whose fields are numbers or nested sections. It
 is written as ``dataclasses.asdict``. Reading it back rejects a key that
 names no field, fills a missing field with its default, names every
 missing field that has none, and converts each value to the field's
-annotated type; an int field refuses a fraction. Every error is a
+annotated type; an int field refuses a fraction, and a numeric field
+refuses a boolean. Every error is a
 ValueError naming the dotted key, e.g. ``'guidance.rho'``.
 """
 
@@ -54,6 +55,8 @@ def _schema(cls: type) -> tuple[dict[str, type], list[str]]:
 def _decode(tp: type, value, key: str):
     if issubclass(tp, Section):
         return tp.from_dict(value, key + ".")
+    if tp in (int, float) and isinstance(value, bool):
+        raise ValueError(f"config key '{key}' must be a number, not {value!r}")
     if tp is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"config key '{key}' must be an integer, not {value!r}")
     try:

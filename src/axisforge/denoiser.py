@@ -9,8 +9,11 @@ x = x_t / sqrt(abar), with c_skip the posterior-mean gain of a Gaussian
 prior of the data's standard deviation sigma_data. The skip carries the
 noisy image through at low noise, where a hidden layer narrower than the
 output could not; the noise prediction follows as
-eps = (x_t - sqrt(abar) * x0_hat) / sqrt(1 - abar). Weights are kept in
-float64; checkpoints store little-endian float32.
+eps = (x_t - sqrt(abar) * x0_hat) / sqrt(1 - abar). The parameters live in
+one flat float32 buffer, and the network passes (forward, input pullback,
+weight gradients) and the optimizer run in float32; the preconditioning and
+everything downstream of x0_hat stay in float64. Checkpoints store the
+buffer as little-endian float32.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,12 +85,24 @@ def time_embedding(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(args), np.cos(args)], axis=1)
 
 
+@dataclass(frozen=True)
+class ConditionProjection:
+    """First-layer product of a batch of conditions plus the first bias,
+    (B, hidden): what MLPDenoiser.prepare_condition gives. It holds for the
+    weights it was made with."""
+
+    z1: np.ndarray
+
+
 class MLPDenoiser(DenoiserInterface):
     """Two-hidden-layer tanh network F inside the preconditioned clean-image
     estimate; the noise prediction follows from it.
 
-    The weights are drawn from rng; with rng None they are allocated but
-    not drawn, for a caller that fills them, as load_checkpoint does.
+    The parameters are one flat buffer of ``dtype`` (float32 by default; a
+    float64 network serves the finite-difference checks); ``weights`` and
+    ``biases`` are views into it, laid out in parameters() order. The
+    weights are drawn from rng; with rng None they are allocated but not
+    drawn, for a caller that fills them, as load_checkpoint does.
     """
 
     def __init__(
@@ -95,6 +111,7 @@ class MLPDenoiser(DenoiserInterface):
         sched: DiffusionSchedule,
         rng: np.random.Generator | None,
         sigma_data: float = DEFAULT_SIGMA_DATA,
+        dtype=np.float32,
     ):
         if not sigma_data > 0:
             raise ValueError("sigma_data must be positive")
@@ -102,57 +119,100 @@ class MLPDenoiser(DenoiserInterface):
         self.sched = sched
         self.sigma_data = float(sigma_data)
         dims = [arch.input_dim, arch.hidden, arch.hidden, arch.triaxis_dim]
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            if rng is None:
-                self.weights.append(np.empty((fan_in, fan_out)))
-            else:
-                self.weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
-            self.biases.append(np.zeros(fan_out))
+        self._shapes = [shape for n_in, n_out in zip(dims, dims[1:]) for shape in ((n_in, n_out), (n_out,))]
+        self.flat = np.zeros(sum(math.prod(s) for s in self._shapes), dtype)
+        params = self._views(self.flat)
+        self.weights, self.biases = params[0::2], params[1::2]
+        if rng is not None:
+            for w in self.weights:
+                w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
 
     @property
     def image_size(self) -> int:
         return self.arch.image_size
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.flat.dtype
+
     # --- parameter bookkeeping ---
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
+    def _views(self, buf: np.ndarray) -> list[np.ndarray]:
+        """buf, a flat array laid out like the parameter buffer, split into
+        per-parameter views in parameters() order."""
+        out, start = [], 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            out.append(buf[start : start + size].reshape(shape))
+            start += size
         return out
 
+    def parameters(self) -> list[np.ndarray]:
+        return self._views(self.flat)
+
     # --- forward / backward ---
+    # A product with a transposed weight is written (W @ d.T).T: OpenBLAS's
+    # float32 GEMM on a transposed weight view is markedly slower.
 
     def _build_input(self, x_flat: np.ndarray, t, cond_flat: np.ndarray) -> np.ndarray:
         temb = time_embedding(t, self.arch.time_embed_dim)
         if temb.shape[0] == 1 and x_flat.shape[0] > 1:
             temb = np.repeat(temb, x_flat.shape[0], axis=0)
-        return np.concatenate([x_flat, cond_flat, temb], axis=1)
+        return np.concatenate([x_flat, cond_flat, temb], axis=1, dtype=self.dtype)
 
     def _forward(self, X: np.ndarray):
-        z1 = X @ self.weights[0] + self.biases[0]
-        h1 = np.tanh(z1)
-        z2 = h1 @ self.weights[1] + self.biases[1]
-        h2 = np.tanh(z2)
-        out = h2 @ self.weights[2] + self.biases[2]
+        """F on whole input rows X (see _build_input), with the cache _backward reads."""
+        z1 = X @ self.weights[0]
+        z1 += self.biases[0]
+        out, (h1, h2) = self._layers(z1)
         return out, (X, h1, h2)
 
-    def _backward(self, d_out: np.ndarray, cache) -> list[np.ndarray]:
-        """Weight gradients of <d_out, F>, in parameters() order."""
+    def _layers(self, z1: np.ndarray):
+        """F from the first layer's pre-activations z1, which it overwrites."""
+        h1 = np.tanh(z1, out=z1)
+        z2 = h1 @ self.weights[1]
+        z2 += self.biases[1]
+        h2 = np.tanh(z2, out=z2)
+        out = h2 @ self.weights[2]
+        out += self.biases[2]
+        return out, (h1, h2)
+
+    def _pre_activation_grads(self, d_out: np.ndarray, cache):
+        """d<d_out, F>/d z1 and d<d_out, F>/d z2."""
+        _, h1, h2 = cache
+        d_z2 = (self.weights[2] @ d_out.T).T * (1.0 - h2 * h2)
+        return (self.weights[1] @ d_z2.T).T * (1.0 - h1 * h1), d_z2
+
+    def _backward(self, d_out: np.ndarray, cache) -> np.ndarray:
+        """Gradient of <d_out, F> as one flat array laid out like the
+        parameter buffer; _views splits it in parameters() order."""
         X, h1, h2 = cache
-        d_h2 = d_out @ self.weights[2].T
-        d_z2 = d_h2 * (1.0 - h2 * h2)
-        d_h1 = d_z2 @ self.weights[1].T
-        d_z1 = d_h1 * (1.0 - h1 * h1)
-        return [
-            X.T @ d_z1, d_z1.sum(axis=0),
-            h1.T @ d_z2, d_z2.sum(axis=0),
-            h2.T @ d_out, d_out.sum(axis=0),
-        ]
+        d_z1, d_z2 = self._pre_activation_grads(d_out, cache)
+        grad = np.empty_like(self.flat)
+        g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = self._views(grad)
+        np.matmul(X.T, d_z1, out=g_w1)
+        np.sum(d_z1, axis=0, out=g_b1)
+        np.matmul(h1.T, d_z2, out=g_w2)
+        np.sum(d_z2, axis=0, out=g_b2)
+        np.matmul(h2.T, d_out, out=g_w3)
+        np.sum(d_out, axis=0, out=g_b3)
+        return grad
+
+    def _input_pullback(self, d_out: np.ndarray, cache) -> np.ndarray:
+        """d<d_out, F>/d (noisy-image part of the input), without weight gradients."""
+        d_z1 = self._pre_activation_grads(d_out, cache)[0]
+        return (self.weights[0][: self.arch.triaxis_dim] @ d_z1.T).T
 
     # --- DenoiserInterface ---
+
+    def prepare_condition(self, cond) -> ConditionProjection:
+        """The first-layer product of the condition rows, once for a chain
+        of evaluations with these weights."""
+        a = self.arch
+        rows = np.asarray(cond, dtype=self.dtype).reshape(-1, a.cond_dim)
+        z1 = rows @ self.weights[0][a.triaxis_dim : a.triaxis_dim + a.cond_dim]
+        z1 += self.biases[0]
+        return ConditionProjection(z1)
 
     def _precond(self, t):
         """Preconditioning at timestep(s) t, each coefficient acting on x_t:
@@ -166,13 +226,23 @@ class MLPDenoiser(DenoiserInterface):
 
     def _eps_rows(self, x_rows: np.ndarray, t, cond) -> tuple[np.ndarray, tuple, tuple]:
         """Noise prediction for rows of flattened x_t at one timestep, with
-        the forward cache and the preconditioning coefficients."""
+        the forward cache and the preconditioning coefficients. The time
+        embedding's first-layer product is made once for all rows."""
         if cond is None:
             raise ValueError("this denoiser is conditional; cond is required")
+        if not isinstance(cond, ConditionProjection):
+            cond = self.prepare_condition(cond)
+        if cond.z1.shape[0] != x_rows.shape[0]:
+            raise ValueError(f"{cond.z1.shape[0]} conditions for {x_rows.shape[0]} images")
         coeffs = c_in, c_skip, c_out, sab, snab = self._precond(t)
-        cond_rows = np.asarray(cond, dtype=float).reshape(x_rows.shape[0], -1)
-        out, cache = self._forward(self._build_input(c_in * x_rows, [t], cond_rows))
-        return ((1.0 - sab * c_skip) * x_rows - sab * c_out * out) / snab, cache, coeffs
+        nx = self.arch.triaxis_dim
+        w1 = self.weights[0]
+        z1 = (c_in * x_rows).astype(self.dtype) @ w1[:nx]
+        z1 += cond.z1
+        z1 += time_embedding(t, self.arch.time_embed_dim).astype(self.dtype) @ w1[nx + self.arch.cond_dim :]
+        out, (h1, h2) = self._layers(z1)
+        eps = ((1.0 - sab * c_skip) * x_rows - sab * c_out * out.astype(float)) / snab
+        return eps, (None, h1, h2), coeffs
 
     def evaluate(self, x_t, t, cond=None):
         """Predicted noise for x_t of shape (H, W, 3) or a batch (B, H, W, 3)."""
@@ -187,50 +257,44 @@ class MLPDenoiser(DenoiserInterface):
 
         def pullback(cotangent):
             cot = np.asarray(cotangent, dtype=float).reshape(eps.shape)
-            body = self._input_pullback(cot, cache)
+            body = self._input_pullback(cot.astype(self.dtype), cache).astype(float)
             return (((1.0 - sab * c_skip) * cot - sab * c_out * c_in * body) / snab).reshape(x.shape)
 
         return eps.reshape(x.shape), pullback
 
-    def _input_pullback(self, d_out: np.ndarray, cache) -> np.ndarray:
-        """d<d_out, F>/d (noisy-image part of the input), without weight gradients."""
-        _, h1, h2 = cache
-        d_z2 = (d_out @ self.weights[2].T) * (1.0 - h2 * h2)
-        d_z1 = (d_z2 @ self.weights[1].T) * (1.0 - h1 * h1)
-        return d_z1 @ self.weights[0][: self.arch.triaxis_dim].T
-
 
 class Adam:
-    """Adaptive-moment stochastic gradient optimizer."""
+    """Adaptive-moment stochastic gradient optimizer over one flat parameter
+    buffer, updated in place."""
 
-    def __init__(self, params: list[np.ndarray], cfg: OptConfig):
+    def __init__(self, param: np.ndarray, cfg: OptConfig):
         self.cfg = cfg
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self._buf = [np.empty_like(p) for p in params]
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
+        self._buf = np.empty_like(param)
         self.step_count = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
         c = self.cfg
+        m, v, buf = self.m, self.v, self._buf
         self.step_count += 1
         bc1 = 1.0 - c.beta1**self.step_count
         bc2 = 1.0 - c.beta2**self.step_count
-        for p, g, m, v, buf in zip(params, grads, self.m, self.v, self._buf):
-            # in-place update through one scratch buffer: the elementwise pass
-            # over all parameters dominates the step cost otherwise
-            m *= c.beta1
-            np.multiply(g, 1.0 - c.beta1, out=buf)
-            m += buf
-            v *= c.beta2
-            np.multiply(g, g, out=buf)
-            buf *= 1.0 - c.beta2
-            v += buf
-            np.divide(v, bc2, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += c.adam_eps
-            np.divide(m, buf, out=buf)
-            buf *= c.lr / bc1
-            p -= buf
+        # in place through one scratch buffer: the elementwise passes over
+        # the whole buffer are the step's cost
+        m *= c.beta1
+        np.multiply(grad, 1.0 - c.beta1, out=buf)
+        m += buf
+        v *= c.beta2
+        np.multiply(grad, grad, out=buf)
+        buf *= 1.0 - c.beta2
+        v += buf
+        np.divide(v, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += c.adam_eps
+        np.divide(m, buf, out=buf)
+        buf *= c.lr / bc1
+        param -= buf
 
 
 @dataclass
@@ -270,8 +334,7 @@ def train_denoiser(
         den = start_from
     else:
         den = MLPDenoiser(arch, sched, rng, float(x0s.std()) or DEFAULT_SIGMA_DATA)
-    params = den.parameters()
-    adam = Adam(params, opt)
+    adam = Adam(den.flat, opt)
     log: list[dict] = []
     running = None
     initial = None
@@ -289,17 +352,14 @@ def train_denoiser(
         # x0 loss weighted by min(SNR, MAX_LOSS_WEIGHT), written in F's terms:
         # x0_hat - x0 = c_out * (F - (x0 - c_skip * x_t) / c_out)
         wgt = np.minimum(ab / (1.0 - ab), MAX_LOSS_WEIGHT) * c_out * c_out
-        diff = out - (x0 - c_skip * x_t) / c_out
+        diff = out.astype(float) - (x0 - c_skip * x_t) / c_out
         loss = float((wgt * diff * diff).mean())
-        d_out = 2.0 * wgt * diff / diff.size
-        grads = den._backward(d_out, cache)
+        grad = den._backward((2.0 * wgt * diff / diff.size).astype(den.dtype), cache)
         if opt.grad_clip > 0.0:
-            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            gnorm = math.sqrt(float(grad @ grad))
             if gnorm > opt.grad_clip:
-                scale = opt.grad_clip / gnorm
-                for g in grads:
-                    g *= scale
-        adam.step(params, grads)
+                grad *= opt.grad_clip / gnorm
+        adam.step(den.flat, grad)
 
         if not math.isfinite(loss):
             raise DivergedLoss(f"non-finite loss at step {step}")
@@ -323,7 +383,8 @@ def train_denoiser(
 # --- checkpoints ---
 
 def save_checkpoint(path: str | Path, den: MLPDenoiser) -> None:
-    """magic, version, JSON header (arch, schedule, sigma_data), float32 LE weights."""
+    """magic, version, JSON header (arch, schedule, sigma_data), then the
+    parameter buffer as little-endian float32."""
     header = {
         "arch": den.arch.to_dict(),
         "schedule": den.sched.to_dict(),
@@ -334,8 +395,7 @@ def save_checkpoint(path: str | Path, den: MLPDenoiser) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(hbytes)))
         f.write(hbytes)
-        for p in den.parameters():
-            f.write(np.asarray(p, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(den.flat, dtype="<f4"))
 
 
 def load_checkpoint(path: str | Path) -> MLPDenoiser:
@@ -351,6 +411,8 @@ def load_checkpoint(path: str | Path) -> MLPDenoiser:
         sp = header["schedule"]
         sched = make_schedule(int(sp["T"]), float(sp["zeta_start"]), float(sp["zeta_end"]))
         den = MLPDenoiser(arch, sched, None, float(header["sigma_data"]))
-        for p in den.parameters():
-            p[...] = np.frombuffer(f.read(p.size * 4), dtype="<f4").reshape(p.shape)
+        if f.readinto(den.flat) != den.flat.nbytes:
+            raise ValueError(f"{path}: truncated checkpoint")
+    if sys.byteorder != "little":
+        den.flat.byteswap(inplace=True)
     return den

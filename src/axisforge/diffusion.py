@@ -132,6 +132,13 @@ class DenoiserInterface(ABC):
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """evaluate(x_t) and the pullback cotangent -> d<cotangent, evaluate(x_t)>/d x_t."""
 
+    def prepare_condition(self, cond: np.ndarray):
+        """cond in the form this denoiser evaluates fastest, for a caller that
+        passes the same condition at many steps with unchanged weights, as a
+        sampling chain does; evaluate and evaluate_with_pullback take either
+        form. By default cond itself."""
+        return cond
+
     def vjp(
         self, x_t: np.ndarray, t: int, cond: np.ndarray | None, cotangent: np.ndarray
     ) -> np.ndarray:
@@ -499,7 +506,9 @@ def sample_batch(
         raise ValueError("timesteps exceed schedule length")
 
     x = np.stack([rng.standard_normal((shape[0], shape[1], 3)) for rng in rngs])
-    cond = None if conds[0] is None else np.stack([np.asarray(c, dtype=float) for c in conds])
+    cond = None
+    if conds[0] is not None:  # prepared once for the whole chain
+        cond = denoiser.prepare_condition(np.stack([np.asarray(c, dtype=float) for c in conds]))
     guided = GuidanceBatch(guidances, shape)
     steps_out = []  # (t, correction norms, errors) per step
     for i, t in enumerate(ts):

@@ -156,6 +156,8 @@ def test_run_config_partial_section_takes_defaults():
     ({"intrinsics": {**default_intrinsics(16).to_dict(), "fx": 1.0}}, "'intrinsics.fx'"),
     ({"arch": 64}, "'arch'"),
     ({"arch": {"hidden": 64.5}}, "'arch.hidden'"),
+    ({"opt": {"steps": True}}, "'opt.steps'"),
+    ({"opt": {"lr": False}}, "'opt.lr'"),
 ])
 def test_run_config_rejects_unknown_keys(doc, key):
     with pytest.raises(ValueError) as exc:

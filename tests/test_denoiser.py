@@ -53,7 +53,7 @@ def test_evaluate_shape_and_cond_required():
 
 def test_vjp_matches_finite_differences():
     rng = np.random.default_rng(1)
-    den = MLPDenoiser(ARCH, SCHED, rng)
+    den = MLPDenoiser(ARCH, SCHED, rng, dtype=np.float64)
     x = rng.standard_normal((8, 8, 3))
     cond = rng.standard_normal((8, 8))
     cot = rng.standard_normal((8, 8, 3))
@@ -68,6 +68,50 @@ def test_vjp_matches_finite_differences():
             (cot * (den.evaluate(x + dx, 5, cond) - den.evaluate(x - dx, 5, cond))).sum()
         ) / (2 * h)
         assert abs(float(flat[j]) - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+def test_float32_network_agrees_with_float64():
+    # the production float32 network against a float64 copy of its weights:
+    # each output within 1e-5 of the float64 one's largest magnitude (float32
+    # rounding through three layers stays below 1e-6 here)
+    rtol = 1e-5
+    rng = np.random.default_rng(9)
+    den32 = MLPDenoiser(ARCH, SCHED, rng)
+    den64 = MLPDenoiser(ARCH, SCHED, None, den32.sigma_data, np.float64)
+    den64.flat[...] = den32.flat
+    assert den32.flat.dtype == np.float32 and den64.flat.dtype == np.float64
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+    x = rng.standard_normal((4, 8, 8, 3))
+    cond = rng.random((4, 8, 8))
+    cot = rng.standard_normal(x.shape)
+    for t in (1, 5, 10):
+        eps32, pullback32 = den32.evaluate_with_pullback(x, t, cond)
+        eps64, pullback64 = den64.evaluate_with_pullback(x, t, cond)
+        assert eps32.dtype == np.float64  # the float64 boundary is the network's output
+        assert close(den32.evaluate(x, t, cond), eps64) and close(eps32, eps64)
+        assert close(pullback32(cot), pullback64(cot))
+    X = den64._build_input(x.reshape(4, -1), np.array([1, 4, 7, 10]), cond.reshape(4, -1))
+    d_out = rng.standard_normal((4, ARCH.triaxis_dim))
+    grad32 = den32._backward(d_out.astype(np.float32), den32._forward(X.astype(np.float32))[1])
+    grad64 = den64._backward(d_out, den64._forward(X)[1])
+    assert grad32.dtype == np.float32
+    for g32, g64 in zip(den32._views(grad32), den64._views(grad64)):
+        assert close(g32, g64)
+
+
+def test_prepared_condition():
+    rng = np.random.default_rng(10)
+    den = MLPDenoiser(ARCH, SCHED, rng)
+    x = rng.standard_normal((3, 8, 8, 3))
+    cond = rng.random((3, 8, 8))
+    prepared = den.prepare_condition(cond)
+    assert np.array_equal(den.evaluate(x, 5, prepared), den.evaluate(x, 5, cond))
+    assert np.array_equal(den.evaluate(x[1], 5, cond[1]), den.evaluate(x[1], 5, den.prepare_condition(cond[1])))
+    with pytest.raises(ValueError):
+        den.evaluate(x[:2], 5, prepared)  # three conditions for two images
 
 
 def test_training_reduces_loss():
@@ -124,10 +168,26 @@ def test_failed_checkpoint_write_keeps_old_file(tmp_path):
     p = tmp_path / "ckpt.bin"
     save_checkpoint(p, den)
     old = p.read_bytes()
-    den.biases[-1] = "not a number"  # fails after the header and the first weights are written
+    den.flat = "not a number"  # fails after the header is written, at the parameter buffer
     with pytest.raises(ValueError):
         save_checkpoint(p, den)
     assert p.read_bytes() == old
+
+
+def test_float64_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    # test_checkpoint_roundtrip covers a float32 network
+    den = MLPDenoiser(ARCH, SCHED, np.random.default_rng(11), 0.3, np.float64)
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_checkpoint(first, den)
+    back = load_checkpoint(first)
+    assert back.flat.dtype == np.float32
+    assert np.array_equal(back.flat, den.flat.astype(np.float32))
+    save_checkpoint(second, back)
+    assert first.read_bytes() == second.read_bytes()
+    # a file cut short inside the parameter buffer is refused
+    second.write_bytes(first.read_bytes()[:-4])
+    with pytest.raises(ValueError):
+        load_checkpoint(second)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -278,7 +278,9 @@ def test_sample_batch_matches_single_samples():
         assert np.array_equal(batched[b].image.data, single.image.data)
         assert batched[b].log == single.log
     # a matrix product may round differently for a batch than for one row
-    mlp = MLPDenoiser(ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15)
+    mlp = MLPDenoiser(
+        ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15, np.float64
+    )
     conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(3)]
     batched = sample_batch(mlp, conds, guidances, sched, 10, [np.random.default_rng(b) for b in range(3)], (16, 16))
     for b in range(3):
@@ -291,7 +293,9 @@ def test_batched_guidance_gradient_finite_differences():
 
     sched = make_schedule(50, 1e-3, 0.05)
     guidances = [_guided_case(1)[1], None, _guided_case(3)[1]]
-    mlp = MLPDenoiser(ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15)
+    mlp = MLPDenoiser(
+        ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15, np.float64
+    )
     rng = np.random.default_rng(12)
     cond = rng.random((3, 16, 16))
     x_t = rng.standard_normal((3, 16, 16, 3))
