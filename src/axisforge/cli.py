@@ -164,7 +164,7 @@ def cmd_train(args) -> int:
 
     from .dataset import load_manifest
     from .denoiser import load_checkpoint, save_checkpoint, train_denoiser
-    from .render import load_f32
+    from .render import atomic_write, load_f32
 
     cfg = _load_config(args)
     manifest = load_manifest(args.dataset)
@@ -190,7 +190,7 @@ def cmd_train(args) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(args.out / "checkpoint.bin", result.denoiser)
-    with open(args.out / "train_log.jsonl", "w") as f:
+    with atomic_write(args.out / "train_log.jsonl") as f:
         for rec in result.log:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
     print(
@@ -324,7 +324,7 @@ def _report_for(manifest, records, preds):
     import numpy as np
 
     from .camera import Pose
-    from .metrics import MetricThresholds, cuboid_model, evaluate_suite
+    from .metrics import MetricThresholds, cuboid_model, evaluate_suite, reproj_threshold_px
 
     model = cuboid_model()
     pairs, ids = [], []
@@ -345,14 +345,15 @@ def _report_for(manifest, records, preds):
         )
         pairs.append((rec.pose, pose))
         ids.append(rec.id)
-    report = evaluate_suite(
-        pairs, model, manifest.intrinsics, MetricThresholds(), ids=ids, n_failed=n_failed
-    )
+    K = manifest.intrinsics
+    thresholds = MetricThresholds(reproj_px=reproj_threshold_px(K))
+    report = evaluate_suite(pairs, model, K, thresholds, ids=ids, n_failed=n_failed)
     return report, missing
 
 
 def cmd_eval(args) -> int:
     from .dataset import load_manifest
+    from .render import atomic_write
 
     manifest = load_manifest(args.dataset)
     records = manifest.split(args.split)
@@ -376,16 +377,16 @@ def cmd_eval(args) -> int:
 
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        with open(args.out / "records.jsonl", "w") as f:
+        with atomic_write(args.out / "records.jsonl") as f:
             for rec in report.records:
                 f.write(json.dumps(rec, sort_keys=True) + "\n")
         doc = {"aggregates": agg, "missing": missing}
         if delta is not None:
             doc["paired_delta"] = delta
-        with open(args.out / "report.json", "w") as f:
+        with atomic_write(args.out / "report.json") as f:
             json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
-        with open(args.out / "summary.csv", "w") as f:
+        with atomic_write(args.out / "summary.csv") as f:
             f.write(report.summary_csv())
     return 0
 
@@ -394,7 +395,11 @@ def cmd_oracle(args) -> int:
     from .oracle import run_all
 
     t0 = time.perf_counter()
-    results = run_all(args.only or None)
+    try:
+        results = run_all(args.only or None)
+    except ValueError as exc:  # an unknown oracle name
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -108,7 +108,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def save_config(path: str | Path, cfg: RunConfig) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
 

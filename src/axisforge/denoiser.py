@@ -75,6 +75,16 @@ class OptConfig(Section):
     grad_clip: float = 1.0    # global gradient-norm cap, 0 disables
     log_every: int = 50
 
+    def __post_init__(self):
+        if min(self.steps, self.batch_size, self.log_every) < 1:
+            raise ValueError("steps, batch_size and log_every must be >= 1")
+        if not (self.lr > 0 and self.adam_eps > 0):
+            raise ValueError("lr and adam_eps must be > 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.grad_clip >= 0:
+            raise ValueError("grad_clip must be >= 0 (0 disables clipping)")
+
 
 def time_embedding(t, dim: int) -> np.ndarray:
     """Sinusoidal embedding of the (integer) timestep, transformer style."""

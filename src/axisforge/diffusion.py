@@ -200,13 +200,12 @@ def geo_loss(
     dir_weight: np.ndarray | None = None,
 ):
     """Squared direction mismatch summed over axes, each axis weighted by
-    dir_weight (default 1), plus squared centroid offset: a float, or a (B,)
-    array for batches of observations and (B, 3) weights."""
+    dir_weight (default 1), plus squared centroid offset, with any leading
+    batch axes of the observations and (B, 3) weights."""
     d = gen.dir - gt.dir
     c = gen.centroid - gt.centroid
     w = np.ones(3) if dir_weight is None else np.asarray(dir_weight, dtype=float)
-    loss = (w[..., None, :] @ (d * d).sum(axis=-1)[..., None])[..., 0, 0] + (c * c).sum(axis=-1)
-    return float(loss) if np.ndim(loss) == 0 else loss
+    return (w[..., None, :] @ (d * d).sum(axis=-1)[..., None])[..., 0, 0] + (c * c).sum(axis=-1)
 
 
 def geo_loss_adjoint(
@@ -256,34 +255,24 @@ class GuidanceConfig:
 
 def geo_image_gradient(
     x0_hat: np.ndarray,
-    target: AxisObservation | ObservationBatch,
+    target: ObservationBatch,
     sharpness: float | np.ndarray,
     rays: np.ndarray | None = None,
-):
-    """Guidance loss of clip(x0_hat, 0, 1) and its gradient with respect to
-    x0_hat: geo_loss of the soft observation with each direction weighted by
-    its channel's anisotropy, plus, summed over channels, the soft-weighted
-    mean of the squared distance to the target's ray (ray_distance_map).
+) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
+    """Guidance losses of clip(x0_hat, 0, 1) for a batch x0_hat of shape
+    (B, H, W, 3), and their gradients with respect to x0_hat, from one soft
+    extraction and one pullback. Image b's loss is geo_loss of its soft
+    observation against target b, each direction weighted by its channel's
+    anisotropy, plus, summed over channels, the soft-weighted mean of the
+    squared distance to the target's ray. The anisotropy weight vanishes
+    smoothly as a channel nears isotropy, where the direction's adjoint is
+    ill-defined, so the gradient stays bounded.
 
-    The anisotropy weight vanishes smoothly as a channel nears isotropy,
-    where its principal direction, and the direction's adjoint, are
-    ill-defined; the gradient stays bounded there.
-
-    One image (H, W, 3) with an AxisObservation target gives (loss,
-    gradient) and raises the soft extraction's VanishingMass or
-    NoIntersection. A batch (B, H, W, 3) with an ObservationBatch of targets
-    and a sharpness that is a number or one per image gives (losses,
-    gradients, errors) from one soft extraction and one pullback: a failed
-    image has loss nan, gradient 0 and its exception in errors. ``rays`` is
-    ray_distance_map(target, (H, W)), built here when not given.
+    sharpness is a number or one per image; ``rays`` is
+    ray_distance_map(target, (H, W)), built here when not given. Returns
+    (losses, grads, errors): a failed image has loss nan, gradient 0 and its
+    VanishingMass or NoIntersection in errors.
     """
-    if np.ndim(x0_hat) == 3:
-        losses, grads, errors = geo_image_gradient(
-            x0_hat[None], ObservationBatch.stack([target]), sharpness, None if rays is None else rays[None]
-        )
-        if errors[0] is not None:
-            raise errors[0]
-        return float(losses[0]), grads[0]
     if rays is None:
         rays = ray_distance_map(target, x0_hat.shape[1:3])
     gen, aniso, spread, pullback = soft_extract_with_pullback(np.clip(x0_hat, 0.0, 1.0), sharpness, rays)
@@ -328,25 +317,20 @@ def geo_guidance_gradient_batch(
     t: int,
     denoiser: DenoiserInterface,
     cond: np.ndarray | None,
-    guidances: Sequence[GuidanceConfig | None] | GuidanceBatch,
+    guidances: GuidanceBatch,
     sched: DiffusionSchedule,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
     """Noise estimate, guidance losses and d loss / d x_t for a batch x_t of
-    shape (B, H, W, 3), from one denoiser forward, one batched soft
-    extraction and one pullback of each.
+    shape (B, H, W, 3), from one denoiser forward, one geo_image_gradient
+    and one denoiser pullback.
 
-    Item b's chain is x_t -> eps_hat -> x0_hat (clamped to [0, 1]) -> soft
-    observation at guidance_sharpness -> geo_image_gradient's loss; the
-    x0_hat dependence on x_t runs both directly and through the denoiser.
-    ``guidances`` is one GuidanceConfig or None per item, or their
-    GuidanceBatch. Returns (eps_hat, losses, grads, errors). An item whose
-    guidance is None or has rho 0 has loss nan and gradient 0, and when no
-    item is guided the denoiser runs without its pullback. An item whose
-    soft extraction fails with VanishingMass or NoIntersection has loss nan,
-    gradient 0 and the exception in errors[b].
+    Item b's chain is x_t -> eps_hat -> x0_hat -> geo_image_gradient's loss
+    at guidance_sharpness; x0_hat depends on x_t both directly and through
+    the denoiser. Returns (eps_hat, losses, grads, errors). An unguided item
+    has loss nan and gradient 0, and with no guided item the denoiser runs
+    without its pullback. An item whose soft extraction fails has loss nan,
+    gradient 0 and its exception in errors[b].
     """
-    if not isinstance(guidances, GuidanceBatch):
-        guidances = GuidanceBatch(guidances, np.shape(x_t)[1:3])
     guided = guidances.index
     losses = np.full(guidances.size, np.nan)
     errors = np.full(guidances.size, None, dtype=object)
@@ -360,26 +344,6 @@ def geo_guidance_gradient_batch(
     )
     ab = sched.abar(t)
     return eps, losses, (g_img - np.sqrt(1.0 - ab) * pullback(g_img)) / np.sqrt(ab), errors.tolist()
-
-
-def geo_guidance_gradient(
-    x_t: np.ndarray,
-    t: int,
-    denoiser: DenoiserInterface,
-    cond: np.ndarray | None,
-    target: AxisObservation,
-    sharpness: float,
-    sched: DiffusionSchedule,
-) -> tuple[float, np.ndarray]:
-    """Loss value and d loss / d x_t of geo_guidance_gradient_batch for one
-    image; raises the soft extraction's VanishingMass or NoIntersection."""
-    _, losses, grads, errors = geo_guidance_gradient_batch(
-        x_t[None], t, denoiser, None if cond is None else cond[None],
-        [GuidanceConfig(target=target, sharpness=sharpness)], sched,
-    )
-    if errors[0] is not None:
-        raise errors[0]
-    return float(losses[0]), grads[0]
 
 
 def guided_epsilon_batch(

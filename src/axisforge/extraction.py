@@ -6,15 +6,17 @@ Two variants share one moment-based pipeline:
 * ``soft_extract_with_pullback`` replaces the threshold with a graded
   sigmoid weight so that every output is a smooth function of every pixel,
   and returns the hand-derived adjoint with the observation; the
-  sampling-time guidance gradient uses it. ``extract_axes_soft`` and
-  ``soft_extract_vjp`` are its two halves.
+  sampling-time guidance gradient uses it. It takes only a batch, and a
+  failed image's error comes back in its slot of the ObservationBatch.
+  ``extract_axes_soft`` and ``soft_extract_vjp`` run one image as a batch
+  of one and raise its error. They stay because the benchmark's tracer
+  (``perfbench/tracing.py``) looks them up by name.
 
 Per channel: weighted mean, principal eigenvector of the 2x2 second-moment
 matrix, then a least-squares intersection of the three lines gives the
 origin. Directions are sign-corrected to point from the origin toward the
 channel mass. The pipeline works on a leading batch axis throughout, so a
-batch of images costs a fixed number of array operations; a single image
-is extracted as a batch of one.
+batch of images costs a fixed number of array operations.
 """
 
 from __future__ import annotations
@@ -100,6 +102,12 @@ class ObservationBatch:
             centroid=np.stack([o.centroid for o in observations]),
             errors=[None] * len(observations),
         )
+
+    def record(self, b: int) -> AxisObservation:
+        """Record b's observation; raises its extraction error if it failed."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        return AxisObservation(origin_px=self.origin_px[b], dir=self.dir[b], centroid=self.centroid[b])
 
 
 @lru_cache(maxsize=8)
@@ -226,59 +234,33 @@ def soft_weights(data: np.ndarray, sharpness: float | np.ndarray) -> tuple[np.nd
 
 
 def soft_extract_with_pullback(
-    img: TriAxisImage | np.ndarray,
+    images: np.ndarray,
     sharpness: float | np.ndarray = DEFAULT_SHARPNESS,
     cost_map: np.ndarray | None = None,
-) -> tuple[AxisObservation | ObservationBatch, np.ndarray, np.ndarray | None, Callable[..., np.ndarray]]:
-    """Soft extraction and its adjoint from one forward pass.
+) -> tuple[ObservationBatch, np.ndarray, np.ndarray | None, Callable[..., np.ndarray]]:
+    """Soft extraction of a batch of images (B, H, W, 3) and its adjoint,
+    from one forward pass.
 
-    Returns the observation; each channel's anisotropy
+    sharpness is a number or one value per image. Returns the
+    ObservationBatch; each channel's anisotropy
     ((lam_max - lam_min) / (lam_max + lam_min))^2 of its second-moment
-    matrix, in [0, 1]; the soft-weighted mean of ``cost_map`` (a per-pixel
-    cost, (H, W, 3)) in each channel, or None without a map; and a pullback
-    mapping an observation cotangent, and optionally (3,) cotangents of the
-    channel costs and anisotropies, to the image gradient of the loss, shape
-    (H, W, 3). The extraction is graded: a blob-like channel still yields its
-    principal axis, so only VanishingMass and NoIntersection are raised. A
-    channel's direction turns ever faster as it nears isotropy, so its
-    adjoint grows like 1 / (lam_max - lam_min); a loss that weights the
-    direction by the anisotropy keeps a bounded gradient.
+    matrix, in [0, 1], as (B, 3); the soft-weighted mean of ``cost_map`` (a
+    per-pixel cost, (B, H, W, 3)) in each channel, (B, 3), or None without a
+    map; and a pullback mapping a batched observation cotangent, and
+    optionally (B, 3) cotangents of the channel costs and anisotropies, to
+    the image gradient of the loss, (B, H, W, 3).
 
-    A batch of images (B, H, W, 3), with a (B, H, W, 3) cost map and a
-    sharpness that is a number or one value per image, is extracted in one
-    pass: the observation is an ObservationBatch, the anisotropies and costs
-    are (B, 3), and the pullback maps a batched cotangent and (B, 3) cost and
-    anisotropy cotangents to (B, H, W, 3). A failed image raises nothing: its
-    exception is in the observation's errors, its rows are nan and its
-    gradient is 0. A single image is extracted as a batch of one.
+    The extraction is graded: a blob-like channel still yields its principal
+    axis, so an image fails only with VanishingMass or NoIntersection. A
+    failed image raises nothing: its exception is in the observation's
+    errors, its rows are nan and its gradient is 0. A channel's direction
+    turns ever faster as it nears isotropy, so its adjoint grows like
+    1 / (lam_max - lam_min); a loss that weights the direction by the
+    anisotropy keeps a bounded gradient.
     """
-    data = img.data if isinstance(img, TriAxisImage) else np.asarray(img, dtype=float)
-    if data.ndim == 4:
-        return _soft_extract_batch(data, sharpness, cost_map)
-    batch, aniso, costs, batch_pullback = _soft_extract_batch(
-        data[None], sharpness, None if cost_map is None else cost_map[None]
-    )
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
-    obs = AxisObservation(origin_px=batch.origin_px[0], dir=batch.dir[0], centroid=batch.centroid[0])
-
-    def pullback(
-        cotangent: ObservationAdjoint | AxisObservation,
-        cost_cot: np.ndarray | None = None,
-        aniso_cot: np.ndarray | None = None,
-    ) -> np.ndarray:
-        cot = ObservationAdjoint(cotangent.origin_px[None], cotangent.dir[None], cotangent.centroid[None])
-        return batch_pullback(
-            cot,
-            None if cost_cot is None else np.asarray(cost_cot, dtype=float)[None],
-            None if aniso_cot is None else np.asarray(aniso_cot, dtype=float)[None],
-        )[0]
-
-    return obs, aniso[0], None if costs is None else costs[0], pullback
-
-
-def _soft_extract_batch(data: np.ndarray, sharpness: float | np.ndarray, cost_map: np.ndarray | None):
-    """soft_extract_with_pullback for a batch (B, H, W, 3)."""
+    data = np.asarray(images, dtype=float)
+    if data.ndim != 4:
+        raise ValueError(f"soft extraction takes a batch (B, H, W, 3), not shape {data.shape}")
     w, dw = soft_weights(data, np.reshape(sharpness, (-1, 1, 1, 1)))
     m = _Moments(w)
     origin, dirs, centroid, sign, A, parallel = _assemble(m)
@@ -347,9 +329,17 @@ def _soft_extract_batch(data: np.ndarray, sharpness: float | np.ndarray, cost_ma
     return obs, anisotropy, costs, pullback
 
 
+def _single_soft(img: TriAxisImage | np.ndarray, sharpness: float):
+    """Observation and batch pullback of one image (H, W, 3), extracted as a
+    batch of one; raises the image's VanishingMass or NoIntersection."""
+    data = img.data if isinstance(img, TriAxisImage) else np.asarray(img, dtype=float)
+    obs, _, _, pullback = soft_extract_with_pullback(data[None], sharpness)
+    return obs.record(0), pullback
+
+
 def extract_axes_soft(img: TriAxisImage | np.ndarray, sharpness: float = DEFAULT_SHARPNESS) -> AxisObservation:
-    """Differentiable extraction: graded soft threshold in place of the hard one."""
-    return soft_extract_with_pullback(img, sharpness)[0]
+    """Soft extraction of one image (H, W, 3)."""
+    return _single_soft(img, sharpness)[0]
 
 
 def soft_extract_vjp(
@@ -358,4 +348,5 @@ def soft_extract_vjp(
     cotangent: ObservationAdjoint | AxisObservation,
 ) -> np.ndarray:
     """Adjoint of extract_axes_soft: d<cotangent, soft(img)>/d img, shape (H, W, 3)."""
-    return soft_extract_with_pullback(img, sharpness)[3](cotangent)
+    pullback = _single_soft(img, sharpness)[1]
+    return pullback(ObservationAdjoint(cotangent.origin_px[None], cotangent.dir[None], cotangent.centroid[None]))[0]

@@ -1,8 +1,8 @@
 """Pose accuracy metrics and benchmark aggregation.
 
 Threshold passes use strict inequality. The reference reprojection
-threshold of 15 px is defined at the 128x128 / f=100 configuration and is
-configurable for other scales.
+threshold of 15 px is defined at the 128x128 / f=100 configuration;
+reproj_threshold_px scales it to another camera by its focal length.
 """
 
 from __future__ import annotations
@@ -15,7 +15,14 @@ import numpy as np
 from .camera import CameraIntrinsics, Pose, project_point
 
 REPROJ_THRESHOLD_PX = 15.0
+REFERENCE_FOCAL_PX = 100.0
 ADD_DIAMETER_FRAC = 0.2
+
+
+def reproj_threshold_px(K: CameraIntrinsics) -> float:
+    """The reference reprojection threshold scaled by K's focal length:
+    15 px at f = 100 (128 px), 3.75 px at the default 32 px."""
+    return REPROJ_THRESHOLD_PX * (K.f_x / REFERENCE_FOCAL_PX)
 
 
 @dataclass(frozen=True)

@@ -37,19 +37,22 @@ from .dataset import (
 from .denoiser import ArchConfig, MLPDenoiser, OptConfig, train_denoiser
 from .diffusion import (
     GaussianScoreField,
+    GuidanceBatch,
     GuidanceConfig,
     ddim_step,
     forward_diffuse,
     gaussian_denoiser,
     gaussian_optimal_timesteps,
-    geo_guidance_gradient,
+    geo_guidance_gradient_batch,
     geo_loss,
     make_schedule,
     sample,
 )
 from .errors import AxisForgeError
 from .extraction import AxisObservation, ObservationAdjoint, extract_axes_hard, extract_axes_soft, soft_extract_vjp
-from .metrics import MetricThresholds, cuboid_model, evaluate_suite, reproj_metric, rotation_geodesic
+from .metrics import (
+    MetricThresholds, cuboid_model, evaluate_suite, reproj_metric, reproj_threshold_px, rotation_geodesic,
+)
 from .render import DegradationSpec, TriAxisImage, apply_degradation, load_f32, render_query, render_triaxis
 from .solver import CornerImage, recover_pose, solve_depth_scales
 
@@ -456,12 +459,15 @@ def oracle_guidance_fd() -> tuple[str, str, bool]:
     target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
     t = 100
     x_t, _ = forward_diffuse(x0, t, sched, rng)
-    _, grad = geo_guidance_gradient(x_t, t, den, None, target, 50.0, sched)
+    guidance = GuidanceBatch([GuidanceConfig(target=target, sharpness=50.0)], x0.shape[:2])
 
-    def loss_at(x):
-        l, _ = geo_guidance_gradient(x, t, den, None, target, 50.0, sched)
-        return l
+    def loss_grad(x):
+        _, losses, grads, errors = geo_guidance_gradient_batch(x[None], t, den, None, guidance, sched)
+        if errors[0] is not None:
+            raise errors[0]
+        return float(losses[0]), grads[0]
 
+    _, grad = loss_grad(x_t)
     h = 1e-3
     worst = 0.0
     flat = grad.ravel()
@@ -470,7 +476,7 @@ def oracle_guidance_fd() -> tuple[str, str, bool]:
         dx = np.zeros(flat.size)
         dx[j] = h
         dx = dx.reshape(grad.shape)
-        fd = (loss_at(x_t + dx) - loss_at(x_t - dx)) / (2 * h)
+        fd = (loss_grad(x_t + dx)[0] - loss_grad(x_t - dx)[0]) / (2 * h)
         an = float(flat[j])
         if abs(an) < 1e-9 and abs(fd) < 1e-9:
             continue  # clamp-masked pixel: locally constant, both sides zero
@@ -632,7 +638,7 @@ def oracle_infer_upper_bound() -> tuple[str, str, bool]:
     sampling = SamplingConfig(depth_min=2.5, depth_max=4.0, min_axis_px=7.0)
     sched = make_schedule(200, 1e-4, 0.05)
     model = cuboid_model()
-    threshold = 15.0 * (K.f_x / 100.0)
+    threshold = reproj_threshold_px(K)
     passed = 0
     n = 8
     for _ in range(n):
@@ -676,6 +682,12 @@ ORACLES = [
 
 
 def run_all(names: list[str] | None = None) -> list[OracleResult]:
+    """Run every oracle, or those named, in suite order; an unknown name is
+    a ValueError that lists it."""
+    if names is not None:
+        unknown = sorted(set(names) - {name for name, _ in ORACLES})
+        if unknown:
+            raise ValueError(f"unknown oracle name(s): {', '.join(unknown)}")
     results = []
     for name, fn in ORACLES:
         if names is not None and name not in names:

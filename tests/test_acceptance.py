@@ -2,12 +2,16 @@
 
 Each test prints exactly one ACCEPTANCE line (PASS or FAIL with the measured
 values) to the real stdout so the lines survive pytest capture, then asserts.
+Criteria 1, 2, 4 and the finite-difference half of 5 are oracles of the suite
+that criterion 7 runs; each oracle runs once per module run, and every
+criterion that reads it shares its result.
 """
 
 import json
-import time
+from typing import Callable
 
 import numpy as np
+import pytest
 
 from axisforge.camera import compute_omega
 from axisforge.cli import main
@@ -16,14 +20,8 @@ from axisforge.denoiser import ArchConfig, OptConfig, train_denoiser
 from axisforge.diffusion import GuidanceConfig, make_schedule, sample
 from axisforge.errors import AxisForgeError
 from axisforge.extraction import extract_axes_hard
-from axisforge.metrics import cuboid_model, reproj_metric
-from axisforge.oracle import (
-    ddim_gaussian_chain_stats,
-    oracle_guidance_fd,
-    oracle_raster_path,
-    oracle_roundtrip_1000,
-    run_all,
-)
+from axisforge.metrics import cuboid_model, reproj_metric, reproj_threshold_px
+from axisforge.oracle import ORACLES, OracleResult, run_all
 from axisforge.render import DegradationSpec, apply_degradation, render_query, render_triaxis
 from axisforge.solver import corner_from_observation, recover_pose, solve_depth_scales
 
@@ -35,14 +33,29 @@ def _report(capsys, num: int, name: str, ok: bool, measured: str) -> None:
     assert ok, f"criterion {num} ({name}): {measured}"
 
 
-def test_criterion_1_geometry_roundtrip(capsys):
-    tolerance, measured, ok = oracle_roundtrip_1000()
-    _report(capsys, 1, "geometry-roundtrip", ok, f"{measured} (need {tolerance})")
+@pytest.fixture(scope="module")
+def oracle() -> Callable[[str], OracleResult]:
+    """The result of a named oracle, run on its first request in this module."""
+    results: dict[str, OracleResult] = {}
+
+    def result(name: str) -> OracleResult:
+        if name not in results:
+            (results[name],) = run_all([name])
+        return results[name]
+
+    return result
 
 
-def test_criterion_2_raster_path(capsys):
-    tolerance, measured, ok = oracle_raster_path()
-    _report(capsys, 2, "raster-path", ok, f"{measured} (need {tolerance})")
+def _report_oracle(capsys, num: int, name: str, result: OracleResult) -> None:
+    _report(capsys, num, name, result.passed, f"{result.measured} (need {result.tolerance})")
+
+
+def test_criterion_1_geometry_roundtrip(capsys, oracle):
+    _report_oracle(capsys, 1, "geometry-roundtrip", oracle("geometry-roundtrip-1000"))
+
+
+def test_criterion_2_raster_path(capsys, oracle):
+    _report_oracle(capsys, 2, "raster-path", oracle("raster-path-500"))
 
 
 def test_criterion_3_corner_residuals(capsys):
@@ -70,19 +83,12 @@ def test_criterion_3_corner_residuals(capsys):
     _report(capsys, 3, "corner-residuals", worst < 1e-9, f"worst accepted residual {worst:.3e} over {n} poses (need < 1e-9)")
 
 
-def test_criterion_4_ddim_gaussian(capsys):
-    mean, var = ddim_gaussian_chain_stats(n_chains=10_000, steps=50, m=2.0, var=0.25)
-    mean_tol = 3.0 * np.sqrt(0.25 / 10_000)
-    ok = abs(mean - 2.0) < mean_tol and abs(var - 0.25) / 0.25 < 0.05
-    _report(
-        capsys,
-        4, "ddim-gaussian", ok,
-        f"mean {mean:.5f} (need within {mean_tol:.2e} of 2), var {var:.5f} (need within 5% of 0.25)",
-    )
+def test_criterion_4_ddim_gaussian(capsys, oracle):
+    _report_oracle(capsys, 4, "ddim-gaussian", oracle("ddim-gaussian-chain"))
 
 
-def test_criterion_5_guidance_math(capsys):
-    tolerance, measured, fd_ok = oracle_guidance_fd()
+def test_criterion_5_guidance_math(capsys, oracle):
+    fd = oracle("guidance-gradient-fd")
 
     from axisforge.diffusion import GaussianScoreField, gaussian_denoiser
 
@@ -98,8 +104,8 @@ def test_criterion_5_guidance_math(capsys):
     b = sample(den, None, None, sched,
                steps=25, rng=np.random.default_rng(42), shape=(16, 16))
     bitexact = bool(np.array_equal(a.image.data, b.image.data))
-    ok = fd_ok and bitexact
-    _report(capsys, 5, "guidance-math", ok, f"{measured} (need {tolerance}); rho=0 bit-exact: {bitexact}")
+    ok = fd.passed and bitexact
+    _report(capsys, 5, "guidance-math", ok, f"{fd.measured} (need {fd.tolerance}); rho=0 bit-exact: {bitexact}")
 
 
 def test_criterion_6_ablation_gap(capsys):
@@ -120,7 +126,7 @@ def test_criterion_6_ablation_gap(capsys):
     ).denoiser
 
     model = cuboid_model()
-    threshold = 15.0 * (K.f_x / 100.0)  # pixel-analog of 15 px at the reference scale
+    threshold = reproj_threshold_px(K)
     n_poses = 100
     success = {"guided": 0, "unguided": 0}
     for i in range(n_poses):
@@ -153,10 +159,9 @@ def test_criterion_6_ablation_gap(capsys):
     )
 
 
-def test_criterion_7_oracle_suite(capsys):
-    t0 = time.perf_counter()
-    results = run_all()
-    dt = time.perf_counter() - t0
+def test_criterion_7_oracle_suite(capsys, oracle):
+    results = [oracle(name) for name, _ in ORACLES]
+    dt = sum(r.seconds for r in results)
     failed = [r.name for r in results if not r.passed]
     ok = not failed and dt < 60.0
     _report(

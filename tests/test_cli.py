@@ -262,3 +262,49 @@ def test_train_accepts_integral_floats(tmp_path, capsys):
     log = [json.loads(l) for l in (run / "train_log.jsonl").read_text().splitlines()]
     assert log[-1]["step"] == 3
     capsys.readouterr()
+
+
+def test_oracle_unknown_name_exits_1(capsys):
+    rc = main(["oracle", "--only", "geometry-roundtrip-100", "schedule-abar"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "geometry-roundtrip-100" in captured.err and "schedule-abar" not in captured.err
+    assert "PASS" not in captured.out  # nothing ran
+
+
+def test_invalid_opt_exits_2_before_training(tmp_path, config_path, capsys):
+    data = _render(tmp_path, config_path)
+    for key, value in (("steps", 0), ("log_every", 0), ("lr", -1)):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({**CONFIG, "opt": {**CONFIG["opt"], key: value}}))
+        run = tmp_path / f"run-{key}"
+        rc = main(["train", "--config", str(config), "--dataset", str(data), "--out", str(run)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not run.exists()
+
+
+def test_eval_scales_reprojection_threshold_to_the_camera(tmp_path, config_path, capsys):
+    from axisforge.dataset import load_manifest
+    from axisforge.metrics import reproj_threshold_px
+
+    data = _render(tmp_path, config_path)
+    exact, shifted = load_manifest(data).split("test")
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    lines = [
+        {"id": rec.id, "ok": True, "R": rec.pose.R.ravel().tolist(), "T": (rec.pose.T + dt).tolist()}
+        for rec, dt in ((exact, 0.0), (shifted, np.array([0.5, 0.0, 0.0])))
+    ]
+    (pred / "predictions.jsonl").write_text("".join(json.dumps(l) + "\n" for l in lines))
+    report = tmp_path / "report"
+    assert main(["eval", "--dataset", str(data), "--predictions", str(pred), "--out", str(report)]) == 0
+    capsys.readouterr()
+    records = [json.loads(l) for l in (report / "records.jsonl").read_text().splitlines()]
+    threshold = reproj_threshold_px(load_manifest(data).intrinsics)
+    assert threshold == 1.875  # 15 px at f = 100, here f = 12.5
+    # the shifted pose misses by more than the scaled threshold but less than 15 px
+    assert threshold < records[1]["reproj_px"] < 15.0
+    assert [r["reproj_pass"] for r in records] == [True, False]
+    assert json.loads((report / "report.json").read_text())["aggregates"]["reproj_rate"] == 0.5

@@ -158,6 +158,15 @@ def test_run_config_partial_section_takes_defaults():
     ({"arch": {"hidden": 64.5}}, "'arch.hidden'"),
     ({"opt": {"steps": True}}, "'opt.steps'"),
     ({"opt": {"lr": False}}, "'opt.lr'"),
+    ({"opt": {"steps": 0}}, "steps"),
+    ({"opt": {"batch_size": 0}}, "batch_size"),
+    ({"opt": {"log_every": 0}}, "log_every"),
+    ({"opt": {"lr": -1}}, "lr"),
+    ({"opt": {"lr": 0}}, "lr"),
+    ({"opt": {"beta1": 1.0}}, "beta1"),
+    ({"opt": {"beta2": -0.1}}, "beta2"),
+    ({"opt": {"adam_eps": 0}}, "adam_eps"),
+    ({"opt": {"grad_clip": -1}}, "grad_clip"),
 ])
 def test_run_config_rejects_unknown_keys(doc, key):
     with pytest.raises(ValueError) as exc:

@@ -12,7 +12,6 @@ from axisforge.diffusion import (
     forward_diffuse,
     gaussian_denoiser,
     gaussian_optimal_timesteps,
-    geo_guidance_gradient,
     geo_guidance_gradient_batch,
     geo_image_gradient,
     geo_loss,
@@ -25,7 +24,7 @@ from axisforge.diffusion import (
     sample_batch,
     uniform_timesteps,
 )
-from axisforge.errors import AxisForgeError, InvalidSchedule, NoIntersection, VanishingMass
+from axisforge.errors import InvalidSchedule, NoIntersection, VanishingMass
 from axisforge.extraction import (
     AxisObservation,
     ObservationAdjoint,
@@ -148,26 +147,29 @@ def _near_isotropic_image(eps, size=32):
 
 
 def test_guidance_gradient_bounded_near_isotropy():
-    target = AxisObservation(origin_px=[14.0, 15.0], dir=[[-0.6, -0.8], [1.0, 0.0], [0.0, 1.0]], centroid=[15.0, 15.0])
-    turn = ObservationAdjoint(origin_px=np.zeros(2), dir=[[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]], centroid=np.zeros(2))
+    target = ObservationBatch.stack([
+        AxisObservation(origin_px=[14.0, 15.0], dir=[[-0.6, -0.8], [1.0, 0.0], [0.0, 1.0]], centroid=[15.0, 15.0])
+    ])
+    turn = ObservationAdjoint(origin_px=np.zeros((1, 2)), dir=[[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]], centroid=np.zeros(2))
     raw, weighted = [], []
     for eps in (1e-2, 1e-4, 1e-6):
-        x0 = _near_isotropic_image(eps)
+        x0 = _near_isotropic_image(eps)[None]
         _, aniso, _, pullback = soft_extract_with_pullback(x0, 50.0)
         raw.append(np.linalg.norm(pullback(turn)))
         weighted.append(np.linalg.norm(geo_image_gradient(x0, target, 50.0)[1]))
-    assert aniso[0] < 1e-10 and np.all(aniso[1:] > 0.5)
+    assert aniso[0, 0] < 1e-10 and np.all(aniso[0, 1:] > 0.5)
     # the bare direction's adjoint grows like 1 / (lam_max - lam_min) ...
     assert raw[2] > 1e3 * raw[0]
     # ... while the anisotropy-weighted guidance loss keeps its gradient bounded
     assert max(weighted) < 1.1 * min(weighted)
-    _, grad = geo_image_gradient(x0, target, 50.0)
+    _, grad, errors = geo_image_gradient(x0, target, 50.0)
+    assert errors == [None]
     rng = np.random.default_rng(11)
     h = 1e-6
     for _ in range(5):
-        v = rng.standard_normal(x0.shape)
+        v = rng.standard_normal(x0.shape[1:])
         v /= np.linalg.norm(v)
-        fd = (geo_image_gradient(x0 + h * v, target, 50.0)[0] - geo_image_gradient(x0 - h * v, target, 50.0)[0]) / (2 * h)
+        fd = (geo_image_gradient(x0 + h * v, target, 50.0)[0] - geo_image_gradient(x0 - h * v, target, 50.0)[0])[0] / (2 * h)
         assert abs(float((grad * v).sum()) - fd) < 1e-4 * max(1.0, abs(fd))
 
 
@@ -190,15 +192,20 @@ def test_guidance_gradient_finite_differences():
     sched = make_schedule(200, 1e-4, 0.05)
     den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 0.25)), sched)
     target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
+    guidance = GuidanceBatch([GuidanceConfig(target=target, sharpness=50.0)], x0.shape[:2])
+
+    def loss_grad(x):
+        """Loss, gradient and soft-extraction error of x as a batch of one."""
+        _, losses, grads, errors = geo_guidance_gradient_batch(x[None], 100, den, None, guidance, sched)
+        return losses[0], grads[0], errors[0]
+
     # retry noise draws until the soft extraction of the clean-image
     # prediction is well posed (a blob-like draw has no gradient to check)
     for _ in range(20):
         x_t, _ = forward_diffuse(x0, 100, sched, rng)
-        try:
-            _, grad = geo_guidance_gradient(x_t, 100, den, None, target, 50.0, sched)
+        _, grad, error = loss_grad(x_t)
+        if error is None:
             break
-        except AxisForgeError:
-            continue
     else:
         pytest.fail("no well-posed noise draw found")
     flat = grad.ravel()
@@ -207,27 +214,11 @@ def test_guidance_gradient_finite_differences():
         dx = np.zeros(flat.size)
         dx[j] = h
         dx = dx.reshape(grad.shape)
-        lp, _ = geo_guidance_gradient(x_t + dx, 100, den, None, target, 50.0, sched)
-        lm, _ = geo_guidance_gradient(x_t - dx, 100, den, None, target, 50.0, sched)
-        fd = (lp - lm) / (2 * h)
+        fd = (loss_grad(x_t + dx)[0] - loss_grad(x_t - dx)[0]) / (2 * h)
         an = float(flat[j])
         if abs(an) < 1e-9 and abs(fd) < 1e-9:
             continue
         assert abs(an - fd) / max(abs(an), abs(fd), 1e-9) < 1e-3
-
-
-def test_rho_zero_is_bit_exact_vanilla():
-    rng = np.random.default_rng(7)
-    K = default_intrinsics(16)
-    pose = sample_pose(rng, K, SamplingConfig(depth_min=2.0, depth_max=2.8, lateral=0.2, min_axis_px=5.0))
-    x0 = render_triaxis(K, pose, thickness_px=1.5).data
-    sched = make_schedule(100, 1e-4, 0.05)
-    den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
-    target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
-    guidance = GuidanceConfig(target=target, rho=0.0)
-    a = sample(den, None, guidance, sched, steps=25, rng=np.random.default_rng(42), shape=(16, 16))
-    b = sample(den, None, None, sched, steps=25, rng=np.random.default_rng(42), shape=(16, 16))
-    assert np.array_equal(a.image.data, b.image.data)
 
 
 def test_sample_converges_to_analytic_mean():
@@ -293,6 +284,7 @@ def test_batched_guidance_gradient_finite_differences():
 
     sched = make_schedule(50, 1e-3, 0.05)
     guidances = [_guided_case(1)[1], None, _guided_case(3)[1]]
+    batch = GuidanceBatch(guidances, (16, 16))
     mlp = MLPDenoiser(
         ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15, np.float64
     )
@@ -300,21 +292,22 @@ def test_batched_guidance_gradient_finite_differences():
     cond = rng.random((3, 16, 16))
     x_t = rng.standard_normal((3, 16, 16, 3))
     t = 20
-    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, mlp, cond, guidances, sched)
+    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, mlp, cond, batch, sched)
     assert errors == [None] * 3
     assert np.array_equal(eps, mlp.evaluate(x_t, t, cond))
     assert np.isnan(losses[1]) and not np.any(grads[1])
-    for b in (0, 2):
-        single = geo_guidance_gradient(x_t[b], t, mlp, cond[b], guidances[b].target, guidances[b].sharpness, sched)
-        assert np.isclose(single[0], losses[b], rtol=1e-12)
-        assert np.allclose(single[1], grads[b], rtol=0.0, atol=1e-9)
+    for b in (0, 2):  # a batch of one gives the matching row of the larger batch
+        one = GuidanceBatch([guidances[b]], (16, 16))
+        _, one_losses, one_grads, _ = geo_guidance_gradient_batch(x_t[b : b + 1], t, mlp, cond[b : b + 1], one, sched)
+        assert np.isclose(one_losses[0], losses[b], rtol=1e-12)
+        assert np.allclose(one_grads[0], grads[b], rtol=0.0, atol=1e-9)
     h = 1e-5
     for b in (0, 2):
         for j in rng.choice(16 * 16 * 3, size=8, replace=False):
             dx = np.zeros(x_t.shape)
             dx[b].flat[j] = h
-            lp = geo_guidance_gradient_batch(x_t + dx, t, mlp, cond, guidances, sched)[1][b]
-            lm = geo_guidance_gradient_batch(x_t - dx, t, mlp, cond, guidances, sched)[1][b]
+            lp = geo_guidance_gradient_batch(x_t + dx, t, mlp, cond, batch, sched)[1][b]
+            lm = geo_guidance_gradient_batch(x_t - dx, t, mlp, cond, batch, sched)[1][b]
             fd = (lp - lm) / (2 * h)
             an = float(grads[b].flat[j])
             if abs(an) < 1e-9 and abs(fd) < 1e-9:
@@ -333,19 +326,21 @@ def test_batched_guidance_isolates_failed_and_unguided_records():
     den = gaussian_denoiser(GaussianScoreField(mean=means, var=np.full(means.shape, 1e-4)), sched)
     x_t = np.random.default_rng(3).standard_normal(means.shape)
     t = 10
-    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, den, None, guidances, sched)
-    # the healthy record matches its single-image computation bit for bit
-    # (the analytic denoiser is elementwise, so batching changes no arithmetic)
+    stacked = GuidanceBatch(guidances, x0.shape[:2])
+    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, den, None, stacked, sched)
+    # the healthy record matches its batch of one bit for bit (the analytic
+    # denoiser is elementwise, so batching changes no arithmetic)
     x0_hat = predict_x0(x_t, t, eps, sched)
     sharpness = guidance_sharpness(guidance.sharpness, t, sched)
-    single_loss, single_grad = geo_image_gradient(x0_hat[0], guidance.target, sharpness)
+    one_losses, one_grads, _ = geo_image_gradient(x0_hat[:1], ObservationBatch.stack([guidance.target]), sharpness)
     img_losses, img_grads, img_errors = geo_image_gradient(
         x0_hat[:3], ObservationBatch.stack([guidance.target] * 3), sharpness
     )
-    assert img_losses[0] == single_loss and np.array_equal(img_grads[0], single_grad)
-    single_den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
-    loss, grad = geo_guidance_gradient(x_t[0], t, single_den, None, guidance.target, guidance.sharpness, sched)
-    assert losses[0] == loss and np.array_equal(grads[0], grad)
+    assert img_losses[0] == one_losses[0] and np.array_equal(img_grads[0], one_grads[0])
+    one_den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
+    one = GuidanceBatch([guidance], x0.shape[:2])
+    _, one_losses, one_grads, _ = geo_guidance_gradient_batch(x_t[:1], t, one_den, None, one, sched)
+    assert losses[0] == one_losses[0] and np.array_equal(grads[0], one_grads[0])
     # failed records: loss nan, gradient 0, their own exception
     assert isinstance(errors[1], VanishingMass) and errors[1].channel == 1
     assert isinstance(errors[2], NoIntersection)
@@ -355,9 +350,8 @@ def test_batched_guidance_isolates_failed_and_unguided_records():
     assert np.isnan(img_losses[1:]).all() and not np.any(img_grads[1:])
     # guidance stacked once for a chain, ray maps included, gives what a
     # fresh build gives at every step
-    stacked = GuidanceBatch(guidances, x0.shape[:2])
     for step in (30, 10):
-        fresh = geo_guidance_gradient_batch(x_t, step, den, None, guidances, sched)
+        fresh = geo_guidance_gradient_batch(x_t, step, den, None, GuidanceBatch(guidances, x0.shape[:2]), sched)
         reused = geo_guidance_gradient_batch(x_t, step, den, None, stacked, sched)
         assert np.array_equal(fresh[1], reused[1], equal_nan=True)
         assert np.array_equal(fresh[2], reused[2])

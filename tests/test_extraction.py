@@ -76,6 +76,8 @@ def test_soft_extraction_sharpness_validation():
     img = np.zeros((8, 8, 3))
     with pytest.raises(ValueError):
         extract_axes_soft(img, sharpness=0.0)
+    with pytest.raises(ValueError):
+        soft_extract_with_pullback(img, 50.0)  # one image, not a batch
 
 
 def test_soft_vjp_matches_finite_differences():
@@ -126,9 +128,11 @@ def _blob_image(size=32, stds=(3.0, 2.2)):
     return img
 
 
-def _cotangent(rng):
+def _cotangent(rng, lead=()):
+    """A random observation cotangent, flat and as an adjoint with the
+    leading batch axes ``lead``."""
     cot_vec = rng.standard_normal(10)
-    adj = ObservationAdjoint(origin_px=cot_vec[:2], dir=cot_vec[2:8].reshape(3, 2), centroid=cot_vec[8:])
+    adj = ObservationAdjoint(origin_px=cot_vec[:2].reshape(*lead, 2), dir=cot_vec[2:8], centroid=cot_vec[8:])
     return cot_vec, adj
 
 
@@ -157,24 +161,24 @@ def test_soft_extraction_accepts_isotropic_channel():
     img[:, :, 0] = np.exp(-0.5 * ((uu - 10.0) ** 2 + (vv - 12.0) ** 2) / 2.5**2)  # round, on a pixel
     with pytest.raises(DegenerateChannel):
         extract_axes_hard(TriAxisImage(img))
-    obs, aniso, _, pullback = soft_extract_with_pullback(img, 50.0)
-    assert np.all(np.isfinite(np.array(obs.to_flat())))
-    assert aniso[0] < 1e-20 and np.all(aniso[1:] > 0.05)
-    assert np.all(np.isfinite(pullback(_cotangent(np.random.default_rng(6))[1], None, np.ones(3))))
+    obs, aniso, _, pullback = soft_extract_with_pullback(img[None], 50.0)
+    assert np.all(np.isfinite(np.array(obs.record(0).to_flat())))
+    assert aniso[0, 0] < 1e-20 and np.all(aniso[0, 1:] > 0.05)
+    assert np.all(np.isfinite(pullback(_cotangent(np.random.default_rng(6), (1,))[1], None, np.ones((1, 3)))))
 
 
 def test_soft_extraction_cost_map_and_anisotropy_adjoint():
     rng = np.random.default_rng(7)
     img = _blob_image()
     cost = 20.0 * rng.random(img.shape)
-    cot_vec, adj = _cotangent(rng)
+    cot_vec, adj = _cotangent(rng, (1,))
     cost_cot, aniso_cot = rng.standard_normal((2, 3))
 
     def objective(x):
-        obs, aniso, costs, _ = soft_extract_with_pullback(x, 5.0, cost)
-        return float(cot_vec @ np.array(obs.to_flat()) + cost_cot @ costs + aniso_cot @ aniso)
+        obs, aniso, costs, _ = soft_extract_with_pullback(x[None], 5.0, cost[None])
+        return float(cot_vec @ np.array(obs.record(0).to_flat()) + cost_cot @ costs[0] + aniso_cot @ aniso[0])
 
-    grad = soft_extract_with_pullback(img, 5.0, cost)[3](adj, cost_cot, aniso_cot)
+    grad = soft_extract_with_pullback(img[None], 5.0, cost[None])[3](adj, cost_cot[None], aniso_cot[None])[0]
     h = 1e-5
     for _ in range(5):
         v = rng.standard_normal(img.shape)

@@ -12,6 +12,7 @@ from axisforge.metrics import (
     evaluate_pair,
     evaluate_suite,
     reproj_metric,
+    reproj_threshold_px,
     rotation_geodesic,
 )
 
@@ -88,3 +89,11 @@ def test_empty_report_rates():
     assert report.add_rate == 0.0
     assert report.reproj_rate == 0.0
     assert math.isnan(report.aggregates()["median_rot_deg"])
+
+
+def test_reproj_threshold_scales_with_focal_length():
+    from axisforge.dataset import default_intrinsics
+
+    assert reproj_threshold_px(K) == 15.0
+    assert reproj_threshold_px(default_intrinsics(32)) == 3.75
+    assert reproj_threshold_px(default_intrinsics(24)) == 2.8125
