@@ -77,7 +77,6 @@ _EXPORTS = {
     "load_checkpoint": "denoiser",
     # metrics_eval
     "ModelPoints": "metrics",
-    "MetricThresholds": "metrics",
     "MetricsReport": "metrics",
     "cuboid_model": "metrics",
     "add_metric": "metrics",

@@ -9,7 +9,7 @@ Conventions (standard computer vision):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -107,12 +107,10 @@ class AxisLines:
     origin_px : image of the object origin
     dir       : (3, 2) unit vectors pointing from the origin toward each
                 projected axis endpoint (X, Y, Z order)
-    slope     : dy/dx per axis; +inf for vertical lines
     """
 
     origin_px: np.ndarray
     dir: np.ndarray
-    slope: tuple = field(init=False)
 
     def __post_init__(self):
         origin = np.asarray(self.origin_px, dtype=float).reshape(2)
@@ -122,10 +120,6 @@ class AxisLines:
         norms = np.linalg.norm(d, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("axis directions must be unit vectors")
-        slopes = tuple(
-            v[1] / v[0] if abs(v[0]) > 1e-12 else math.inf for v in d
-        )
-        object.__setattr__(self, "slope", slopes)
 
 
 def project_point(K: CameraIntrinsics, pose: Pose, X_obj) -> np.ndarray:

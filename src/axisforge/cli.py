@@ -34,12 +34,16 @@ ORACLE_EXIT = 3
 
 
 def _configure_threads(deterministic: bool) -> None:
-    """Apply the thread cap before numpy (and its BLAS) is first imported."""
-    cap = "1" if deterministic else os.environ.get("AXISFORGE_THREADS")
-    if cap is None:
+    """Apply the thread cap before numpy (and its BLAS) is first imported:
+    --deterministic sets every cap to 1, over any inherited value, while
+    AXISFORGE_THREADS fills in only the caps that are unset."""
+    if deterministic:
+        os.environ.update(dict.fromkeys(_THREAD_ENV_VARS, "1"))
         return
-    for var in _THREAD_ENV_VARS:
-        os.environ.setdefault(var, cap)
+    cap = os.environ.get("AXISFORGE_THREADS")
+    if cap is not None:
+        for var in _THREAD_ENV_VARS:
+            os.environ.setdefault(var, cap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -324,7 +328,7 @@ def _report_for(manifest, records, preds):
     import numpy as np
 
     from .camera import Pose
-    from .metrics import MetricThresholds, cuboid_model, evaluate_suite, reproj_threshold_px
+    from .metrics import cuboid_model, evaluate_suite
 
     model = cuboid_model()
     pairs, ids = [], []
@@ -345,9 +349,7 @@ def _report_for(manifest, records, preds):
         )
         pairs.append((rec.pose, pose))
         ids.append(rec.id)
-    K = manifest.intrinsics
-    thresholds = MetricThresholds(reproj_px=reproj_threshold_px(K))
-    report = evaluate_suite(pairs, model, K, thresholds, ids=ids, n_failed=n_failed)
+    report = evaluate_suite(pairs, model, manifest.intrinsics, ids=ids, n_failed=n_failed)
     return report, missing
 
 

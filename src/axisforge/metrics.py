@@ -75,12 +75,6 @@ def rotation_geodesic(R1: np.ndarray, R2: np.ndarray) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, arg))))
 
 
-@dataclass(frozen=True)
-class MetricThresholds:
-    add_frac: float = ADD_DIAMETER_FRAC
-    reproj_px: float = REPROJ_THRESHOLD_PX
-
-
 @dataclass
 class MetricsReport:
     records: list[dict] = field(default_factory=list)
@@ -125,18 +119,16 @@ class MetricsReport:
         return ",".join(keys) + "\n" + ",".join(str(agg[k]) for k in keys) + "\n"
 
 
-def evaluate_pair(
-    gt: Pose, pred: Pose, model: ModelPoints, K: CameraIntrinsics, thresholds: MetricThresholds
-) -> dict:
+def evaluate_pair(gt: Pose, pred: Pose, model: ModelPoints, K: CameraIntrinsics) -> dict:
     add = add_metric(gt, pred, model)
     reproj = reproj_metric(gt, pred, model, K)
     return {
         "rot_deg": rotation_geodesic(gt.R, pred.R),
         "trans_err": float(np.linalg.norm(gt.T - pred.T)),
         "add": add,
-        "add_pass": bool(add < thresholds.add_frac * model.diameter),
+        "add_pass": bool(add < ADD_DIAMETER_FRAC * model.diameter),
         "reproj_px": reproj,
-        "reproj_pass": bool(reproj < thresholds.reproj_px),
+        "reproj_pass": bool(reproj < reproj_threshold_px(K)),
     }
 
 
@@ -144,7 +136,6 @@ def evaluate_suite(
     records: list[tuple[Pose, Pose]],
     model: ModelPoints,
     K: CameraIntrinsics,
-    thresholds: MetricThresholds = MetricThresholds(),
     ids: list | None = None,
     n_failed: int = 0,
 ) -> MetricsReport:
@@ -153,7 +144,7 @@ def evaluate_suite(
         raise ValueError("no records to evaluate")
     report = MetricsReport(n_failed=n_failed)
     for i, (gt, pred) in enumerate(records):
-        rec = evaluate_pair(gt, pred, model, K, thresholds)
+        rec = evaluate_pair(gt, pred, model, K)
         rec["id"] = ids[i] if ids is not None else i
         report.records.append(rec)
     return report

@@ -21,7 +21,7 @@ from axisforge.diffusion import GuidanceConfig, make_schedule, sample
 from axisforge.errors import AxisForgeError
 from axisforge.extraction import extract_axes_hard
 from axisforge.metrics import cuboid_model, reproj_metric, reproj_threshold_px
-from axisforge.oracle import ORACLES, OracleResult, run_all
+from axisforge.oracle import K128, ORACLES, OracleResult, _geometry_pose, run_all
 from axisforge.render import DegradationSpec, apply_degradation, render_query, render_triaxis
 from axisforge.solver import corner_from_observation, recover_pose, solve_depth_scales
 
@@ -59,21 +59,17 @@ def test_criterion_2_raster_path(capsys, oracle):
 
 
 def test_criterion_3_corner_residuals(capsys):
-    from axisforge.camera import CameraIntrinsics, Pose, project_axes, random_rotation
+    from axisforge.camera import project_axes
     from axisforge.extraction import AxisObservation
 
-    K = CameraIntrinsics(f_x=100.0, f_y=100.0, c_x=64.0, c_y=64.0, width=128, height=128)
-    omega = compute_omega(K)
+    omega = compute_omega(K128)
     rng = np.random.default_rng(0)
     worst = 0.0
     n = 0
     while n < 200:
-        pose = Pose(
-            R=random_rotation(rng),
-            T=np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(4.0, 8.0)]),
-        )
+        pose = _geometry_pose(rng)
         try:
-            lines = project_axes(K, pose)
+            lines = project_axes(K128, pose)
             obs = AxisObservation(origin_px=lines.origin_px, dir=lines.dir, centroid=lines.origin_px)
             sols = solve_depth_scales(corner_from_observation(obs), omega)
         except AxisForgeError:

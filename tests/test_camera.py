@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from axisforge.camera import (
-    AxisLines,
     CameraIntrinsics,
     Pose,
     compute_omega,
@@ -85,14 +84,6 @@ def test_projected_axis_lengths_positive_and_consistent():
     for i in range(3):
         ref = np.linalg.norm(project_point(K, pose, np.eye(3)[i]) - origin)
         assert math.isclose(lengths[i], ref, rel_tol=1e-12)
-
-
-def test_axis_lines_slopes():
-    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.array([[1.0], [1.0], [math.sqrt(2.0)]])
-    lines = AxisLines(origin_px=np.zeros(2), dir=dirs)
-    assert lines.slope[0] == 0.0
-    assert lines.slope[1] == math.inf
-    assert math.isclose(lines.slope[2], 1.0)
 
 
 def test_rotation_helpers_are_rotations():

@@ -1,10 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from axisforge.cli import main
+from axisforge.cli import _THREAD_ENV_VARS, _configure_threads, main
 
 CONFIG = {
     "intrinsics": {"f_x": 12.5, "f_y": 12.5, "c_x": 8.0, "c_y": 8.0, "width": 16, "height": 16},
@@ -308,3 +309,10 @@ def test_eval_scales_reprojection_threshold_to_the_camera(tmp_path, config_path,
     assert threshold < records[1]["reproj_px"] < 15.0
     assert [r["reproj_pass"] for r in records] == [True, False]
     assert json.loads((report / "report.json").read_text())["aggregates"]["reproj_rate"] == 0.5
+
+
+def test_deterministic_overrides_inherited_thread_caps(monkeypatch):
+    for var in _THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "4")
+    _configure_threads(True)
+    assert all(os.environ[var] == "1" for var in _THREAD_ENV_VARS)

@@ -60,44 +60,12 @@ def test_directions_point_toward_channel_mass():
         assert float(obs.dir[i] @ (mean - obs.origin_px)) > 0
 
 
-def test_hard_soft_agreement():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        pose = sample_pose(rng, K, SAMPLING)
-        img = render_triaxis(K, pose, thickness_px=2.0)
-        hard = extract_axes_hard(img)
-        soft = extract_axes_soft(img, sharpness=50.0)
-        assert np.linalg.norm(hard.origin_px - soft.origin_px) < 0.5
-        for i in range(3):
-            assert _angle_deg(hard.dir[i], soft.dir[i]) < 1.5
-
-
 def test_soft_extraction_sharpness_validation():
     img = np.zeros((8, 8, 3))
     with pytest.raises(ValueError):
         extract_axes_soft(img, sharpness=0.0)
     with pytest.raises(ValueError):
         soft_extract_with_pullback(img, 50.0)  # one image, not a batch
-
-
-def test_soft_vjp_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    pose = sample_pose(rng, default_intrinsics(32), SamplingConfig(min_axis_px=6.0))
-    img = render_triaxis(default_intrinsics(32), pose, thickness_px=1.5).data
-    cot_vec = rng.standard_normal(10)
-    adj = ObservationAdjoint(
-        origin_px=cot_vec[:2], dir=cot_vec[2:8].reshape(3, 2), centroid=cot_vec[8:]
-    )
-    grad = soft_extract_vjp(img, 50.0, adj)
-    h = 1e-4
-    for _ in range(5):
-        v = rng.standard_normal(img.shape)
-        v /= np.linalg.norm(v)
-        sp = float(cot_vec @ np.array(extract_axes_soft(img + h * v, 50.0).to_flat()))
-        sm = float(cot_vec @ np.array(extract_axes_soft(img - h * v, 50.0).to_flat()))
-        fd = (sp - sm) / (2 * h)
-        an = float((grad * v).sum())
-        assert abs(an - fd) < 1e-4 * max(1.0, abs(fd))
 
 
 def test_observation_flat_roundtrip():

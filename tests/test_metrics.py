@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from axisforge import metrics
 from axisforge.camera import CameraIntrinsics, Pose, rot_z
+from axisforge.dataset import default_intrinsics
 from axisforge.metrics import (
-    MetricThresholds,
+    REPROJ_THRESHOLD_PX,
     MetricsReport,
     add_metric,
     cuboid_model,
@@ -49,14 +51,26 @@ def test_rotation_geodesic_known_angles():
     assert math.isclose(rotation_geodesic(np.eye(3), rot_z(180.0)), 180.0, abs_tol=1e-6)
 
 
-def test_evaluate_pair_thresholds_strict():
+def test_evaluate_pair_thresholds_strict(monkeypatch):
     model = cuboid_model()
-    rec = evaluate_pair(POSE, POSE, model, K, MetricThresholds())
+    rec = evaluate_pair(POSE, POSE, model, K)
     assert rec["add_pass"] and rec["reproj_pass"]
     assert rec["rot_deg"] == 0.0
     # exact-threshold values must not pass (strict inequality)
-    rec = evaluate_pair(POSE, POSE, model, K, MetricThresholds(add_frac=0.0, reproj_px=0.0))
+    monkeypatch.setattr(metrics, "ADD_DIAMETER_FRAC", 0.0)
+    monkeypatch.setattr(metrics, "REPROJ_THRESHOLD_PX", 0.0)
+    rec = evaluate_pair(POSE, POSE, model, K)
     assert not rec["add_pass"] and not rec["reproj_pass"]
+
+
+def test_evaluate_suite_scales_reprojection_threshold_to_the_camera():
+    K32 = default_intrinsics(32)
+    gt = Pose(R=POSE.R, T=np.array([0.0, 0.0, 3.0]))
+    pred = Pose(R=POSE.R, T=gt.T + np.array([1.0, 0.0, 0.0]))
+    (rec,) = evaluate_suite([(gt, pred)], cuboid_model(), K32).records
+    # misses by more than the 3.75 px of a 32 px camera, by less than 15 px
+    assert reproj_threshold_px(K32) < rec["reproj_px"] < REPROJ_THRESHOLD_PX
+    assert not rec["reproj_pass"]
 
 
 def test_evaluate_suite_failed_records_count_in_denominator():
@@ -92,8 +106,6 @@ def test_empty_report_rates():
 
 
 def test_reproj_threshold_scales_with_focal_length():
-    from axisforge.dataset import default_intrinsics
-
     assert reproj_threshold_px(K) == 15.0
     assert reproj_threshold_px(default_intrinsics(32)) == 3.75
     assert reproj_threshold_px(default_intrinsics(24)) == 2.8125

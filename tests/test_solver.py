@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from axisforge.camera import (
-    CameraIntrinsics,
-    Omega,
-    Pose,
-    compute_omega,
-    project_axes,
-    random_rotation,
-)
+from axisforge.camera import Omega, compute_omega, project_axes
 from axisforge.errors import AxisForgeError
 from axisforge.extraction import AxisObservation
 from axisforge.metrics import rotation_geodesic
+from axisforge.oracle import K128 as K, _geometry_pose, _probe_safe
 from axisforge.solver import (
     CornerImage,
     corner_from_observation,
@@ -21,42 +15,21 @@ from axisforge.solver import (
     solve_depth_scales,
 )
 
-K = CameraIntrinsics(f_x=100.0, f_y=100.0, c_x=64.0, c_y=64.0, width=128, height=128)
-
-
-def _random_pose(rng):
-    return Pose(
-        R=random_rotation(rng),
-        T=np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(4.0, 8.0)]),
-    )
-
-
-def _probe_safe(pose, probe_px=10.0, margin=2.0):
-    o_h = K.K @ pose.T
-    o = o_h[:2] / o_h[2]
-    for k in range(3):
-        a = pose.R[:, k]
-        if a[2] > 1e-12:
-            v = K.K @ a
-            if np.linalg.norm(v[:2] / v[2] - o) < probe_px * margin:
-                return False
-    return True
-
 
 def _exact_observation(pose):
     lines = project_axes(K, pose)
     return AxisObservation(origin_px=lines.origin_px, dir=lines.dir, centroid=lines.origin_px)
 
 
-def _exact_poses(rng, n, probe_px=10.0):
+def _exact_poses(rng, n):
     out = []
     while len(out) < n:
-        pose = _random_pose(rng)
+        pose = _geometry_pose(rng)
         try:
             obs = _exact_observation(pose)
         except AxisForgeError:
             continue
-        if not _probe_safe(pose, probe_px):
+        if not _probe_safe(K, pose, 10.0):
             continue
         out.append((pose, obs))
     return out
@@ -97,19 +70,6 @@ def test_legs_are_orthogonal():
         legs = best.legs / np.linalg.norm(best.legs, axis=1, keepdims=True)
         gram = legs @ legs.T
         assert np.max(np.abs(gram - np.eye(3))) < 1e-6
-
-
-def test_probe_invariance():
-    rng = np.random.default_rng(3)
-    for pose, obs in _exact_poses(rng, 20, probe_px=50.0):
-        poses = [
-            recover_pose(obs, K, scale_lambda_O=float(pose.T[2]), probe_px=p)
-            for p in (5.0, 10.0, 50.0)
-        ]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                chord = float(np.linalg.norm(poses[a].R - poses[b].R))
-                assert 2.0 * math.asin(min(1.0, chord / (2.0 * math.sqrt(2.0)))) < 1e-9
 
 
 def test_translation_scale_linearity():
