@@ -77,7 +77,8 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--dataset", type=Path, required=True, help="dataset directory")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--resume", type=Path, help="checkpoint to continue from")
+    p.add_argument("--resume", type=Path, help="checkpoint whose weights to start from; Adam's moments and step "
+                   "count, so its bias correction, restart from zero: not a continuation of the earlier run")
 
     p = sub.add_parser("infer", help="generate tri-axis images and solve poses")
     common(p)

@@ -37,6 +37,7 @@ CHECKPOINT_VERSION = 2  # 2: preconditioned denoiser, sigma_data in the header
 _DIVERGENCE_WARMUP = 50  # steps used to establish the divergence baseline
 DEFAULT_SIGMA_DATA = 0.5  # EDM's data standard deviation, for a denoiser built without data
 MAX_LOSS_WEIGHT = 5.0  # per-draw cap of the signal-to-noise loss weight
+ADAM_BLOCK = 1 << 16  # elements per block of the Adam step's walk
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ class MLPDenoiser(DenoiserInterface):
         self.weights, self.biases = params[0::2], params[1::2]
         if rng is not None:
             for w in self.weights:
-                w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
+                np.divide(rng.standard_normal(w.shape), np.sqrt(w.shape[0]), out=w, casting="unsafe")
 
     @property
     def image_size(self) -> int:
@@ -193,12 +194,13 @@ class MLPDenoiser(DenoiserInterface):
         d_z2 = (self.weights[2] @ d_out.T).T * (1.0 - h2 * h2)
         return (self.weights[1] @ d_z2.T).T * (1.0 - h1 * h1), d_z2
 
-    def _backward(self, d_out: np.ndarray, cache) -> np.ndarray:
+    def _backward(self, d_out: np.ndarray, cache, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of <d_out, F> as one flat array laid out like the
-        parameter buffer; _views splits it in parameters() order."""
+        parameter buffer (written into out when given); _views splits it in
+        parameters() order."""
         X, h1, h2 = cache
         d_z1, d_z2 = self._pre_activation_grads(d_out, cache)
-        grad = np.empty_like(self.flat)
+        grad = np.empty_like(self.flat) if out is None else out
         g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = self._views(grad)
         np.matmul(X.T, d_z1, out=g_w1)
         np.sum(d_z1, axis=0, out=g_b1)
@@ -275,36 +277,43 @@ class MLPDenoiser(DenoiserInterface):
 
 class Adam:
     """Adaptive-moment stochastic gradient optimizer over one flat parameter
-    buffer, updated in place."""
+    buffer, updated in place. The memory-bound step runs all its elementwise
+    passes on one block of ADAM_BLOCK elements before the next, so a block's
+    five arrays (1.25 MB in float32) stay in cache; each pass is IEEE-rounded
+    elementwise, so the result is bit-identical to whole-buffer passes."""
 
     def __init__(self, param: np.ndarray, cfg: OptConfig):
         self.cfg = cfg
         self.m = np.zeros_like(param)
         self.v = np.zeros_like(param)
-        self._buf = np.empty_like(param)
+        self._buf = np.empty(min(param.size, ADAM_BLOCK), param.dtype)
         self.step_count = 0
 
-    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+    def step(self, param: np.ndarray, grad: np.ndarray, scale: float | None = None) -> None:
+        """One update from grad, first multiplied in place by scale (the
+        gradient-norm clip) when given."""
         c = self.cfg
-        m, v, buf = self.m, self.v, self._buf
         self.step_count += 1
         bc1 = 1.0 - c.beta1**self.step_count
         bc2 = 1.0 - c.beta2**self.step_count
-        # in place through one scratch buffer: the elementwise passes over
-        # the whole buffer are the step's cost
-        m *= c.beta1
-        np.multiply(grad, 1.0 - c.beta1, out=buf)
-        m += buf
-        v *= c.beta2
-        np.multiply(grad, grad, out=buf)
-        buf *= 1.0 - c.beta2
-        v += buf
-        np.divide(v, bc2, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += c.adam_eps
-        np.divide(m, buf, out=buf)
-        buf *= c.lr / bc1
-        param -= buf
+        for lo in range(0, param.size, ADAM_BLOCK):
+            p, g, m, v = (a[lo : lo + ADAM_BLOCK] for a in (param, grad, self.m, self.v))
+            buf = self._buf[: p.size]
+            if scale is not None:
+                g *= scale
+            m *= c.beta1
+            np.multiply(g, 1.0 - c.beta1, out=buf)
+            m += buf
+            v *= c.beta2
+            np.multiply(g, g, out=buf)
+            buf *= 1.0 - c.beta2
+            v += buf
+            np.divide(v, bc2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += c.adam_eps
+            np.divide(m, buf, out=buf)
+            buf *= c.lr / bc1
+            p -= buf
 
 
 @dataclass
@@ -345,6 +354,7 @@ def train_denoiser(
     else:
         den = MLPDenoiser(arch, sched, rng, float(x0s.std()) or DEFAULT_SIGMA_DATA)
     adam = Adam(den.flat, opt)
+    grad = np.empty_like(den.flat)
     log: list[dict] = []
     running = None
     initial = None
@@ -364,12 +374,13 @@ def train_denoiser(
         wgt = np.minimum(ab / (1.0 - ab), MAX_LOSS_WEIGHT) * c_out * c_out
         diff = out.astype(float) - (x0 - c_skip * x_t) / c_out
         loss = float((wgt * diff * diff).mean())
-        grad = den._backward((2.0 * wgt * diff / diff.size).astype(den.dtype), cache)
+        den._backward((2.0 * wgt * diff / diff.size).astype(den.dtype), cache, out=grad)
+        scale = None
         if opt.grad_clip > 0.0:
             gnorm = math.sqrt(float(grad @ grad))
             if gnorm > opt.grad_clip:
-                grad *= opt.grad_clip / gnorm
-        adam.step(den.flat, grad)
+                scale = opt.grad_clip / gnorm
+        adam.step(den.flat, grad, scale)
 
         if not math.isfinite(loss):
             raise DivergedLoss(f"non-finite loss at step {step}")

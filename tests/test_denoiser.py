@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from axisforge import denoiser
 from axisforge.camera import Pose, rot_x, rot_y
 from axisforge.dataset import default_intrinsics
 from axisforge.denoiser import (
+    ADAM_BLOCK,
+    Adam,
     ArchConfig,
     MLPDenoiser,
     OptConfig,
@@ -131,6 +136,93 @@ def test_training_is_deterministic():
     b = train_denoiser(data, ARCH, opt, SCHED, np.random.default_rng(3)).denoiser
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert np.array_equal(pa, pb)
+
+
+class _WholeBufferAdam:
+    """The Adam step as whole-buffer passes, the form the blocked walk must
+    reproduce bit for bit. It records each step's clip scale."""
+
+    def __init__(self, param, cfg):
+        self.cfg = cfg
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
+        self._buf = np.empty_like(param)
+        self.step_count = 0
+        self.scales = []
+
+    def step(self, param, grad, scale=None):
+        self.scales.append(scale)
+        if scale is not None:
+            grad *= scale
+        c = self.cfg
+        m, v, buf = self.m, self.v, self._buf
+        self.step_count += 1
+        bc1 = 1.0 - c.beta1**self.step_count
+        bc2 = 1.0 - c.beta2**self.step_count
+        m *= c.beta1
+        np.multiply(grad, 1.0 - c.beta1, out=buf)
+        m += buf
+        v *= c.beta2
+        np.multiply(grad, grad, out=buf)
+        buf *= 1.0 - c.beta2
+        v += buf
+        np.divide(v, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += c.adam_eps
+        np.divide(m, buf, out=buf)
+        buf *= c.lr / bc1
+        param -= buf
+
+
+@pytest.mark.parametrize("size", [1, ADAM_BLOCK - 1, ADAM_BLOCK, 2 * ADAM_BLOCK + 3])
+@pytest.mark.parametrize("scale", [None, 0.37])
+def test_adam_step_matches_whole_buffer_passes(size, scale):
+    rng = np.random.default_rng(size)
+    cfg = OptConfig(lr=3e-3)
+    param = rng.standard_normal(size).astype(np.float32)
+    ref_param = param.copy()
+    adam, ref = Adam(param, cfg), _WholeBufferAdam(ref_param, cfg)
+    for _ in range(3):
+        grad = rng.standard_normal(size).astype(np.float32)
+        adam.step(param, grad.copy(), scale)
+        ref.step(ref_param, grad.copy(), scale)
+    assert np.array_equal(param, ref_param)
+    assert np.array_equal(adam.m, ref.m) and np.array_equal(adam.v, ref.v)
+
+
+def test_training_matches_whole_buffer_adam(monkeypatch):
+    # more than one block with a ragged last one, and a clip that fires
+    arch = ArchConfig(image_size=16, hidden=64)
+    opt = OptConfig(steps=4, batch_size=4, grad_clip=0.05)
+    data = _tiny_dataset(16)
+    blocked = train_denoiser(data, arch, opt, SCHED, np.random.default_rng(12))
+    assert blocked.denoiser.flat.size > ADAM_BLOCK and blocked.denoiser.flat.size % ADAM_BLOCK
+    refs = []
+
+    def whole_buffer_adam(param, cfg):
+        refs.append(_WholeBufferAdam(param, cfg))
+        return refs[-1]
+
+    monkeypatch.setattr(denoiser, "Adam", whole_buffer_adam)
+    whole = train_denoiser(data, arch, opt, SCHED, np.random.default_rng(12))
+    assert any(s is not None for s in refs[0].scales)
+    assert np.array_equal(blocked.denoiser.flat, whole.denoiser.flat)
+    assert blocked.log == whole.log
+
+
+def test_adam_allocates_no_whole_buffer_scratch():
+    # an optimizer's own allocations are its two moments; the step's scratch
+    # and any temporaries stay within two blocks
+    n = 4 * 2**20
+    param = np.zeros(n, np.float32)
+    grad = np.full(n, 0.5, np.float32)
+    tracemalloc.start()
+    try:
+        Adam(param, OptConfig()).step(param, grad, 0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * param.nbytes + 2 * ADAM_BLOCK * 4
 
 
 def test_training_diverged_loss_detection():
