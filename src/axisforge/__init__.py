@@ -19,6 +19,7 @@ _EXPORTS = {
     "AxisLines": "camera",
     "compute_omega": "camera",
     "project_point": "camera",
+    "project_triaxis": "camera",
     "project_axes": "camera",
     "projected_axis_lengths": "camera",
     "nearest_rotation": "camera",

@@ -39,15 +39,17 @@ class CameraIntrinsics(Section):
         if not (self.width > 0 and self.height > 0):
             raise ValueError("image size must be positive")
 
-    @property
+    @cached_property
     def K(self) -> np.ndarray:
-        return np.array(
+        K = np.array(
             [
                 [self.f_x, self.gamma, self.c_x],
                 [0.0, self.f_y, self.c_y],
                 [0.0, 0.0, 1.0],
             ]
         )
+        K.flags.writeable = False  # shared by every later caller
+        return K
 
     @cached_property
     def K_inv(self) -> np.ndarray:
@@ -141,36 +143,56 @@ def compute_omega(K: CameraIntrinsics) -> Omega:
     return Omega(m)
 
 
+def project_triaxis(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> np.ndarray:
+    """Pixel coordinates (4, 2) of the object origin and of the X, Y, Z axis
+    endpoints ``axis_len`` along each axis, bit-identical to project_point on
+    each: every point gets the same matrix-vector product with K. Raises
+    NonPositiveDepth for the first point, in that order, behind the camera."""
+    if axis_len <= 0:
+        raise ValueError("axis_len must be positive")
+    Xc = np.vstack([pose.T, pose.R.T * axis_len + pose.T])  # row i: R @ (axis_len e_i) + T
+    behind = np.flatnonzero(Xc[:, 2] <= DEPTH_EPS)
+    if behind.size:
+        raise NonPositiveDepth(f"transformed depth {Xc[behind[0], 2]:.3g} <= {DEPTH_EPS}")
+    h = (K.K @ Xc[:, :, None])[:, :, 0]  # one stacked gemv, as project_point's K.K @ Xc
+    return h[:, :2] / h[:, 2:]
+
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of the (N, 2) array d, bit-identical to
+    np.linalg.norm on each row: each row @ row product goes to the BLAS dot
+    np.linalg.norm uses, which rounds differently from the sum of squares
+    of np.linalg.norm(d, axis=1)."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+def triaxis_lengths(points: np.ndarray) -> np.ndarray:
+    """Pixel length of each axis segment of project_triaxis's points."""
+    return row_norms(points[1:] - points[0])
+
+
+def require_nondegenerate(lengths: np.ndarray) -> None:
+    """Raise DegenerateAxis for the first axis segment shorter than AXIS_DEGENERACY_PX."""
+    for i in range(3):
+        if lengths[i] < AXIS_DEGENERACY_PX:
+            raise DegenerateAxis(i)
+
+
 def project_axes(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> AxisLines:
     """Forward-project the object tri-axis to directed image lines.
 
     Each direction points from the projected origin toward the projected
     endpoint ``axis_len`` along the corresponding object axis.
     """
-    if axis_len <= 0:
-        raise ValueError("axis_len must be positive")
-    origin = project_point(K, pose, np.zeros(3))
-    dirs = np.empty((3, 2))
-    for i in range(3):
-        endpoint = np.zeros(3)
-        endpoint[i] = axis_len
-        delta = project_point(K, pose, endpoint) - origin
-        n = np.linalg.norm(delta)
-        if n < AXIS_DEGENERACY_PX:
-            raise DegenerateAxis(i)
-        dirs[i] = delta / n
-    return AxisLines(origin_px=origin, dir=dirs)
+    points = project_triaxis(K, pose, axis_len)
+    lengths = triaxis_lengths(points)
+    require_nondegenerate(lengths)
+    return AxisLines(origin_px=points[0], dir=(points[1:] - points[0]) / lengths[:, None])
 
 
 def projected_axis_lengths(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> np.ndarray:
     """Pixel length of each projected axis segment."""
-    origin = project_point(K, pose, np.zeros(3))
-    out = np.empty(3)
-    for i in range(3):
-        endpoint = np.zeros(3)
-        endpoint[i] = axis_len
-        out[i] = np.linalg.norm(project_point(K, pose, endpoint) - origin)
-    return out
+    return triaxis_lengths(project_triaxis(K, pose, axis_len))
 
 
 # --- rotation helpers ---

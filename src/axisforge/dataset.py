@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Pose, project_axes, project_point, projected_axis_lengths, random_rotation
+from .camera import AXIS_DEGENERACY_PX, CameraIntrinsics, Pose, project_triaxis, random_rotation, triaxis_lengths
 from .config import Section
 from .denoiser import ArchConfig, OptConfig
 from .diffusion import DiffusionSchedule, make_schedule
-from .errors import DegenerateAxis, DegenerateSamplingExhausted, ManifestError, NonPositiveDepth
+from .errors import DegenerateSamplingExhausted, ManifestError, NonPositiveDepth
 from .render import DegradationSpec, apply_degradation, atomic_write, render_query, render_triaxis, save_f32
 
 MANIFEST_VERSION = 1
@@ -188,12 +188,13 @@ def pose_is_nondegenerate(
     projected endpoint).
     """
     try:
-        project_axes(K, pose, axis_len)
-        origin = project_point(K, pose, np.zeros(3))
-        lengths = projected_axis_lengths(K, pose, axis_len)
-        endpoints = [project_point(K, pose, axis_len * np.eye(3)[i]) for i in range(3)]
-    except (NonPositiveDepth, DegenerateAxis):
+        points = project_triaxis(K, pose, axis_len)
+    except NonPositiveDepth:
         return False
+    lengths = triaxis_lengths(points)
+    if np.min(lengths) < AXIS_DEGENERACY_PX:  # project_axes would raise DegenerateAxis
+        return False
+    origin, endpoints = points[0], points[1:]
     w, h = K.width, K.height
     mx, my = sampling.origin_margin_frac * w, sampling.origin_margin_frac * h
     if not (mx <= origin[0] <= w - 1 - mx and my <= origin[1] <= h - 1 - my):

@@ -33,7 +33,7 @@ from .extraction import (
     ObservationBatch,
     soft_extract_with_pullback,
 )
-from .render import TriAxisImage
+from .render import TriAxisImage, _pixel_grid
 
 
 @dataclass(frozen=True)
@@ -226,8 +226,7 @@ def ray_distance_map(gt: AxisObservation | ObservationBatch, shape: tuple[int, i
     """Squared pixel distance from every pixel to each target axis ray, the
     half-line from gt.origin_px along gt.dir[i], as an (H, W, 3) map, or a
     (B, H, W, 3) stack for a batch of targets."""
-    vv, uu = np.mgrid[0 : shape[0], 0 : shape[1]].astype(float)
-    rel = np.stack([uu, vv], axis=-1) - gt.origin_px[..., None, None, :]  # ([B,] H, W, 2)
+    rel = _pixel_grid(*shape) - gt.origin_px[..., None, None, :]  # ([B,] H, W, 2)
     along = np.maximum(rel @ np.swapaxes(gt.dir, -1, -2)[..., None, :, :], 0.0)  # ([B,] H, W, 3)
     return (rel * rel).sum(axis=-1, keepdims=True) - along * along
 

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateChannel, EmptyChannel, NoIntersection, VanishingMass
-from .render import TriAxisImage
+from .render import TriAxisImage, _pixel_grid
 
 MIN_HARD_PIXELS = 8
 SOFT_MASS_FLOOR = 1e-6
@@ -113,8 +113,8 @@ class ObservationBatch:
 @lru_cache(maxsize=8)
 def _basis(h: int, w: int) -> np.ndarray:
     """Monomials (1, u, v, uu, uv, vv) of the pixel coordinates, (H*W, 6)."""
-    vv, uu = np.mgrid[0:h, 0:w].astype(float)
-    u, v = uu.ravel(), vv.ravel()
+    px = _pixel_grid(h, w)
+    u, v = px[..., 0].ravel(), px[..., 1].ravel()
     basis = np.stack([np.ones_like(u), u, v, u * u, u * v, v * v], axis=1)
     basis.flags.writeable = False
     return basis

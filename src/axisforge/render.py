@@ -10,11 +10,12 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Pose, project_axes, project_point
+from .camera import CameraIntrinsics, Pose, project_point, project_triaxis, require_nondegenerate, row_norms, triaxis_lengths
 from .config import Section
 from .errors import NonPositiveDepth
 
@@ -86,10 +87,18 @@ class DegradationSpec(Section):
             raise ValueError("blur_radius must be >= 0")
 
 
+@lru_cache(maxsize=8)
+def _pixel_grid(h: int, w: int) -> np.ndarray:
+    """(H, W, 2) pixel-center coordinates (u, v) = (column, row), shared read-only."""
+    vv, uu = np.mgrid[0:h, 0:w].astype(float)
+    px = np.stack([uu, vv], axis=-1)
+    px.flags.writeable = False
+    return px
+
+
 def _segment_distance(h: int, w: int, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """Per-pixel distance from pixel centers to the segment p0-p1 (pixel coords)."""
-    vv, uu = np.mgrid[0:h, 0:w].astype(float)
-    px = np.stack([uu, vv], axis=-1)  # (H, W, 2) as (u, v)
+    px = _pixel_grid(h, w)
     d = p1 - p0
     len2 = float(d @ d)
     if len2 < 1e-18:
@@ -112,57 +121,45 @@ def render_triaxis(
     projected endpoint: intensity 1 on the core, linear 1-pixel falloff.
     """
     h, w = size if size is not None else (K.height, K.width)
-    axes = project_axes(K, pose, axis_len)  # raises on degenerate poses
-    origin = axes.origin_px
+    points = project_triaxis(K, pose, axis_len)
+    require_nondegenerate(triaxis_lengths(points))
     img = np.zeros((h, w, 3))
     r = thickness_px / 2.0
     for i in range(3):
-        endpoint = np.zeros(3)
-        endpoint[i] = axis_len
-        p1 = project_point(K, pose, endpoint)
-        d = _segment_distance(h, w, origin, p1)
+        d = _segment_distance(h, w, points[0], points[i + 1])
         img[:, :, i] = np.clip(r + 0.5 - d, 0.0, 1.0)
     return TriAxisImage(img)
 
 
-_CUBOID_FACES = (
-    # (axis, sign): face with outward object-frame normal sign * e_axis
-    (0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0),
-)
+# the eight cuboid corners at unit half-extent, index 4 * (x > 0) + 2 * (y > 0) + (z > 0)
+_CUBOID_CORNERS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
 
-
-def _face_corners(axis: int, sign: float, hx: float) -> np.ndarray:
-    """Corners of one cuboid face, ordered around the face."""
-    a, b = (axis + 1) % 3, (axis + 2) % 3
-    out = np.zeros((4, 3))
-    for k, (sa, sb) in enumerate(((-1, -1), (1, -1), (1, 1), (-1, 1))):
-        out[k, axis] = sign * hx
-        out[k, a] = sa * hx
-        out[k, b] = sb * hx
-    return out
+# (axis, sign): face with outward object-frame normal sign * e_axis
+_CUBOID_FACES = ((0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0))
+# each face's corners, in order around it
+_FACE_CORNERS = np.array([[4, 6, 7, 5], [0, 2, 3, 1], [2, 3, 7, 6], [0, 1, 5, 4], [1, 5, 7, 3], [0, 4, 6, 2]])
 
 
 def _fill_convex_quad(img: np.ndarray, quad: np.ndarray, value: float) -> None:
     """Paint a convex quad (pixel coords) with 1-pixel anti-aliased edges."""
     h, w = img.shape
-    area2 = 0.0
-    for k in range(4):
-        p, q = quad[k], quad[(k + 1) % 4]
-        area2 += p[0] * q[1] - q[0] * p[1]
+    nxt = quad[[1, 2, 3, 0]]
+    cross = quad[:, 0] * nxt[:, 1] - nxt[:, 0] * quad[:, 1]
+    area2 = 0.0 + cross[0] + cross[1] + cross[2] + cross[3]  # summed in corner order
     if abs(area2) < 1e-12:
         return
-    orient = np.sign(area2)
-    vv, uu = np.mgrid[0:h, 0:w].astype(float)
-    inside = np.full((h, w), -np.inf)
-    for k in range(4):
-        p, q = quad[k], quad[(k + 1) % 4]
-        e = q - p
-        n = np.linalg.norm(e)
-        if n < 1e-12:
-            continue
-        # signed distance, positive outside for this winding
-        d = (orient * ((uu - p[0]) * e[1] - (vv - p[1]) * e[0])) / n
-        inside = np.maximum(inside, d)
+    edges = nxt - quad  # edge k runs from corner k to corner k + 1
+    norms = row_norms(edges)
+    keep = ~(norms < 1e-12)  # a zero-length edge bounds nothing
+    p, e, n = quad[keep, :, None, None], edges[keep, :, None, None], norms[keep, None, None]
+    px = _pixel_grid(h, w)
+    orient = np.sign(area2)  # +-1, so it distributes over the difference exactly
+    # signed distance to each edge's line, positive outside for this winding:
+    # orient * ((u - p_u) e_v - (v - p_v) e_u) / |e|, whose first product
+    # depends on the column only and whose second on the row only
+    across = orient * ((px[:1, :, 0] - p[:, 0]) * e[:, 1])  # (edges, 1, W)
+    down = orient * ((px[:, :1, 1] - p[:, 1]) * e[:, 0])  # (edges, H, 1)
+    inside = np.max((across - down) / n, axis=0, initial=-np.inf)
     cover = np.clip(0.5 - inside, 0.0, 1.0)
     np.copyto(img, value * cover + img * (1 - cover))
 
@@ -175,22 +172,18 @@ def render_query(
 ) -> QueryImage:
     """Lambertian-shaded cuboid at the pose, painter's-algorithm face order."""
     h, w = size if size is not None else (K.height, K.width)
-    corners_obj = np.array(
-        [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-        dtype=float,
-    ) * half_extent
+    corners_obj = _CUBOID_CORNERS * half_extent
     depths = (corners_obj @ pose.R.T + pose.T)[:, 2]
     if depths.min() <= 1e-9:
         raise NonPositiveDepth("cuboid is not fully in front of the camera")
+    corners_px = np.stack([project_point(K, pose, p) for p in corners_obj])
+    face_z = (corners_obj[_FACE_CORNERS] @ pose.R.T + pose.T)[..., 2]  # one (4, 3) product per face
 
     faces = []
-    for axis, sign in _CUBOID_FACES:
-        pts = _face_corners(axis, sign, half_extent)
-        cam = pts @ pose.R.T + pose.T
-        quad = np.stack([project_point(K, pose, p) for p in pts])
+    for (axis, sign), corners, cam_z in zip(_CUBOID_FACES, _FACE_CORNERS, face_z):
         n_cam = pose.R[:, axis] * sign
         shade = _AMBIENT + (1 - _AMBIENT) * max(0.0, float(n_cam @ (-_LIGHT)))
-        faces.append((float(cam[:, 2].mean()), quad, shade))
+        faces.append((float(cam_z.mean()), corners_px[corners], shade))
 
     img = np.zeros((h, w))
     for _, quad, shade in sorted(faces, key=lambda f: -f[0]):

@@ -10,6 +10,7 @@ from axisforge.camera import (
     nearest_rotation,
     project_axes,
     project_point,
+    project_triaxis,
     projected_axis_lengths,
     random_rotation,
     rot_x,
@@ -61,10 +62,10 @@ def test_project_axes_matches_pointwise_projection():
     pose = Pose(R=rot_x(25.0) @ rot_y(-40.0), T=np.array([0.3, -0.2, 6.0]))
     lines = project_axes(K, pose)
     origin = project_point(K, pose, np.zeros(3))
-    assert np.allclose(lines.origin_px, origin, atol=1e-12)
+    assert np.array_equal(lines.origin_px, origin)
     for i in range(3):
         delta = project_point(K, pose, np.eye(3)[i]) - origin
-        assert np.allclose(lines.dir[i], delta / np.linalg.norm(delta), atol=1e-12)
+        assert np.array_equal(lines.dir[i], delta / np.linalg.norm(delta))
         assert math.isclose(np.linalg.norm(lines.dir[i]), 1.0, abs_tol=1e-12)
 
 
@@ -83,7 +84,45 @@ def test_projected_axis_lengths_positive_and_consistent():
     origin = project_point(K, pose, np.zeros(3))
     for i in range(3):
         ref = np.linalg.norm(project_point(K, pose, np.eye(3)[i]) - origin)
-        assert math.isclose(lengths[i], ref, rel_tol=1e-12)
+        assert lengths[i] == ref
+
+
+def _project_each(K, pose, axis_len):
+    """The origin and the three axis endpoints, one project_point call each,
+    or the message of the first NonPositiveDepth."""
+    try:
+        return np.stack([project_point(K, pose, X) for X in [np.zeros(3), *(axis_len * np.eye(3))]])
+    except NonPositiveDepth as exc:
+        return str(exc)
+
+
+def test_project_triaxis_matches_project_point_exactly():
+    rng = np.random.default_rng(4)
+    skewed = CameraIntrinsics(f_x=37.5, f_y=41.25, c_x=15.3, c_y=17.9, width=32, height=32, gamma=0.7)
+    behind = 0
+    for k in range(1000):
+        cam = (K, skewed)[k % 2]
+        pose = Pose(R=random_rotation(rng), T=[*rng.uniform(-1.0, 1.0, 2), rng.uniform(0.3, 6.0)])
+        axis_len = rng.uniform(0.2, 2.0)
+        ref = _project_each(cam, pose, axis_len)
+        if isinstance(ref, str):
+            behind += 1
+            with pytest.raises(NonPositiveDepth) as err:
+                project_triaxis(cam, pose, axis_len)
+            assert str(err.value) == ref
+        else:
+            assert np.array_equal(project_triaxis(cam, pose, axis_len), ref)
+    assert 10 < behind < 500
+    # the first point behind the camera is the one reported: the origin, then an endpoint
+    for pose in (
+        Pose(R=np.eye(3), T=[0.0, 0.0, -1.0]),
+        Pose(R=rot_y(180.0), T=[0.1, 0.0, 0.5]),
+    ):
+        ref = _project_each(K, pose, 1.0)
+        with pytest.raises(NonPositiveDepth, match=ref):
+            project_triaxis(K, pose, 1.0)
+    with pytest.raises(ValueError):
+        project_triaxis(K, Pose(R=np.eye(3), T=[0.0, 0.0, 5.0]), 0.0)
 
 
 def test_rotation_helpers_are_rotations():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from axisforge.camera import CameraIntrinsics
+from axisforge.camera import AXIS_DEGENERACY_PX, CameraIntrinsics, Pose, project_point, random_rotation, rot_y
 from axisforge.dataset import (
     GuidanceParams,
     Manifest,
@@ -21,8 +21,8 @@ from axisforge.dataset import (
     save_config,
 )
 from axisforge.denoiser import ArchConfig, OptConfig
-from axisforge.errors import ManifestError
-from axisforge.render import DegradationSpec, load_f32
+from axisforge.errors import DegenerateAxis, ManifestError, NonPositiveDepth
+from axisforge.render import DegradationSpec, _pixel_grid, load_f32
 
 CFG = dataclasses.replace(
     RunConfig(),
@@ -64,6 +64,73 @@ def test_sample_pose_is_nondegenerate():
         pose = sample_pose(rng, K, CFG.sampling)
         assert pose_is_nondegenerate(K, pose, CFG.sampling, 1.0)
         assert CFG.sampling.depth_min <= pose.T[2] <= CFG.sampling.depth_max
+
+
+def _twelve_projection_predicate(K, pose, sampling, axis_len):
+    """pose_is_nondegenerate projecting a point for every use of it (twelve
+    project_point calls), the form the one-projection predicate must decide
+    identically."""
+
+    def endpoint(i):
+        return axis_len * np.eye(3)[i]
+
+    try:
+        origin = project_point(K, pose, np.zeros(3))
+        for i in range(3):  # what project_axes checked
+            if np.linalg.norm(project_point(K, pose, endpoint(i)) - origin) < AXIS_DEGENERACY_PX:
+                raise DegenerateAxis(i)
+        origin = project_point(K, pose, np.zeros(3))
+        length_origin = project_point(K, pose, np.zeros(3))  # what projected_axis_lengths projected
+        lengths = [np.linalg.norm(project_point(K, pose, endpoint(i)) - length_origin) for i in range(3)]
+        endpoints = [project_point(K, pose, endpoint(i)) for i in range(3)]
+    except (NonPositiveDepth, DegenerateAxis):
+        return False
+    w, h = K.width, K.height
+    mx, my = sampling.origin_margin_frac * w, sampling.origin_margin_frac * h
+    if not (mx <= origin[0] <= w - 1 - mx and my <= origin[1] <= h - 1 - my):
+        return False
+    for p in endpoints:
+        if not (0 <= p[0] <= w - 1 and 0 <= p[1] <= h - 1):
+            return False
+    return bool(np.min(lengths) >= sampling.min_axis_px)
+
+
+@pytest.mark.parametrize("size", [32, 128])
+def test_pose_predicate_matches_twelve_projections(size):
+    K = default_intrinsics(size)
+    sampling = SamplingConfig()
+    rng = np.random.default_rng(size)
+    # the sampling distribution, then a wider one that reaches behind the camera
+    candidates = [
+        Pose(R=random_rotation(rng), T=[*rng.uniform(-0.35, 0.35, 2), rng.uniform(3.0, 5.0)]) for _ in range(1500)
+    ]
+    candidates += [
+        Pose(R=random_rotation(rng), T=[*rng.uniform(-1.5, 1.5, 2), rng.uniform(0.2, 5.0)]) for _ in range(1000)
+    ]
+    candidates.append(Pose(R=np.eye(3), T=[0.0, 0.0, 4.0]))  # the Z axis projects to a point
+    candidates.append(Pose(R=rot_y(180.0), T=[0.0, 0.0, 0.5]))  # the Z endpoint is behind the camera
+    decisions = []
+    for pose in candidates:
+        for axis_len in (1.0, 0.4):
+            ref = _twelve_projection_predicate(K, pose, sampling, axis_len)
+            assert pose_is_nondegenerate(K, pose, sampling, axis_len) == ref
+            decisions.append(ref)
+    assert 100 < sum(decisions) < len(decisions) - 100
+
+
+def test_render_caches_are_per_size_and_read_only(tmp_path):
+    def render(size, out):
+        cfg = dataclasses.replace(CFG, intrinsics=default_intrinsics(size))
+        generate_dataset(cfg, 3, 2, out)
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    first = render(32, tmp_path / "a")
+    render(128, tmp_path / "b")
+    assert render(32, tmp_path / "c") == first
+    with pytest.raises(ValueError):
+        CFG.intrinsics.K[0, 2] += 1.0
+    with pytest.raises(ValueError):
+        _pixel_grid(32, 32)[0, 0, 0] = 1.0
 
 
 def test_sampling_config_validation():

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -17,3 +19,23 @@ def test_readme_counts_the_oracles_and_names_are_unique():
     assert int(count) == len(ORACLES)
     names = [name for name, _ in ORACLES]
     assert len(set(names)) == len(names)
+
+
+def test_benchmark_traced_layers_resolve():
+    # perfbench/tracing.py patches the functions named in its LAYERS table;
+    # a renamed or deleted one must fail here, with its name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    (table,) = [
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+    ]
+    names = [ast.literal_eval(key) for key in table.keys]
+    assert "render.render_query" in names
+    for name in names:
+        module, *attrs = name.split(".")
+        owner = importlib.import_module(f"axisforge.{module}")
+        for attr in attrs:
+            assert hasattr(owner, attr), name
+            owner = getattr(owner, attr)
+        assert callable(owner), name

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from axisforge.camera import CameraIntrinsics, Pose, project_axes, project_point, rot_x, rot_y
+from axisforge.camera import CameraIntrinsics, Pose, project_axes, project_point, random_rotation, rot_x, rot_y
+from axisforge.errors import NonPositiveDepth
 from axisforge.render import (
+    _AMBIENT,
+    _LIGHT,
     DegradationSpec,
     QueryImage,
     TriAxisImage,
+    _fill_convex_quad,
+    _pixel_grid,
     apply_degradation,
     atomic_write,
     load_f32,
@@ -55,6 +60,106 @@ def test_query_image_shape_and_range():
     assert q.data.shape == (128, 128)
     assert q.data.min() >= 0.0 and q.data.max() <= 1.0
     assert q.data.max() > 0.1  # the cuboid is visible
+
+
+def _fill_convex_quad_per_edge(img, quad, value):
+    """The quad fill as one pass per edge, the form the broadcast over the
+    four edges must reproduce bit for bit."""
+    h, w = img.shape
+    area2 = 0.0
+    for k in range(4):
+        p, q = quad[k], quad[(k + 1) % 4]
+        area2 += p[0] * q[1] - q[0] * p[1]
+    if abs(area2) < 1e-12:
+        return
+    orient = np.sign(area2)
+    vv, uu = np.mgrid[0:h, 0:w].astype(float)
+    inside = np.full((h, w), -np.inf)
+    for k in range(4):
+        p, q = quad[k], quad[(k + 1) % 4]
+        e = q - p
+        n = np.linalg.norm(e)
+        if n < 1e-12:
+            continue
+        d = (orient * ((uu - p[0]) * e[1] - (vv - p[1]) * e[0])) / n
+        inside = np.maximum(inside, d)
+    cover = np.clip(0.5 - inside, 0.0, 1.0)
+    np.copyto(img, value * cover + img * (1 - cover))
+
+
+def test_fill_convex_quad_matches_per_edge_passes():
+    rng = np.random.default_rng(9)
+    a, b, c = rng.uniform(2.0, 20.0, (3, 2))
+    quads = [
+        np.array([a, a, b, c]),  # a zero-length edge: a triangle
+        np.array([a, b, b, c]),
+        np.array([a, a, a, a]),  # zero area
+        np.array([a, b, a, b]),  # zero area, nonzero edges
+        np.array([a, b, 2 * b - a, 3 * b - 2 * a]),  # collinear
+    ]
+    for _ in range(200):
+        angles = np.sort(rng.uniform(0.0, 2 * np.pi, 4))[:: rng.choice([-1, 1])]  # either winding
+        radius = rng.uniform(0.5, 15.0)
+        quads.append(rng.uniform(0.0, 24.0, 2) + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    quads += list(rng.uniform(-5.0, 30.0, (50, 4, 2)))  # arbitrary, also non-convex
+    painted = 0
+    for quad in quads:
+        base = rng.uniform(0.0, 1.0, (20, 28))
+        img, ref = base.copy(), base.copy()
+        value = rng.uniform(0.0, 1.0)
+        _fill_convex_quad(img, quad, value)
+        _fill_convex_quad_per_edge(ref, quad, value)
+        assert np.array_equal(img, ref)
+        painted += not np.array_equal(img, base)
+    assert painted >= 200  # the zero-area quads paint nothing
+
+
+def _face_corners(axis, sign, hx):
+    a, b = (axis + 1) % 3, (axis + 2) % 3
+    out = np.zeros((4, 3))
+    for k, (sa, sb) in enumerate(((-1, -1), (1, -1), (1, 1), (-1, 1))):
+        out[k, axis] = sign * hx
+        out[k, a] = sa * hx
+        out[k, b] = sb * hx
+    return out
+
+
+def _render_query_per_face(K, pose, size=None, half_extent=1.0):
+    """render_query projecting the four corners of each face and filling
+    each quad one edge at a time, the form it must reproduce bit for bit."""
+    h, w = size if size is not None else (K.height, K.width)
+    corners_obj = np.array(
+        [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
+    ) * half_extent
+    if (corners_obj @ pose.R.T + pose.T)[:, 2].min() <= 1e-9:
+        raise NonPositiveDepth("cuboid is not fully in front of the camera")
+    faces = []
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            pts = _face_corners(axis, sign, half_extent)
+            cam = pts @ pose.R.T + pose.T
+            quad = np.stack([project_point(K, pose, p) for p in pts])
+            shade = _AMBIENT + (1 - _AMBIENT) * max(0.0, float((pose.R[:, axis] * sign) @ (-_LIGHT)))
+            faces.append((float(cam[:, 2].mean()), quad, shade))
+    img = np.zeros((h, w))
+    for _, quad, shade in sorted(faces, key=lambda f: -f[0]):
+        _fill_convex_quad_per_edge(img, quad, shade)
+    return np.clip(img, 0.0, 1.0)
+
+
+def test_render_query_matches_per_face_projection():
+    rng = np.random.default_rng(10)
+    K32 = CameraIntrinsics(f_x=25.0, f_y=25.0, c_x=16.0, c_y=16.0, width=32, height=32)
+    for k in range(150):
+        pose = Pose(R=random_rotation(rng), T=[*rng.uniform(-0.5, 0.5, 2), rng.uniform(3.0, 6.0)])
+        cam, size, half_extent = [(K32, None, 1.0), (K, (96, 112), 0.6), (K32, (24, 40), 1.3)][k % 3]
+        ref = _render_query_per_face(cam, pose, size, half_extent)
+        assert np.array_equal(render_query(cam, pose, size, half_extent).data, ref)
+
+
+def test_pixel_grid_is_the_mgrid():
+    vv, uu = np.mgrid[0:20, 0:28].astype(float)
+    assert np.array_equal(_pixel_grid(20, 28), np.stack([uu, vv], axis=-1))
 
 
 def test_query_image_validation():
