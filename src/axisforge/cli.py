@@ -289,6 +289,12 @@ def cmd_infer(args) -> int:
             continue
         for (rec, *_), result in zip(chunk, results):
             save_f32(args.out / "images" / f"{rec.id}_gen.f32", result.image.data)
+            reasons = [r["skip_reason"] for r in result.log if r["skipped"]]
+            lines[rec.id].update(
+                skipped_guidance_steps=result.skipped_steps,
+                guidance_skips={reason: reasons.count(reason) for reason in reasons},
+                mean_guidance_norm=float(np.mean([r["guidance_norm"] for r in result.log])),
+            )
             try:
                 obs = extract_axes_hard(result.image)
                 pose = recover_pose(obs, K, scale_lambda_O=rec.scale_lambda_O)
@@ -300,7 +306,6 @@ def cmd_infer(args) -> int:
                     "ok": True,
                     "R": [float(v) for v in pose.R.ravel()],
                     "T": [float(v) for v in pose.T],
-                    "skipped_guidance_steps": result.skipped_steps,
                 }
             )
     n_fail = sum(1 for line in lines.values() if not line["ok"])

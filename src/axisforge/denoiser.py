@@ -10,7 +10,7 @@ prior of the data's standard deviation sigma_data. The skip carries the
 noisy image through at low noise, where a hidden layer narrower than the
 output could not; the noise prediction follows as
 eps = (x_t - sqrt(abar) * x0_hat) / sqrt(1 - abar). The parameters live in
-one flat float32 buffer, and the network passes (forward, input pullback,
+one flat float32 buffer, and the network passes (forward, input VJP,
 weight gradients) and the optimizer run in float32; the preconditioning and
 everything downstream of x0_hat stay in float64. Checkpoints store the
 buffer as little-endian float32.
@@ -73,7 +73,6 @@ class OptConfig(Section):
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    grad_clip: float = 1.0    # global gradient-norm cap, 0 disables
     log_every: int = 50
 
     def __post_init__(self):
@@ -83,8 +82,6 @@ class OptConfig(Section):
             raise ValueError("lr and adam_eps must be > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not self.grad_clip >= 0:
-            raise ValueError("grad_clip must be >= 0 (0 disables clipping)")
 
 
 def time_embedding(t, dim: int) -> np.ndarray:
@@ -210,11 +207,6 @@ class MLPDenoiser(DenoiserInterface):
         np.sum(d_out, axis=0, out=g_b3)
         return grad
 
-    def _input_pullback(self, d_out: np.ndarray, cache) -> np.ndarray:
-        """d<d_out, F>/d (noisy-image part of the input), without weight gradients."""
-        d_z1 = self._pre_activation_grads(d_out, cache)[0]
-        return (self.weights[0][: self.arch.triaxis_dim] @ d_z1.T).T
-
     # --- DenoiserInterface ---
 
     def prepare_condition(self, cond) -> ConditionProjection:
@@ -261,18 +253,17 @@ class MLPDenoiser(DenoiserInterface):
         x = np.asarray(x_t, dtype=float)
         return self._eps_rows(x.reshape(-1, self.arch.triaxis_dim), t, cond)[0].reshape(x.shape)
 
-    def evaluate_with_pullback(self, x_t, t, cond=None):
+    def vjp(self, x_t, t, cond, cotangent):
+        """d<cotangent, evaluate(x_t)>/d x_t from one forward and one input
+        pullback through the network, without weight gradients."""
         x = np.asarray(x_t, dtype=float)
         eps, cache, (c_in, c_skip, c_out, sab, snab) = self._eps_rows(
             x.reshape(-1, self.arch.triaxis_dim), t, cond
         )
-
-        def pullback(cotangent):
-            cot = np.asarray(cotangent, dtype=float).reshape(eps.shape)
-            body = self._input_pullback(cot.astype(self.dtype), cache).astype(float)
-            return (((1.0 - sab * c_skip) * cot - sab * c_out * c_in * body) / snab).reshape(x.shape)
-
-        return eps.reshape(x.shape), pullback
+        cot = np.asarray(cotangent, dtype=float).reshape(eps.shape)
+        d_z1 = self._pre_activation_grads(cot.astype(self.dtype), cache)[0]
+        body = (self.weights[0][: self.arch.triaxis_dim] @ d_z1.T).T.astype(float)
+        return (((1.0 - sab * c_skip) * cot - sab * c_out * c_in * body) / snab).reshape(x.shape)
 
 
 class Adam:
@@ -289,9 +280,8 @@ class Adam:
         self._buf = np.empty(min(param.size, ADAM_BLOCK), param.dtype)
         self.step_count = 0
 
-    def step(self, param: np.ndarray, grad: np.ndarray, scale: float | None = None) -> None:
-        """One update from grad, first multiplied in place by scale (the
-        gradient-norm clip) when given."""
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """One update from grad."""
         c = self.cfg
         self.step_count += 1
         bc1 = 1.0 - c.beta1**self.step_count
@@ -299,8 +289,6 @@ class Adam:
         for lo in range(0, param.size, ADAM_BLOCK):
             p, g, m, v = (a[lo : lo + ADAM_BLOCK] for a in (param, grad, self.m, self.v))
             buf = self._buf[: p.size]
-            if scale is not None:
-                g *= scale
             m *= c.beta1
             np.multiply(g, 1.0 - c.beta1, out=buf)
             m += buf
@@ -375,12 +363,7 @@ def train_denoiser(
         diff = out.astype(float) - (x0 - c_skip * x_t) / c_out
         loss = float((wgt * diff * diff).mean())
         den._backward((2.0 * wgt * diff / diff.size).astype(den.dtype), cache, out=grad)
-        scale = None
-        if opt.grad_clip > 0.0:
-            gnorm = math.sqrt(float(grad @ grad))
-            if gnorm > opt.grad_clip:
-                scale = opt.grad_clip / gnorm
-        adam.step(den.flat, grad, scale)
+        adam.step(den.flat, grad)
 
         if not math.isfinite(loss):
             raise DivergedLoss(f"non-finite loss at step {step}")

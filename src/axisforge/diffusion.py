@@ -2,13 +2,15 @@
 
 The sampler is deterministic DDIM (eta = 0, Song et al., arXiv:2010.02502):
 each step predicts the clean image from the current noise estimate, then
-re-mixes it with that estimate at the next noise level. Guidance adds the
-gradient of a measurement-consistency loss to the predicted noise, scaled
-by sqrt(1 - alpha_bar_t): the axis directions, each weighted by its
-channel's anisotropy, and the centroid of the softly-extracted observation
-of the clean-image estimate (geo_loss), plus each channel's mean squared
-distance from the target's axis ray. The gradient runs through the
-clean-image estimate into the denoiser (Chung et al., arXiv:2209.14687).
+re-mixes it with that estimate at the next noise level. Guidance adds a
+measurement-consistency correction to the predicted noise, scaled by
+sqrt(1 - alpha_bar_t). Its loss measures the clean-image estimate x0_hat:
+the axis directions, each weighted by its channel's anisotropy, and the
+centroid of the softly-extracted observation (geo_loss), plus each
+channel's mean squared distance from the target's axis ray. The correction
+is d loss / d x0_hat / sqrt(alpha_bar_t), which leaves the denoiser
+undifferentiated (manifold-preserving guidance, He et al.,
+arXiv:2311.16424), so a guided step costs one denoiser forward.
 ``sample_batch`` runs several records through one denoiser pass and one
 batched soft extraction per step.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,31 +121,24 @@ def ddim_step(
 
 
 class DenoiserInterface(ABC):
-    """Noise predictor whose forward pass also returns its input-side
-    vector-Jacobian product."""
+    """Noise predictor with its input-side vector-Jacobian product."""
 
     @abstractmethod
     def evaluate(self, x_t: np.ndarray, t: int, cond: np.ndarray | None = None) -> np.ndarray:
         """Predicted noise, same shape as x_t."""
 
     @abstractmethod
-    def evaluate_with_pullback(
-        self, x_t: np.ndarray, t: int, cond: np.ndarray | None = None
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """evaluate(x_t) and the pullback cotangent -> d<cotangent, evaluate(x_t)>/d x_t."""
-
-    def prepare_condition(self, cond: np.ndarray):
-        """cond in the form this denoiser evaluates fastest, for a caller that
-        passes the same condition at many steps with unchanged weights, as a
-        sampling chain does; evaluate and evaluate_with_pullback take either
-        form. By default cond itself."""
-        return cond
-
     def vjp(
         self, x_t: np.ndarray, t: int, cond: np.ndarray | None, cotangent: np.ndarray
     ) -> np.ndarray:
         """d<cotangent, evaluate(x_t)>/d x_t."""
-        return self.evaluate_with_pullback(x_t, t, cond)[1](cotangent)
+
+    def prepare_condition(self, cond: np.ndarray):
+        """cond in the form this denoiser evaluates fastest, for a caller that
+        passes the same condition at many steps with unchanged weights, as a
+        sampling chain does; evaluate and vjp take either form. By default
+        cond itself."""
+        return cond
 
 
 @dataclass(frozen=True)
@@ -182,10 +177,9 @@ class _GaussianDenoiser(DenoiserInterface):
         ab = self.sched.abar(t)
         return -np.sqrt(1.0 - ab) * self.score(x_t, t)
 
-    def evaluate_with_pullback(self, x_t, t, cond=None):
+    def vjp(self, x_t, t, cond, cotangent):
         ab = self.sched.abar(t)
-        gain = np.sqrt(1.0 - ab) / (ab * self.field.var + (1.0 - ab))
-        return self.evaluate(x_t, t, cond), lambda cot: gain * np.asarray(cot, dtype=float)
+        return np.sqrt(1.0 - ab) / (ab * self.field.var + (1.0 - ab)) * np.asarray(cotangent, dtype=float)
 
 
 def gaussian_denoiser(fld: GaussianScoreField, sched: DiffusionSchedule) -> _GaussianDenoiser:
@@ -319,30 +313,29 @@ def geo_guidance_gradient_batch(
     guidances: GuidanceBatch,
     sched: DiffusionSchedule,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
-    """Noise estimate, guidance losses and d loss / d x_t for a batch x_t of
-    shape (B, H, W, 3), from one denoiser forward, one geo_image_gradient
-    and one denoiser pullback.
+    """Noise estimate, guidance losses and guidance gradients for a batch x_t
+    of shape (B, H, W, 3), from one denoiser forward and one
+    geo_image_gradient.
 
-    Item b's chain is x_t -> eps_hat -> x0_hat -> geo_image_gradient's loss
-    at guidance_sharpness; x0_hat depends on x_t both directly and through
-    the denoiser. Returns (eps_hat, losses, grads, errors). An unguided item
-    has loss nan and gradient 0, and with no guided item the denoiser runs
-    without its pullback. An item whose soft extraction fails has loss nan,
-    gradient 0 and its exception in errors[b].
+    Item b's loss is geo_image_gradient's loss of x0_hat at
+    guidance_sharpness, and its gradient d loss / d x0_hat / sqrt(abar_t)
+    holds eps_hat fixed: it is not d loss / d x_t, and the denoiser is never
+    differentiated (He et al., arXiv:2311.16424). Returns (eps_hat, losses,
+    grads, errors). An unguided item has loss nan and gradient 0, as has an
+    item whose soft extraction fails, with its exception in errors[b].
     """
+    eps = denoiser.evaluate(x_t, t, cond)
     guided = guidances.index
     losses = np.full(guidances.size, np.nan)
     errors = np.full(guidances.size, None, dtype=object)
-    if not len(guided):
-        return denoiser.evaluate(x_t, t, cond), losses, np.zeros(np.shape(x_t)), errors.tolist()
-    eps, pullback = denoiser.evaluate_with_pullback(x_t, t, cond)
-    x0_hat = predict_x0(x_t, t, eps, sched)
-    g_img = np.zeros_like(x0_hat)
-    losses[guided], g_img[guided], errors[guided] = geo_image_gradient(
-        x0_hat[guided], guidances.target, guidance_sharpness(guidances.sharpness, t, sched), guidances.rays
-    )
-    ab = sched.abar(t)
-    return eps, losses, (g_img - np.sqrt(1.0 - ab) * pullback(g_img)) / np.sqrt(ab), errors.tolist()
+    grads = np.zeros(np.shape(x_t))
+    if len(guided):
+        x0_hat = predict_x0(x_t[guided], t, eps[guided], sched)
+        losses[guided], grads[guided], errors[guided] = geo_image_gradient(
+            x0_hat, guidances.target, guidance_sharpness(guidances.sharpness, t, sched), guidances.rays
+        )
+        grads /= np.sqrt(sched.abar(t))
+    return eps, losses, grads, errors.tolist()
 
 
 def guided_epsilon_batch(
@@ -357,7 +350,10 @@ def guided_epsilon_batch(
     item with its own guidance, from one geo_guidance_gradient_batch call,
     with each item's correction norm and soft-extraction error.
 
-    Item b's estimate is eps_phi + rho_eff * sqrt(1 - abar_t) * grad L_geo.
+    Item b's estimate is eps_phi + rho_eff * sqrt(1 - abar_t) * g, with g
+    geo_guidance_gradient_batch's d L_geo / d x0_hat / sqrt(abar_t). The DDIM
+    update then moves x0_hat by -rho_eff * (1 - abar_t) / abar_t * d L_geo /
+    d x0_hat.
     Its step is skipped, returning the raw estimate and the exception in
     errors[b], when soft extraction of the current clean-image prediction
     fails: a channel with no soft mass (VanishingMass) or three mutually

@@ -67,6 +67,11 @@ def test_analytic_infer_and_eval(tmp_path, config_path, capsys):
     lines = [json.loads(l) for l in (pred / "predictions.jsonl").read_text().splitlines()]
     assert len(lines) == 2  # test split only
     assert all(l["ok"] for l in lines)
+    # each record says whether guidance acted: skips by reason and the mean
+    # correction norm over its 50 steps
+    for l in lines:
+        assert l["skipped_guidance_steps"] == sum(l["guidance_skips"].values())
+        assert l["mean_guidance_norm"] > 0.0
 
     report_dir = tmp_path / "report"
     rc = main([
@@ -131,6 +136,7 @@ def test_trained_infer_records_failures_without_aborting(tmp_path, config_path, 
     assert len(lines) == 2
     for l in lines:
         assert l["ok"] or ("error" in l and "message" in l)
+        assert l["skipped_guidance_steps"] == sum(l["guidance_skips"].values())  # sampled, ok or not
     capsys.readouterr()
 
 

@@ -93,11 +93,10 @@ def test_float32_network_agrees_with_float64():
     cond = rng.random((4, 8, 8))
     cot = rng.standard_normal(x.shape)
     for t in (1, 5, 10):
-        eps32, pullback32 = den32.evaluate_with_pullback(x, t, cond)
-        eps64, pullback64 = den64.evaluate_with_pullback(x, t, cond)
+        eps32 = den32.evaluate(x, t, cond)
         assert eps32.dtype == np.float64  # the float64 boundary is the network's output
-        assert close(den32.evaluate(x, t, cond), eps64) and close(eps32, eps64)
-        assert close(pullback32(cot), pullback64(cot))
+        assert close(eps32, den64.evaluate(x, t, cond))
+        assert close(den32.vjp(x, t, cond, cot), den64.vjp(x, t, cond, cot))
     X = den64._build_input(x.reshape(4, -1), np.array([1, 4, 7, 10]), cond.reshape(4, -1))
     d_out = rng.standard_normal((4, ARCH.triaxis_dim))
     grad32 = den32._backward(d_out.astype(np.float32), den32._forward(X.astype(np.float32))[1])
@@ -140,7 +139,7 @@ def test_training_is_deterministic():
 
 class _WholeBufferAdam:
     """The Adam step as whole-buffer passes, the form the blocked walk must
-    reproduce bit for bit. It records each step's clip scale."""
+    reproduce bit for bit."""
 
     def __init__(self, param, cfg):
         self.cfg = cfg
@@ -148,12 +147,8 @@ class _WholeBufferAdam:
         self.v = np.zeros_like(param)
         self._buf = np.empty_like(param)
         self.step_count = 0
-        self.scales = []
 
-    def step(self, param, grad, scale=None):
-        self.scales.append(scale)
-        if scale is not None:
-            grad *= scale
+    def step(self, param, grad):
         c = self.cfg
         m, v, buf = self.m, self.v, self._buf
         self.step_count += 1
@@ -175,8 +170,7 @@ class _WholeBufferAdam:
 
 
 @pytest.mark.parametrize("size", [1, ADAM_BLOCK - 1, ADAM_BLOCK, 2 * ADAM_BLOCK + 3])
-@pytest.mark.parametrize("scale", [None, 0.37])
-def test_adam_step_matches_whole_buffer_passes(size, scale):
+def test_adam_step_matches_whole_buffer_passes(size):
     rng = np.random.default_rng(size)
     cfg = OptConfig(lr=3e-3)
     param = rng.standard_normal(size).astype(np.float32)
@@ -184,16 +178,16 @@ def test_adam_step_matches_whole_buffer_passes(size, scale):
     adam, ref = Adam(param, cfg), _WholeBufferAdam(ref_param, cfg)
     for _ in range(3):
         grad = rng.standard_normal(size).astype(np.float32)
-        adam.step(param, grad.copy(), scale)
-        ref.step(ref_param, grad.copy(), scale)
+        adam.step(param, grad.copy())
+        ref.step(ref_param, grad.copy())
     assert np.array_equal(param, ref_param)
     assert np.array_equal(adam.m, ref.m) and np.array_equal(adam.v, ref.v)
 
 
 def test_training_matches_whole_buffer_adam(monkeypatch):
-    # more than one block with a ragged last one, and a clip that fires
+    # more than one block with a ragged last one
     arch = ArchConfig(image_size=16, hidden=64)
-    opt = OptConfig(steps=4, batch_size=4, grad_clip=0.05)
+    opt = OptConfig(steps=4, batch_size=4)
     data = _tiny_dataset(16)
     blocked = train_denoiser(data, arch, opt, SCHED, np.random.default_rng(12))
     assert blocked.denoiser.flat.size > ADAM_BLOCK and blocked.denoiser.flat.size % ADAM_BLOCK
@@ -205,7 +199,7 @@ def test_training_matches_whole_buffer_adam(monkeypatch):
 
     monkeypatch.setattr(denoiser, "Adam", whole_buffer_adam)
     whole = train_denoiser(data, arch, opt, SCHED, np.random.default_rng(12))
-    assert any(s is not None for s in refs[0].scales)
+    assert len(refs) == 1 and refs[0].step_count == opt.steps
     assert np.array_equal(blocked.denoiser.flat, whole.denoiser.flat)
     assert blocked.log == whole.log
 
@@ -218,7 +212,7 @@ def test_adam_allocates_no_whole_buffer_scratch():
     grad = np.full(n, 0.5, np.float32)
     tracemalloc.start()
     try:
-        Adam(param, OptConfig()).step(param, grad, 0.37)
+        Adam(param, OptConfig()).step(param, grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -230,7 +224,7 @@ def test_training_diverged_loss_detection():
         train_denoiser(
             _tiny_dataset(),
             ARCH,
-            OptConfig(steps=400, batch_size=8, lr=1e200, grad_clip=0.0),
+            OptConfig(steps=400, batch_size=8, lr=1e200),
             SCHED,
             np.random.default_rng(4),
         )

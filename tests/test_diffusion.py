@@ -236,18 +236,44 @@ def test_batched_guidance_gradient_finite_differences():
         _, one_losses, one_grads, _ = geo_guidance_gradient_batch(x_t[b : b + 1], t, mlp, cond[b : b + 1], one, sched)
         assert np.isclose(one_losses[0], losses[b], rtol=1e-12)
         assert np.allclose(one_grads[0], grads[b], rtol=0.0, atol=1e-9)
+    # the applied gradient is d loss / d x0_hat / sqrt(abar_t) exactly: the
+    # denoiser is not differentiated. Its d loss / d x0_hat is checked
+    # against central differences of the loss in x0_hat.
+    x0_hat = predict_x0(x_t, t, eps, sched)[[0, 2]]
+    sharpness = guidance_sharpness(batch.sharpness, t, sched)
+    img_losses, img_grads, _ = geo_image_gradient(x0_hat, batch.target, sharpness, batch.rays)
+    assert np.array_equal(img_losses, losses[[0, 2]])
+    assert np.array_equal(grads[[0, 2]], img_grads / np.sqrt(sched.abar(t)))
     h = 1e-5
-    for b in (0, 2):
+    probed = 0
+    for k in range(2):
         for j in rng.choice(16 * 16 * 3, size=8, replace=False):
-            dx = np.zeros(x_t.shape)
-            dx[b].flat[j] = h
-            lp = geo_guidance_gradient_batch(x_t + dx, t, mlp, cond, batch, sched)[1][b]
-            lm = geo_guidance_gradient_batch(x_t - dx, t, mlp, cond, batch, sched)[1][b]
+            dx = np.zeros(x0_hat.shape)
+            dx[k].flat[j] = h
+            lp = geo_image_gradient(x0_hat + dx, batch.target, sharpness, batch.rays)[0][k]
+            lm = geo_image_gradient(x0_hat - dx, batch.target, sharpness, batch.rays)[0][k]
             fd = (lp - lm) / (2 * h)
-            an = float(grads[b].flat[j])
+            an = float(img_grads[k].flat[j])
             if abs(an) < 1e-9 and abs(fd) < 1e-9:
                 continue  # clamp-masked pixel
+            probed += 1
             assert abs(an - fd) / max(abs(an), abs(fd), 1e-9) < 1e-3
+    assert probed > 0
+
+
+def test_guided_sampling_never_differentiates_the_network(monkeypatch):
+    from axisforge.denoiser import ArchConfig, MLPDenoiser
+
+    def no_pullback(*args, **kwargs):
+        raise AssertionError("sampling reached the network's input pullback")
+
+    monkeypatch.setattr(MLPDenoiser, "_pre_activation_grads", no_pullback)  # vjp's and _backward's first step
+    sched = make_schedule(50, 1e-3, 0.05)
+    mlp = MLPDenoiser(ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15)
+    guidances = [_guided_case(1)[1], _guided_case(3)[1]]
+    conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(2)]
+    results = sample_batch(mlp, conds, guidances, sched, 10, [np.random.default_rng(b) for b in range(2)], (16, 16))
+    assert any(r["guidance_norm"] > 0 for res in results for r in res.log)
 
 
 def test_batched_guidance_isolates_failed_and_unguided_records():
@@ -296,8 +322,11 @@ def test_batched_guidance_isolates_failed_and_unguided_records():
 def test_skipped_guidance_step_records_reason():
     sched = make_schedule(50, 1e-3, 0.05)
     _, guidance = _guided_case(1)
-    blank = np.zeros((16, 16, 3))  # no soft mass anywhere
-    den = gaussian_denoiser(GaussianScoreField(mean=blank, var=np.full(blank.shape, 1e-4)), sched)
+    # a mean below 0 everywhere: clip(x0_hat, 0, 1) holds no soft mass, and
+    # the clamp mask zeroes any gradient, so guidance cannot paint mass in
+    # (on a blank 0 mean the x0_hat-space correction does, and no step skips)
+    dark = np.full((16, 16, 3), -1.0)
+    den = gaussian_denoiser(GaussianScoreField(mean=dark, var=np.full(dark.shape, 1e-4)), sched)
     res = sample(den, None, guidance, sched, steps=10, rng=np.random.default_rng(0), shape=(16, 16))
     assert res.skipped_steps > 0
     assert {r["skip_reason"] for r in res.log if r["skipped"]} == {"VanishingMass"}
