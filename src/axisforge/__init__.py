@@ -69,8 +69,8 @@ _EXPORTS = {
     "gaussian_optimal_timesteps": "diffusion",
     "sample": "diffusion",
     "sample_batch": "diffusion",
-    "ArchConfig": "denoiser",
-    "OptConfig": "denoiser",
+    "ArchConfig": "config",
+    "OptConfig": "config",
     "MLPDenoiser": "denoiser",
     "TrainResult": "denoiser",
     "train_denoiser": "denoiser",
@@ -98,7 +98,7 @@ _EXPORTS = {
     "pose_is_nondegenerate": "dataset",
     "generate_dataset": "dataset",
     "load_manifest": "dataset",
-    "write_manifest": "dataset",
+    "load_images": "dataset",
     "load_config": "dataset",
     "save_config": "dataset",
     # errors

@@ -167,24 +167,16 @@ def cmd_render_dataset(args) -> int:
 def cmd_train(args) -> int:
     import numpy as np
 
-    from .dataset import load_manifest
+    from .dataset import load_images, load_manifest
     from .denoiser import load_checkpoint, save_checkpoint, train_denoiser
-    from .render import atomic_write, load_f32
+    from .render import atomic_write
 
     cfg = _load_config(args)
     manifest = load_manifest(args.dataset)
     _require_resolution(cfg, manifest)
-    size = cfg.arch.image_size
-    records = manifest.split("train")
-    if not records:
+    if not manifest.split("train"):
         raise SystemExit("dataset has no train split")
-    dataset = [
-        (
-            load_f32(args.dataset / r.triaxis_path, (size, size, 3)),
-            load_f32(args.dataset / r.query_path, (size, size)),
-        )
-        for r in records
-    ]
+    dataset = list(zip(*(load_images(args.dataset, manifest, "train", kind) for kind in ("triaxis", "query"))))
     sched = cfg.schedule()
     start = None
     if args.resume:
@@ -208,7 +200,7 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     import numpy as np
 
-    from .dataset import load_manifest, record_seed
+    from .dataset import load_images, load_manifest, record_seed
     from .denoiser import load_checkpoint
     from .diffusion import (
         GaussianScoreField,
@@ -218,7 +210,7 @@ def cmd_infer(args) -> int:
     )
     from .errors import AxisForgeError
     from .extraction import extract_axes_hard
-    from .render import TriAxisImage, atomic_write, load_f32, save_f32
+    from .render import TriAxisImage, atomic_write, save_f32
     from .solver import recover_pose
 
     if bool(args.checkpoint) == bool(args.analytic_denoiser):
@@ -229,7 +221,6 @@ def cmd_infer(args) -> int:
     if not records:
         raise SystemExit(f"dataset has no '{args.split}' split")
     K = manifest.intrinsics
-    size = K.width
     sched = cfg.schedule()
     den = None
     if args.checkpoint:
@@ -245,10 +236,9 @@ def cmd_infer(args) -> int:
         lines[rec.id].update({"ok": False, "error": type(exc).__name__, "message": str(exc)})
 
     pending = []  # (record, ground-truth tri-axis, condition, generator, guidance)
-    for rec in records:
-        gt_triaxis = load_f32(args.dataset / rec.triaxis_path, (size, size, 3))
-        cond_path = rec.query_path if args.clean_query else rec.degraded_path
-        cond = load_f32(args.dataset / cond_path, (size, size))
+    gt_triaxes = load_images(args.dataset, manifest, args.split, "triaxis")
+    conds = load_images(args.dataset, manifest, args.split, "query" if args.clean_query else "degraded")
+    for rec, gt_triaxis, cond in zip(records, gt_triaxes, conds):
         rng = np.random.default_rng(record_seed(cfg.seed, rec.id))
         try:
             target = extract_axes_hard(TriAxisImage(gt_triaxis))
@@ -281,7 +271,7 @@ def cmd_infer(args) -> int:
                 sched,
                 steps=cfg.sample_steps,
                 rngs=[item[3] for item in chunk],
-                shape=(size, size),
+                shape=(K.height, K.width),
             )
         except AxisForgeError as exc:
             for item in chunk:

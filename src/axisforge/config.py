@@ -7,6 +7,9 @@ missing field that has none, and converts each value to the field's
 annotated type; an int field refuses a fraction, and a numeric field
 refuses a boolean. Every error is a
 ValueError naming the dotted key, e.g. ``'guidance.rho'``.
+
+The denoiser's ``ArchConfig`` and ``OptConfig`` live here, so that reading
+a run configuration imports neither the denoiser nor the sampler.
 """
 
 from __future__ import annotations
@@ -63,3 +66,47 @@ def _decode(tp: type, value, key: str):
         return tp(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config key '{key}': {exc}") from exc
+
+
+@dataclasses.dataclass(frozen=True)
+class ArchConfig(Section):
+    image_size: int = 32
+    hidden: int = 512
+    time_embed_dim: int = 32
+
+    def __post_init__(self):
+        if self.image_size < 4 or self.hidden < 1:
+            raise ValueError("bad architecture configuration")
+        if self.time_embed_dim % 2 != 0:
+            raise ValueError("time_embed_dim must be even")
+
+    @property
+    def triaxis_dim(self) -> int:
+        return 3 * self.image_size * self.image_size
+
+    @property
+    def cond_dim(self) -> int:
+        return self.image_size * self.image_size
+
+    @property
+    def input_dim(self) -> int:
+        return self.triaxis_dim + self.cond_dim + self.time_embed_dim
+
+
+@dataclasses.dataclass(frozen=True)
+class OptConfig(Section):
+    steps: int = 2000
+    batch_size: int = 32
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_eps: float = 1e-8
+    log_every: int = 50
+
+    def __post_init__(self):
+        if min(self.steps, self.batch_size, self.log_every) < 1:
+            raise ValueError("steps, batch_size and log_every must be >= 1")
+        if not (self.lr > 0 and self.adam_eps > 0):
+            raise ValueError("lr and adam_eps must be > 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")

@@ -1,29 +1,31 @@
 """Dataset generation and persistence.
 
-A dataset directory contains raw float32 images plus a single JSON manifest
-(``manifest.json``, versioned) describing every record: pose, intrinsics,
-image paths, degradation settings, and the per-record seed. Poses are drawn
-by rejection sampling so that every record is nondegenerate for the full
-render -> extract -> solve path.
+A dataset directory holds a single JSON manifest (``manifest.json``,
+versioned) describing every record: pose, intrinsics, degradation settings,
+and the per-record seed. Its images are read through ``load_images``: one raw
+little-endian float32 file per split and kind, rows in manifest order. Poses
+are drawn by rejection sampling so that every record is nondegenerate for the
+full render -> extract -> solve path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .camera import AXIS_DEGENERACY_PX, CameraIntrinsics, Pose, project_triaxis, random_rotation, triaxis_lengths
-from .config import Section
-from .denoiser import ArchConfig, OptConfig
-from .diffusion import DiffusionSchedule, make_schedule
+from .config import ArchConfig, OptConfig, Section
 from .errors import DegenerateSamplingExhausted, ManifestError, NonPositiveDepth
-from .render import DegradationSpec, apply_degradation, atomic_write, render_query, render_triaxis, save_f32
+from .render import DegradationSpec, apply_degradation, atomic_write, load_f32, render_query, render_triaxis, save_f32
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2  # 2: one image file per split and kind, in place of three per record
+IMAGE_KINDS = ("triaxis", "query", "degraded")
 MANIFEST_NAME = "manifest.json"
 MAX_CONSECUTIVE_REJECTIONS = 1000
 
@@ -60,6 +62,10 @@ class RenderParams(Section):
     axis_len: float = 1.0
     thickness_px: float = 1.5
 
+    def __post_init__(self):
+        if not (self.axis_len > 0 and self.thickness_px > 0):
+            raise ValueError("axis_len and thickness_px must be > 0")
+
 
 @dataclass(frozen=True)
 class GuidanceParams(Section):
@@ -67,6 +73,10 @@ class GuidanceParams(Section):
 
     rho_base: float = 1.0
     sharpness: float = 50.0
+
+    def __post_init__(self):
+        if not (self.rho_base >= 0 and self.sharpness > 0):
+            raise ValueError("rho_base must be >= 0 and sharpness > 0")
 
 
 def default_intrinsics(size: int = 32) -> CameraIntrinsics:
@@ -98,7 +108,10 @@ class RunConfig(Section):
     sample_steps: int = 50
     seed: int = 0
 
-    def schedule(self) -> DiffusionSchedule:
+    def schedule(self):
+        """The run's DiffusionSchedule; the sampler is imported only here."""
+        from .diffusion import make_schedule
+
         return make_schedule(self.schedule_T, self.zeta_start, self.zeta_end)
 
 
@@ -115,15 +128,13 @@ def save_config(path: str | Path, cfg: RunConfig) -> None:
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """One dataset sample: pose, file references, and its degradation."""
+    """One dataset sample: pose and degradation. Its images are its row of
+    its split's image files."""
 
     id: str
     split: str
     pose: Pose
     scale_lambda_O: float
-    query_path: str
-    triaxis_path: str
-    degraded_path: str
     degradation: DegradationSpec
     seed: int
 
@@ -133,33 +144,25 @@ class DatasetRecord:
             "split": self.split,
             "pose": {"R": [float(v) for v in self.pose.R.ravel()], "T": [float(v) for v in self.pose.T]},
             "scale_lambda_O": self.scale_lambda_O,
-            "query_path": self.query_path,
-            "triaxis_path": self.triaxis_path,
-            "degraded_path": self.degraded_path,
             "degradation": self.degradation.to_dict(),
             "seed": self.seed,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetRecord":
-        try:
-            pose = Pose(
-                R=np.asarray(d["pose"]["R"], dtype=float).reshape(3, 3),
-                T=np.asarray(d["pose"]["T"], dtype=float),
-            )
-            return cls(
-                id=str(d["id"]),
-                split=str(d["split"]),
-                pose=pose,
-                scale_lambda_O=float(d["scale_lambda_O"]),
-                query_path=str(d["query_path"]),
-                triaxis_path=str(d["triaxis_path"]),
-                degraded_path=str(d["degraded_path"]),
-                degradation=DegradationSpec.from_dict(d["degradation"], "degradation."),
-                seed=int(d["seed"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ManifestError(f"malformed record: {exc}") from exc
+        """Raises KeyError, ValueError or TypeError on a malformed record."""
+        pose = Pose(
+            R=np.asarray(d["pose"]["R"], dtype=float).reshape(3, 3),
+            T=np.asarray(d["pose"]["T"], dtype=float),
+        )
+        return cls(
+            id=str(d["id"]),
+            split=str(d["split"]),
+            pose=pose,
+            scale_lambda_O=float(d["scale_lambda_O"]),
+            degradation=DegradationSpec.from_dict(d["degradation"], "degradation."),
+            seed=int(d["seed"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -235,79 +238,80 @@ def generate_dataset(
     n_test: int,
     out_dir: str | Path,
 ) -> Manifest:
-    """Render a seeded dataset and write its manifest."""
+    """Render a seeded dataset: its image files, then its manifest."""
     if n_train < 1 or n_test < 1:
         raise ValueError("n_train and n_test must be >= 1")
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     K = cfg.intrinsics
     records: list[DatasetRecord] = []
-    ids = [("train", f"train_{i:05d}") for i in range(n_train)]
-    ids += [("test", f"test_{i:05d}") for i in range(n_test)]
-    for split, rid in ids:
-        seed = record_seed(cfg.seed, rid)
-        rng = np.random.default_rng(seed)
-        pose = sample_pose(rng, K, cfg.sampling, cfg.render.axis_len)
-        triaxis = render_triaxis(K, pose, cfg.render.axis_len, cfg.render.thickness_px)
-        query = render_query(K, pose)
-        degr = replace(cfg.degradation, seed=seed)
-        degraded = apply_degradation(query.data, degr)
-        paths = {
-            "query_path": f"images/{rid}_query.f32",
-            "triaxis_path": f"images/{rid}_triaxis.f32",
-            "degraded_path": f"images/{rid}_query_degraded.f32",
-        }
-        save_f32(out / paths["query_path"], query.data)
-        save_f32(out / paths["triaxis_path"], triaxis.data)
-        save_f32(out / paths["degraded_path"], degraded)
-        records.append(
-            DatasetRecord(
-                id=rid,
-                split=split,
-                pose=pose,
-                scale_lambda_O=float(pose.T[2]),
-                degradation=degr,
-                seed=seed,
-                **paths,
+    for split, count in (("train", n_train), ("test", n_test)):
+        rows = {kind: np.empty((count, *_image_shape(K, kind)), "<f4") for kind in IMAGE_KINDS}
+        for i in range(count):
+            rid = f"{split}_{i:05d}"
+            seed = record_seed(cfg.seed, rid)
+            rng = np.random.default_rng(seed)
+            pose = sample_pose(rng, K, cfg.sampling, cfg.render.axis_len)
+            rows["triaxis"][i] = render_triaxis(K, pose, cfg.render.axis_len, cfg.render.thickness_px).data
+            rows["query"][i] = query = render_query(K, pose).data  # degrade the float64 render, not the row
+            degr = replace(cfg.degradation, seed=seed)
+            rows["degraded"][i] = apply_degradation(query, degr)
+            records.append(
+                DatasetRecord(
+                    id=rid, split=split, pose=pose, scale_lambda_O=float(pose.T[2]), degradation=degr, seed=seed
+                )
             )
-        )
-    manifest = Manifest(intrinsics=K, render=cfg.render, records=records)
-    write_manifest(out / MANIFEST_NAME, manifest)
-    return manifest
-
-
-def write_manifest(path: str | Path, manifest: Manifest) -> None:
+        for kind, images in rows.items():
+            save_f32(out / _image_file(split, kind), images)
     doc = {
         "version": MANIFEST_VERSION,
-        "intrinsics": manifest.intrinsics.to_dict(),
-        "render": manifest.render.to_dict(),
-        "records": [r.to_dict() for r in manifest.records],
+        "intrinsics": K.to_dict(),
+        "render": cfg.render.to_dict(),
+        "records": [r.to_dict() for r in records],
     }
-    with atomic_write(path) as f:
+    with atomic_write(out / MANIFEST_NAME) as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+    return Manifest(intrinsics=K, render=cfg.render, records=records)
 
 
 def load_manifest(dataset_dir: str | Path) -> Manifest:
     path = Path(dataset_dir) / MANIFEST_NAME
-    if not path.is_file():
-        raise ManifestError(f"missing {path}")
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"unreadable manifest {path}: {exc}") from exc
-    if doc.get("version") != MANIFEST_VERSION:
-        raise ManifestError(f"unsupported manifest version {doc.get('version')!r}")
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != MANIFEST_VERSION:
+        raise ManifestError(f"{path}: manifest version {version!r} is not supported; re-render the dataset")
     try:
         intrinsics = CameraIntrinsics.from_dict(doc["intrinsics"])
         render = RenderParams.from_dict(doc["render"])
         records = [DatasetRecord.from_dict(r) for r in doc["records"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise ManifestError(f"malformed manifest {path}: {exc}") from exc
-    base = Path(dataset_dir)
-    for rec in records:
-        for p in (rec.query_path, rec.triaxis_path, rec.degraded_path):
-            if not (base / p).is_file():
-                raise ManifestError(f"missing image file {p} referenced by {rec.id}")
+    for split, count in Counter(r.split for r in records).items():
+        for kind in IMAGE_KINDS:
+            image_path = Path(dataset_dir) / _image_file(split, kind)
+            if not image_path.is_file():
+                raise ManifestError(f"missing image file {image_path}")
+            size, want = image_path.stat().st_size, 4 * count * math.prod(_image_shape(intrinsics, kind))
+            if size != want:
+                raise ManifestError(f"image file {image_path} holds {size} bytes, not the {want} of {count} records")
     return Manifest(intrinsics=intrinsics, render=render, records=records)
+
+
+def load_images(dataset_dir: str | Path, manifest: Manifest, split: str, kind: str) -> np.ndarray:
+    """One kind of image of a split, one row per record in manifest order:
+    (n, H, W, 3) for ``triaxis``, (n, H, W) for ``query`` and ``degraded``."""
+    shape = (len(manifest.split(split)), *_image_shape(manifest.intrinsics, kind))
+    return load_f32(Path(dataset_dir) / _image_file(split, kind), shape)
+
+
+def _image_file(split: str, kind: str) -> str:
+    return f"images/{split}_{kind}.f32"
+
+
+def _image_shape(K: CameraIntrinsics, kind: str) -> tuple[int, ...]:
+    return (K.height, K.width, 3) if kind == "triaxis" else (K.height, K.width)

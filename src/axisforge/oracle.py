@@ -12,7 +12,6 @@ import statistics
 import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .dataset import (
     SamplingConfig,
     default_intrinsics,
     generate_dataset,
+    load_images,
     load_manifest,
     sample_pose,
 )
@@ -55,7 +55,7 @@ from .diffusion import (
 from .errors import AxisForgeError
 from .extraction import AxisObservation, ObservationAdjoint, extract_axes_hard, extract_axes_soft, soft_extract_vjp
 from .metrics import cuboid_model, evaluate_suite, reproj_metric, reproj_threshold_px, rotation_geodesic
-from .render import DegradationSpec, TriAxisImage, apply_degradation, load_f32, render_query, render_triaxis
+from .render import DegradationSpec, TriAxisImage, apply_degradation, render_query, render_triaxis
 from .solver import CornerImage, recover_pose, solve_depth_scales
 
 K128 = CameraIntrinsics(f_x=100.0, f_y=100.0, c_x=64.0, c_y=64.0, width=128, height=128)
@@ -625,12 +625,12 @@ def oracle_dataset_render_extract() -> tuple[str, str, bool]:
         manifest = generate_dataset(cfg, n_train=6, n_test=4, out_dir=tmp)
         manifest = load_manifest(tmp)
         errs = []
-        for rec in manifest.records:
-            img = load_f32(Path(tmp) / rec.triaxis_path, (128, 128, 3))
-            obs = extract_axes_hard(TriAxisImage(img))
-            lines = project_axes(manifest.intrinsics, rec.pose, manifest.render.axis_len)
-            for i in range(3):
-                errs.append(math.degrees(math.acos(np.clip(obs.dir[i] @ lines.dir[i], -1, 1))))
+        for split in ("train", "test"):
+            for rec, img in zip(manifest.split(split), load_images(tmp, manifest, split, "triaxis")):
+                obs = extract_axes_hard(TriAxisImage(img))
+                lines = project_axes(manifest.intrinsics, rec.pose, manifest.render.axis_len)
+                for i in range(3):
+                    errs.append(math.degrees(math.acos(np.clip(obs.dir[i] @ lines.dir[i], -1, 1))))
         med = float(np.median(errs))
     return "median < 2 deg", f"{med:.4f} deg", med < 2.0
 

@@ -252,8 +252,10 @@ def atomic_write(path: str | Path, mode: str = "w"):
 
 
 def save_f32(path: str | Path, img: np.ndarray) -> None:
-    """Raw little-endian float32, row-major, channel-interleaved."""
-    np.asarray(img, dtype="<f4").tofile(str(path))
+    """Raw little-endian float32, row-major, channel-interleaved, written
+    through atomic_write."""
+    with atomic_write(path, "wb") as f:
+        f.write(np.asarray(img, dtype="<f4").tobytes())
 
 
 def load_f32(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:

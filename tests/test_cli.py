@@ -42,7 +42,9 @@ def test_render_dataset_outputs(tmp_path, config_path, capsys):
     out = _render(tmp_path, config_path)
     assert (out / "manifest.json").is_file()
     assert (out / "config.json").is_file()
-    assert len(list((out / "images").glob("*.f32"))) == 4 * 3
+    names = sorted(p.name for p in (out / "images").iterdir())
+    kinds = ("triaxis", "query", "degraded")
+    assert names == sorted(f"{split}_{kind}.f32" for split in ("train", "test") for kind in kinds)
     assert "wrote 4 records" in capsys.readouterr().out
 
 
@@ -84,6 +86,18 @@ def test_analytic_infer_and_eval(tmp_path, config_path, capsys):
     assert report["aggregates"]["reproj_rate"] == 1.0
     assert (report_dir / "summary.csv").is_file()
     assert (report_dir / "records.jsonl").is_file()
+    capsys.readouterr()
+
+
+def test_analytic_infer_on_a_non_square_camera(tmp_path, capsys):
+    config = tmp_path / "wide.json"
+    camera = {"f_x": 20.0, "f_y": 20.0, "c_x": 12.0, "c_y": 11.5, "width": 24, "height": 23}
+    config.write_text(json.dumps({"intrinsics": camera, "sample_steps": 5}))
+    data = _render(tmp_path, config)
+    pred = tmp_path / "pred"
+    rc = main(["infer", "--config", str(config), "--dataset", str(data), "--analytic-denoiser", "--out", str(pred)])
+    assert rc == 0
+    assert all(json.loads(line)["ok"] for line in (pred / "predictions.jsonl").read_text().splitlines())
     capsys.readouterr()
 
 
@@ -178,6 +192,16 @@ def test_runtime_error_exit_code(tmp_path, config_path, capsys):
     ])
     assert rc == 2
     capsys.readouterr()
+    data = _render(tmp_path, config_path)  # a dataset of the previous format
+    doc = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps({**doc, "version": 1}))
+    capsys.readouterr()
+    for argv in (["train"], ["infer", "--analytic-denoiser"]):
+        out = tmp_path / argv[0]
+        rc = main([*argv, "--config", str(config_path), "--dataset", str(data), "--out", str(out)])
+        assert rc == 2
+        assert "manifest version 1 is not supported" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_oracle_subset(capsys):
@@ -251,12 +275,18 @@ def test_partial_intrinsics_exits_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    config = tmp_path / "typo.json"
-    config.write_text(json.dumps({**CONFIG, "guidance": {"rho": 2.0}}))
-    rc = main(["render-dataset", "--config", str(config), "--out", str(tmp_path / "data")])
-    assert rc == 2
-    assert "guidance.rho" in capsys.readouterr().err
-    assert not (tmp_path / "data").exists()
+    for override, message in (
+        ({"guidance": {"rho": 2.0}}, "guidance.rho"),
+        # out-of-range values: before they were checked, these rendered all-zero tri-axis images
+        ({"render": {"thickness_px": -1}, "guidance": {"rho_base": -2, "sharpness": 0}}, "thickness_px"),
+        ({"guidance": {"rho_base": -2, "sharpness": 0}}, "rho_base"),
+    ):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({**CONFIG, **override}))
+        rc = main(["render-dataset", "--config", str(config), "--out", str(tmp_path / "data")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
 
 def test_train_accepts_integral_floats(tmp_path, capsys):

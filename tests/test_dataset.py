@@ -14,15 +14,16 @@ from axisforge.dataset import (
     default_intrinsics,
     generate_dataset,
     load_config,
+    load_images,
     load_manifest,
     pose_is_nondegenerate,
     record_seed,
     sample_pose,
     save_config,
 )
-from axisforge.denoiser import ArchConfig, OptConfig
+from axisforge.config import ArchConfig, OptConfig
 from axisforge.errors import DegenerateAxis, ManifestError, NonPositiveDepth
-from axisforge.render import DegradationSpec, _pixel_grid, load_f32
+from axisforge.render import DegradationSpec, _pixel_grid
 
 CFG = dataclasses.replace(
     RunConfig(),
@@ -150,8 +151,12 @@ def test_generate_and_load_dataset(tmp_path):
         assert rec.id == rec2.id
         assert np.allclose(rec.pose.R, rec2.pose.R, atol=1e-15)
         assert np.allclose(rec.pose.T, rec2.pose.T, atol=1e-15)
-        img = load_f32(tmp_path / rec.triaxis_path, (16, 16, 3))
-        assert img.min() >= 0.0 and img.max() <= 1.0
+    for split, n in (("train", 3), ("test", 2)):
+        for kind, shape in (("triaxis", (16, 16, 3)), ("query", (16, 16)), ("degraded", (16, 16))):
+            img = load_images(tmp_path, back, split, kind)
+            assert img.shape == (n, *shape)
+            assert img.min() >= 0.0 and img.max() <= 1.0
+            assert len({row.tobytes() for row in img}) == n  # one row per record
     ids = [r.id for r in back.records]
     assert len(set(ids)) == len(ids)
 
@@ -160,22 +165,29 @@ def test_generate_dataset_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     generate_dataset(CFG, 2, 1, a)
     generate_dataset(CFG, 2, 1, b)
-    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
-    for rec in load_manifest(a).records:
-        for p in (rec.query_path, rec.triaxis_path, rec.degraded_path):
-            assert (a / p).read_bytes() == (b / p).read_bytes()
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    for rel in files:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
 
 def test_load_manifest_errors(tmp_path):
     with pytest.raises(ManifestError):
         load_manifest(tmp_path)  # missing file
+    (tmp_path / "manifest.json").write_text("[]")
+    with pytest.raises(ManifestError, match="version None"):
+        load_manifest(tmp_path)  # not an object
     generate_dataset(CFG, 1, 1, tmp_path)
     doc = json.loads((tmp_path / "manifest.json").read_text())
     doc["version"] = 999
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(ManifestError):
         load_manifest(tmp_path)
-    doc["version"] = 1
+    doc["version"] = 1  # per-record image files: refused, not misread
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="manifest version 1 is not supported"):
+        load_manifest(tmp_path)
+    doc["version"] = 2
     doc["records"][0]["degradation"]["sigma"] = 0.1
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(ManifestError, match="'degradation.sigma'"):
@@ -183,9 +195,15 @@ def test_load_manifest_errors(tmp_path):
 
 
 def test_load_manifest_missing_image(tmp_path):
-    manifest = generate_dataset(CFG, 1, 1, tmp_path)
-    (tmp_path / manifest.records[0].triaxis_path).unlink()
-    with pytest.raises(ManifestError):
+    generate_dataset(CFG, 2, 1, tmp_path)
+    query = tmp_path / "images" / "train_query.f32"
+    whole = query.read_bytes()
+    query.write_bytes(whole[: 16 * 16 * 4])  # one record's rows of two
+    with pytest.raises(ManifestError, match="train_query.f32 holds 1024 bytes, not the 2048 of 2 records"):
+        load_manifest(tmp_path)
+    query.write_bytes(whole)
+    (tmp_path / "images" / "test_triaxis.f32").unlink()
+    with pytest.raises(ManifestError, match="missing image file .*test_triaxis.f32"):
         load_manifest(tmp_path)
 
 
@@ -234,6 +252,10 @@ def test_run_config_partial_section_takes_defaults():
     ({"opt": {"beta2": -0.1}}, "beta2"),
     ({"opt": {"adam_eps": 0}}, "adam_eps"),
     ({"opt": {"grad_clip": 1.0}}, "grad_clip"),  # older configs may still name it
+    ({"render": {"axis_len": 0}}, "axis_len"),
+    ({"render": {"thickness_px": -1}}, "thickness_px"),
+    ({"guidance": {"rho_base": -2}}, "rho_base"),
+    ({"guidance": {"sharpness": 0}}, "sharpness"),
 ])
 def test_run_config_rejects_unknown_keys(doc, key):
     with pytest.raises(ValueError) as exc:

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import axisforge
@@ -11,6 +13,18 @@ def test_every_export_resolves():
     # the export table is lazy: a stale entry fails only when accessed
     for name in axisforge.__all__:
         assert getattr(axisforge, name) is not None, name
+
+
+def test_dataset_imports_no_sampler_or_denoiser():
+    # render-dataset and config reading must not pay for the diffusion stack
+    code = (
+        "import sys, axisforge.dataset; "
+        "print(sorted(m for m in ('axisforge.denoiser', 'axisforge.diffusion', 'axisforge.extraction') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(axisforge.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "[]"
 
 
 def test_readme_counts_the_oracles_and_names_are_unique():

@@ -1,6 +1,10 @@
+import errno
+import io
+
 import numpy as np
 import pytest
 
+from axisforge import render
 from axisforge.camera import CameraIntrinsics, Pose, project_axes, project_point, random_rotation, rot_x, rot_y
 from axisforge.errors import NonPositiveDepth
 from axisforge.render import (
@@ -223,6 +227,24 @@ def test_atomic_write_keeps_old_file_on_error(tmp_path):
     with atomic_write(p, "wb") as f:
         f.write(b"new")
     assert p.read_bytes() == b"new"
+
+
+def test_failed_save_f32_keeps_old_file(tmp_path, monkeypatch):
+    p = tmp_path / "img.f32"
+    save_f32(p, np.ones(256))
+
+    class DiskFull(io.FileIO):
+        """A file whose write stores a few bytes, then finds the disk full."""
+
+        def write(self, data):
+            super().write(bytes(data)[:16])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(render, "open", DiskFull, raising=False)
+    with pytest.raises(OSError):
+        save_f32(p, np.zeros(256))
+    assert list(tmp_path.iterdir()) == [p]  # the temporary file is gone
+    assert np.array_equal(load_f32(p, (256,)), np.ones(256))
 
 
 def test_save_ppm_header_and_size(tmp_path):
