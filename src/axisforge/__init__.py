@@ -55,7 +55,6 @@ _EXPORTS = {
     "DiffusionSchedule": "diffusion",
     "DenoiserInterface": "diffusion",
     "GaussianScoreField": "diffusion",
-    "GuidanceConfig": "diffusion",
     "SampleResult": "diffusion",
     "make_schedule": "diffusion",
     "forward_diffuse": "diffusion",
@@ -71,6 +70,7 @@ _EXPORTS = {
     "sample_batch": "diffusion",
     "ArchConfig": "config",
     "OptConfig": "config",
+    "GuidanceParams": "config",
     "MLPDenoiser": "denoiser",
     "TrainResult": "denoiser",
     "train_denoiser": "denoiser",
@@ -89,7 +89,6 @@ _EXPORTS = {
     "RunConfig": "dataset",
     "SamplingConfig": "dataset",
     "RenderParams": "dataset",
-    "GuidanceParams": "dataset",
     "DatasetRecord": "dataset",
     "Manifest": "dataset",
     "default_intrinsics": "dataset",

@@ -202,12 +202,7 @@ def cmd_infer(args) -> int:
 
     from .dataset import load_images, load_manifest, record_seed
     from .denoiser import load_checkpoint
-    from .diffusion import (
-        GaussianScoreField,
-        GuidanceConfig,
-        gaussian_denoiser,
-        sample_batch,
-    )
+    from .diffusion import GaussianScoreField, gaussian_denoiser, sample_batch
     from .errors import AxisForgeError
     from .extraction import extract_axes_hard
     from .render import TriAxisImage, atomic_write, save_f32
@@ -235,7 +230,7 @@ def cmd_infer(args) -> int:
     def fail(rec, exc):
         lines[rec.id].update({"ok": False, "error": type(exc).__name__, "message": str(exc)})
 
-    pending = []  # (record, ground-truth tri-axis, condition, generator, guidance)
+    pending = []  # (record, ground-truth tri-axis, condition, generator, target)
     gt_triaxes = load_images(args.dataset, manifest, args.split, "triaxis")
     conds = load_images(args.dataset, manifest, args.split, "query" if args.clean_query else "degraded")
     for rec, gt_triaxis, cond in zip(records, gt_triaxes, conds):
@@ -245,14 +240,7 @@ def cmd_infer(args) -> int:
         except AxisForgeError as exc:
             fail(rec, exc)
             continue
-        guidance = None
-        if args.guidance:
-            guidance = GuidanceConfig(
-                target=target,
-                rho=cfg.guidance.rho_base,
-                sharpness=cfg.guidance.sharpness,
-            )
-        pending.append((rec, gt_triaxis, cond, rng, guidance))
+        pending.append((rec, gt_triaxis, cond, rng, target))
 
     # records are sampled in batches: one denoiser pass per step for the batch
     for start in range(0, len(pending), INFER_BATCH):
@@ -268,6 +256,7 @@ def cmd_infer(args) -> int:
                 batch_den,
                 [item[2] for item in chunk],
                 [item[4] for item in chunk],
+                cfg.guidance if args.guidance else None,
                 sched,
                 steps=cfg.sample_steps,
                 rngs=[item[3] for item in chunk],
@@ -312,11 +301,20 @@ def _load_predictions(pred_dir: Path) -> dict[str, dict]:
         raise SystemExit(f"missing {path}")
     preds = {}
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, 1):
             raw = raw.strip()
-            if raw:
+            if not raw:
+                continue
+            try:
                 rec = json.loads(raw)
-                preds[rec["id"]] = rec
+            except ValueError as exc:
+                raise SystemExit(f"{path}:{lineno}: {exc}")
+            if not (
+                isinstance(rec, dict) and isinstance(rec.get("id"), str) and "ok" in rec
+                and (not rec["ok"] or ("R" in rec and "T" in rec))
+            ):
+                raise SystemExit(f"{path}:{lineno}: a prediction is an object with id, ok and, when ok, R and T")
+            preds[rec["id"]] = rec
     return preds
 
 

@@ -6,10 +6,11 @@ names no field, fills a missing field with its default, names every
 missing field that has none, and converts each value to the field's
 annotated type; an int field refuses a fraction, and a numeric field
 refuses a boolean. Every error is a
-ValueError naming the dotted key, e.g. ``'guidance.rho'``.
+ValueError naming the dotted key, e.g. ``'guidance.rho_base'``.
 
-The denoiser's ``ArchConfig`` and ``OptConfig`` live here, so that reading
-a run configuration imports neither the denoiser nor the sampler.
+The denoiser's ``ArchConfig`` and ``OptConfig`` and the sampler's
+``GuidanceParams`` live here, so that reading a run configuration imports
+neither the denoiser nor the sampler.
 """
 
 from __future__ import annotations
@@ -110,3 +111,17 @@ class OptConfig(Section):
             raise ValueError("lr and adam_eps must be > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
+
+
+@dataclasses.dataclass(frozen=True)
+class GuidanceParams(Section):
+    """Geometric-consistency guidance of one sampling run: the step size
+    rho_base (0 samples unguided) and the soft threshold's sharpness at the
+    end of sampling."""
+
+    rho_base: float = 1.0
+    sharpness: float = 50.0
+
+    def __post_init__(self):
+        if not (self.rho_base >= 0 and self.sharpness > 0):
+            raise ValueError("rho_base must be >= 0 and sharpness > 0")

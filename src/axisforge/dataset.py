@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import AXIS_DEGENERACY_PX, CameraIntrinsics, Pose, project_triaxis, random_rotation, triaxis_lengths
-from .config import ArchConfig, OptConfig, Section
+from .config import ArchConfig, GuidanceParams, OptConfig, Section
 from .errors import DegenerateSamplingExhausted, ManifestError, NonPositiveDepth
 from .render import DegradationSpec, apply_degradation, atomic_write, load_f32, render_query, render_triaxis, save_f32
 
@@ -65,18 +65,6 @@ class RenderParams(Section):
     def __post_init__(self):
         if not (self.axis_len > 0 and self.thickness_px > 0):
             raise ValueError("axis_len and thickness_px must be > 0")
-
-
-@dataclass(frozen=True)
-class GuidanceParams(Section):
-    """Guidance strength settings carried by the run configuration."""
-
-    rho_base: float = 1.0
-    sharpness: float = 50.0
-
-    def __post_init__(self):
-        if not (self.rho_base >= 0 and self.sharpness > 0):
-            raise ValueError("rho_base must be >= 0 and sharpness > 0")
 
 
 def default_intrinsics(size: int = 32) -> CameraIntrinsics:

@@ -92,10 +92,6 @@ class MLPDenoiser(DenoiserInterface):
                 np.divide(rng.standard_normal(w.shape), np.sqrt(w.shape[0]), out=w, casting="unsafe")
 
     @property
-    def image_size(self) -> int:
-        return self.arch.image_size
-
-    @property
     def dtype(self) -> np.dtype:
         return self.flat.dtype
 
@@ -363,14 +359,17 @@ def load_checkpoint(path: str | Path) -> MLPDenoiser:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, hlen = struct.unpack("<II", f.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(f.read(hlen).decode())
-        arch = ArchConfig.from_dict(header["arch"])
-        sp = header["schedule"]
-        sched = make_schedule(int(sp["T"]), float(sp["zeta_start"]), float(sp["zeta_end"]))
-        den = MLPDenoiser(arch, sched, None, float(header["sigma_data"]))
+        try:
+            version, hlen = struct.unpack("<II", f.read(8))
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            header = json.loads(f.read(hlen).decode())
+            arch = ArchConfig.from_dict(header["arch"])
+            sp = header["schedule"]
+            sched = make_schedule(int(sp["T"]), float(sp["zeta_start"]), float(sp["zeta_end"]))
+            den = MLPDenoiser(arch, sched, None, float(header["sigma_data"]))
+        except (struct.error, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         if f.readinto(den.flat) != den.flat.nbytes:
             raise ValueError(f"{path}: truncated checkpoint")
     if sys.byteorder != "little":

@@ -12,7 +12,8 @@ is d loss / d x0_hat / sqrt(alpha_bar_t), which leaves the denoiser
 undifferentiated (manifold-preserving guidance, He et al.,
 arXiv:2311.16424), so a guided step costs one denoiser forward.
 ``sample_batch`` runs several records through one denoiser pass and one
-batched soft extraction per step.
+batched soft extraction per step, under one GuidanceParams for the whole
+call and one target per record.
 
 An analytic Gaussian score field doubles as a denoiser for which every
 quantity is exact, giving an independent verification path for the sampler.
@@ -27,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import GuidanceParams
 from .errors import InvalidSchedule
 from .extraction import (
-    DEFAULT_SHARPNESS,
     AxisObservation,
     ObservationAdjoint,
     ObservationBatch,
@@ -107,12 +108,9 @@ def ddim_step(
     t: int,
     eps: np.ndarray,
     sched: DiffusionSchedule,
-    t_prev: int | None = None,
+    t_prev: int,
 ) -> np.ndarray:
-    """One deterministic implicit-sampler update from timestep t to t_prev
-    (default t - 1)."""
-    if t_prev is None:
-        t_prev = t - 1
+    """One deterministic implicit-sampler update from timestep t to t_prev."""
     if not 0 <= t_prev < t:
         raise ValueError("t_prev must satisfy 0 <= t_prev < t")
     ab_prev = sched.abar(t_prev)
@@ -225,31 +223,10 @@ def ray_distance_map(gt: AxisObservation | ObservationBatch, shape: tuple[int, i
     return (rel * rel).sum(axis=-1, keepdims=True) - along * along
 
 
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Measurement-consistency guidance settings.
-
-    rho is the guidance step size; the effective scale is
-    rho / (sqrt(loss) + 1e-6), keeping the correction stable across
-    timesteps. sharpness is the soft threshold's sharpness at the end of
-    sampling; guidance_sharpness gives the one used at each timestep.
-    """
-
-    target: AxisObservation
-    rho: float = 1.0
-    sharpness: float = DEFAULT_SHARPNESS
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
-        if self.sharpness <= 0:
-            raise ValueError("sharpness must be positive")
-
-
 def geo_image_gradient(
     x0_hat: np.ndarray,
     target: ObservationBatch,
-    sharpness: float | np.ndarray,
+    sharpness: float,
     rays: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
     """Guidance losses of clip(x0_hat, 0, 1) for a batch x0_hat of shape
@@ -261,10 +238,9 @@ def geo_image_gradient(
     smoothly as a channel nears isotropy, where the direction's adjoint is
     ill-defined, so the gradient stays bounded.
 
-    sharpness is a number or one per image; ``rays`` is
-    ray_distance_map(target, (H, W)), built here when not given. Returns
-    (losses, grads, errors): a failed image has loss nan, gradient 0 and its
-    VanishingMass or NoIntersection in errors.
+    ``rays`` is ray_distance_map(target, (H, W)), built here when not
+    given. Returns (losses, grads, errors): a failed image has loss nan,
+    gradient 0 and its VanishingMass or NoIntersection in errors.
     """
     if rays is None:
         rays = ray_distance_map(target, x0_hat.shape[1:3])
@@ -275,7 +251,7 @@ def geo_image_gradient(
     return losses, g_img * ((x0_hat > 0.0) & (x0_hat < 1.0)), gen.errors  # clamp pass-through
 
 
-def guidance_sharpness(sharpness: float | np.ndarray, t: int, sched: DiffusionSchedule) -> float | np.ndarray:
+def guidance_sharpness(sharpness: float, t: int, sched: DiffusionSchedule) -> float:
     """Soft-threshold sharpness of the guidance measurement at timestep t:
     sharpness * abar_t. The clean-image estimate at t is a posterior mean,
     blurred in proportion to the noise, and a sharp threshold at 0.5 hides
@@ -284,58 +260,31 @@ def guidance_sharpness(sharpness: float | np.ndarray, t: int, sched: DiffusionSc
     return sharpness * sched.abar(t)
 
 
-class GuidanceBatch:
-    """The guidances of a batch of B items, stacked once for a whole chain.
-
-    An item is guided when its GuidanceConfig is given and has rho != 0;
-    ``index`` lists the guided items, and ``rho``, ``sharpness``, ``target``
-    (an ObservationBatch) and ``rays`` (their ray_distance_map, (G, H, W, 3))
-    hold their settings in that order. A target and the image shape are
-    fixed along a chain, so each ray map is built once per sample_batch
-    call, not at every step.
-    """
-
-    def __init__(self, guidances: Sequence[GuidanceConfig | None], shape: tuple[int, int]):
-        self.size = len(guidances)
-        guided = [(b, g) for b, g in enumerate(guidances) if g is not None and g.rho != 0.0]
-        self.index = np.array([b for b, _ in guided], dtype=int)
-        self.rho = np.array([g.rho for _, g in guided])
-        self.sharpness = np.array([g.sharpness for _, g in guided])
-        self.target = ObservationBatch.stack([g.target for _, g in guided]) if guided else None
-        self.rays = ray_distance_map(self.target, shape) if guided else None
-
-
 def geo_guidance_gradient_batch(
     x_t: np.ndarray,
     t: int,
     denoiser: DenoiserInterface,
     cond: np.ndarray | None,
-    guidances: GuidanceBatch,
+    target: ObservationBatch,
+    rays: np.ndarray,
+    sharpness: float,
     sched: DiffusionSchedule,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
     """Noise estimate, guidance losses and guidance gradients for a batch x_t
     of shape (B, H, W, 3), from one denoiser forward and one
-    geo_image_gradient.
+    geo_image_gradient against target (B records) and its ray map rays.
 
     Item b's loss is geo_image_gradient's loss of x0_hat at
-    guidance_sharpness, and its gradient d loss / d x0_hat / sqrt(abar_t)
-    holds eps_hat fixed: it is not d loss / d x_t, and the denoiser is never
-    differentiated (He et al., arXiv:2311.16424). Returns (eps_hat, losses,
-    grads, errors). An unguided item has loss nan and gradient 0, as has an
-    item whose soft extraction fails, with its exception in errors[b].
+    guidance_sharpness(sharpness, t), and its gradient d loss / d x0_hat /
+    sqrt(abar_t) holds eps_hat fixed: it is not d loss / d x_t, and the
+    denoiser is never differentiated (He et al., arXiv:2311.16424). Returns
+    (eps_hat, losses, grads, errors). An item whose soft extraction fails has
+    loss nan and gradient 0, with its exception in errors[b].
     """
     eps = denoiser.evaluate(x_t, t, cond)
-    guided = guidances.index
-    losses = np.full(guidances.size, np.nan)
-    errors = np.full(guidances.size, None, dtype=object)
-    grads = np.zeros(np.shape(x_t))
-    if len(guided):
-        x0_hat = predict_x0(x_t[guided], t, eps[guided], sched)
-        losses[guided], grads[guided], errors[guided] = geo_image_gradient(
-            x0_hat, guidances.target, guidance_sharpness(guidances.sharpness, t, sched), guidances.rays
-        )
-        grads /= np.sqrt(sched.abar(t))
-    return eps, losses, grads, errors.tolist()
+    x0_hat = predict_x0(x_t, t, eps, sched)
+    losses, grads, errors = geo_image_gradient(x0_hat, target, guidance_sharpness(sharpness, t, sched), rays)
+    return eps, losses, grads / np.sqrt(sched.abar(t)), errors
 
 
 def guided_epsilon_batch(
@@ -343,26 +292,29 @@ def guided_epsilon_batch(
     t: int,
     denoiser: DenoiserInterface,
     cond: np.ndarray | None,
-    guidances: GuidanceBatch,
+    target: ObservationBatch,
+    rays: np.ndarray,
+    guidance: GuidanceParams,
     sched: DiffusionSchedule,
 ) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
-    """Adjusted noise estimates for a batch x_t of shape (B, H, W, 3), each
-    item with its own guidance, from one geo_guidance_gradient_batch call,
-    with each item's correction norm and soft-extraction error.
+    """Adjusted noise estimates for a batch x_t of shape (B, H, W, 3), from
+    one geo_guidance_gradient_batch call, with each item's correction norm
+    and soft-extraction error.
 
     Item b's estimate is eps_phi + rho_eff * sqrt(1 - abar_t) * g, with g
-    geo_guidance_gradient_batch's d L_geo / d x0_hat / sqrt(abar_t). The DDIM
-    update then moves x0_hat by -rho_eff * (1 - abar_t) / abar_t * d L_geo /
-    d x0_hat.
+    geo_guidance_gradient_batch's d L_geo / d x0_hat / sqrt(abar_t) and
+    rho_eff = guidance.rho_base / (sqrt(L_geo) + 1e-6), which keeps the
+    correction stable across timesteps. The DDIM update then moves x0_hat by
+    -rho_eff * (1 - abar_t) / abar_t * d L_geo / d x0_hat.
     Its step is skipped, returning the raw estimate and the exception in
     errors[b], when soft extraction of the current clean-image prediction
     fails: a channel with no soft mass (VanishingMass) or three mutually
     parallel axis lines (NoIntersection).
     """
-    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, denoiser, cond, guidances, sched)
-    rho = np.zeros(guidances.size)
-    rho[guidances.index] = guidances.rho
-    rho_eff = np.where(np.isnan(losses), 0.0, rho / (np.sqrt(losses) + 1e-6))
+    eps, losses, grads, errors = geo_guidance_gradient_batch(
+        x_t, t, denoiser, cond, target, rays, guidance.sharpness, sched
+    )
+    rho_eff = np.where(np.isnan(losses), 0.0, guidance.rho_base / (np.sqrt(losses) + 1e-6))
     correction = (rho_eff * np.sqrt(1.0 - sched.abar(t)))[:, None, None, None] * grads
     return eps + correction, np.linalg.norm(correction.reshape(len(correction), -1), axis=1), errors
 
@@ -419,60 +371,56 @@ class SampleResult:
 def sample(
     denoiser: DenoiserInterface,
     cond: np.ndarray | None,
-    guidance: GuidanceConfig | None,
+    target: AxisObservation | None,
+    guidance: GuidanceParams | None,
     sched: DiffusionSchedule,
-    steps,
+    steps: int,
     rng: np.random.Generator,
-    shape: tuple[int, int] = None,
+    shape: tuple[int, int],
 ) -> SampleResult:
-    """Full deterministic reverse chain producing a tri-axis image from the
-    initial noise drawn from rng.
-
-    ``steps`` is either a step count (uniform stride) or an explicit
-    descending timestep sequence ending at 1. ``shape`` is (H, W); it may be
-    omitted when the denoiser declares an image_size.
+    """Full deterministic reverse chain of ``steps`` uniformly strided
+    timesteps producing an (H, W) = ``shape`` tri-axis image from the
+    initial noise drawn from rng, guided toward target unless guidance is
+    None or has rho_base 0.
     """
-    return sample_batch(denoiser, [cond], [guidance], sched, steps, [rng], shape)[0]
+    return sample_batch(denoiser, [cond], [target], guidance, sched, steps, [rng], shape)[0]
 
 
 def sample_batch(
     denoiser: DenoiserInterface,
     conds: Sequence[np.ndarray | None],
-    guidances: Sequence[GuidanceConfig | None],
+    targets: Sequence[AxisObservation | None],
+    guidance: GuidanceParams | None,
     sched: DiffusionSchedule,
-    steps,
+    steps: int,
     rngs: Sequence[np.random.Generator],
-    shape: tuple[int, int] = None,
+    shape: tuple[int, int],
 ) -> list[SampleResult]:
     """``sample`` for several records at once, one result per record.
 
-    Record b has its own condition, guidance and generator: its initial
-    noise comes from rngs[b] alone, so it draws the same numbers as
-    ``sample`` would give it. Its image agrees with ``sample``'s up to
-    floating-point rounding, which may differ between a batched and a
-    single matrix product. A denoiser taking no condition gets cond None
-    for every record.
+    Record b has its own condition, target and generator; the guidance
+    settings are the run's. Its initial noise comes from rngs[b] alone, so
+    it draws the same numbers as ``sample`` would give it. Its image agrees
+    with ``sample``'s up to floating-point rounding, which may differ between
+    a batched and a single matrix product. A denoiser taking no condition
+    gets cond None for every record.
     """
-    if shape is None:
-        size = getattr(denoiser, "image_size", None)
-        if size is None:
-            raise ValueError("shape required when the denoiser has no image_size")
-        shape = (size, size)
-    ts = uniform_timesteps(sched, steps) if isinstance(steps, int) else [int(t) for t in steps]
-    if ts[-1] != 1 or any(b >= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("timesteps must be strictly decreasing and end at 1")
-    if ts[0] > sched.T:
-        raise ValueError("timesteps exceed schedule length")
-
+    ts = uniform_timesteps(sched, steps)
     x = np.stack([rng.standard_normal((shape[0], shape[1], 3)) for rng in rngs])
     cond = None
     if conds[0] is not None:  # prepared once for the whole chain
         cond = denoiser.prepare_condition(np.stack([np.asarray(c, dtype=float) for c in conds]))
-    guided = GuidanceBatch(guidances, shape)
+    guided = guidance is not None and guidance.rho_base != 0.0
+    if guided:  # the targets and the image shape are fixed along a chain
+        target = ObservationBatch.stack(targets)
+        rays = ray_distance_map(target, shape)
     steps_out = []  # (t, correction norms, errors) per step
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0
-        eps, norms, errors = guided_epsilon_batch(x, t, denoiser, cond, guided, sched)
+        if guided:
+            eps, norms, errors = guided_epsilon_batch(x, t, denoiser, cond, target, rays, guidance, sched)
+        else:
+            eps, norms, errors = denoiser.evaluate(x, t, cond), np.zeros(len(x)), [None] * len(x)
         x = ddim_step(x, t, eps, sched, t_prev=t_prev)
         steps_out.append((t, norms, errors))
     return [

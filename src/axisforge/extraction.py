@@ -212,37 +212,31 @@ def extract_axes_hard(img: TriAxisImage) -> AxisObservation:
     return AxisObservation(origin_px=origin[0], dir=dirs[0], centroid=centroid[0])
 
 
-def soft_weights(data: np.ndarray, sharpness: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def soft_weights(data: np.ndarray, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
     """Graded soft threshold at 0.5 and its derivative.
 
     A sigmoid of the given sharpness, rescaled so that 0 maps to 0 and 1 to
     1: it tends to the hard threshold as sharpness grows and to the
-    intensity itself as sharpness tends to 0. sharpness is a number or an
-    array that broadcasts against data, such as one value per image of a
-    batch.
+    intensity itself as sharpness tends to 0.
     """
-    sharpness = np.asarray(sharpness, dtype=float)
-    if np.any(sharpness <= 0):
+    if not sharpness > 0:
         raise ValueError("sharpness must be positive")
     # sigmoid(a) = (1 + tanh(a / 2)) / 2, written so that a small sharpness
-    # loses no precision; the span is math.tanh of each distinct sharpness,
-    # a value NumPy's vectorised tanh does not always match to the last bit
-    quarter, index = np.unique(sharpness / 4.0, return_inverse=True)
-    half_span = np.array([math.tanh(q) for q in quarter])[index].reshape(sharpness.shape)
+    # loses no precision
+    half_span = math.tanh(sharpness / 4.0)
     th = np.tanh(0.5 * sharpness * (data - 0.5))
     return (th + half_span) / (2.0 * half_span), (sharpness / (4.0 * half_span)) * (1.0 - th * th)
 
 
 def soft_extract_with_pullback(
     images: np.ndarray,
-    sharpness: float | np.ndarray = DEFAULT_SHARPNESS,
+    sharpness: float = DEFAULT_SHARPNESS,
     cost_map: np.ndarray | None = None,
 ) -> tuple[ObservationBatch, np.ndarray, np.ndarray | None, Callable[..., np.ndarray]]:
     """Soft extraction of a batch of images (B, H, W, 3) and its adjoint,
     from one forward pass.
 
-    sharpness is a number or one value per image. Returns the
-    ObservationBatch; each channel's anisotropy
+    Returns the ObservationBatch; each channel's anisotropy
     ((lam_max - lam_min) / (lam_max + lam_min))^2 of its second-moment
     matrix, in [0, 1], as (B, 3); the soft-weighted mean of ``cost_map`` (a
     per-pixel cost, (B, H, W, 3)) in each channel, (B, 3), or None without a
@@ -261,7 +255,7 @@ def soft_extract_with_pullback(
     data = np.asarray(images, dtype=float)
     if data.ndim != 4:
         raise ValueError(f"soft extraction takes a batch (B, H, W, 3), not shape {data.shape}")
-    w, dw = soft_weights(data, np.reshape(sharpness, (-1, 1, 1, 1)))
+    w, dw = soft_weights(data, sharpness)
     m = _Moments(w)
     origin, dirs, centroid, sign, A, parallel = _assemble(m)
     vanishing = m.mass <= SOFT_MASS_FLOOR

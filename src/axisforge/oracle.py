@@ -26,6 +26,7 @@ from .camera import (
     rot_y,
     rot_z,
 )
+from .config import GuidanceParams
 from .dataset import (
     RunConfig,
     SamplingConfig,
@@ -38,8 +39,6 @@ from .dataset import (
 from .denoiser import ArchConfig, MLPDenoiser, OptConfig, train_denoiser
 from .diffusion import (
     GaussianScoreField,
-    GuidanceBatch,
-    GuidanceConfig,
     ddim_step,
     forward_diffuse,
     gaussian_denoiser,
@@ -50,10 +49,18 @@ from .diffusion import (
     guidance_sharpness,
     make_schedule,
     predict_x0,
+    ray_distance_map,
     sample,
 )
 from .errors import AxisForgeError
-from .extraction import AxisObservation, ObservationAdjoint, extract_axes_hard, extract_axes_soft, soft_extract_vjp
+from .extraction import (
+    AxisObservation,
+    ObservationAdjoint,
+    ObservationBatch,
+    extract_axes_hard,
+    extract_axes_soft,
+    soft_extract_vjp,
+)
 from .metrics import cuboid_model, evaluate_suite, reproj_metric, reproj_threshold_px, rotation_geodesic
 from .render import DegradationSpec, TriAxisImage, apply_degradation, render_query, render_triaxis
 from .solver import CornerImage, recover_pose, solve_depth_scales
@@ -443,15 +450,15 @@ def _guidance_fd_case(seed: int) -> tuple[float, bool]:
     x0 = render_triaxis(K, pose, thickness_px=1.5).data
     sched = make_schedule(200, 1e-4, 0.05)
     den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 0.25)), sched)
-    target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
+    target = ObservationBatch.stack([extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))])
     t = 100
     x_t, _ = forward_diffuse(x0, t, sched, rng)
-    guidance = GuidanceBatch([GuidanceConfig(target=target, sharpness=50.0)], x0.shape[:2])
-    eps, _, applied, _ = geo_guidance_gradient_batch(x_t[None], t, den, None, guidance, sched)
-    sharpness = guidance_sharpness(guidance.sharpness, t, sched)
+    rays = ray_distance_map(target, x0.shape[:2])
+    eps, _, applied, _ = geo_guidance_gradient_batch(x_t[None], t, den, None, target, rays, 50.0, sched)
+    sharpness = guidance_sharpness(50.0, t, sched)
 
     def loss_grad(x0_hat):
-        losses, grads, errors = geo_image_gradient(x0_hat[None], guidance.target, sharpness, guidance.rays)
+        losses, grads, errors = geo_image_gradient(x0_hat[None], target, sharpness, rays)
         if errors[0] is not None:
             raise errors[0]
         return float(losses[0]), grads[0]
@@ -550,7 +557,7 @@ def oracle_analytic_sampler_image() -> tuple[str, str, bool]:
         pose = sample_pose(rng, K, _SAMPLING_16)
         x0 = render_triaxis(K, pose, thickness_px=1.5).data
         den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
-        result = sample(den, None, None, sched, steps=50, rng=rng, shape=(16, 16))
+        result = sample(den, None, None, None, sched, steps=50, rng=rng, shape=(16, 16))
         maes.append(float(np.mean(np.abs(result.image.data - x0))))
     return "mean abs error < 0.05 (seeds 15 and 8)", ", ".join(f"{m:.4f}" for m in maes), max(maes) < 0.05
 
@@ -583,10 +590,10 @@ def oracle_ablation_direction() -> tuple[str, str, bool]:
         den = gaussian_denoiser(
             GaussianScoreField(mean=mean_img, var=np.full(mean_img.shape, 0.01)), sched
         )
-        guidance = GuidanceConfig(target=target, rho=10.0, sharpness=50.0)
-        for cfg, sink in ((None, unguided_losses), (guidance, guided_losses)):
+        guidance = GuidanceParams(rho_base=10.0, sharpness=50.0)
+        for params, sink in ((None, unguided_losses), (guidance, guided_losses)):
             res = sample(
-                den, None, cfg, sched, steps=25,
+                den, None, target, params, sched, steps=25,
                 rng=np.random.default_rng(10_000 + i), shape=(size, size),
             )
             try:
@@ -649,7 +656,7 @@ def oracle_infer_upper_bound() -> tuple[str, str, bool]:
         pose = sample_pose(rng, K, sampling)
         gt_img = render_triaxis(K, pose, thickness_px=1.5).data
         den = gaussian_denoiser(GaussianScoreField(mean=gt_img, var=np.full(gt_img.shape, 1e-4)), sched)
-        res = sample(den, None, None, sched, steps=50, rng=rng, shape=(size, size))
+        res = sample(den, None, None, None, sched, steps=50, rng=rng, shape=(size, size))
         obs = extract_axes_hard(res.image)
         pred = recover_pose(obs, K, scale_lambda_O=float(pose.T[2]), probe_px=sampling.min_axis_px)
         if reproj_metric(pose, pred, model, K) < threshold:

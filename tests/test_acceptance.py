@@ -15,9 +15,10 @@ import pytest
 
 from axisforge.camera import compute_omega
 from axisforge.cli import main
+from axisforge.config import GuidanceParams
 from axisforge.dataset import SamplingConfig, default_intrinsics, sample_pose
 from axisforge.denoiser import ArchConfig, OptConfig, train_denoiser
-from axisforge.diffusion import GuidanceConfig, make_schedule, sample
+from axisforge.diffusion import make_schedule, sample
 from axisforge.errors import AxisForgeError
 from axisforge.extraction import extract_axes_hard
 from axisforge.metrics import cuboid_model, reproj_metric, reproj_threshold_px
@@ -95,9 +96,9 @@ def test_criterion_5_guidance_math(capsys, oracle):
     sched = make_schedule(100, 1e-4, 0.05)
     den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
     target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
-    a = sample(den, None, GuidanceConfig(target=target, rho=0.0), sched,
+    a = sample(den, None, target, GuidanceParams(rho_base=0.0), sched,
                steps=25, rng=np.random.default_rng(42), shape=(16, 16))
-    b = sample(den, None, None, sched,
+    b = sample(den, None, None, None, sched,
                steps=25, rng=np.random.default_rng(42), shape=(16, 16))
     bitexact = bool(np.array_equal(a.image.data, b.image.data))
     ok = fd.passed and bitexact
@@ -132,10 +133,9 @@ def test_criterion_6_ablation_gap(capsys):
         cond = apply_degradation(
             render_query(K, pose).data, DegradationSpec(occlusion_frac=0.25, seed=50_000 + i)
         )
-        guidance = GuidanceConfig(target=target, rho=10.0, sharpness=50.0)
-        for arm, cfg in (("unguided", None), ("guided", guidance)):
+        for arm, guidance in (("unguided", None), ("guided", GuidanceParams(rho_base=10.0, sharpness=50.0))):
             res = sample(
-                den, cond, cfg, sched, steps=30,
+                den, cond, target, guidance, sched, steps=30,
                 rng=np.random.default_rng(10_000 + i), shape=(size, size),
             )
             try:

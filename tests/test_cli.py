@@ -176,6 +176,36 @@ def test_eval_missing_predictions_file(tmp_path, config_path, capsys):
     ])
     assert rc == 2
     capsys.readouterr()
+    # a malformed line is a runtime error naming the file and line
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    rec_id = json.loads((data / "manifest.json").read_text())["records"][-1]["id"]
+    for bad in ("[1]", '{"ok": false}', f'{{"id": "{rec_id}"}}', f'{{"id": "{rec_id}", "ok": true}}', "{"):
+        (pred / "predictions.jsonl").write_text(f'{{"id": "other", "ok": false}}\n{bad}\n')
+        rc = main([
+            "eval", "--config", str(config_path), "--dataset", str(data), "--predictions", str(pred),
+        ])
+        assert rc == 2
+        assert "predictions.jsonl:2: " in capsys.readouterr().err
+
+
+def test_rho_base_zero_matches_no_guidance(tmp_path, config_path):
+    data = _render(tmp_path, config_path)
+    rho0 = tmp_path / "rho0.json"
+    rho0.write_text(json.dumps({**CONFIG, "guidance": {"rho_base": 0.0}}))
+    outs = []
+    for cfg, flags in ((rho0, []), (config_path, ["--no-guidance"])):
+        out = tmp_path / f"pred{len(outs)}"
+        rc = main([
+            "infer", "--config", str(cfg), "--dataset", str(data), "--analytic-denoiser", *flags, "--out", str(out),
+        ])
+        assert rc == 0
+        outs.append(out)
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert [str(f) for f in files if f.suffix == ".jsonl"] == ["predictions.jsonl"]
+    assert sum(f.name.endswith("_gen.f32") for f in files) == 2
+    for rel in files:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -278,9 +280,15 @@ def test_float64_checkpoint_save_load_save_is_byte_identical(tmp_path):
 
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "bad.bin"
-    p.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(ValueError):
-        load_checkpoint(p)
+    header = json.dumps({"schedule": SCHED.to_dict(), "sigma_data": 0.5}).encode()  # no arch
+    for raw in (
+        b"not a checkpoint at all",
+        denoiser.CHECKPOINT_MAGIC + b"\x02\x00",  # cut short after the magic bytes
+        denoiser.CHECKPOINT_MAGIC + struct.pack("<II", denoiser.CHECKPOINT_VERSION, len(header)) + header,
+    ):
+        p.write_bytes(raw)
+        with pytest.raises(ValueError):
+            load_checkpoint(p)
 
 
 def test_resume_continues_improving(tmp_path):

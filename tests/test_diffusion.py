@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from axisforge.config import GuidanceParams
 from axisforge.dataset import SamplingConfig, default_intrinsics, sample_pose
 from axisforge.diffusion import (
     GaussianScoreField,
-    GuidanceBatch,
-    GuidanceConfig,
     ddim_step,
     forward_diffuse,
     gaussian_denoiser,
@@ -156,33 +155,15 @@ def test_guidance_gradient_bounded_near_isotropy():
         assert abs(float((grad * v).sum()) - fd) < 1e-4 * max(1.0, abs(fd))
 
 
-def test_guidance_config_validation():
-    rng = np.random.default_rng(5)
-    K = default_intrinsics(32)
-    pose = sample_pose(rng, K, SamplingConfig(min_axis_px=6.0))
-    obs = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
-    with pytest.raises(ValueError):
-        GuidanceConfig(target=obs, rho=-1.0)
-    with pytest.raises(ValueError):
-        GuidanceConfig(target=obs, sharpness=0.0)
-
-
-def test_sample_timestep_validation():
-    sched = make_schedule(100, 1e-4, 0.05)
-    den = gaussian_denoiser(GaussianScoreField(mean=np.zeros((4, 4, 3)), var=np.full((4, 4, 3), 0.1)), sched)
-    rng = np.random.default_rng(9)
-    with pytest.raises(ValueError):
-        sample(den, None, None, sched, steps=[50, 20], rng=rng, shape=(4, 4))  # does not end at 1
-    with pytest.raises(ValueError):
-        sample(den, None, None, sched, steps=[200, 1], rng=rng, shape=(4, 4))  # beyond T
-
-
 def _guided_case(seed, size=16):
     rng = np.random.default_rng(seed)
     K = default_intrinsics(size)
     pose = sample_pose(rng, K, SamplingConfig(depth_min=2.0, depth_max=2.8, lateral=0.2, min_axis_px=5.0))
     x0 = render_triaxis(K, pose, thickness_px=1.5)
-    return x0.data, GuidanceConfig(target=extract_axes_hard(x0), rho=10.0)
+    return x0.data, extract_axes_hard(x0)
+
+
+GUIDANCE = GuidanceParams(rho_base=10.0)
 
 
 def test_sample_batch_matches_single_samples():
@@ -190,36 +171,45 @@ def test_sample_batch_matches_single_samples():
 
     sched = make_schedule(50, 1e-3, 0.05)
     cases = [_guided_case(s) for s in (1, 2, 3)]
-    guidances = [cases[0][1], None, cases[2][1]]  # a batch may mix guided and unguided records
+    targets = [target for _, target in cases]
     # the analytic field is elementwise, so batching changes no arithmetic
     means = np.stack([x0 for x0, _ in cases])
-    batched = sample_batch(
-        gaussian_denoiser(GaussianScoreField(mean=means, var=np.full(means.shape, 0.01)), sched),
-        [None] * 3, guidances, sched, steps=10,
-        rngs=[np.random.default_rng(10 + b) for b in range(3)], shape=(16, 16),
-    )
-    for b, (x0, _) in enumerate(cases):
-        den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 0.01)), sched)
-        single = sample(den, None, guidances[b], sched, steps=10, rng=np.random.default_rng(10 + b), shape=(16, 16))
-        assert np.array_equal(batched[b].image.data, single.image.data)
-        assert batched[b].log == single.log
+    for guidance in (GUIDANCE, None):
+        batched = sample_batch(
+            gaussian_denoiser(GaussianScoreField(mean=means, var=np.full(means.shape, 0.01)), sched),
+            [None] * 3, targets, guidance, sched, steps=10,
+            rngs=[np.random.default_rng(10 + b) for b in range(3)], shape=(16, 16),
+        )
+        for b, (x0, target) in enumerate(cases):
+            den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 0.01)), sched)
+            single = sample(
+                den, None, target, guidance, sched, steps=10, rng=np.random.default_rng(10 + b), shape=(16, 16)
+            )
+            assert np.array_equal(batched[b].image.data, single.image.data)
+            assert batched[b].log == single.log
     # a matrix product may round differently for a batch than for one row
     mlp = MLPDenoiser(
         ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15, np.float64
     )
     conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(3)]
-    batched = sample_batch(mlp, conds, guidances, sched, 10, [np.random.default_rng(b) for b in range(3)], (16, 16))
+    batched = sample_batch(mlp, conds, targets, GUIDANCE, sched, 10, [np.random.default_rng(b) for b in range(3)], (16, 16))
     for b in range(3):
-        single = sample(mlp, conds[b], guidances[b], sched, 10, np.random.default_rng(b), (16, 16))
+        single = sample(mlp, conds[b], targets[b], GUIDANCE, sched, 10, np.random.default_rng(b), (16, 16))
         assert np.allclose(batched[b].image.data, single.image.data, rtol=0.0, atol=1e-9)
+
+
+def _stacked(targets, shape=(16, 16)):
+    """A batch's stacked targets and their ray map, as sample_batch builds them."""
+    target = ObservationBatch.stack(targets)
+    return target, ray_distance_map(target, shape)
 
 
 def test_batched_guidance_gradient_finite_differences():
     from axisforge.denoiser import ArchConfig, MLPDenoiser
 
     sched = make_schedule(50, 1e-3, 0.05)
-    guidances = [_guided_case(1)[1], None, _guided_case(3)[1]]
-    batch = GuidanceBatch(guidances, (16, 16))
+    targets = [_guided_case(s)[1] for s in (1, 2, 3)]
+    target, rays = _stacked(targets)
     mlp = MLPDenoiser(
         ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15, np.float64
     )
@@ -227,31 +217,32 @@ def test_batched_guidance_gradient_finite_differences():
     cond = rng.random((3, 16, 16))
     x_t = rng.standard_normal((3, 16, 16, 3))
     t = 20
-    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, mlp, cond, batch, sched)
+    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, mlp, cond, target, rays, 50.0, sched)
     assert errors == [None] * 3
     assert np.array_equal(eps, mlp.evaluate(x_t, t, cond))
-    assert np.isnan(losses[1]) and not np.any(grads[1])
-    for b in (0, 2):  # a batch of one gives the matching row of the larger batch
-        one = GuidanceBatch([guidances[b]], (16, 16))
-        _, one_losses, one_grads, _ = geo_guidance_gradient_batch(x_t[b : b + 1], t, mlp, cond[b : b + 1], one, sched)
+    for b in range(3):  # a batch of one gives the matching row of the larger batch
+        one_target, one_rays = _stacked([targets[b]])
+        _, one_losses, one_grads, _ = geo_guidance_gradient_batch(
+            x_t[b : b + 1], t, mlp, cond[b : b + 1], one_target, one_rays, 50.0, sched
+        )
         assert np.isclose(one_losses[0], losses[b], rtol=1e-12)
         assert np.allclose(one_grads[0], grads[b], rtol=0.0, atol=1e-9)
     # the applied gradient is d loss / d x0_hat / sqrt(abar_t) exactly: the
     # denoiser is not differentiated. Its d loss / d x0_hat is checked
     # against central differences of the loss in x0_hat.
-    x0_hat = predict_x0(x_t, t, eps, sched)[[0, 2]]
-    sharpness = guidance_sharpness(batch.sharpness, t, sched)
-    img_losses, img_grads, _ = geo_image_gradient(x0_hat, batch.target, sharpness, batch.rays)
-    assert np.array_equal(img_losses, losses[[0, 2]])
-    assert np.array_equal(grads[[0, 2]], img_grads / np.sqrt(sched.abar(t)))
+    x0_hat = predict_x0(x_t, t, eps, sched)
+    sharpness = guidance_sharpness(50.0, t, sched)
+    img_losses, img_grads, _ = geo_image_gradient(x0_hat, target, sharpness, rays)
+    assert np.array_equal(img_losses, losses)
+    assert np.array_equal(grads, img_grads / np.sqrt(sched.abar(t)))
     h = 1e-5
     probed = 0
-    for k in range(2):
+    for k in range(3):
         for j in rng.choice(16 * 16 * 3, size=8, replace=False):
             dx = np.zeros(x0_hat.shape)
             dx[k].flat[j] = h
-            lp = geo_image_gradient(x0_hat + dx, batch.target, sharpness, batch.rays)[0][k]
-            lm = geo_image_gradient(x0_hat - dx, batch.target, sharpness, batch.rays)[0][k]
+            lp = geo_image_gradient(x0_hat + dx, target, sharpness, rays)[0][k]
+            lm = geo_image_gradient(x0_hat - dx, target, sharpness, rays)[0][k]
             fd = (lp - lm) / (2 * h)
             an = float(img_grads[k].flat[j])
             if abs(an) < 1e-9 and abs(fd) < 1e-9:
@@ -270,50 +261,48 @@ def test_guided_sampling_never_differentiates_the_network(monkeypatch):
     monkeypatch.setattr(MLPDenoiser, "_pre_activation_grads", no_pullback)  # vjp's and _backward's first step
     sched = make_schedule(50, 1e-3, 0.05)
     mlp = MLPDenoiser(ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15)
-    guidances = [_guided_case(1)[1], _guided_case(3)[1]]
+    targets = [_guided_case(1)[1], _guided_case(3)[1]]
     conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(2)]
-    results = sample_batch(mlp, conds, guidances, sched, 10, [np.random.default_rng(b) for b in range(2)], (16, 16))
+    results = sample_batch(mlp, conds, targets, GUIDANCE, sched, 10, [np.random.default_rng(b) for b in range(2)], (16, 16))
     assert any(r["guidance_norm"] > 0 for res in results for r in res.log)
 
 
-def test_batched_guidance_isolates_failed_and_unguided_records():
+def test_batched_guidance_isolates_failed_records():
     sched = make_schedule(50, 1e-3, 0.05)
-    x0, guidance = _guided_case(1)
+    x0, target = _guided_case(1)
     massless = x0.copy()
     massless[..., 1] = 0.0  # VanishingMass in channel 1
     parallel = np.repeat(x0[..., :1], 3, axis=-1)  # three copies of one axis: NoIntersection
     means = np.stack([x0, massless, parallel, x0])
-    guidances = [guidance, guidance, guidance, None]
     den = gaussian_denoiser(GaussianScoreField(mean=means, var=np.full(means.shape, 1e-4)), sched)
     x_t = np.random.default_rng(3).standard_normal(means.shape)
     t = 10
-    stacked = GuidanceBatch(guidances, x0.shape[:2])
-    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, den, None, stacked, sched)
+    stacked, rays = _stacked([target] * 4)
+    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, den, None, stacked, rays, 50.0, sched)
     # the healthy record matches its batch of one bit for bit (the analytic
     # denoiser is elementwise, so batching changes no arithmetic)
     x0_hat = predict_x0(x_t, t, eps, sched)
-    sharpness = guidance_sharpness(guidance.sharpness, t, sched)
-    one_losses, one_grads, _ = geo_image_gradient(x0_hat[:1], ObservationBatch.stack([guidance.target]), sharpness)
+    sharpness = guidance_sharpness(50.0, t, sched)
+    one_losses, one_grads, _ = geo_image_gradient(x0_hat[:1], ObservationBatch.stack([target]), sharpness)
     img_losses, img_grads, img_errors = geo_image_gradient(
-        x0_hat[:3], ObservationBatch.stack([guidance.target] * 3), sharpness
+        x0_hat[:3], ObservationBatch.stack([target] * 3), sharpness
     )
     assert img_losses[0] == one_losses[0] and np.array_equal(img_grads[0], one_grads[0])
     one_den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
-    one = GuidanceBatch([guidance], x0.shape[:2])
-    _, one_losses, one_grads, _ = geo_guidance_gradient_batch(x_t[:1], t, one_den, None, one, sched)
+    _, one_losses, one_grads, _ = geo_guidance_gradient_batch(x_t[:1], t, one_den, None, *_stacked([target]), 50.0, sched)
     assert losses[0] == one_losses[0] and np.array_equal(grads[0], one_grads[0])
     # failed records: loss nan, gradient 0, their own exception
     assert isinstance(errors[1], VanishingMass) and errors[1].channel == 1
     assert isinstance(errors[2], NoIntersection)
     assert [type(e) for e in img_errors] == [type(None), VanishingMass, NoIntersection]
     assert errors[0] is None and errors[3] is None
-    assert np.isnan(losses[1:]).all() and not np.any(grads[1:])
+    assert np.isnan(losses[1:3]).all() and not np.any(grads[1:3])
     assert np.isnan(img_losses[1:]).all() and not np.any(img_grads[1:])
-    # guidance stacked once for a chain, ray maps included, gives what a
+    # targets stacked once for a chain, ray maps included, give what a
     # fresh build gives at every step
     for step in (30, 10):
-        fresh = geo_guidance_gradient_batch(x_t, step, den, None, GuidanceBatch(guidances, x0.shape[:2]), sched)
-        reused = geo_guidance_gradient_batch(x_t, step, den, None, stacked, sched)
+        fresh = geo_guidance_gradient_batch(x_t, step, den, None, *_stacked([target] * 4), 50.0, sched)
+        reused = geo_guidance_gradient_batch(x_t, step, den, None, stacked, rays, 50.0, sched)
         assert np.array_equal(fresh[1], reused[1], equal_nan=True)
         assert np.array_equal(fresh[2], reused[2])
         assert [type(e) for e in fresh[3]] == [type(e) for e in reused[3]]
@@ -321,13 +310,13 @@ def test_batched_guidance_isolates_failed_and_unguided_records():
 
 def test_skipped_guidance_step_records_reason():
     sched = make_schedule(50, 1e-3, 0.05)
-    _, guidance = _guided_case(1)
+    _, target = _guided_case(1)
     # a mean below 0 everywhere: clip(x0_hat, 0, 1) holds no soft mass, and
     # the clamp mask zeroes any gradient, so guidance cannot paint mass in
     # (on a blank 0 mean the x0_hat-space correction does, and no step skips)
     dark = np.full((16, 16, 3), -1.0)
     den = gaussian_denoiser(GaussianScoreField(mean=dark, var=np.full(dark.shape, 1e-4)), sched)
-    res = sample(den, None, guidance, sched, steps=10, rng=np.random.default_rng(0), shape=(16, 16))
+    res = sample(den, None, target, GUIDANCE, sched, steps=10, rng=np.random.default_rng(0), shape=(16, 16))
     assert res.skipped_steps > 0
     assert {r["skip_reason"] for r in res.log if r["skipped"]} == {"VanishingMass"}
     assert all("skip_reason" not in r for r in res.log if not r["skipped"])
