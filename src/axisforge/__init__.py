@@ -54,13 +54,12 @@ _EXPORTS = {
     # diffusion_engine
     "DiffusionSchedule": "diffusion",
     "DenoiserInterface": "diffusion",
-    "GaussianScoreField": "diffusion",
+    "GaussianDenoiser": "diffusion",
     "SampleResult": "diffusion",
     "make_schedule": "diffusion",
     "forward_diffuse": "diffusion",
     "predict_x0": "diffusion",
     "ddim_step": "diffusion",
-    "gaussian_denoiser": "diffusion",
     "geo_loss": "diffusion",
     "geo_loss_adjoint": "diffusion",
     "ray_distance_map": "diffusion",

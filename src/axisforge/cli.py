@@ -202,7 +202,7 @@ def cmd_infer(args) -> int:
 
     from .dataset import load_images, load_manifest, record_seed
     from .denoiser import load_checkpoint
-    from .diffusion import GaussianScoreField, gaussian_denoiser, sample_batch
+    from .diffusion import GaussianDenoiser, sample_batch
     from .errors import AxisForgeError
     from .extraction import extract_axes_hard
     from .render import TriAxisImage, atomic_write, save_f32
@@ -230,16 +230,20 @@ def cmd_infer(args) -> int:
     def fail(rec, exc):
         lines[rec.id].update({"ok": False, "error": type(exc).__name__, "message": str(exc)})
 
-    pending = []  # (record, ground-truth tri-axis, condition, generator, target)
+    # only a guided run reads the ground-truth target, so only it can fail on one
+    guidance = cfg.guidance if args.guidance and cfg.guidance.rho_base > 0 else None
+    pending = []  # (record, ground-truth tri-axis, condition, generator, target or None)
     gt_triaxes = load_images(args.dataset, manifest, args.split, "triaxis")
     conds = load_images(args.dataset, manifest, args.split, "query" if args.clean_query else "degraded")
     for rec, gt_triaxis, cond in zip(records, gt_triaxes, conds):
         rng = np.random.default_rng(record_seed(cfg.seed, rec.id))
-        try:
-            target = extract_axes_hard(TriAxisImage(gt_triaxis))
-        except AxisForgeError as exc:
-            fail(rec, exc)
-            continue
+        target = None
+        if guidance is not None:
+            try:
+                target = extract_axes_hard(TriAxisImage(gt_triaxis))
+            except AxisForgeError as exc:
+                fail(rec, exc)
+                continue
         pending.append((rec, gt_triaxis, cond, rng, target))
 
     # records are sampled in batches: one denoiser pass per step for the batch
@@ -248,15 +252,13 @@ def cmd_infer(args) -> int:
         batch_den = den
         if args.analytic_denoiser:
             means = np.stack([item[1] for item in chunk])
-            batch_den = gaussian_denoiser(
-                GaussianScoreField(mean=means, var=np.full(means.shape, ANALYTIC_FIELD_VAR)), sched
-            )
+            batch_den = GaussianDenoiser(means, np.full(means.shape, ANALYTIC_FIELD_VAR), sched)
         try:
             results = sample_batch(
                 batch_den,
                 [item[2] for item in chunk],
                 [item[4] for item in chunk],
-                cfg.guidance if args.guidance else None,
+                guidance,
                 sched,
                 steps=cfg.sample_steps,
                 rngs=[item[3] for item in chunk],

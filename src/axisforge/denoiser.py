@@ -2,7 +2,10 @@
 hand-rolled reverse-mode gradients and an adaptive-moment optimizer.
 
 Input is the scaled noisy tri-axis image, the flattened query image, and
-a sinusoidal timestep embedding. The network body F is preconditioned as in
+a sinusoidal timestep embedding. The first layer multiplies each of the
+three by its own row block of the first weight, on one forward path that
+training and sampling share; a sampling chain prepares the query's product
+once. The network body F is preconditioned as in
 Karras et al. (arXiv:2206.00364): the clean-image estimate is
 x0_hat = c_skip * x + c_out * F(c_in * x, ...) on the rescaled input
 x = x_t / sqrt(abar), with c_skip the posterior-mean gain of a Gaussian
@@ -51,10 +54,13 @@ def time_embedding(t, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConditionProjection:
-    """First-layer product of a batch of conditions plus the first bias,
-    (B, hidden): what MLPDenoiser.prepare_condition gives. It holds for the
-    weights it was made with."""
+    """A batch of conditions as the network reads them: the rows in the
+    network's dtype, (B, cond_dim), which the weight gradient reads, and
+    their first-layer product plus the first bias, (B, hidden). What
+    MLPDenoiser.prepare_condition gives; it holds for the weights it was
+    made with."""
 
+    rows: np.ndarray
     z1: np.ndarray
 
 
@@ -114,44 +120,45 @@ class MLPDenoiser(DenoiserInterface):
     # A product with a transposed weight is written (W @ d.T).T: OpenBLAS's
     # float32 GEMM on a transposed weight view is markedly slower.
 
-    def _build_input(self, x_flat: np.ndarray, t, cond_flat: np.ndarray) -> np.ndarray:
-        temb = time_embedding(t, self.arch.time_embed_dim)
-        if temb.shape[0] == 1 and x_flat.shape[0] > 1:
-            temb = np.repeat(temb, x_flat.shape[0], axis=0)
-        return np.concatenate([x_flat, cond_flat, temb], axis=1, dtype=self.dtype)
-
-    def _forward(self, X: np.ndarray):
-        """F on whole input rows X (see _build_input), with the cache _backward reads."""
-        z1 = X @ self.weights[0]
-        z1 += self.biases[0]
-        out, (h1, h2) = self._layers(z1)
-        return out, (X, h1, h2)
-
-    def _layers(self, z1: np.ndarray):
-        """F from the first layer's pre-activations z1, which it overwrites."""
+    def _body(self, x_in: np.ndarray, t, cond: ConditionProjection):
+        """F on rows x_in of the scaled input c_in * x_t, at one timestep t or
+        one per row, with the cache _backward reads. The first layer is
+        split by its row blocks: the condition's product comes prepared,
+        and at one timestep the time embedding's is one row for all rows."""
+        a = self.arch
+        w1 = self.weights[0]
+        x_in = np.asarray(x_in, dtype=self.dtype)
+        temb = time_embedding(t, a.time_embed_dim).astype(self.dtype)
+        z1 = x_in @ w1[: a.triaxis_dim]
+        z1 += cond.z1
+        z1 += temb @ w1[a.triaxis_dim + a.cond_dim :]
         h1 = np.tanh(z1, out=z1)
         z2 = h1 @ self.weights[1]
         z2 += self.biases[1]
         h2 = np.tanh(z2, out=z2)
         out = h2 @ self.weights[2]
         out += self.biases[2]
-        return out, (h1, h2)
+        return out, (x_in, cond.rows, temb, h1, h2)
 
     def _pre_activation_grads(self, d_out: np.ndarray, cache):
         """d<d_out, F>/d z1 and d<d_out, F>/d z2."""
-        _, h1, h2 = cache
+        h1, h2 = cache[-2:]
         d_z2 = (self.weights[2] @ d_out.T).T * (1.0 - h2 * h2)
         return (self.weights[1] @ d_z2.T).T * (1.0 - h1 * h1), d_z2
 
     def _backward(self, d_out: np.ndarray, cache, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of <d_out, F> as one flat array laid out like the
         parameter buffer (written into out when given); _views splits it in
-        parameters() order."""
-        X, h1, h2 = cache
+        parameters() order. The cache is _body's at one timestep per row;
+        the first weight's gradient is written as its three row blocks."""
+        x_in, cond_rows, temb, h1, h2 = cache
         d_z1, d_z2 = self._pre_activation_grads(d_out, cache)
         grad = np.empty_like(self.flat) if out is None else out
         g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = self._views(grad)
-        np.matmul(X.T, d_z1, out=g_w1)
+        nx, nc = self.arch.triaxis_dim, self.arch.cond_dim
+        np.matmul(x_in.T, d_z1, out=g_w1[:nx])
+        np.matmul(cond_rows.T, d_z1, out=g_w1[nx : nx + nc])
+        np.matmul(temb.T, d_z1, out=g_w1[nx + nc :])
         np.sum(d_z1, axis=0, out=g_b1)
         np.matmul(h1.T, d_z2, out=g_w2)
         np.sum(d_z2, axis=0, out=g_b2)
@@ -168,7 +175,7 @@ class MLPDenoiser(DenoiserInterface):
         rows = np.asarray(cond, dtype=self.dtype).reshape(-1, a.cond_dim)
         z1 = rows @ self.weights[0][a.triaxis_dim : a.triaxis_dim + a.cond_dim]
         z1 += self.biases[0]
-        return ConditionProjection(z1)
+        return ConditionProjection(rows, z1)
 
     def _precond(self, t):
         """Preconditioning at timestep(s) t, each coefficient acting on x_t:
@@ -182,8 +189,7 @@ class MLPDenoiser(DenoiserInterface):
 
     def _eps_rows(self, x_rows: np.ndarray, t, cond) -> tuple[np.ndarray, tuple, tuple]:
         """Noise prediction for rows of flattened x_t at one timestep, with
-        the forward cache and the preconditioning coefficients. The time
-        embedding's first-layer product is made once for all rows."""
+        the forward cache and the preconditioning coefficients."""
         if cond is None:
             raise ValueError("this denoiser is conditional; cond is required")
         if not isinstance(cond, ConditionProjection):
@@ -191,14 +197,9 @@ class MLPDenoiser(DenoiserInterface):
         if cond.z1.shape[0] != x_rows.shape[0]:
             raise ValueError(f"{cond.z1.shape[0]} conditions for {x_rows.shape[0]} images")
         coeffs = c_in, c_skip, c_out, sab, snab = self._precond(t)
-        nx = self.arch.triaxis_dim
-        w1 = self.weights[0]
-        z1 = (c_in * x_rows).astype(self.dtype) @ w1[:nx]
-        z1 += cond.z1
-        z1 += time_embedding(t, self.arch.time_embed_dim).astype(self.dtype) @ w1[nx + self.arch.cond_dim :]
-        out, (h1, h2) = self._layers(z1)
+        out, cache = self._body(c_in * x_rows, t, cond)
         eps = ((1.0 - sab * c_skip) * x_rows - sab * c_out * out.astype(float)) / snab
-        return eps, (None, h1, h2), coeffs
+        return eps, cache, coeffs
 
     def evaluate(self, x_t, t, cond=None):
         """Predicted noise for x_t of shape (H, W, 3) or a batch (B, H, W, 3)."""
@@ -308,7 +309,7 @@ def train_denoiser(
         eps = rng.standard_normal((opt.batch_size, arch.triaxis_dim))
         x0 = x0s[idx]
         x_t = sab * x0 + snab * eps
-        out, cache = den._forward(den._build_input(c_in * x_t, ts, conds[idx]))
+        out, cache = den._body(c_in * x_t, ts, den.prepare_condition(conds[idx]))
         # x0 loss weighted by min(SNR, MAX_LOSS_WEIGHT), written in F's terms:
         # x0_hat - x0 = c_out * (F - (x0 - c_skip * x_t) / c_out)
         wgt = np.minimum(ab / (1.0 - ab), MAX_LOSS_WEIGHT) * c_out * c_out

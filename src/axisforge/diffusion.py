@@ -10,13 +10,13 @@ centroid of the softly-extracted observation (geo_loss), plus each
 channel's mean squared distance from the target's axis ray. The correction
 is d loss / d x0_hat / sqrt(alpha_bar_t), which leaves the denoiser
 undifferentiated (manifold-preserving guidance, He et al.,
-arXiv:2311.16424), so a guided step costs one denoiser forward.
-``sample_batch`` runs several records through one denoiser pass and one
-batched soft extraction per step, under one GuidanceParams for the whole
-call and one target per record.
+arXiv:2311.16424), so a guided step, ``guided_epsilon_batch``, costs one
+denoiser forward. ``sample_batch`` runs several records through one
+denoiser pass and one batched soft extraction per step, under one
+GuidanceParams for the whole call and one target per record.
 
-An analytic Gaussian score field doubles as a denoiser for which every
-quantity is exact, giving an independent verification path for the sampler.
+``GaussianDenoiser``, the exact noise predictor of a Gaussian data
+distribution, gives an independent verification path for the sampler.
 """
 
 from __future__ import annotations
@@ -139,49 +139,29 @@ class DenoiserInterface(ABC):
         return cond
 
 
-@dataclass(frozen=True)
-class GaussianScoreField:
-    """Elementwise Gaussian data distribution N(mean, var) with known score."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mean, dtype=float)
-        v = np.broadcast_to(np.asarray(self.var, dtype=float), m.shape).copy()
-        if np.any(v <= 0):
-            raise ValueError("variances must be positive")
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "var", v)
-
-
-class _GaussianDenoiser(DenoiserInterface):
-    """Exact noise predictor for a Gaussian data distribution.
+class GaussianDenoiser(DenoiserInterface):
+    """Exact noise predictor for the elementwise Gaussian data distribution
+    N(mean, var).
 
     The diffused marginal at t is N(sqrt(abar) mean, abar var + 1 - abar);
     the noise estimate is -sqrt(1 - abar) times its score.
     """
 
-    def __init__(self, fld: GaussianScoreField, sched: DiffusionSchedule):
-        self.field = fld
+    def __init__(self, mean: np.ndarray, var: np.ndarray, sched: DiffusionSchedule):
+        self.mean = np.asarray(mean, dtype=float)
+        self.var = np.broadcast_to(np.asarray(var, dtype=float), self.mean.shape).copy()
+        if np.any(self.var <= 0):
+            raise ValueError("variances must be positive")
         self.sched = sched
-
-    def score(self, x_t: np.ndarray, t: int) -> np.ndarray:
-        ab = self.sched.abar(t)
-        marg_var = ab * self.field.var + (1.0 - ab)
-        return -(np.asarray(x_t, dtype=float) - np.sqrt(ab) * self.field.mean) / marg_var
 
     def evaluate(self, x_t, t, cond=None):
         ab = self.sched.abar(t)
-        return -np.sqrt(1.0 - ab) * self.score(x_t, t)
+        marg_var = ab * self.var + (1.0 - ab)
+        return np.sqrt(1.0 - ab) * ((np.asarray(x_t, dtype=float) - np.sqrt(ab) * self.mean) / marg_var)
 
     def vjp(self, x_t, t, cond, cotangent):
         ab = self.sched.abar(t)
-        return np.sqrt(1.0 - ab) / (ab * self.field.var + (1.0 - ab)) * np.asarray(cotangent, dtype=float)
-
-
-def gaussian_denoiser(fld: GaussianScoreField, sched: DiffusionSchedule) -> _GaussianDenoiser:
-    return _GaussianDenoiser(fld, sched)
+        return np.sqrt(1.0 - ab) / (ab * self.var + (1.0 - ab)) * np.asarray(cotangent, dtype=float)
 
 
 # --- geometric consistency ---
@@ -251,42 +231,6 @@ def geo_image_gradient(
     return losses, g_img * ((x0_hat > 0.0) & (x0_hat < 1.0)), gen.errors  # clamp pass-through
 
 
-def guidance_sharpness(sharpness: float, t: int, sched: DiffusionSchedule) -> float:
-    """Soft-threshold sharpness of the guidance measurement at timestep t:
-    sharpness * abar_t. The clean-image estimate at t is a posterior mean,
-    blurred in proportion to the noise, and a sharp threshold at 0.5 hides
-    its fainter modes from the gradient; the threshold sharpens as the
-    signal fraction abar_t tends to 1."""
-    return sharpness * sched.abar(t)
-
-
-def geo_guidance_gradient_batch(
-    x_t: np.ndarray,
-    t: int,
-    denoiser: DenoiserInterface,
-    cond: np.ndarray | None,
-    target: ObservationBatch,
-    rays: np.ndarray,
-    sharpness: float,
-    sched: DiffusionSchedule,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
-    """Noise estimate, guidance losses and guidance gradients for a batch x_t
-    of shape (B, H, W, 3), from one denoiser forward and one
-    geo_image_gradient against target (B records) and its ray map rays.
-
-    Item b's loss is geo_image_gradient's loss of x0_hat at
-    guidance_sharpness(sharpness, t), and its gradient d loss / d x0_hat /
-    sqrt(abar_t) holds eps_hat fixed: it is not d loss / d x_t, and the
-    denoiser is never differentiated (He et al., arXiv:2311.16424). Returns
-    (eps_hat, losses, grads, errors). An item whose soft extraction fails has
-    loss nan and gradient 0, with its exception in errors[b].
-    """
-    eps = denoiser.evaluate(x_t, t, cond)
-    x0_hat = predict_x0(x_t, t, eps, sched)
-    losses, grads, errors = geo_image_gradient(x0_hat, target, guidance_sharpness(sharpness, t, sched), rays)
-    return eps, losses, grads / np.sqrt(sched.abar(t)), errors
-
-
 def guided_epsilon_batch(
     x_t: np.ndarray,
     t: int,
@@ -298,24 +242,33 @@ def guided_epsilon_batch(
     sched: DiffusionSchedule,
 ) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
     """Adjusted noise estimates for a batch x_t of shape (B, H, W, 3), from
-    one geo_guidance_gradient_batch call, with each item's correction norm
-    and soft-extraction error.
+    one denoiser forward and one geo_image_gradient of the clean-image
+    estimate x0_hat against target (B records) and its ray map rays, with
+    each item's correction norm and soft-extraction error.
 
-    Item b's estimate is eps_phi + rho_eff * sqrt(1 - abar_t) * g, with g
-    geo_guidance_gradient_batch's d L_geo / d x0_hat / sqrt(abar_t) and
+    The soft threshold's sharpness is guidance.sharpness * abar_t: x0_hat is
+    a posterior mean, blurred in proportion to the noise, and a sharp
+    threshold at 0.5 hides its fainter modes from the gradient, so the
+    threshold sharpens as the signal fraction abar_t tends to 1.
+
+    Item b's estimate is eps_phi + rho_eff * sqrt(1 - abar_t) * g, with
+    g = d L_geo / d x0_hat / sqrt(abar_t) taken with eps_phi held fixed, so
+    the denoiser is never differentiated (He et al., arXiv:2311.16424), and
     rho_eff = guidance.rho_base / (sqrt(L_geo) + 1e-6), which keeps the
     correction stable across timesteps. The DDIM update then moves x0_hat by
     -rho_eff * (1 - abar_t) / abar_t * d L_geo / d x0_hat.
     Its step is skipped, returning the raw estimate and the exception in
-    errors[b], when soft extraction of the current clean-image prediction
-    fails: a channel with no soft mass (VanishingMass) or three mutually
-    parallel axis lines (NoIntersection).
+    errors[b], when soft extraction of x0_hat fails: a channel with no soft
+    mass (VanishingMass) or three mutually parallel axis lines
+    (NoIntersection).
     """
-    eps, losses, grads, errors = geo_guidance_gradient_batch(
-        x_t, t, denoiser, cond, target, rays, guidance.sharpness, sched
-    )
+    eps = denoiser.evaluate(x_t, t, cond)
+    x0_hat = predict_x0(x_t, t, eps, sched)
+    ab = sched.abar(t)
+    losses, grads, errors = geo_image_gradient(x0_hat, target, guidance.sharpness * ab, rays)
+    grads = grads / np.sqrt(ab)
     rho_eff = np.where(np.isnan(losses), 0.0, guidance.rho_base / (np.sqrt(losses) + 1e-6))
-    correction = (rho_eff * np.sqrt(1.0 - sched.abar(t)))[:, None, None, None] * grads
+    correction = (rho_eff * np.sqrt(1.0 - ab))[:, None, None, None] * grads
     return eps + correction, np.linalg.norm(correction.reshape(len(correction), -1), axis=1), errors
 
 

@@ -35,7 +35,6 @@ MIN_HARD_PIXELS = 8
 SOFT_MASS_FLOOR = 1e-6
 EIGEN_RATIO_FLOOR = 4.0
 _INTERSECT_DET_FLOOR = 1e-6
-DEFAULT_SHARPNESS = 50.0
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,6 @@ class AxisObservation:
 
     def to_flat(self) -> list[float]:
         return [*self.origin_px, *self.dir.ravel(), *self.centroid]
-
-    @classmethod
-    def from_flat(cls, vals) -> "AxisObservation":
-        v = np.asarray(vals, dtype=float).reshape(10)
-        return cls(origin_px=v[:2], dir=v[2:8].reshape(3, 2), centroid=v[8:])
 
 
 @dataclass(frozen=True)
@@ -230,7 +224,7 @@ def soft_weights(data: np.ndarray, sharpness: float) -> tuple[np.ndarray, np.nda
 
 def soft_extract_with_pullback(
     images: np.ndarray,
-    sharpness: float = DEFAULT_SHARPNESS,
+    sharpness: float,
     cost_map: np.ndarray | None = None,
 ) -> tuple[ObservationBatch, np.ndarray, np.ndarray | None, Callable[..., np.ndarray]]:
     """Soft extraction of a batch of images (B, H, W, 3) and its adjoint,
@@ -331,7 +325,7 @@ def _single_soft(img: TriAxisImage | np.ndarray, sharpness: float):
     return obs.record(0), pullback
 
 
-def extract_axes_soft(img: TriAxisImage | np.ndarray, sharpness: float = DEFAULT_SHARPNESS) -> AxisObservation:
+def extract_axes_soft(img: TriAxisImage | np.ndarray, sharpness: float) -> AxisObservation:
     """Soft extraction of one image (H, W, 3)."""
     return _single_soft(img, sharpness)[0]
 

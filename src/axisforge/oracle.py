@@ -38,15 +38,13 @@ from .dataset import (
 )
 from .denoiser import ArchConfig, MLPDenoiser, OptConfig, train_denoiser
 from .diffusion import (
-    GaussianScoreField,
+    GaussianDenoiser,
     ddim_step,
     forward_diffuse,
-    gaussian_denoiser,
     gaussian_optimal_timesteps,
-    geo_guidance_gradient_batch,
     geo_image_gradient,
     geo_loss,
-    guidance_sharpness,
+    guided_epsilon_batch,
     make_schedule,
     predict_x0,
     ray_distance_map,
@@ -382,7 +380,7 @@ def ddim_gaussian_chain_stats(
     transport bias. The timestep subset equalizes per-step contraction.
     """
     sched = make_schedule(2000, 5e-5, 1e-2)
-    den = gaussian_denoiser(GaussianScoreField(mean=np.array(m), var=np.array(var)), sched)
+    den = GaussianDenoiser(np.array(m), np.array(var), sched)
     ts = gaussian_optimal_timesteps(sched, steps, var)
     normal = statistics.NormalDist()
     z = np.array([normal.inv_cdf((i + 0.5) / n_chains) for i in range(n_chains)])
@@ -412,9 +410,7 @@ def _gaussian_vjp_fd_case(seed: int, dim: int, T: int, var: float, t: int) -> fl
     differences, one input coordinate at a time."""
     sched = make_schedule(T, 1e-4, 0.05)
     rng = np.random.default_rng(seed)
-    den = gaussian_denoiser(
-        GaussianScoreField(mean=rng.standard_normal(dim), var=np.full(dim, var)), sched
-    )
+    den = GaussianDenoiser(rng.standard_normal(dim), np.full(dim, var), sched)
     x = rng.standard_normal(dim)
     cot = rng.standard_normal(dim)
     grad = den.vjp(x, t, None, cot)
@@ -441,21 +437,24 @@ def _guidance_fd_case(seed: int) -> tuple[float, bool]:
     """For one noised 32 px tri-axis: the worst relative gap between
     geo_image_gradient's gradient at the clean-image estimate x0_hat and
     central differences of its loss in x0_hat at 20 random pixels, and
-    whether the guidance gradient that sampling applies equals that
-    gradient over sqrt(abar_t) exactly."""
+    whether the guided noise estimate is exactly eps + rho_eff *
+    sqrt(1 - abar_t) * that gradient / sqrt(abar_t)."""
     rng = np.random.default_rng(seed)
     K = default_intrinsics(32)
     sampling = SamplingConfig(min_axis_px=5.0)
     pose = sample_pose(rng, K, sampling)
     x0 = render_triaxis(K, pose, thickness_px=1.5).data
     sched = make_schedule(200, 1e-4, 0.05)
-    den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 0.25)), sched)
+    den = GaussianDenoiser(x0, np.full(x0.shape, 0.25), sched)
     target = ObservationBatch.stack([extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))])
     t = 100
     x_t, _ = forward_diffuse(x0, t, sched, rng)
     rays = ray_distance_map(target, x0.shape[:2])
-    eps, _, applied, _ = geo_guidance_gradient_batch(x_t[None], t, den, None, target, rays, 50.0, sched)
-    sharpness = guidance_sharpness(50.0, t, sched)
+    guidance = GuidanceParams(rho_base=1.0, sharpness=50.0)
+    guided, _, _ = guided_epsilon_batch(x_t[None], t, den, None, target, rays, guidance, sched)
+    eps = den.evaluate(x_t, t)
+    ab = sched.abar(t)
+    sharpness = guidance.sharpness * ab
 
     def loss_grad(x0_hat):
         losses, grads, errors = geo_image_gradient(x0_hat[None], target, sharpness, rays)
@@ -463,9 +462,10 @@ def _guidance_fd_case(seed: int) -> tuple[float, bool]:
             raise errors[0]
         return float(losses[0]), grads[0]
 
-    x0_hat = predict_x0(x_t, t, eps[0], sched)
-    _, grad = loss_grad(x0_hat)
-    exact = bool(np.array_equal(applied[0], grad / math.sqrt(sched.abar(t))))
+    x0_hat = predict_x0(x_t, t, eps, sched)
+    loss, grad = loss_grad(x0_hat)
+    rho_eff = guidance.rho_base / (math.sqrt(loss) + 1e-6)
+    exact = bool(np.array_equal(guided[0], eps + rho_eff * math.sqrt(1.0 - ab) * (grad / math.sqrt(ab))))
     h = 1e-3
     worst = 0.0
     flat = grad.ravel()
@@ -487,8 +487,9 @@ def oracle_guidance_fd() -> tuple[str, str, bool]:
     worst = [w for w, _ in cases]
     exact = all(e for _, e in cases)
     return (
-        "< 1e-3 relative in x0_hat (20 random pixels, seeds 12 and 6); applied = d loss/d x0_hat / sqrt(abar) exactly",
-        "worst probe errors " + ", ".join(f"{w:.3e}" for w in worst) + f"; applied exact: {exact}",
+        "< 1e-3 relative in x0_hat (20 random pixels, seeds 12 and 6); "
+        "guided eps = eps + rho_eff sqrt(1 - abar) d loss/d x0_hat / sqrt(abar) exactly",
+        "worst probe errors " + ", ".join(f"{w:.3e}" for w in worst) + f"; guided exact: {exact}",
         max(worst) < 1e-3 and exact,
     )
 
@@ -520,13 +521,11 @@ def oracle_weight_grad_fd() -> tuple[str, str, bool]:
     ts = np.array([1, 4, 7, 10])
 
     def loss():
-        X = den._build_input(x_t, ts, cond)
-        out, _ = den._forward(X)
+        out, _ = den._body(x_t, ts, den.prepare_condition(cond))
         d = out - eps
         return float((d * d).mean())
 
-    X = den._build_input(x_t, ts, cond)
-    out, cache = den._forward(X)
+    out, cache = den._body(x_t, ts, den.prepare_condition(cond))
     diff = out - eps
     grads = den._views(den._backward(2.0 * diff / diff.size, cache))
     params = den.parameters()
@@ -556,7 +555,7 @@ def oracle_analytic_sampler_image() -> tuple[str, str, bool]:
         rng = np.random.default_rng(seed)
         pose = sample_pose(rng, K, _SAMPLING_16)
         x0 = render_triaxis(K, pose, thickness_px=1.5).data
-        den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
+        den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
         result = sample(den, None, None, None, sched, steps=50, rng=rng, shape=(16, 16))
         maes.append(float(np.mean(np.abs(result.image.data - x0))))
     return "mean abs error < 0.05 (seeds 15 and 8)", ", ".join(f"{m:.4f}" for m in maes), max(maes) < 0.05
@@ -587,9 +586,7 @@ def oracle_ablation_direction() -> tuple[str, str, bool]:
             target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
         except AxisForgeError:
             continue
-        den = gaussian_denoiser(
-            GaussianScoreField(mean=mean_img, var=np.full(mean_img.shape, 0.01)), sched
-        )
+        den = GaussianDenoiser(mean_img, np.full(mean_img.shape, 0.01), sched)
         guidance = GuidanceParams(rho_base=10.0, sharpness=50.0)
         for params, sink in ((None, unguided_losses), (guidance, guided_losses)):
             res = sample(
@@ -655,7 +652,7 @@ def oracle_infer_upper_bound() -> tuple[str, str, bool]:
     for _ in range(n):
         pose = sample_pose(rng, K, sampling)
         gt_img = render_triaxis(K, pose, thickness_px=1.5).data
-        den = gaussian_denoiser(GaussianScoreField(mean=gt_img, var=np.full(gt_img.shape, 1e-4)), sched)
+        den = GaussianDenoiser(gt_img, np.full(gt_img.shape, 1e-4), sched)
         res = sample(den, None, None, None, sched, steps=50, rng=rng, shape=(size, size))
         obs = extract_axes_hard(res.image)
         pred = recover_pose(obs, K, scale_lambda_O=float(pose.T[2]), probe_px=sampling.min_axis_px)

@@ -37,14 +37,6 @@ class TriAxisImage:
         if d.min() < 0.0 or d.max() > 1.0:
             raise ValueError("tri-axis values must lie in [0, 1]")
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class QueryImage:
@@ -59,14 +51,6 @@ class QueryImage:
             raise ValueError("query image must have shape (H, W)")
         if d.min() < 0.0 or d.max() > 1.0:
             raise ValueError("query values must lie in [0, 1]")
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -113,14 +97,13 @@ def render_triaxis(
     pose: Pose,
     axis_len: float = 1.0,
     thickness_px: float = 2.0,
-    size: tuple[int, int] | None = None,
 ) -> TriAxisImage:
     """Rasterize the projected tri-axis as anti-aliased segments.
 
     Each channel holds one axis drawn from the projected origin to the
     projected endpoint: intensity 1 on the core, linear 1-pixel falloff.
     """
-    h, w = size if size is not None else (K.height, K.width)
+    h, w = K.height, K.width
     points = project_triaxis(K, pose, axis_len)
     require_nondegenerate(triaxis_lengths(points))
     img = np.zeros((h, w, 3))
@@ -164,20 +147,13 @@ def _fill_convex_quad(img: np.ndarray, quad: np.ndarray, value: float) -> None:
     np.copyto(img, value * cover + img * (1 - cover))
 
 
-def render_query(
-    K: CameraIntrinsics,
-    pose: Pose,
-    size: tuple[int, int] | None = None,
-    half_extent: float = 1.0,
-) -> QueryImage:
-    """Lambertian-shaded cuboid at the pose, painter's-algorithm face order."""
-    h, w = size if size is not None else (K.height, K.width)
-    corners_obj = _CUBOID_CORNERS * half_extent
-    depths = (corners_obj @ pose.R.T + pose.T)[:, 2]
+def render_query(K: CameraIntrinsics, pose: Pose) -> QueryImage:
+    """Lambertian-shaded unit cuboid at the pose, painter's-algorithm face order."""
+    depths = (_CUBOID_CORNERS @ pose.R.T + pose.T)[:, 2]
     if depths.min() <= 1e-9:
         raise NonPositiveDepth("cuboid is not fully in front of the camera")
-    corners_px = np.stack([project_point(K, pose, p) for p in corners_obj])
-    face_z = (corners_obj[_FACE_CORNERS] @ pose.R.T + pose.T)[..., 2]  # one (4, 3) product per face
+    corners_px = np.stack([project_point(K, pose, p) for p in _CUBOID_CORNERS])
+    face_z = (_CUBOID_CORNERS[_FACE_CORNERS] @ pose.R.T + pose.T)[..., 2]  # one (4, 3) product per face
 
     faces = []
     for (axis, sign), corners, cam_z in zip(_CUBOID_FACES, _FACE_CORNERS, face_z):
@@ -185,7 +161,7 @@ def render_query(
         shade = _AMBIENT + (1 - _AMBIENT) * max(0.0, float(n_cam @ (-_LIGHT)))
         faces.append((float(cam_z.mean()), corners_px[corners], shade))
 
-    img = np.zeros((h, w))
+    img = np.zeros((K.height, K.width))
     for _, quad, shade in sorted(faces, key=lambda f: -f[0]):
         _fill_convex_quad(img, quad, shade)
     return QueryImage(np.clip(img, 0.0, 1.0))

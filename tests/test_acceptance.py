@@ -87,14 +87,14 @@ def test_criterion_4_ddim_gaussian(capsys, oracle):
 def test_criterion_5_guidance_math(capsys, oracle):
     fd = oracle("guidance-gradient-fd")
 
-    from axisforge.diffusion import GaussianScoreField, gaussian_denoiser
+    from axisforge.diffusion import GaussianDenoiser
 
     rng = np.random.default_rng(7)
     K = default_intrinsics(16)
     pose = sample_pose(rng, K, SamplingConfig(depth_min=2.0, depth_max=2.8, lateral=0.2, min_axis_px=5.0))
     x0 = render_triaxis(K, pose, thickness_px=1.5).data
     sched = make_schedule(100, 1e-4, 0.05)
-    den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
+    den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
     target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
     a = sample(den, None, target, GuidanceParams(rho_base=0.0), sched,
                steps=25, rng=np.random.default_rng(42), shape=(16, 16))

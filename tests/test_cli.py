@@ -1,6 +1,5 @@
 import json
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +205,26 @@ def test_rho_base_zero_matches_no_guidance(tmp_path, config_path):
     assert sum(f.name.endswith("_gen.f32") for f in files) == 2
     for rel in files:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+
+def test_unguided_infer_samples_a_record_whose_target_fails(tmp_path, config_path):
+    # only guidance reads the ground-truth tri-axis: without it, a record
+    # whose target fails hard extraction is still sampled
+    data = _render(tmp_path, config_path)
+    path = data / "images" / "test_triaxis.f32"
+    rows = np.fromfile(path, dtype="<f4").reshape(2, 16, 16, 3)
+    rows[0, :, :, 2] = 0.0
+    rows.tofile(path)
+    for flags in (["--no-guidance"], []):
+        out = tmp_path / f"pred{len(flags)}"
+        rc = main(["infer", "--config", str(config_path), "--dataset", str(data), "--analytic-denoiser", *flags, "--out", str(out)])
+        assert rc == 0
+        failing, healthy = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
+        sampled = bool(flags)  # a guided run fails the record before sampling it
+        assert (out / "images" / f"{failing['id']}_gen.f32").is_file() == sampled
+        assert ("skipped_guidance_steps" in failing) == sampled
+        assert sampled or failing["error"] == "EmptyChannel"
+        assert healthy["ok"]
 
 
 def test_usage_error_exit_code(capsys):

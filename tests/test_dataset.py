@@ -7,7 +7,6 @@ import pytest
 from axisforge.camera import AXIS_DEGENERACY_PX, CameraIntrinsics, Pose, project_point, random_rotation, rot_y
 from axisforge.dataset import (
     GuidanceParams,
-    Manifest,
     RenderParams,
     RunConfig,
     SamplingConfig,

@@ -99,10 +99,10 @@ def test_float32_network_agrees_with_float64():
         assert eps32.dtype == np.float64  # the float64 boundary is the network's output
         assert close(eps32, den64.evaluate(x, t, cond))
         assert close(den32.vjp(x, t, cond, cot), den64.vjp(x, t, cond, cot))
-    X = den64._build_input(x.reshape(4, -1), np.array([1, 4, 7, 10]), cond.reshape(4, -1))
+    x_in, ts = x.reshape(4, -1), np.array([1, 4, 7, 10])
     d_out = rng.standard_normal((4, ARCH.triaxis_dim))
-    grad32 = den32._backward(d_out.astype(np.float32), den32._forward(X.astype(np.float32))[1])
-    grad64 = den64._backward(d_out, den64._forward(X)[1])
+    grad32 = den32._backward(d_out.astype(np.float32), den32._body(x_in, ts, den32.prepare_condition(cond))[1])
+    grad64 = den64._backward(d_out, den64._body(x_in, ts, den64.prepare_condition(cond))[1])
     assert grad32.dtype == np.float32
     for g32, g64 in zip(den32._views(grad32), den64._views(grad64)):
         assert close(g32, g64)

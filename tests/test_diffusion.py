@@ -6,16 +6,14 @@ import pytest
 from axisforge.config import GuidanceParams
 from axisforge.dataset import SamplingConfig, default_intrinsics, sample_pose
 from axisforge.diffusion import (
-    GaussianScoreField,
+    GaussianDenoiser,
     ddim_step,
     forward_diffuse,
-    gaussian_denoiser,
     gaussian_optimal_timesteps,
-    geo_guidance_gradient_batch,
     geo_image_gradient,
     geo_loss,
     geo_loss_adjoint,
-    guidance_sharpness,
+    guided_epsilon_batch,
     make_schedule,
     predict_x0,
     ray_distance_map,
@@ -80,13 +78,13 @@ def test_ddim_step_exact_with_true_noise():
 def test_gaussian_denoiser_matches_score():
     sched = make_schedule(100, 1e-4, 0.05)
     rng = np.random.default_rng(2)
-    fld = GaussianScoreField(mean=rng.standard_normal(5), var=np.full(5, 0.3))
-    den = gaussian_denoiser(fld, sched)
+    mean, var = rng.standard_normal(5), np.full(5, 0.3)
+    den = GaussianDenoiser(mean, var, sched)
     x = rng.standard_normal(5)
     t = 60
     ab = sched.abar(t)
-    marg_var = ab * fld.var + (1 - ab)
-    score = -(x - np.sqrt(ab) * fld.mean) / marg_var
+    marg_var = ab * var + (1 - ab)
+    score = -(x - np.sqrt(ab) * mean) / marg_var
     assert np.allclose(den.evaluate(x, t), -np.sqrt(1 - ab) * score, atol=1e-14)
 
 
@@ -176,12 +174,12 @@ def test_sample_batch_matches_single_samples():
     means = np.stack([x0 for x0, _ in cases])
     for guidance in (GUIDANCE, None):
         batched = sample_batch(
-            gaussian_denoiser(GaussianScoreField(mean=means, var=np.full(means.shape, 0.01)), sched),
+            GaussianDenoiser(means, np.full(means.shape, 0.01), sched),
             [None] * 3, targets, guidance, sched, steps=10,
             rngs=[np.random.default_rng(10 + b) for b in range(3)], shape=(16, 16),
         )
         for b, (x0, target) in enumerate(cases):
-            den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 0.01)), sched)
+            den = GaussianDenoiser(x0, np.full(x0.shape, 0.01), sched)
             single = sample(
                 den, None, target, guidance, sched, steps=10, rng=np.random.default_rng(10 + b), shape=(16, 16)
             )
@@ -217,24 +215,30 @@ def test_batched_guidance_gradient_finite_differences():
     cond = rng.random((3, 16, 16))
     x_t = rng.standard_normal((3, 16, 16, 3))
     t = 20
-    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, mlp, cond, target, rays, 50.0, sched)
+    ab = sched.abar(t)
+    sharpness = GUIDANCE.sharpness * ab
+
+    def network_step(x_t, cond, target, rays):
+        eps = mlp.evaluate(x_t, t, cond)
+        return (eps, *geo_image_gradient(predict_x0(x_t, t, eps, sched), target, sharpness, rays))
+
+    guided, _, errors = guided_epsilon_batch(x_t, t, mlp, cond, target, rays, GUIDANCE, sched)
     assert errors == [None] * 3
-    assert np.array_equal(eps, mlp.evaluate(x_t, t, cond))
+    eps, img_losses, img_grads, _ = network_step(x_t, cond, target, rays)
     for b in range(3):  # a batch of one gives the matching row of the larger batch
         one_target, one_rays = _stacked([targets[b]])
-        _, one_losses, one_grads, _ = geo_guidance_gradient_batch(
-            x_t[b : b + 1], t, mlp, cond[b : b + 1], one_target, one_rays, 50.0, sched
-        )
-        assert np.isclose(one_losses[0], losses[b], rtol=1e-12)
-        assert np.allclose(one_grads[0], grads[b], rtol=0.0, atol=1e-9)
-    # the applied gradient is d loss / d x0_hat / sqrt(abar_t) exactly: the
-    # denoiser is not differentiated. Its d loss / d x0_hat is checked
-    # against central differences of the loss in x0_hat.
+        one_guided = guided_epsilon_batch(x_t[b : b + 1], t, mlp, cond[b : b + 1], one_target, one_rays, GUIDANCE, sched)[0]
+        _, one_losses, one_grads, _ = network_step(x_t[b : b + 1], cond[b : b + 1], one_target, one_rays)
+        assert np.isclose(one_losses[0], img_losses[b], rtol=1e-12)
+        assert np.allclose(one_grads[0], img_grads[b], rtol=0.0, atol=1e-9)
+        assert np.allclose(one_guided[0], guided[b], rtol=0.0, atol=1e-9)
+    # the guided estimate adds rho_eff * sqrt(1 - abar_t) * d loss / d x0_hat /
+    # sqrt(abar_t) to the network's, exactly: the denoiser is not
+    # differentiated. Its d loss / d x0_hat is checked against central
+    # differences of the loss in x0_hat.
+    rho_eff = GUIDANCE.rho_base / (np.sqrt(img_losses) + 1e-6)
+    assert np.array_equal(guided, eps + (rho_eff * np.sqrt(1.0 - ab))[:, None, None, None] * (img_grads / np.sqrt(ab)))
     x0_hat = predict_x0(x_t, t, eps, sched)
-    sharpness = guidance_sharpness(50.0, t, sched)
-    img_losses, img_grads, _ = geo_image_gradient(x0_hat, target, sharpness, rays)
-    assert np.array_equal(img_losses, losses)
-    assert np.array_equal(grads, img_grads / np.sqrt(sched.abar(t)))
     h = 1e-5
     probed = 0
     for k in range(3):
@@ -258,13 +262,24 @@ def test_guided_sampling_never_differentiates_the_network(monkeypatch):
     def no_pullback(*args, **kwargs):
         raise AssertionError("sampling reached the network's input pullback")
 
+    evaluate = MLPDenoiser.evaluate
+    steps = []
+
+    def counted(self, x_t, t, cond=None):
+        steps.append(t)
+        return evaluate(self, x_t, t, cond)
+
     monkeypatch.setattr(MLPDenoiser, "_pre_activation_grads", no_pullback)  # vjp's and _backward's first step
+    monkeypatch.setattr(MLPDenoiser, "evaluate", counted)
     sched = make_schedule(50, 1e-3, 0.05)
     mlp = MLPDenoiser(ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15)
     targets = [_guided_case(1)[1], _guided_case(3)[1]]
     conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(2)]
-    results = sample_batch(mlp, conds, targets, GUIDANCE, sched, 10, [np.random.default_rng(b) for b in range(2)], (16, 16))
-    assert any(r["guidance_norm"] > 0 for res in results for r in res.log)
+    for guidance in (GUIDANCE, None):
+        steps.clear()
+        results = sample_batch(mlp, conds, targets, guidance, sched, 10, [np.random.default_rng(b) for b in range(2)], (16, 16))
+        assert steps == uniform_timesteps(sched, 10)  # one network forward per step, guided or not
+        assert any(r["guidance_norm"] > 0 for res in results for r in res.log) == (guidance is not None)
 
 
 def test_batched_guidance_isolates_failed_records():
@@ -274,38 +289,39 @@ def test_batched_guidance_isolates_failed_records():
     massless[..., 1] = 0.0  # VanishingMass in channel 1
     parallel = np.repeat(x0[..., :1], 3, axis=-1)  # three copies of one axis: NoIntersection
     means = np.stack([x0, massless, parallel, x0])
-    den = gaussian_denoiser(GaussianScoreField(mean=means, var=np.full(means.shape, 1e-4)), sched)
+    den = GaussianDenoiser(means, np.full(means.shape, 1e-4), sched)
     x_t = np.random.default_rng(3).standard_normal(means.shape)
     t = 10
     stacked, rays = _stacked([target] * 4)
-    eps, losses, grads, errors = geo_guidance_gradient_batch(x_t, t, den, None, stacked, rays, 50.0, sched)
+    guided, norms, errors = guided_epsilon_batch(x_t, t, den, None, stacked, rays, GUIDANCE, sched)
     # the healthy record matches its batch of one bit for bit (the analytic
     # denoiser is elementwise, so batching changes no arithmetic)
+    eps = den.evaluate(x_t, t)
     x0_hat = predict_x0(x_t, t, eps, sched)
-    sharpness = guidance_sharpness(50.0, t, sched)
+    sharpness = GUIDANCE.sharpness * sched.abar(t)
     one_losses, one_grads, _ = geo_image_gradient(x0_hat[:1], ObservationBatch.stack([target]), sharpness)
     img_losses, img_grads, img_errors = geo_image_gradient(
         x0_hat[:3], ObservationBatch.stack([target] * 3), sharpness
     )
     assert img_losses[0] == one_losses[0] and np.array_equal(img_grads[0], one_grads[0])
-    one_den = gaussian_denoiser(GaussianScoreField(mean=x0, var=np.full(x0.shape, 1e-4)), sched)
-    _, one_losses, one_grads, _ = geo_guidance_gradient_batch(x_t[:1], t, one_den, None, *_stacked([target]), 50.0, sched)
-    assert losses[0] == one_losses[0] and np.array_equal(grads[0], one_grads[0])
-    # failed records: loss nan, gradient 0, their own exception
+    one_den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
+    one_guided, one_norms, _ = guided_epsilon_batch(x_t[:1], t, one_den, None, *_stacked([target]), GUIDANCE, sched)
+    assert norms[0] == one_norms[0] > 0 and np.array_equal(guided[0], one_guided[0])
+    # failed records: the network's estimate unchanged, their own exception
     assert isinstance(errors[1], VanishingMass) and errors[1].channel == 1
     assert isinstance(errors[2], NoIntersection)
     assert [type(e) for e in img_errors] == [type(None), VanishingMass, NoIntersection]
     assert errors[0] is None and errors[3] is None
-    assert np.isnan(losses[1:3]).all() and not np.any(grads[1:3])
+    assert np.array_equal(guided[1:3], eps[1:3]) and not np.any(norms[1:3])
     assert np.isnan(img_losses[1:]).all() and not np.any(img_grads[1:])
     # targets stacked once for a chain, ray maps included, give what a
     # fresh build gives at every step
     for step in (30, 10):
-        fresh = geo_guidance_gradient_batch(x_t, step, den, None, *_stacked([target] * 4), 50.0, sched)
-        reused = geo_guidance_gradient_batch(x_t, step, den, None, stacked, rays, 50.0, sched)
-        assert np.array_equal(fresh[1], reused[1], equal_nan=True)
-        assert np.array_equal(fresh[2], reused[2])
-        assert [type(e) for e in fresh[3]] == [type(e) for e in reused[3]]
+        fresh = guided_epsilon_batch(x_t, step, den, None, *_stacked([target] * 4), GUIDANCE, sched)
+        reused = guided_epsilon_batch(x_t, step, den, None, stacked, rays, GUIDANCE, sched)
+        assert np.array_equal(fresh[0], reused[0])
+        assert np.array_equal(fresh[1], reused[1])
+        assert [type(e) for e in fresh[2]] == [type(e) for e in reused[2]]
 
 
 def test_skipped_guidance_step_records_reason():
@@ -315,7 +331,7 @@ def test_skipped_guidance_step_records_reason():
     # the clamp mask zeroes any gradient, so guidance cannot paint mass in
     # (on a blank 0 mean the x0_hat-space correction does, and no step skips)
     dark = np.full((16, 16, 3), -1.0)
-    den = gaussian_denoiser(GaussianScoreField(mean=dark, var=np.full(dark.shape, 1e-4)), sched)
+    den = GaussianDenoiser(dark, np.full(dark.shape, 1e-4), sched)
     res = sample(den, None, target, GUIDANCE, sched, steps=10, rng=np.random.default_rng(0), shape=(16, 16))
     assert res.skipped_steps > 0
     assert {r["skip_reason"] for r in res.log if r["skipped"]} == {"VanishingMass"}

@@ -53,3 +53,24 @@ def test_benchmark_traced_layers_resolve():
             assert hasattr(owner, attr), name
             owner = getattr(owner, attr)
         assert callable(owner), name
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that the module at path imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    unused = [hit for d in ("src", "tests") for path in sorted((root / d).rglob("*.py")) for hit in _unused_imports(path)]
+    assert unused == []

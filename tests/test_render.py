@@ -128,24 +128,21 @@ def _face_corners(axis, sign, hx):
     return out
 
 
-def _render_query_per_face(K, pose, size=None, half_extent=1.0):
+def _render_query_per_face(K, pose):
     """render_query projecting the four corners of each face and filling
     each quad one edge at a time, the form it must reproduce bit for bit."""
-    h, w = size if size is not None else (K.height, K.width)
-    corners_obj = np.array(
-        [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
-    ) * half_extent
+    corners_obj = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
     if (corners_obj @ pose.R.T + pose.T)[:, 2].min() <= 1e-9:
         raise NonPositiveDepth("cuboid is not fully in front of the camera")
     faces = []
     for axis in range(3):
         for sign in (1.0, -1.0):
-            pts = _face_corners(axis, sign, half_extent)
+            pts = _face_corners(axis, sign, 1.0)
             cam = pts @ pose.R.T + pose.T
             quad = np.stack([project_point(K, pose, p) for p in pts])
             shade = _AMBIENT + (1 - _AMBIENT) * max(0.0, float((pose.R[:, axis] * sign) @ (-_LIGHT)))
             faces.append((float(cam[:, 2].mean()), quad, shade))
-    img = np.zeros((h, w))
+    img = np.zeros((K.height, K.width))
     for _, quad, shade in sorted(faces, key=lambda f: -f[0]):
         _fill_convex_quad_per_edge(img, quad, shade)
     return np.clip(img, 0.0, 1.0)
@@ -153,12 +150,15 @@ def _render_query_per_face(K, pose, size=None, half_extent=1.0):
 
 def test_render_query_matches_per_face_projection():
     rng = np.random.default_rng(10)
-    K32 = CameraIntrinsics(f_x=25.0, f_y=25.0, c_x=16.0, c_y=16.0, width=32, height=32)
+    cams = [
+        CameraIntrinsics(f_x=25.0, f_y=25.0, c_x=16.0, c_y=16.0, width=32, height=32),
+        CameraIntrinsics(f_x=100.0, f_y=100.0, c_x=64.0, c_y=64.0, width=112, height=96),
+        CameraIntrinsics(f_x=25.0, f_y=25.0, c_x=16.0, c_y=16.0, width=40, height=24),
+    ]
     for k in range(150):
         pose = Pose(R=random_rotation(rng), T=[*rng.uniform(-0.5, 0.5, 2), rng.uniform(3.0, 6.0)])
-        cam, size, half_extent = [(K32, None, 1.0), (K, (96, 112), 0.6), (K32, (24, 40), 1.3)][k % 3]
-        ref = _render_query_per_face(cam, pose, size, half_extent)
-        assert np.array_equal(render_query(cam, pose, size, half_extent).data, ref)
+        cam = cams[k % 3]
+        assert np.array_equal(render_query(cam, pose).data, _render_query_per_face(cam, pose))
 
 
 def test_pixel_grid_is_the_mgrid():
