@@ -21,7 +21,6 @@ _EXPORTS = {
     "project_point": "camera",
     "project_triaxis": "camera",
     "project_axes": "camera",
-    "projected_axis_lengths": "camera",
     "nearest_rotation": "camera",
     "random_rotation": "camera",
     "rot_x": "camera",
@@ -36,7 +35,6 @@ _EXPORTS = {
     "apply_degradation": "render",
     "save_f32": "render",
     "load_f32": "render",
-    "save_ppm": "render",
     # axis_extraction
     "AxisObservation": "extraction",
     "ObservationAdjoint": "extraction",

@@ -190,11 +190,6 @@ def project_axes(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> Axis
     return AxisLines(origin_px=points[0], dir=(points[1:] - points[0]) / lengths[:, None])
 
 
-def projected_axis_lengths(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> np.ndarray:
-    """Pixel length of each projected axis segment."""
-    return triaxis_lengths(project_triaxis(K, pose, axis_len))
-
-
 # --- rotation helpers ---
 
 def rot_x(deg: float) -> np.ndarray:

@@ -89,7 +89,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="use the Gaussian score field built from each ground-truth tri-axis",
     )
-    p.add_argument("--split", default="test", help="dataset split to run on")
     p.add_argument(
         "--guidance",
         dest="guidance",
@@ -97,18 +96,12 @@ def _build_parser() -> _Parser:
         default=True,
         help="enable geometric-consistency guidance",
     )
-    p.add_argument(
-        "--clean-query",
-        action="store_true",
-        help="condition on the clean query instead of the degraded one",
-    )
     p.add_argument("--out", type=Path, required=True, help="predictions directory")
 
     p = sub.add_parser("eval", help="score predictions against the dataset")
     common(p)
     p.add_argument("--dataset", type=Path, required=True, help="dataset directory")
     p.add_argument("--predictions", type=Path, required=True, help="predictions directory")
-    p.add_argument("--split", default="test")
     p.add_argument(
         "--compare",
         type=Path,
@@ -212,9 +205,9 @@ def cmd_infer(args) -> int:
         raise SystemExit("pass exactly one of --checkpoint / --analytic-denoiser")
     cfg = _load_config(args)
     manifest = load_manifest(args.dataset)
-    records = manifest.split(args.split)
+    records = manifest.split("test")
     if not records:
-        raise SystemExit(f"dataset has no '{args.split}' split")
+        raise SystemExit("dataset has no 'test' split")
     K = manifest.intrinsics
     sched = cfg.schedule()
     den = None
@@ -233,8 +226,8 @@ def cmd_infer(args) -> int:
     # only a guided run reads the ground-truth target, so only it can fail on one
     guidance = cfg.guidance if args.guidance and cfg.guidance.rho_base > 0 else None
     pending = []  # (record, ground-truth tri-axis, condition, generator, target or None)
-    gt_triaxes = load_images(args.dataset, manifest, args.split, "triaxis")
-    conds = load_images(args.dataset, manifest, args.split, "query" if args.clean_query else "degraded")
+    gt_triaxes = load_images(args.dataset, manifest, "test", "triaxis")
+    conds = load_images(args.dataset, manifest, "test", "degraded")
     for rec, gt_triaxis, cond in zip(records, gt_triaxes, conds):
         rng = np.random.default_rng(record_seed(cfg.seed, rec.id))
         target = None
@@ -354,9 +347,9 @@ def cmd_eval(args) -> int:
     from .render import atomic_write
 
     manifest = load_manifest(args.dataset)
-    records = manifest.split(args.split)
+    records = manifest.split("test")
     if not records:
-        raise SystemExit(f"dataset has no '{args.split}' split")
+        raise SystemExit("dataset has no 'test' split")
     report, missing = _report_for(manifest, records, _load_predictions(args.predictions))
     for rid in missing:
         print(f"MissingPrediction: {rid}")

@@ -96,6 +96,15 @@ class RunConfig(Section):
     sample_steps: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        # make_schedule checks the same, but importing it would load the sampler
+        if self.schedule_T < 1:
+            raise ValueError("config key 'schedule_T' must be >= 1")
+        if not 0.0 < self.zeta_start <= self.zeta_end < 1.0:
+            raise ValueError("config keys 'zeta_start' and 'zeta_end' need 0 < zeta_start <= zeta_end < 1")
+        if not 1 <= self.sample_steps <= self.schedule_T:
+            raise ValueError(f"config key 'sample_steps' must lie in 1..schedule_T ({self.schedule_T})")
+
     def schedule(self):
         """The run's DiffusionSchedule; the sampler is imported only here."""
         from .diffusion import make_schedule

@@ -13,8 +13,8 @@ prior of the data's standard deviation sigma_data. The skip carries the
 noisy image through at low noise, where a hidden layer narrower than the
 output could not; the noise prediction follows as
 eps = (x_t - sqrt(abar) * x0_hat) / sqrt(1 - abar). The parameters live in
-one flat float32 buffer, and the network passes (forward, input VJP,
-weight gradients) and the optimizer run in float32; the preconditioning and
+one flat float32 buffer, and the network passes (forward, weight
+gradients) and the optimizer run in float32; the preconditioning and
 everything downstream of x0_hat stay in float64. Checkpoints store the
 buffer as little-endian float32.
 """
@@ -208,7 +208,8 @@ class MLPDenoiser(DenoiserInterface):
 
     def vjp(self, x_t, t, cond, cotangent):
         """d<cotangent, evaluate(x_t)>/d x_t from one forward and one input
-        pullback through the network, without weight gradients."""
+        pullback through the network. No command calls it; it stays because
+        the benchmark's tracer (``perfbench/tracing.py``) looks it up by name."""
         x = np.asarray(x_t, dtype=float)
         eps, cache, (c_in, c_skip, c_out, sab, snab) = self._eps_rows(
             x.reshape(-1, self.arch.triaxis_dim), t, cond

@@ -119,23 +119,17 @@ def ddim_step(
 
 
 class DenoiserInterface(ABC):
-    """Noise predictor with its input-side vector-Jacobian product."""
+    """Noise predictor."""
 
     @abstractmethod
     def evaluate(self, x_t: np.ndarray, t: int, cond: np.ndarray | None = None) -> np.ndarray:
         """Predicted noise, same shape as x_t."""
 
-    @abstractmethod
-    def vjp(
-        self, x_t: np.ndarray, t: int, cond: np.ndarray | None, cotangent: np.ndarray
-    ) -> np.ndarray:
-        """d<cotangent, evaluate(x_t)>/d x_t."""
-
     def prepare_condition(self, cond: np.ndarray):
         """cond in the form this denoiser evaluates fastest, for a caller that
         passes the same condition at many steps with unchanged weights, as a
-        sampling chain does; evaluate and vjp take either form. By default
-        cond itself."""
+        sampling chain does; evaluate takes either form. By default cond
+        itself."""
         return cond
 
 
@@ -158,10 +152,6 @@ class GaussianDenoiser(DenoiserInterface):
         ab = self.sched.abar(t)
         marg_var = ab * self.var + (1.0 - ab)
         return np.sqrt(1.0 - ab) * ((np.asarray(x_t, dtype=float) - np.sqrt(ab) * self.mean) / marg_var)
-
-    def vjp(self, x_t, t, cond, cotangent):
-        ab = self.sched.abar(t)
-        return np.sqrt(1.0 - ab) / (ab * self.var + (1.0 - ab)) * np.asarray(cotangent, dtype=float)
 
 
 # --- geometric consistency ---

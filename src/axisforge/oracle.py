@@ -298,7 +298,7 @@ def oracle_hard_soft_agreement() -> tuple[str, str, bool]:
     )
 
 
-def _fd_relative(analytic: float, fd: float, floor: float = 1e-12) -> float:
+def _fd_relative(analytic: float, fd: float, floor: float) -> float:
     denom = max(abs(analytic), abs(fd), floor)
     return abs(analytic - fd) / denom
 
@@ -402,34 +402,6 @@ def oracle_ddim_gaussian_chain() -> tuple[str, str, bool]:
         f"mean within {mean_tol:.2e} of 2, var within 5% of 0.25",
         f"mean {mean:.5f}, var {var:.5f} (rel err {var_err:.4f})",
         ok,
-    )
-
-
-def _gaussian_vjp_fd_case(seed: int, dim: int, T: int, var: float, t: int) -> float:
-    """Worst relative gap between the Gaussian denoiser's VJP and central
-    differences, one input coordinate at a time."""
-    sched = make_schedule(T, 1e-4, 0.05)
-    rng = np.random.default_rng(seed)
-    den = GaussianDenoiser(rng.standard_normal(dim), np.full(dim, var), sched)
-    x = rng.standard_normal(dim)
-    cot = rng.standard_normal(dim)
-    grad = den.vjp(x, t, None, cot)
-    h = 1e-6
-    worst = 0.0
-    for k in range(dim):
-        dx = np.zeros(dim)
-        dx[k] = h
-        fd = float(cot @ (den.evaluate(x + dx, t) - den.evaluate(x - dx, t))) / (2 * h)
-        worst = max(worst, _fd_relative(float(grad[k]), fd))
-    return worst
-
-
-def oracle_gaussian_vjp_fd() -> tuple[str, str, bool]:
-    worst = [_gaussian_vjp_fd_case(10, 6, 200, 0.3, 100), _gaussian_vjp_fd_case(3, 4, 100, 0.5, 50)]
-    return (
-        "< 1e-8 relative (6-dim T=200 t=100; 4-dim T=100 t=50)",
-        "worst component errors " + ", ".join(f"{w:.3e}" for w in worst),
-        max(worst) < 1e-8,
     )
 
 
@@ -676,7 +648,6 @@ ORACLES = [
     ("schedule-abar", oracle_schedule_abar),
     ("forward-diffuse-moments", oracle_forward_moments),
     ("ddim-gaussian-chain", oracle_ddim_gaussian_chain),
-    ("gaussian-denoiser-vjp-fd", oracle_gaussian_vjp_fd),
     ("guidance-gradient-fd", oracle_guidance_fd),
     ("overfit-smoke", oracle_overfit_smoke),
     ("weight-gradient-fd", oracle_weight_grad_fd),

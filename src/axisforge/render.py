@@ -240,15 +240,3 @@ def load_f32(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
     if data.size != expected:
         raise ValueError(f"{path}: expected {expected} floats, found {data.size}")
     return data.reshape(shape).astype(float)
-
-
-def save_ppm(path: str | Path, img: np.ndarray) -> None:
-    """8-bit P6 export for visual inspection; values scaled by 255, round half-up."""
-    a = np.asarray(img, dtype=float)
-    if a.ndim == 2:
-        a = np.repeat(a[:, :, None], 3, axis=2)
-    h, w = a.shape[:2]
-    b = np.floor(a * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(b.tobytes())

@@ -65,22 +65,12 @@ def corner_from_observation(obs: AxisObservation, probe_px: float = 10.0) -> Cor
 
 
 def _real_roots(poly: np.ndarray) -> list[float]:
-    """Real roots of c0 + c1 x + c2 x^2, stable form plus Newton polishing."""
+    """Real roots of c0 + c1 x + c2 x^2 in the stable form, unpolished."""
     c0, c1, c2 = (float(c) for c in poly)
-
-    def polish(x: float) -> float:
-        for _ in range(3):
-            f = c0 + x * (c1 + x * c2)
-            fp = c1 + 2.0 * x * c2
-            if fp == 0.0:
-                break
-            x -= f / fp
-        return x
-
     if abs(c2) < 1e-14:
         if abs(c1) < 1e-14:
             return []
-        return [polish(-c0 / c1)]
+        return [-c0 / c1]
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
         # a slightly negative discriminant is a numerically tangent pair
@@ -89,9 +79,9 @@ def _real_roots(poly: np.ndarray) -> list[float]:
         disc = 0.0
     sq = math.sqrt(disc)
     q = -0.5 * (c1 + math.copysign(sq, c1) if c1 != 0 else c1 + sq)
-    roots = {polish(q / c2)}
+    roots = {q / c2}
     if q != 0.0:
-        roots.add(polish(c0 / q))
+        roots.add(c0 / q)
     return sorted(roots)
 
 
@@ -169,11 +159,6 @@ def solve_depth_scales(corner: CornerImage, omega: Omega) -> list[CornerSolution
     for lam_A in roots:
         if not math.isfinite(lam_A) or lam_A <= 0:
             continue
-        num = lam_A * d["AO"] - d["OO"]
-        den_B = lam_A * d["AB"] - d["BO"]
-        den_C = lam_A * d["CA"] - d["CO"]
-        if abs(den_B) < _DENOM_FLOOR or abs(den_C) < _DENOM_FLOOR:
-            raise IllConditioned("depth-scale elimination denominator vanished")
         lam_A = _polish_on_system(lam_A, d)
         if any(abs(lam_A - s) <= 1e-12 * max(1.0, abs(s)) for s in seen):
             continue

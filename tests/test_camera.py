@@ -11,11 +11,11 @@ from axisforge.camera import (
     project_axes,
     project_point,
     project_triaxis,
-    projected_axis_lengths,
     random_rotation,
     rot_x,
     rot_y,
     rot_z,
+    triaxis_lengths,
 )
 from axisforge.errors import DegenerateAxis, NonPositiveDepth
 
@@ -78,7 +78,7 @@ def test_project_axes_degenerate_axis():
 
 def test_projected_axis_lengths_positive_and_consistent():
     pose = Pose(R=rot_x(30.0) @ rot_z(10.0), T=np.array([0.1, 0.0, 5.0]))
-    lengths = projected_axis_lengths(K, pose)
+    lengths = triaxis_lengths(project_triaxis(K, pose, 1.0))
     assert lengths.shape == (3,)
     assert np.all(lengths > 0)
     origin = project_point(K, pose, np.zeros(3))

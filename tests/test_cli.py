@@ -329,6 +329,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         # out-of-range values: before they were checked, these rendered all-zero tri-axis images
         ({"render": {"thickness_px": -1}, "guidance": {"rho_base": -2, "sharpness": 0}}, "thickness_px"),
         ({"guidance": {"rho_base": -2, "sharpness": 0}}, "rho_base"),
+        ({"schedule_T": 0}, "'schedule_T'"),  # unchecked, it was written into the dataset's config.json
     ):
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({**CONFIG, **override}))
@@ -336,6 +337,20 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
+
+
+def test_infer_out_of_range_steps_exits_2_before_writing(tmp_path, config_path, capsys):
+    # unchecked, infer made its output directory before the sampler refused
+    data = _render(tmp_path, config_path)
+    for steps in (0, 500):
+        config = tmp_path / "steps.json"
+        config.write_text(json.dumps({**CONFIG, "sample_steps": steps}))
+        out = tmp_path / "out"
+        rc = main(["infer", "--config", str(config), "--dataset", str(data), "--analytic-denoiser", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'sample_steps'" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_train_accepts_integral_floats(tmp_path, capsys):

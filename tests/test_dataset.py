@@ -255,6 +255,12 @@ def test_run_config_partial_section_takes_defaults():
     ({"render": {"thickness_px": -1}}, "thickness_px"),
     ({"guidance": {"rho_base": -2}}, "rho_base"),
     ({"guidance": {"sharpness": 0}}, "sharpness"),
+    ({"schedule_T": 0}, "'schedule_T'"),
+    ({"zeta_start": 0.0}, "'zeta_start'"),
+    ({"zeta_start": 0.06}, "'zeta_start'"),  # above zeta_end
+    ({"zeta_end": 1.0}, "'zeta_end'"),
+    ({"sample_steps": 0}, "'sample_steps'"),
+    ({"sample_steps": 201}, "'sample_steps'"),  # above schedule_T
 ])
 def test_run_config_rejects_unknown_keys(doc, key):
     with pytest.raises(ValueError) as exc:

@@ -74,3 +74,17 @@ def test_no_unused_imports():
     root = Path(__file__).resolve().parents[1]
     unused = [hit for d in ("src", "tests") for path in sorted((root / d).rglob("*.py")) for hit in _unused_imports(path)]
     assert unused == []
+
+
+def test_every_export_is_read_in_src():
+    # an export that only tests call is code that no command runs
+    read = set()
+    for path in Path(axisforge.__file__).resolve().parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert sorted(set(axisforge._EXPORTS) - read) == []

@@ -21,7 +21,6 @@ from axisforge.render import (
     render_query,
     render_triaxis,
     save_f32,
-    save_ppm,
 )
 
 K = CameraIntrinsics(f_x=100.0, f_y=100.0, c_x=64.0, c_y=64.0, width=128, height=128)
@@ -245,11 +244,3 @@ def test_failed_save_f32_keeps_old_file(tmp_path, monkeypatch):
         save_f32(p, np.zeros(256))
     assert list(tmp_path.iterdir()) == [p]  # the temporary file is gone
     assert np.array_equal(load_f32(p, (256,)), np.ones(256))
-
-
-def test_save_ppm_header_and_size(tmp_path):
-    p = tmp_path / "img.ppm"
-    save_ppm(p, np.zeros((8, 6)))
-    raw = p.read_bytes()
-    assert raw.startswith(b"P6\n6 8\n255\n")
-    assert len(raw) == len(b"P6\n6 8\n255\n") + 8 * 6 * 3
