@@ -12,8 +12,19 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    # configuration
+    "CameraIntrinsics": "config",
+    "RenderParams": "config",
+    "SamplingConfig": "config",
+    "DegradationSpec": "config",
+    "ArchConfig": "config",
+    "OptConfig": "config",
+    "GuidanceParams": "config",
+    "RunConfig": "config",
+    "default_intrinsics": "config",
+    "load_config": "config",
+    "save_config": "config",
     # camera_geometry
-    "CameraIntrinsics": "camera",
     "Pose": "camera",
     "Omega": "camera",
     "AxisLines": "camera",
@@ -29,7 +40,6 @@ _EXPORTS = {
     # triaxis_render
     "TriAxisImage": "render",
     "QueryImage": "render",
-    "DegradationSpec": "render",
     "render_triaxis": "render",
     "render_query": "render",
     "apply_degradation": "render",
@@ -65,9 +75,6 @@ _EXPORTS = {
     "gaussian_optimal_timesteps": "diffusion",
     "sample": "diffusion",
     "sample_batch": "diffusion",
-    "ArchConfig": "config",
-    "OptConfig": "config",
-    "GuidanceParams": "config",
     "MLPDenoiser": "denoiser",
     "TrainResult": "denoiser",
     "train_denoiser": "denoiser",
@@ -83,20 +90,14 @@ _EXPORTS = {
     "evaluate_pair": "metrics",
     "evaluate_suite": "metrics",
     # pipeline / dataset
-    "RunConfig": "dataset",
-    "SamplingConfig": "dataset",
-    "RenderParams": "dataset",
     "DatasetRecord": "dataset",
     "Manifest": "dataset",
-    "default_intrinsics": "dataset",
     "record_seed": "dataset",
     "sample_pose": "dataset",
     "pose_is_nondegenerate": "dataset",
     "generate_dataset": "dataset",
     "load_manifest": "dataset",
     "load_images": "dataset",
-    "load_config": "dataset",
-    "save_config": "dataset",
     # errors
     "AxisForgeError": "errors",
 }

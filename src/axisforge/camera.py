@@ -14,48 +14,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import Section
+from .config import CameraIntrinsics
 from .errors import DegenerateAxis, NonPositiveDepth
 
 DEPTH_EPS = 1e-9
 AXIS_DEGENERACY_PX = 1e-6
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics(Section):
-    """Pinhole parameters. The matrix K is upper triangular with positive diagonal."""
-
-    f_x: float
-    f_y: float
-    c_x: float
-    c_y: float
-    width: int
-    height: int
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if not (self.f_x > 0 and self.f_y > 0):
-            raise ValueError("focal lengths must be positive")
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("image size must be positive")
-
-    @cached_property
-    def K(self) -> np.ndarray:
-        K = np.array(
-            [
-                [self.f_x, self.gamma, self.c_x],
-                [0.0, self.f_y, self.c_y],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        K.flags.writeable = False  # shared by every later caller
-        return K
-
-    @cached_property
-    def K_inv(self) -> np.ndarray:
-        K_inv = np.linalg.inv(self.K)
-        K_inv.flags.writeable = False  # shared by every later caller
-        return K_inv
 
 
 @dataclass(frozen=True)

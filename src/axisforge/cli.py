@@ -1,11 +1,12 @@
 """Command-line front door: dataset generation, training, guided inference,
 evaluation, and the oracle suite.
 
-Subcommands: render-dataset, train, infer, eval, oracle. Common flags:
---config PATH, --seed N, --deterministic, --out DIR. The environment
-variable AXISFORGE_THREADS caps the BLAS worker count; --deterministic
-forces single-threaded numerics. Exit codes: 0 success, 1 usage error,
-2 runtime failure, 3 oracle failure.
+Subcommands: render-dataset, train, infer, eval, oracle. Flags of every
+command but oracle: --config PATH, --seed N (eval reads the config and
+ignores the seed), --out DIR. Every command takes --deterministic, which
+forces single-threaded numerics; otherwise the environment variable
+AXISFORGE_THREADS caps the BLAS worker count. Exit codes: 0 success,
+1 usage error, 2 runtime failure, 3 oracle failure.
 """
 
 from __future__ import annotations
@@ -58,30 +59,29 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="axisforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help):
         p.add_argument("--config", type=Path, help="JSON run configuration")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="force single-threaded numerics",
-        )
+        p.add_argument("--seed", type=int, help=seed_help)
+        deterministic(p)
+
+    def deterministic(p):
+        p.add_argument("--deterministic", action="store_true", help="force single-threaded numerics")
 
     p = sub.add_parser("render-dataset", help="render a seeded synthetic dataset")
-    common(p)
+    common(p, "override the config seed")
     p.add_argument("--n-train", type=int, default=20)
     p.add_argument("--n-test", type=int, default=10)
     p.add_argument("--out", type=Path, required=True, help="dataset directory")
 
     p = sub.add_parser("train", help="train the conditional denoiser")
-    common(p)
+    common(p, "override the config seed")
     p.add_argument("--dataset", type=Path, required=True, help="dataset directory")
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--resume", type=Path, help="checkpoint whose weights to start from; Adam's moments and step "
                    "count, so its bias correction, restart from zero: not a continuation of the earlier run")
 
     p = sub.add_parser("infer", help="generate tri-axis images and solve poses")
-    common(p)
+    common(p, "override the config seed")
     p.add_argument("--dataset", type=Path, required=True, help="dataset directory")
     p.add_argument("--checkpoint", type=Path, help="trained denoiser checkpoint")
     p.add_argument(
@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", type=Path, required=True, help="predictions directory")
 
     p = sub.add_parser("eval", help="score predictions against the dataset")
-    common(p)
+    common(p, "accepted and ignored: eval draws nothing at random")
     p.add_argument("--dataset", type=Path, required=True, help="dataset directory")
     p.add_argument("--predictions", type=Path, required=True, help="predictions directory")
     p.add_argument(
@@ -110,13 +110,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", type=Path, help="directory for report files")
 
     p = sub.add_parser("oracle", help="run the property-oracle suite")
-    common(p)
+    deterministic(p)
     p.add_argument("--only", nargs="*", help="subset of oracle names")
     return parser
 
 
 def _load_config(args):
-    from .dataset import RunConfig, load_config
+    from .config import RunConfig, load_config
 
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
@@ -148,7 +148,8 @@ def _require_checkpoint(cfg, den) -> None:
 
 
 def cmd_render_dataset(args) -> int:
-    from .dataset import generate_dataset, save_config
+    from .config import save_config
+    from .dataset import generate_dataset
 
     cfg = _load_config(args)
     manifest = generate_dataset(cfg, args.n_train, args.n_test, args.out)
@@ -271,7 +272,7 @@ def cmd_infer(args) -> int:
             )
             try:
                 obs = extract_axes_hard(result.image)
-                pose = recover_pose(obs, K, scale_lambda_O=rec.scale_lambda_O)
+                pose = recover_pose(obs, K, scale_lambda_O=float(rec.pose.T[2]))  # ground-truth depth
             except AxisForgeError as exc:
                 fail(rec, exc)
                 continue
@@ -346,6 +347,7 @@ def cmd_eval(args) -> int:
     from .dataset import load_manifest
     from .render import atomic_write
 
+    _load_config(args)  # eval reads no setting, but a bad --config is still an error
     manifest = load_manifest(args.dataset)
     records = manifest.split("test")
     if not records:

@@ -8,16 +8,18 @@ annotated type; an int field refuses a fraction, and a numeric field
 refuses a boolean. Every error is a
 ValueError naming the dotted key, e.g. ``'guidance.rho_base'``.
 
-The denoiser's ``ArchConfig`` and ``OptConfig`` and the sampler's
-``GuidanceParams`` live here, so that reading a run configuration imports
-neither the denoiser nor the sampler.
+Every section lives here, from the camera to the guidance, with
+``RunConfig`` and its reader and writer, so that reading a run
+configuration imports neither NumPy nor any other axisforge module.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
+import json
 import typing
+from functools import cached_property
+from pathlib import Path
 
 
 class Section:
@@ -43,10 +45,8 @@ class Section:
         return cls(**{key: _decode(types[key], value, prefix + key) for key, value in d.items()})
 
 
-@functools.cache
 def _schema(cls: type) -> tuple[dict[str, type], list[str]]:
-    """Each field's annotated type, and the fields that have no default;
-    cached, since a manifest decodes one section per record."""
+    """Each field's annotated type, and the fields that have no default."""
     hints = typing.get_type_hints(cls)
     fields = dataclasses.fields(cls)
     required = [
@@ -67,6 +67,103 @@ def _decode(tp: type, value, key: str):
         return tp(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config key '{key}': {exc}") from exc
+
+
+@dataclasses.dataclass(frozen=True)
+class CameraIntrinsics(Section):
+    """Pinhole parameters. The matrix K is upper triangular with positive diagonal."""
+
+    f_x: float
+    f_y: float
+    c_x: float
+    c_y: float
+    width: int
+    height: int
+    gamma: float = 0.0
+
+    def __post_init__(self):
+        if not (self.f_x > 0 and self.f_y > 0):
+            raise ValueError("focal lengths must be positive")
+        if not (self.width > 0 and self.height > 0):
+            raise ValueError("image size must be positive")
+
+    @cached_property
+    def K(self):
+        """The 3x3 float array K, built on first use and shared read-only."""
+        import numpy as np
+
+        K = np.array([[self.f_x, self.gamma, self.c_x], [0.0, self.f_y, self.c_y], [0.0, 0.0, 1.0]])
+        K.flags.writeable = False  # shared by every later caller
+        return K
+
+    @cached_property
+    def K_inv(self):
+        import numpy as np
+
+        K_inv = np.linalg.inv(self.K)
+        K_inv.flags.writeable = False  # shared by every later caller
+        return K_inv
+
+
+def default_intrinsics(size: int = 32) -> CameraIntrinsics:
+    """Reference camera scaled from the 128 px / f=100 configuration."""
+    return CameraIntrinsics(
+        f_x=100.0 * size / 128.0,
+        f_y=100.0 * size / 128.0,
+        c_x=size / 2.0,
+        c_y=size / 2.0,
+        width=size,
+        height=size,
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class RenderParams(Section):
+    """Raster settings shared by every record of a dataset."""
+
+    axis_len: float = 1.0
+    thickness_px: float = 1.5
+
+    def __post_init__(self):
+        if not (self.axis_len > 0 and self.thickness_px > 0):
+            raise ValueError("axis_len and thickness_px must be > 0")
+
+
+@dataclasses.dataclass(frozen=True)
+class SamplingConfig(Section):
+    """Pose distribution and nondegeneracy thresholds for dataset generation."""
+
+    depth_min: float = 3.0
+    depth_max: float = 5.0
+    lateral: float = 0.35
+    min_axis_px: float = 5.0
+    origin_margin_frac: float = 0.25
+
+    def __post_init__(self):
+        if not 0 < self.depth_min < self.depth_max:
+            raise ValueError("need 0 < depth_min < depth_max")
+        if self.lateral < 0 or self.min_axis_px <= 0:
+            raise ValueError("lateral must be >= 0 and min_axis_px > 0")
+        if not 0.0 <= self.origin_margin_frac < 0.5:
+            raise ValueError("origin_margin_frac must lie in [0, 0.5)")
+
+
+@dataclasses.dataclass(frozen=True)
+class DegradationSpec(Section):
+    """Controlled corruption: occlusion rectangle, additive noise, box blur.
+    Its random draws come from the seed of the record it degrades."""
+
+    occlusion_frac: float = 0.0
+    noise_sigma: float = 0.0
+    blur_radius: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.occlusion_frac < 1.0:
+            raise ValueError("occlusion_frac must lie in [0, 1)")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be >= 0")
+        if self.blur_radius < 0:
+            raise ValueError("blur_radius must be >= 0")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,3 +222,49 @@ class GuidanceParams(Section):
     def __post_init__(self):
         if not (self.rho_base >= 0 and self.sharpness > 0):
             raise ValueError("rho_base must be >= 0 and sharpness > 0")
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig(Section):
+    """Top-level configuration for every CLI command."""
+
+    intrinsics: CameraIntrinsics = dataclasses.field(default_factory=default_intrinsics)
+    render: RenderParams = dataclasses.field(default_factory=RenderParams)
+    sampling: SamplingConfig = dataclasses.field(default_factory=SamplingConfig)
+    degradation: DegradationSpec = dataclasses.field(default_factory=DegradationSpec)
+    schedule_T: int = 200
+    zeta_start: float = 1e-4
+    zeta_end: float = 0.05
+    arch: ArchConfig = dataclasses.field(default_factory=ArchConfig)
+    opt: OptConfig = dataclasses.field(default_factory=OptConfig)
+    guidance: GuidanceParams = dataclasses.field(default_factory=GuidanceParams)
+    sample_steps: int = 50
+    seed: int = 0
+
+    def __post_init__(self):
+        # make_schedule checks the same, but importing it would load the sampler
+        if self.schedule_T < 1:
+            raise ValueError("config key 'schedule_T' must be >= 1")
+        if not 0.0 < self.zeta_start <= self.zeta_end < 1.0:
+            raise ValueError("config keys 'zeta_start' and 'zeta_end' need 0 < zeta_start <= zeta_end < 1")
+        if not 1 <= self.sample_steps <= self.schedule_T:
+            raise ValueError(f"config key 'sample_steps' must lie in 1..schedule_T ({self.schedule_T})")
+
+    def schedule(self):
+        """The run's DiffusionSchedule; the sampler is imported only here."""
+        from .diffusion import make_schedule
+
+        return make_schedule(self.schedule_T, self.zeta_start, self.zeta_end)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    with open(path) as f:
+        return RunConfig.from_dict(json.load(f))
+
+
+def save_config(path: str | Path, cfg: RunConfig) -> None:
+    from .render import atomic_write
+
+    with atomic_write(path) as f:
+        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
+        f.write("\n")

@@ -1,11 +1,11 @@
 """Dataset generation and persistence.
 
 A dataset directory holds a single JSON manifest (``manifest.json``,
-versioned) describing every record: pose, intrinsics, degradation settings,
-and the per-record seed. Its images are read through ``load_images``: one raw
-little-endian float32 file per split and kind, rows in manifest order. Poses
-are drawn by rejection sampling so that every record is nondegenerate for the
-full render -> extract -> solve path.
+versioned): the intrinsics, render and degradation settings shared by every
+record, then each record's split, pose and seed. Its images are read through
+``load_images``: one raw little-endian float32 file per split and kind, rows
+in manifest order. Poses are drawn by rejection sampling so that every
+record is nondegenerate for the full render -> extract -> solve path.
 """
 
 from __future__ import annotations
@@ -14,17 +14,17 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .camera import AXIS_DEGENERACY_PX, CameraIntrinsics, Pose, project_triaxis, random_rotation, triaxis_lengths
-from .config import ArchConfig, GuidanceParams, OptConfig, Section
+from .camera import AXIS_DEGENERACY_PX, Pose, project_triaxis, random_rotation, triaxis_lengths
+from .config import CameraIntrinsics, DegradationSpec, RenderParams, RunConfig, SamplingConfig
 from .errors import DegenerateSamplingExhausted, ManifestError, NonPositiveDepth
-from .render import DegradationSpec, apply_degradation, atomic_write, load_f32, render_query, render_triaxis, save_f32
+from .render import apply_degradation, atomic_write, load_f32, render_query, render_triaxis, save_f32
 
-MANIFEST_VERSION = 2  # 2: one image file per split and kind, in place of three per record
+MANIFEST_VERSION = 3  # load_manifest refuses every other version
 IMAGE_KINDS = ("triaxis", "query", "degraded")
 MANIFEST_NAME = "manifest.json"
 MAX_CONSECUTIVE_REJECTIONS = 1000
@@ -37,102 +37,13 @@ def record_seed(global_seed: int, record_id: str) -> int:
 
 
 @dataclass(frozen=True)
-class SamplingConfig(Section):
-    """Pose distribution and nondegeneracy thresholds for dataset generation."""
-
-    depth_min: float = 3.0
-    depth_max: float = 5.0
-    lateral: float = 0.35
-    min_axis_px: float = 5.0
-    origin_margin_frac: float = 0.25
-
-    def __post_init__(self):
-        if not 0 < self.depth_min < self.depth_max:
-            raise ValueError("need 0 < depth_min < depth_max")
-        if self.lateral < 0 or self.min_axis_px <= 0:
-            raise ValueError("lateral must be >= 0 and min_axis_px > 0")
-        if not 0.0 <= self.origin_margin_frac < 0.5:
-            raise ValueError("origin_margin_frac must lie in [0, 0.5)")
-
-
-@dataclass(frozen=True)
-class RenderParams(Section):
-    """Raster settings shared by every record of a dataset."""
-
-    axis_len: float = 1.0
-    thickness_px: float = 1.5
-
-    def __post_init__(self):
-        if not (self.axis_len > 0 and self.thickness_px > 0):
-            raise ValueError("axis_len and thickness_px must be > 0")
-
-
-def default_intrinsics(size: int = 32) -> CameraIntrinsics:
-    """Reference camera scaled from the 128 px / f=100 configuration."""
-    return CameraIntrinsics(
-        f_x=100.0 * size / 128.0,
-        f_y=100.0 * size / 128.0,
-        c_x=size / 2.0,
-        c_y=size / 2.0,
-        width=size,
-        height=size,
-    )
-
-
-@dataclass(frozen=True)
-class RunConfig(Section):
-    """Top-level configuration for every CLI command."""
-
-    intrinsics: CameraIntrinsics = field(default_factory=default_intrinsics)
-    render: RenderParams = field(default_factory=RenderParams)
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    degradation: DegradationSpec = field(default_factory=DegradationSpec)
-    schedule_T: int = 200
-    zeta_start: float = 1e-4
-    zeta_end: float = 0.05
-    arch: ArchConfig = field(default_factory=ArchConfig)
-    opt: OptConfig = field(default_factory=OptConfig)
-    guidance: GuidanceParams = field(default_factory=GuidanceParams)
-    sample_steps: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        # make_schedule checks the same, but importing it would load the sampler
-        if self.schedule_T < 1:
-            raise ValueError("config key 'schedule_T' must be >= 1")
-        if not 0.0 < self.zeta_start <= self.zeta_end < 1.0:
-            raise ValueError("config keys 'zeta_start' and 'zeta_end' need 0 < zeta_start <= zeta_end < 1")
-        if not 1 <= self.sample_steps <= self.schedule_T:
-            raise ValueError(f"config key 'sample_steps' must lie in 1..schedule_T ({self.schedule_T})")
-
-    def schedule(self):
-        """The run's DiffusionSchedule; the sampler is imported only here."""
-        from .diffusion import make_schedule
-
-        return make_schedule(self.schedule_T, self.zeta_start, self.zeta_end)
-
-
-def load_config(path: str | Path) -> RunConfig:
-    with open(path) as f:
-        return RunConfig.from_dict(json.load(f))
-
-
-def save_config(path: str | Path, cfg: RunConfig) -> None:
-    with atomic_write(path) as f:
-        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-@dataclass(frozen=True)
 class DatasetRecord:
-    """One dataset sample: pose and degradation. Its images are its row of
-    its split's image files."""
+    """One dataset sample: its pose and the seed of its pose and degradation
+    draws. Its images are its row of its split's image files."""
 
     id: str
     split: str
     pose: Pose
-    scale_lambda_O: float
-    degradation: DegradationSpec
     seed: int
 
     def to_dict(self) -> dict:
@@ -140,8 +51,6 @@ class DatasetRecord:
             "id": self.id,
             "split": self.split,
             "pose": {"R": [float(v) for v in self.pose.R.ravel()], "T": [float(v) for v in self.pose.T]},
-            "scale_lambda_O": self.scale_lambda_O,
-            "degradation": self.degradation.to_dict(),
             "seed": self.seed,
         }
 
@@ -152,20 +61,14 @@ class DatasetRecord:
             R=np.asarray(d["pose"]["R"], dtype=float).reshape(3, 3),
             T=np.asarray(d["pose"]["T"], dtype=float),
         )
-        return cls(
-            id=str(d["id"]),
-            split=str(d["split"]),
-            pose=pose,
-            scale_lambda_O=float(d["scale_lambda_O"]),
-            degradation=DegradationSpec.from_dict(d["degradation"], "degradation."),
-            seed=int(d["seed"]),
-        )
+        return cls(id=str(d["id"]), split=str(d["split"]), pose=pose, seed=int(d["seed"]))
 
 
 @dataclass(frozen=True)
 class Manifest:
     intrinsics: CameraIntrinsics
     render: RenderParams
+    degradation: DegradationSpec
     records: list[DatasetRecord]
 
     def split(self, name: str) -> list[DatasetRecord]:
@@ -251,25 +154,21 @@ def generate_dataset(
             pose = sample_pose(rng, K, cfg.sampling, cfg.render.axis_len)
             rows["triaxis"][i] = render_triaxis(K, pose, cfg.render.axis_len, cfg.render.thickness_px).data
             rows["query"][i] = query = render_query(K, pose).data  # degrade the float64 render, not the row
-            degr = replace(cfg.degradation, seed=seed)
-            rows["degraded"][i] = apply_degradation(query, degr)
-            records.append(
-                DatasetRecord(
-                    id=rid, split=split, pose=pose, scale_lambda_O=float(pose.T[2]), degradation=degr, seed=seed
-                )
-            )
+            rows["degraded"][i] = apply_degradation(query, cfg.degradation, seed)
+            records.append(DatasetRecord(id=rid, split=split, pose=pose, seed=seed))
         for kind, images in rows.items():
             save_f32(out / _image_file(split, kind), images)
     doc = {
         "version": MANIFEST_VERSION,
         "intrinsics": K.to_dict(),
         "render": cfg.render.to_dict(),
+        "degradation": cfg.degradation.to_dict(),
         "records": [r.to_dict() for r in records],
     }
     with atomic_write(out / MANIFEST_NAME) as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    return Manifest(intrinsics=K, render=cfg.render, records=records)
+    return Manifest(intrinsics=K, render=cfg.render, degradation=cfg.degradation, records=records)
 
 
 def load_manifest(dataset_dir: str | Path) -> Manifest:
@@ -285,6 +184,7 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
     try:
         intrinsics = CameraIntrinsics.from_dict(doc["intrinsics"])
         render = RenderParams.from_dict(doc["render"])
+        degradation = DegradationSpec.from_dict(doc["degradation"], "degradation.")
         records = [DatasetRecord.from_dict(r) for r in doc["records"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise ManifestError(f"malformed manifest {path}: {exc}") from exc
@@ -296,7 +196,7 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
             size, want = image_path.stat().st_size, 4 * count * math.prod(_image_shape(intrinsics, kind))
             if size != want:
                 raise ManifestError(f"image file {image_path} holds {size} bytes, not the {want} of {count} records")
-    return Manifest(intrinsics=intrinsics, render=render, records=records)
+    return Manifest(intrinsics=intrinsics, render=render, degradation=degradation, records=records)
 
 
 def load_images(dataset_dir: str | Path, manifest: Manifest, split: str, kind: str) -> np.ndarray:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ArchConfig, OptConfig
-from .diffusion import DenoiserInterface, DiffusionSchedule, make_schedule
+from .diffusion import DenoiserInterface, DiffusionSchedule, forward_diffuse, make_schedule
 from .errors import DivergedLoss
 from .render import atomic_write
 
@@ -305,11 +305,10 @@ def train_denoiser(
     for step in range(1, opt.steps + 1):
         idx = rng.integers(0, n, size=opt.batch_size)
         ts = rng.integers(1, sched.T + 1, size=opt.batch_size)
-        c_in, c_skip, c_out, sab, snab = (c[:, None] for c in den._precond(ts))
+        c_in, c_skip, c_out, sab, _ = (c[:, None] for c in den._precond(ts))
         ab = sab * sab
-        eps = rng.standard_normal((opt.batch_size, arch.triaxis_dim))
         x0 = x0s[idx]
-        x_t = sab * x0 + snab * eps
+        x_t, _ = forward_diffuse(x0, ts[:, None], sched, rng)
         out, cache = den._body(c_in * x_t, ts, den.prepare_condition(conds[idx]))
         # x0 loss weighted by min(SNR, MAX_LOSS_WEIGHT), written in F's terms:
         # x0_hat - x0 = c_out * (F - (x0 - c_skip * x_t) / c_out)

@@ -89,9 +89,13 @@ def make_schedule(T: int, zeta_start: float, zeta_end: float) -> DiffusionSchedu
     return DiffusionSchedule(T=T, zeta=zeta, alpha_bar=np.cumprod(1.0 - zeta))
 
 
-def forward_diffuse(x0: np.ndarray, t: int, sched: DiffusionSchedule, rng: np.random.Generator):
-    """Sample x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps; returns (x_t, eps)."""
-    ab = sched.abar(t)
+def forward_diffuse(x0: np.ndarray, t, sched: DiffusionSchedule, rng: np.random.Generator):
+    """Sample x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps; returns (x_t, eps).
+    ``t`` is one timestep or an array of them broadcast against x0, each in 1..T."""
+    t = np.asarray(t, dtype=int)
+    if not np.all((1 <= t) & (t <= sched.T)):
+        raise ValueError(f"timesteps must lie in 1..{sched.T}")
+    ab = sched.alpha_bar[t - 1]
     x0 = np.asarray(x0, dtype=float)
     eps = rng.standard_normal(x0.shape)
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, eps

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Pose, project_point
+from .camera import Pose, project_point
+from .config import CameraIntrinsics
 
 REPROJ_THRESHOLD_PX = 15.0
 REFERENCE_FOCAL_PX = 100.0

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import (
-    CameraIntrinsics,
     Pose,
     compute_omega,
     project_axes,
@@ -26,17 +25,18 @@ from .camera import (
     rot_y,
     rot_z,
 )
-from .config import GuidanceParams
-from .dataset import (
+from .config import (
+    ArchConfig,
+    CameraIntrinsics,
+    DegradationSpec,
+    GuidanceParams,
+    OptConfig,
     RunConfig,
     SamplingConfig,
     default_intrinsics,
-    generate_dataset,
-    load_images,
-    load_manifest,
-    sample_pose,
 )
-from .denoiser import ArchConfig, MLPDenoiser, OptConfig, train_denoiser
+from .dataset import generate_dataset, load_images, load_manifest, sample_pose
+from .denoiser import MLPDenoiser, train_denoiser
 from .diffusion import (
     GaussianDenoiser,
     ddim_step,
@@ -60,7 +60,7 @@ from .extraction import (
     soft_extract_vjp,
 )
 from .metrics import cuboid_model, evaluate_suite, reproj_metric, reproj_threshold_px, rotation_geodesic
-from .render import DegradationSpec, TriAxisImage, apply_degradation, render_query, render_triaxis
+from .render import TriAxisImage, apply_degradation, render_query, render_triaxis
 from .solver import CornerImage, recover_pose, solve_depth_scales
 
 K128 = CameraIntrinsics(f_x=100.0, f_y=100.0, c_x=64.0, c_y=64.0, width=128, height=128)
@@ -263,7 +263,7 @@ def oracle_query_symmetry() -> tuple[str, str, bool]:
 
 def oracle_occlusion_area() -> tuple[str, str, bool]:
     img = np.ones((128, 128))
-    out = apply_degradation(img, DegradationSpec(occlusion_frac=0.25, seed=11))
+    out = apply_degradation(img, DegradationSpec(occlusion_frac=0.25), 11)
     frac = float((out == 0).sum()) / img.size
     ok = abs(frac - 0.25) <= 0.025
     return "0.25 +- 10%", f"zeroed fraction {frac:.4f}", ok

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Pose, project_point, project_triaxis, require_nondegenerate, row_norms, triaxis_lengths
-from .config import Section
+from .camera import Pose, project_point, project_triaxis, require_nondegenerate, row_norms, triaxis_lengths
+from .config import CameraIntrinsics, DegradationSpec
 from .errors import NonPositiveDepth
 
 _LIGHT = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)  # directional light, toward scene
@@ -51,24 +51,6 @@ class QueryImage:
             raise ValueError("query image must have shape (H, W)")
         if d.min() < 0.0 or d.max() > 1.0:
             raise ValueError("query values must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DegradationSpec(Section):
-    """Controlled corruption: occlusion rectangle, additive noise, box blur."""
-
-    occlusion_frac: float = 0.0
-    noise_sigma: float = 0.0
-    blur_radius: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.occlusion_frac < 1.0:
-            raise ValueError("occlusion_frac must lie in [0, 1)")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.blur_radius < 0:
-            raise ValueError("blur_radius must be >= 0")
 
 
 @lru_cache(maxsize=8)
@@ -186,11 +168,11 @@ def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
     return blur_axis(blur_axis(img, 0), 1)
 
 
-def apply_degradation(img: np.ndarray, spec: DegradationSpec) -> np.ndarray:
-    """Occlude, add noise, clamp, then blur. Seeded and reproducible."""
+def apply_degradation(img: np.ndarray, spec: DegradationSpec, seed: int) -> np.ndarray:
+    """Occlude, add noise, clamp, then blur. Seeded by ``seed`` and reproducible."""
     out = np.array(img, dtype=float)
     h, w = out.shape[:2]
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     if spec.occlusion_frac > 0:
         area = spec.occlusion_frac * h * w
         aspect = rng.uniform(0.5, 2.0)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Omega, Pose, compute_omega, nearest_rotation, project_axes
+from .camera import Omega, Pose, compute_omega, nearest_rotation, project_axes
+from .config import CameraIntrinsics
 from .errors import AllCandidatesRejected, DegenerateAxis, IllConditioned, NonPositiveDepth, NoValidSolution
 from .extraction import AxisObservation
 

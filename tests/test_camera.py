@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from axisforge.camera import (
-    CameraIntrinsics,
     Pose,
     compute_omega,
     nearest_rotation,
@@ -17,6 +16,7 @@ from axisforge.camera import (
     rot_z,
     triaxis_lengths,
 )
+from axisforge.config import CameraIntrinsics
 from axisforge.errors import DegenerateAxis, NonPositiveDepth
 
 K = CameraIntrinsics(f_x=100.0, f_y=100.0, c_x=64.0, c_y=64.0, width=128, height=128)

@@ -253,6 +253,28 @@ def test_runtime_error_exit_code(tmp_path, config_path, capsys):
         assert not out.exists()
 
 
+def test_eval_reads_its_config(tmp_path, config_path, capsys):
+    data = _render(tmp_path, config_path)
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    (pred / "predictions.jsonl").write_text("")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"degradation": {"seed": 3}}))
+    capsys.readouterr()
+    for config, message in ((tmp_path / "nonexistent.json", "nonexistent.json"), (bad, "'degradation.seed'")):
+        rc = main(["eval", "--config", str(config), "--seed", "5", "--dataset", str(data), "--predictions", str(pred)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--config", "x"], ["--seed", "5"]])
+def test_oracle_takes_no_config_or_seed(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", *flag, "--only", "schedule-abar"])
+    assert exc.value.code == 1
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_oracle_subset(capsys):
     rc = main(["oracle", "--only", "schedule-abar", "omega-positive-definite"])
     assert rc == 0

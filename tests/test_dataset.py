@@ -4,25 +4,23 @@ import json
 import numpy as np
 import pytest
 
-from axisforge.camera import AXIS_DEGENERACY_PX, CameraIntrinsics, Pose, project_point, random_rotation, rot_y
-from axisforge.dataset import (
+from axisforge.camera import AXIS_DEGENERACY_PX, Pose, project_point, random_rotation, rot_y
+from axisforge.config import (
+    ArchConfig,
+    CameraIntrinsics,
+    DegradationSpec,
     GuidanceParams,
+    OptConfig,
     RenderParams,
     RunConfig,
     SamplingConfig,
     default_intrinsics,
-    generate_dataset,
     load_config,
-    load_images,
-    load_manifest,
-    pose_is_nondegenerate,
-    record_seed,
-    sample_pose,
     save_config,
 )
-from axisforge.config import ArchConfig, OptConfig
+from axisforge.dataset import generate_dataset, load_images, load_manifest, pose_is_nondegenerate, record_seed, sample_pose
 from axisforge.errors import DegenerateAxis, ManifestError, NonPositiveDepth
-from axisforge.render import DegradationSpec, _pixel_grid
+from axisforge.render import _pixel_grid
 
 CFG = dataclasses.replace(
     RunConfig(),
@@ -38,7 +36,7 @@ ALL_SET = RunConfig(
     intrinsics=CameraIntrinsics(f_x=20.5, f_y=21.5, c_x=12.25, c_y=11.75, width=24, height=23, gamma=0.125),
     render=RenderParams(axis_len=0.75, thickness_px=2.25),
     sampling=SamplingConfig(depth_min=2.5, depth_max=4.5, lateral=0.25, min_axis_px=4.5, origin_margin_frac=0.125),
-    degradation=DegradationSpec(occlusion_frac=0.3, noise_sigma=0.05, blur_radius=2, seed=2**62 + 7),
+    degradation=DegradationSpec(occlusion_frac=0.3, noise_sigma=0.05, blur_radius=2),
     schedule_T=300,
     zeta_start=2e-4,
     zeta_end=0.07,
@@ -145,7 +143,7 @@ def test_generate_and_load_dataset(tmp_path):
     assert len(manifest.split("train")) == 3
     assert len(manifest.split("test")) == 2
     back = load_manifest(tmp_path)
-    assert back.intrinsics == manifest.intrinsics
+    assert (back.intrinsics, back.render, back.degradation) == (manifest.intrinsics, manifest.render, CFG.degradation)
     for rec, rec2 in zip(manifest.records, back.records):
         assert rec.id == rec2.id
         assert np.allclose(rec.pose.R, rec2.pose.R, atol=1e-15)
@@ -186,8 +184,12 @@ def test_load_manifest_errors(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(ManifestError, match="manifest version 1 is not supported"):
         load_manifest(tmp_path)
-    doc["version"] = 2
-    doc["records"][0]["degradation"]["sigma"] = 0.1
+    doc["version"] = 2  # a copy of the degradation settings in every record: refused
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="manifest version 2 is not supported"):
+        load_manifest(tmp_path)
+    doc["version"] = 3
+    doc["degradation"]["sigma"] = 0.1
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(ManifestError, match="'degradation.sigma'"):
         load_manifest(tmp_path)
@@ -261,6 +263,7 @@ def test_run_config_partial_section_takes_defaults():
     ({"zeta_end": 1.0}, "'zeta_end'"),
     ({"sample_steps": 0}, "'sample_steps'"),
     ({"sample_steps": 201}, "'sample_steps'"),  # above schedule_T
+    ({"degradation": {"seed": 3}}, "'degradation.seed'"),  # records draw from their own seeds
 ])
 def test_run_config_rejects_unknown_keys(doc, key):
     with pytest.raises(ValueError) as exc:

@@ -7,13 +7,11 @@ import pytest
 
 from axisforge import denoiser
 from axisforge.camera import Pose, rot_x, rot_y
-from axisforge.dataset import default_intrinsics
+from axisforge.config import ArchConfig, OptConfig, default_intrinsics
 from axisforge.denoiser import (
     ADAM_BLOCK,
     Adam,
-    ArchConfig,
     MLPDenoiser,
-    OptConfig,
     load_checkpoint,
     save_checkpoint,
     time_embedding,

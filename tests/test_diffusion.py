@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from axisforge.config import GuidanceParams
-from axisforge.dataset import SamplingConfig, default_intrinsics, sample_pose
+from axisforge.config import ArchConfig, GuidanceParams, SamplingConfig, default_intrinsics
+from axisforge.dataset import sample_pose
 from axisforge.diffusion import (
     GaussianDenoiser,
     ddim_step,
@@ -59,6 +59,16 @@ def test_forward_diffuse_marginal_identity():
     assert np.allclose(x_t, np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps, atol=1e-14)
     # predicting x0 from the true noise inverts the marginal exactly
     assert np.allclose(predict_x0(x_t, 20, eps, sched), x0, atol=1e-12)
+    # one timestep per row, as training draws them, each row as its scalar call
+    rows = x0.reshape(8, -1)
+    ts = np.array([1, 20, 50, 20, 7, 3, 49, 2])
+    x_rows, eps_rows = forward_diffuse(rows, ts[:, None], sched, np.random.default_rng(1))
+    for row, t, x_row, eps_row in zip(rows, ts, x_rows, eps_rows):
+        ab = sched.abar(int(t))
+        assert np.array_equal(x_row, np.sqrt(ab) * row + np.sqrt(1 - ab) * eps_row)
+    for bad in (0, 51, ts - 1):
+        with pytest.raises(ValueError, match="1..50"):
+            forward_diffuse(rows, bad, sched, rng)
 
 
 def test_ddim_step_exact_with_true_noise():
@@ -165,7 +175,7 @@ GUIDANCE = GuidanceParams(rho_base=10.0)
 
 
 def test_sample_batch_matches_single_samples():
-    from axisforge.denoiser import ArchConfig, MLPDenoiser
+    from axisforge.denoiser import MLPDenoiser
 
     sched = make_schedule(50, 1e-3, 0.05)
     cases = [_guided_case(s) for s in (1, 2, 3)]
@@ -203,7 +213,7 @@ def _stacked(targets, shape=(16, 16)):
 
 
 def test_batched_guidance_gradient_finite_differences():
-    from axisforge.denoiser import ArchConfig, MLPDenoiser
+    from axisforge.denoiser import MLPDenoiser
 
     sched = make_schedule(50, 1e-3, 0.05)
     targets = [_guided_case(s)[1] for s in (1, 2, 3)]
@@ -257,7 +267,7 @@ def test_batched_guidance_gradient_finite_differences():
 
 
 def test_guided_sampling_never_differentiates_the_network(monkeypatch):
-    from axisforge.denoiser import ArchConfig, MLPDenoiser
+    from axisforge.denoiser import MLPDenoiser
 
     def no_pullback(*args, **kwargs):
         raise AssertionError("sampling reached the network's input pullback")

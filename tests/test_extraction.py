@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from axisforge.camera import project_axes
-from axisforge.dataset import SamplingConfig, default_intrinsics, sample_pose
+from axisforge.config import SamplingConfig, default_intrinsics
+from axisforge.dataset import sample_pose
 from axisforge.errors import DegenerateChannel, EmptyChannel
 from axisforge.extraction import (
     AxisObservation,

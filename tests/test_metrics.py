@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from axisforge import metrics
-from axisforge.camera import CameraIntrinsics, Pose, rot_z
-from axisforge.dataset import default_intrinsics
+from axisforge.camera import Pose, rot_z
+from axisforge.config import CameraIntrinsics, default_intrinsics
 from axisforge.metrics import (
     REPROJ_THRESHOLD_PX,
     MetricsReport,

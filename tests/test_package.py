@@ -1,11 +1,13 @@
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import axisforge
+from axisforge.config import default_intrinsics
 from axisforge.oracle import ORACLES
 
 
@@ -25,6 +27,34 @@ def test_dataset_imports_no_sampler_or_denoiser():
     src = str(Path(axisforge.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
     assert out.stdout.strip() == "[]"
+
+
+def test_reading_a_config_imports_no_numerics(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"intrinsics": default_intrinsics(16).to_dict(), "degradation": {"noise_sigma": 0.1},
+                                "seed": 3}))
+    code = (
+        f"import sys, axisforge.config; cfg = axisforge.config.load_config({str(path)!r}); "
+        "print(cfg.seed, sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy' "
+        "or (m.startswith('axisforge.') and m != 'axisforge.config')))"
+    )
+    src = str(Path(axisforge.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "3 []"
+
+
+def test_every_config_section_is_defined_in_config():
+    # a section defined beside the numerics would make reading a config import them
+    sections, outside = {"Section"}, []
+    modules = sorted(Path(axisforge.__file__).resolve().parent.glob("*.py"), key=lambda p: p.name != "config.py")
+    for path in modules:  # config.py first, so that its sections are known
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and {ast.unparse(b).rpartition(".")[2] for b in node.bases} & sections:
+                if path.name == "config.py":
+                    sections.add(node.name)
+                else:
+                    outside.append(f"{path.name}: {node.name}")
+    assert outside == []
 
 
 def test_readme_counts_the_oracles_and_names_are_unique():

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from axisforge import render
-from axisforge.camera import CameraIntrinsics, Pose, project_axes, project_point, random_rotation, rot_x, rot_y
+from axisforge.camera import Pose, project_axes, project_point, random_rotation, rot_x, rot_y
+from axisforge.config import CameraIntrinsics, DegradationSpec
 from axisforge.errors import NonPositiveDepth
 from axisforge.render import (
     _AMBIENT,
     _LIGHT,
-    DegradationSpec,
     QueryImage,
     TriAxisImage,
     _fill_convex_quad,
@@ -181,9 +181,9 @@ def test_degradation_spec_validation():
 
 def test_degradation_occlusion_area_and_determinism():
     img = np.ones((64, 64))
-    spec = DegradationSpec(occlusion_frac=0.25, seed=3)
-    out = apply_degradation(img, spec)
-    out2 = apply_degradation(img, spec)
+    spec = DegradationSpec(occlusion_frac=0.25)
+    out = apply_degradation(img, spec, 3)
+    out2 = apply_degradation(img, spec, 3)
     assert np.array_equal(out, out2)
     frac = float((out == 0).sum()) / img.size
     assert abs(frac - 0.25) < 0.05
@@ -191,7 +191,7 @@ def test_degradation_occlusion_area_and_determinism():
 
 def test_degradation_noise_and_clamp():
     img = np.full((32, 32), 0.5)
-    out = apply_degradation(img, DegradationSpec(noise_sigma=0.2, seed=5))
+    out = apply_degradation(img, DegradationSpec(noise_sigma=0.2), 5)
     assert out.min() >= 0.0 and out.max() <= 1.0
     assert not np.array_equal(out, img)
 
@@ -199,7 +199,7 @@ def test_degradation_noise_and_clamp():
 def test_degradation_blur_preserves_interior_mean():
     rng = np.random.default_rng(7)
     img = rng.uniform(0.2, 0.8, size=(32, 32))
-    out = apply_degradation(img, DegradationSpec(blur_radius=1))
+    out = apply_degradation(img, DegradationSpec(blur_radius=1), 0)
     assert abs(out[4:-4, 4:-4].mean() - img[4:-4, 4:-4].mean()) < 0.02
 
 
