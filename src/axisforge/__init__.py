@@ -66,7 +66,6 @@ _EXPORTS = {
     "SampleResult": "diffusion",
     "make_schedule": "diffusion",
     "forward_diffuse": "diffusion",
-    "predict_x0": "diffusion",
     "ddim_step": "diffusion",
     "geo_loss": "diffusion",
     "geo_loss_adjoint": "diffusion",

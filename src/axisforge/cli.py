@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--analytic-denoiser",
         action="store_true",
-        help="use the Gaussian score field built from each ground-truth tri-axis",
+        help="use the exact posterior mean of a Gaussian centred on each ground-truth tri-axis",
     )
     p.add_argument(
         "--guidance",
@@ -291,6 +291,14 @@ def cmd_infer(args) -> int:
     return 0
 
 
+def _finite_numbers(value, n: int) -> bool:
+    """value is a list of n finite JSON numbers. The bound is compared, not
+    converted, so an integer too large for a float is refused, not raised."""
+    return isinstance(value, list) and len(value) == n and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value
+    )
+
+
 def _load_predictions(pred_dir: Path) -> dict[str, dict]:
     path = pred_dir / "predictions.jsonl"
     if not path.is_file():
@@ -306,10 +314,13 @@ def _load_predictions(pred_dir: Path) -> dict[str, dict]:
             except ValueError as exc:
                 raise SystemExit(f"{path}:{lineno}: {exc}")
             if not (
-                isinstance(rec, dict) and isinstance(rec.get("id"), str) and "ok" in rec
-                and (not rec["ok"] or ("R" in rec and "T" in rec))
+                isinstance(rec, dict) and isinstance(rec.get("id"), str) and isinstance(rec.get("ok"), bool)
+                and (not rec["ok"] or (_finite_numbers(rec.get("R"), 9) and _finite_numbers(rec.get("T"), 3)))
             ):
-                raise SystemExit(f"{path}:{lineno}: a prediction is an object with id, ok and, when ok, R and T")
+                raise SystemExit(
+                    f"{path}:{lineno}: a prediction is an object with id, a boolean ok and, when ok is true, "
+                    "R of 9 and T of 3 finite numbers"
+                )
             preds[rec["id"]] = rec
     return preds
 

@@ -6,13 +6,12 @@ a sinusoidal timestep embedding. The first layer multiplies each of the
 three by its own row block of the first weight, on one forward path that
 training and sampling share; a sampling chain prepares the query's product
 once. The network body F is preconditioned as in
-Karras et al. (arXiv:2206.00364): the clean-image estimate is
-x0_hat = c_skip * x + c_out * F(c_in * x, ...) on the rescaled input
-x = x_t / sqrt(abar), with c_skip the posterior-mean gain of a Gaussian
-prior of the data's standard deviation sigma_data. The skip carries the
-noisy image through at low noise, where a hidden layer narrower than the
-output could not; the noise prediction follows as
-eps = (x_t - sqrt(abar) * x0_hat) / sqrt(1 - abar). The parameters live in
+Karras et al. (arXiv:2206.00364), and the denoiser returns the clean-image
+estimate x0_hat = c_skip * x + c_out * F(c_in * x, ...) on the rescaled
+input x = x_t / sqrt(abar), with c_skip the posterior-mean gain of a
+Gaussian prior of the data's standard deviation sigma_data: the quantity
+training fits. The skip carries the noisy image through at low noise, where
+a hidden layer narrower than the output could not. The parameters live in
 one flat float32 buffer, and the network passes (forward, weight
 gradients) and the optimizer run in float32; the preconditioning and
 everything downstream of x0_hat stay in float64. Checkpoints store the
@@ -66,7 +65,7 @@ class ConditionProjection:
 
 class MLPDenoiser(DenoiserInterface):
     """Two-hidden-layer tanh network F inside the preconditioned clean-image
-    estimate; the noise prediction follows from it.
+    estimate, which evaluate returns.
 
     The parameters are one flat buffer of ``dtype`` (float32 by default; a
     float64 network serves the finite-difference checks); ``weights`` and
@@ -180,44 +179,41 @@ class MLPDenoiser(DenoiserInterface):
     def _precond(self, t):
         """Preconditioning at timestep(s) t, each coefficient acting on x_t:
         x0_hat = c_skip * x_t + c_out * F(c_in * x_t, ...). Returns
-        (c_in, c_skip, c_out, sqrt(abar), sqrt(1 - abar))."""
+        (c_in, c_skip, c_out, sqrt(abar))."""
         ab = self.sched.alpha_bar[np.asarray(t, dtype=int) - 1]
-        sab, snab = np.sqrt(ab), np.sqrt(1.0 - ab)
-        sigma, sd = snab / sab, self.sigma_data
+        sab = np.sqrt(ab)
+        sigma, sd = np.sqrt(1.0 - ab) / sab, self.sigma_data
         norm = np.sqrt(sigma * sigma + sd * sd)
-        return 1.0 / (sab * norm), sd * sd / (norm * norm * sab), sigma * sd / norm, sab, snab
+        return 1.0 / (sab * norm), sd * sd / (norm * norm * sab), sigma * sd / norm, sab
 
-    def _eps_rows(self, x_rows: np.ndarray, t, cond) -> tuple[np.ndarray, tuple, tuple]:
-        """Noise prediction for rows of flattened x_t at one timestep, with
-        the forward cache and the preconditioning coefficients."""
+    def _x0_rows(self, x_rows: np.ndarray, t, cond) -> tuple[np.ndarray, tuple, tuple]:
+        """Clean-image estimate for rows of flattened x_t at one timestep,
+        with the forward cache and the coefficients (c_in, c_skip, c_out)."""
         if cond is None:
             raise ValueError("this denoiser is conditional; cond is required")
         if not isinstance(cond, ConditionProjection):
             cond = self.prepare_condition(cond)
         if cond.z1.shape[0] != x_rows.shape[0]:
             raise ValueError(f"{cond.z1.shape[0]} conditions for {x_rows.shape[0]} images")
-        coeffs = c_in, c_skip, c_out, sab, snab = self._precond(t)
+        c_in, c_skip, c_out, _ = self._precond(t)
         out, cache = self._body(c_in * x_rows, t, cond)
-        eps = ((1.0 - sab * c_skip) * x_rows - sab * c_out * out.astype(float)) / snab
-        return eps, cache, coeffs
+        return c_skip * x_rows + c_out * out.astype(float), cache, (c_in, c_skip, c_out)
 
     def evaluate(self, x_t, t, cond=None):
-        """Predicted noise for x_t of shape (H, W, 3) or a batch (B, H, W, 3)."""
+        """Clean-image estimate for x_t of shape (H, W, 3) or a batch (B, H, W, 3)."""
         x = np.asarray(x_t, dtype=float)
-        return self._eps_rows(x.reshape(-1, self.arch.triaxis_dim), t, cond)[0].reshape(x.shape)
+        return self._x0_rows(x.reshape(-1, self.arch.triaxis_dim), t, cond)[0].reshape(x.shape)
 
     def vjp(self, x_t, t, cond, cotangent):
         """d<cotangent, evaluate(x_t)>/d x_t from one forward and one input
         pullback through the network. No command calls it; it stays because
         the benchmark's tracer (``perfbench/tracing.py``) looks it up by name."""
         x = np.asarray(x_t, dtype=float)
-        eps, cache, (c_in, c_skip, c_out, sab, snab) = self._eps_rows(
-            x.reshape(-1, self.arch.triaxis_dim), t, cond
-        )
-        cot = np.asarray(cotangent, dtype=float).reshape(eps.shape)
+        x0_hat, cache, (c_in, c_skip, c_out) = self._x0_rows(x.reshape(-1, self.arch.triaxis_dim), t, cond)
+        cot = np.asarray(cotangent, dtype=float).reshape(x0_hat.shape)
         d_z1 = self._pre_activation_grads(cot.astype(self.dtype), cache)[0]
         body = (self.weights[0][: self.arch.triaxis_dim] @ d_z1.T).T.astype(float)
-        return (((1.0 - sab * c_skip) * cot - sab * c_out * c_in * body) / snab).reshape(x.shape)
+        return (c_skip * cot + c_out * c_in * body).reshape(x.shape)
 
 
 class Adam:
@@ -305,7 +301,7 @@ def train_denoiser(
     for step in range(1, opt.steps + 1):
         idx = rng.integers(0, n, size=opt.batch_size)
         ts = rng.integers(1, sched.T + 1, size=opt.batch_size)
-        c_in, c_skip, c_out, sab, _ = (c[:, None] for c in den._precond(ts))
+        c_in, c_skip, c_out, sab = (c[:, None] for c in den._precond(ts))
         ab = sab * sab
         x0 = x0s[idx]
         x_t, _ = forward_diffuse(x0, ts[:, None], sched, rng)
@@ -373,6 +369,8 @@ def load_checkpoint(path: str | Path) -> MLPDenoiser:
             raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         if f.readinto(den.flat) != den.flat.nbytes:
             raise ValueError(f"{path}: truncated checkpoint")
+        if f.read(1):
+            raise ValueError(f"{path}: bytes after the parameter buffer")
     if sys.byteorder != "little":
         den.flat.byteswap(inplace=True)
     return den

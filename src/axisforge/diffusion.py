@@ -1,21 +1,21 @@
 """DDPM/DDIM machinery with geometric-consistency guidance.
 
-The sampler is deterministic DDIM (eta = 0, Song et al., arXiv:2010.02502):
-each step predicts the clean image from the current noise estimate, then
-re-mixes it with that estimate at the next noise level. Guidance adds a
-measurement-consistency correction to the predicted noise, scaled by
-sqrt(1 - alpha_bar_t). Its loss measures the clean-image estimate x0_hat:
-the axis directions, each weighted by its channel's anisotropy, and the
-centroid of the softly-extracted observation (geo_loss), plus each
-channel's mean squared distance from the target's axis ray. The correction
-is d loss / d x0_hat / sqrt(alpha_bar_t), which leaves the denoiser
-undifferentiated (manifold-preserving guidance, He et al.,
-arXiv:2311.16424), so a guided step, ``guided_epsilon_batch``, costs one
-denoiser forward. ``sample_batch`` runs several records through one
+A denoiser returns the clean-image estimate x0_hat. The sampler is
+deterministic DDIM (eta = 0, Song et al., arXiv:2010.02502): each step
+re-mixes x0_hat with the noise it implies at the next noise level, and
+``ddim_step`` is the one place that forms that noise. Guidance moves x0_hat
+against the gradient of a loss that measures it: the axis directions, each
+weighted by its channel's anisotropy, and the centroid of the
+softly-extracted observation (geo_loss), plus each channel's mean squared
+distance from the target's axis ray. The guided estimate is
+x0_hat - rho_eff * (1 - alpha_bar_t) / alpha_bar_t * d loss / d x0_hat,
+which leaves the denoiser undifferentiated (manifold-preserving guidance,
+He et al., arXiv:2311.16424), so a guided step, ``guided_x0_batch``, costs
+one denoiser forward. ``sample_batch`` runs several records through one
 denoiser pass and one batched soft extraction per step, under one
 GuidanceParams for the whole call and one target per record.
 
-``GaussianDenoiser``, the exact noise predictor of a Gaussian data
+``GaussianDenoiser``, the exact posterior mean of a Gaussian data
 distribution, gives an independent verification path for the sampler.
 """
 
@@ -101,33 +101,29 @@ def forward_diffuse(x0: np.ndarray, t, sched: DiffusionSchedule, rng: np.random.
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, eps
 
 
-def predict_x0(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: DiffusionSchedule) -> np.ndarray:
-    """Invert the forward marginal given a noise estimate."""
-    ab = sched.abar(t)
-    return (np.asarray(x_t, dtype=float) - np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(ab)
-
-
 def ddim_step(
     x_t: np.ndarray,
     t: int,
-    eps: np.ndarray,
+    x0_hat: np.ndarray,
     sched: DiffusionSchedule,
     t_prev: int,
 ) -> np.ndarray:
-    """One deterministic implicit-sampler update from timestep t to t_prev."""
+    """One deterministic implicit-sampler update from timestep t to t_prev,
+    given the clean-image estimate x0_hat: x0_hat re-mixed with the noise
+    it implies in x_t."""
     if not 0 <= t_prev < t:
         raise ValueError("t_prev must satisfy 0 <= t_prev < t")
-    ab_prev = sched.abar(t_prev)
-    x0_hat = predict_x0(x_t, t, eps, sched)
+    ab, ab_prev = sched.abar(t), sched.abar(t_prev)
+    eps = (np.asarray(x_t, dtype=float) - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)
     return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
 
 
 class DenoiserInterface(ABC):
-    """Noise predictor."""
+    """Clean-image estimator: the posterior mean of x0 given x_t."""
 
     @abstractmethod
     def evaluate(self, x_t: np.ndarray, t: int, cond: np.ndarray | None = None) -> np.ndarray:
-        """Predicted noise, same shape as x_t."""
+        """Clean-image estimate x0_hat, same shape as x_t."""
 
     def prepare_condition(self, cond: np.ndarray):
         """cond in the form this denoiser evaluates fastest, for a caller that
@@ -138,11 +134,12 @@ class DenoiserInterface(ABC):
 
 
 class GaussianDenoiser(DenoiserInterface):
-    """Exact noise predictor for the elementwise Gaussian data distribution
-    N(mean, var).
+    """Exact posterior mean E[x0 | x_t] for the elementwise Gaussian data
+    distribution N(mean, var).
 
-    The diffused marginal at t is N(sqrt(abar) mean, abar var + 1 - abar);
-    the noise estimate is -sqrt(1 - abar) times its score.
+    The diffused marginal at t is N(sqrt(abar) mean, abar var + 1 - abar),
+    and the posterior mean is (sqrt(abar) var x_t + (1 - abar) mean) over
+    that marginal variance (Tweedie's formula).
     """
 
     def __init__(self, mean: np.ndarray, var: np.ndarray, sched: DiffusionSchedule):
@@ -155,7 +152,7 @@ class GaussianDenoiser(DenoiserInterface):
     def evaluate(self, x_t, t, cond=None):
         ab = self.sched.abar(t)
         marg_var = ab * self.var + (1.0 - ab)
-        return np.sqrt(1.0 - ab) * ((np.asarray(x_t, dtype=float) - np.sqrt(ab) * self.mean) / marg_var)
+        return (np.sqrt(ab) * self.var * np.asarray(x_t, dtype=float) + (1.0 - ab) * self.mean) / marg_var
 
 
 # --- geometric consistency ---
@@ -225,7 +222,7 @@ def geo_image_gradient(
     return losses, g_img * ((x0_hat > 0.0) & (x0_hat < 1.0)), gen.errors  # clamp pass-through
 
 
-def guided_epsilon_batch(
+def guided_x0_batch(
     x_t: np.ndarray,
     t: int,
     denoiser: DenoiserInterface,
@@ -235,35 +232,32 @@ def guided_epsilon_batch(
     guidance: GuidanceParams,
     sched: DiffusionSchedule,
 ) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
-    """Adjusted noise estimates for a batch x_t of shape (B, H, W, 3), from
-    one denoiser forward and one geo_image_gradient of the clean-image
-    estimate x0_hat against target (B records) and its ray map rays, with
-    each item's correction norm and soft-extraction error.
+    """Guided clean-image estimates for a batch x_t of shape (B, H, W, 3),
+    from one denoiser forward x0_hat and one geo_image_gradient of it
+    against target (B records) and its ray map rays, with the norm of each
+    item's change to x0_hat and its soft-extraction error.
 
     The soft threshold's sharpness is guidance.sharpness * abar_t: x0_hat is
     a posterior mean, blurred in proportion to the noise, and a sharp
     threshold at 0.5 hides its fainter modes from the gradient, so the
     threshold sharpens as the signal fraction abar_t tends to 1.
 
-    Item b's estimate is eps_phi + rho_eff * sqrt(1 - abar_t) * g, with
-    g = d L_geo / d x0_hat / sqrt(abar_t) taken with eps_phi held fixed, so
-    the denoiser is never differentiated (He et al., arXiv:2311.16424), and
+    Item b's estimate is x0_hat - rho_eff * (1 - abar_t) / abar_t *
+    d L_geo / d x0_hat, the gradient taken with x0_hat held fixed, so the
+    denoiser is never differentiated (He et al., arXiv:2311.16424), and
     rho_eff = guidance.rho_base / (sqrt(L_geo) + 1e-6), which keeps the
-    correction stable across timesteps. The DDIM update then moves x0_hat by
-    -rho_eff * (1 - abar_t) / abar_t * d L_geo / d x0_hat.
-    Its step is skipped, returning the raw estimate and the exception in
+    correction stable across timesteps.
+    Its correction is skipped, returning x0_hat and the exception in
     errors[b], when soft extraction of x0_hat fails: a channel with no soft
     mass (VanishingMass) or three mutually parallel axis lines
     (NoIntersection).
     """
-    eps = denoiser.evaluate(x_t, t, cond)
-    x0_hat = predict_x0(x_t, t, eps, sched)
+    x0_hat = denoiser.evaluate(x_t, t, cond)
     ab = sched.abar(t)
     losses, grads, errors = geo_image_gradient(x0_hat, target, guidance.sharpness * ab, rays)
-    grads = grads / np.sqrt(ab)
     rho_eff = np.where(np.isnan(losses), 0.0, guidance.rho_base / (np.sqrt(losses) + 1e-6))
-    correction = (rho_eff * np.sqrt(1.0 - ab))[:, None, None, None] * grads
-    return eps + correction, np.linalg.norm(correction.reshape(len(correction), -1), axis=1), errors
+    correction = (rho_eff * (1.0 - ab) / ab)[:, None, None, None] * grads
+    return x0_hat - correction, np.linalg.norm(correction.reshape(len(correction), -1), axis=1), errors
 
 
 def _log_record(t: int, guidance_norm: float, error: Exception | None) -> dict:
@@ -365,10 +359,10 @@ def sample_batch(
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0
         if guided:
-            eps, norms, errors = guided_epsilon_batch(x, t, denoiser, cond, target, rays, guidance, sched)
+            x0_hat, norms, errors = guided_x0_batch(x, t, denoiser, cond, target, rays, guidance, sched)
         else:
-            eps, norms, errors = denoiser.evaluate(x, t, cond), np.zeros(len(x)), [None] * len(x)
-        x = ddim_step(x, t, eps, sched, t_prev=t_prev)
+            x0_hat, norms, errors = denoiser.evaluate(x, t, cond), np.zeros(len(x)), [None] * len(x)
+        x = ddim_step(x, t, x0_hat, sched, t_prev=t_prev)
         steps_out.append((t, norms, errors))
     return [
         SampleResult(

@@ -44,9 +44,8 @@ from .diffusion import (
     gaussian_optimal_timesteps,
     geo_image_gradient,
     geo_loss,
-    guided_epsilon_batch,
+    guided_x0_batch,
     make_schedule,
-    predict_x0,
     ray_distance_map,
     sample,
 )
@@ -387,8 +386,7 @@ def ddim_gaussian_chain_stats(
     x = z / np.std(z)  # exact unit empirical variance, zero mean by symmetry
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0
-        eps = den.evaluate(x, t)
-        x = ddim_step(x, t, eps, sched, t_prev=t_prev)
+        x = ddim_step(x, t, den.evaluate(x, t), sched, t_prev=t_prev)
     return float(np.mean(x)), float(np.var(x))
 
 
@@ -409,8 +407,8 @@ def _guidance_fd_case(seed: int) -> tuple[float, bool]:
     """For one noised 32 px tri-axis: the worst relative gap between
     geo_image_gradient's gradient at the clean-image estimate x0_hat and
     central differences of its loss in x0_hat at 20 random pixels, and
-    whether the guided noise estimate is exactly eps + rho_eff *
-    sqrt(1 - abar_t) * that gradient / sqrt(abar_t)."""
+    whether the guided estimate is exactly x0_hat - rho_eff *
+    (1 - abar_t) / abar_t * that gradient."""
     rng = np.random.default_rng(seed)
     K = default_intrinsics(32)
     sampling = SamplingConfig(min_axis_px=5.0)
@@ -423,8 +421,8 @@ def _guidance_fd_case(seed: int) -> tuple[float, bool]:
     x_t, _ = forward_diffuse(x0, t, sched, rng)
     rays = ray_distance_map(target, x0.shape[:2])
     guidance = GuidanceParams(rho_base=1.0, sharpness=50.0)
-    guided, _, _ = guided_epsilon_batch(x_t[None], t, den, None, target, rays, guidance, sched)
-    eps = den.evaluate(x_t, t)
+    guided, _, _ = guided_x0_batch(x_t[None], t, den, None, target, rays, guidance, sched)
+    x0_hat = den.evaluate(x_t, t)
     ab = sched.abar(t)
     sharpness = guidance.sharpness * ab
 
@@ -434,10 +432,9 @@ def _guidance_fd_case(seed: int) -> tuple[float, bool]:
             raise errors[0]
         return float(losses[0]), grads[0]
 
-    x0_hat = predict_x0(x_t, t, eps, sched)
     loss, grad = loss_grad(x0_hat)
     rho_eff = guidance.rho_base / (math.sqrt(loss) + 1e-6)
-    exact = bool(np.array_equal(guided[0], eps + rho_eff * math.sqrt(1.0 - ab) * (grad / math.sqrt(ab))))
+    exact = bool(np.array_equal(guided[0], x0_hat - rho_eff * (1.0 - ab) / ab * grad))
     h = 1e-3
     worst = 0.0
     flat = grad.ravel()
@@ -460,7 +457,7 @@ def oracle_guidance_fd() -> tuple[str, str, bool]:
     exact = all(e for _, e in cases)
     return (
         "< 1e-3 relative in x0_hat (20 random pixels, seeds 12 and 6); "
-        "guided eps = eps + rho_eff sqrt(1 - abar) d loss/d x0_hat / sqrt(abar) exactly",
+        "guided x0_hat = x0_hat - rho_eff (1 - abar) / abar d loss/d x0_hat exactly",
         "worst probe errors " + ", ".join(f"{w:.3e}" for w in worst) + f"; guided exact: {exact}",
         max(worst) < 1e-3 and exact,
     )

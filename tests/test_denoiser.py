@@ -56,6 +56,21 @@ def test_evaluate_shape_and_cond_required():
         den.evaluate(x, 5, None)
 
 
+def test_evaluate_is_the_preconditioned_clean_image_estimate():
+    # the denoiser returns x0_hat = c_skip * x_t + c_out * F(c_in * x_t), the
+    # quantity train_denoiser fits, not a noise prediction
+    rng = np.random.default_rng(13)
+    den = MLPDenoiser(ARCH, SCHED, rng, 0.3, np.float64)
+    x = rng.standard_normal((2, 8, 8, 3))
+    cond = rng.random((2, 8, 8))
+    rows = x.reshape(2, -1)
+    for t in (1, 5, 10):
+        c_in, c_skip, c_out, _ = den._precond(t)
+        body, _ = den._body(c_in * rows, t, den.prepare_condition(cond))
+        expected = (c_skip * rows + c_out * body).reshape(x.shape)
+        assert np.allclose(den.evaluate(x, t, cond), expected, rtol=0.0, atol=1e-12)
+
+
 def test_vjp_matches_finite_differences():
     rng = np.random.default_rng(1)
     den = MLPDenoiser(ARCH, SCHED, rng, dtype=np.float64)
@@ -93,9 +108,9 @@ def test_float32_network_agrees_with_float64():
     cond = rng.random((4, 8, 8))
     cot = rng.standard_normal(x.shape)
     for t in (1, 5, 10):
-        eps32 = den32.evaluate(x, t, cond)
-        assert eps32.dtype == np.float64  # the float64 boundary is the network's output
-        assert close(eps32, den64.evaluate(x, t, cond))
+        x0_32 = den32.evaluate(x, t, cond)
+        assert x0_32.dtype == np.float64  # the float64 boundary is the network's output
+        assert close(x0_32, den64.evaluate(x, t, cond))
         assert close(den32.vjp(x, t, cond, cot), den64.vjp(x, t, cond, cot))
     x_in, ts = x.reshape(4, -1), np.array([1, 4, 7, 10])
     d_out = rng.standard_normal((4, ARCH.triaxis_dim))
@@ -272,7 +287,20 @@ def test_float64_checkpoint_save_load_save_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     # a file cut short inside the parameter buffer is refused
     second.write_bytes(first.read_bytes()[:-4])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(second)
+    # so are bytes after it: appended ones, and a smaller network's header
+    # over a larger network's buffer, which would load misaligned
+    second.write_bytes(first.read_bytes() + bytes(4096))
+    with pytest.raises(ValueError, match="after the parameter buffer"):
+        load_checkpoint(second)
+    small, large = (MLPDenoiser(ArchConfig(image_size=8, hidden=h, time_embed_dim=8), SCHED, None) for h in (16, 32))
+    save_checkpoint(first, small)
+    save_checkpoint(second, large)
+    header_end = len(first.read_bytes()) - small.flat.nbytes
+    assert header_end == len(second.read_bytes()) - large.flat.nbytes  # hidden 16 and 32 have equal headers
+    second.write_bytes(first.read_bytes()[:header_end] + second.read_bytes()[header_end:])
+    with pytest.raises(ValueError, match="after the parameter buffer"):
         load_checkpoint(second)
 
 

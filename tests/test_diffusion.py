@@ -13,9 +13,8 @@ from axisforge.diffusion import (
     geo_image_gradient,
     geo_loss,
     geo_loss_adjoint,
-    guided_epsilon_batch,
+    guided_x0_batch,
     make_schedule,
-    predict_x0,
     ray_distance_map,
     sample,
     sample_batch,
@@ -57,8 +56,10 @@ def test_forward_diffuse_marginal_identity():
     x_t, eps = forward_diffuse(x0, 20, sched, rng)
     ab = sched.abar(20)
     assert np.allclose(x_t, np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps, atol=1e-14)
-    # predicting x0 from the true noise inverts the marginal exactly
-    assert np.allclose(predict_x0(x_t, 20, eps, sched), x0, atol=1e-12)
+    # the true x0 implies the drawn noise, so one step down re-mixes x0 with it
+    ab_prev = sched.abar(19)
+    stepped = ddim_step(x_t, 20, x0, sched, t_prev=19)
+    assert np.allclose(stepped, np.sqrt(ab_prev) * x0 + np.sqrt(1 - ab_prev) * eps, atol=1e-12)
     # one timestep per row, as training draws them, each row as its scalar call
     rows = x0.reshape(8, -1)
     ts = np.array([1, 20, 50, 20, 7, 3, 49, 2])
@@ -76,11 +77,11 @@ def test_ddim_step_exact_with_true_noise():
     rng = np.random.default_rng(1)
     x0 = rng.uniform(0, 1, size=(4, 4, 3))
     x_t, eps = forward_diffuse(x0, 50, sched, rng)
-    # stepping to t=0 with the true noise recovers x0 exactly
-    out = ddim_step(x_t, 50, eps, sched, t_prev=0)
+    # the true x0 implies the true noise: stepping to t=0 recovers x0 exactly
+    out = ddim_step(x_t, 50, x0, sched, t_prev=0)
     assert np.allclose(out, x0, atol=1e-12)
     # stepping to an intermediate level reproduces the marginal mixing
-    mid = ddim_step(x_t, 50, eps, sched, t_prev=25)
+    mid = ddim_step(x_t, 50, x0, sched, t_prev=25)
     ab = sched.abar(25)
     assert np.allclose(mid, np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps, atol=1e-12)
 
@@ -95,7 +96,8 @@ def test_gaussian_denoiser_matches_score():
     ab = sched.abar(t)
     marg_var = ab * var + (1 - ab)
     score = -(x - np.sqrt(ab) * mean) / marg_var
-    assert np.allclose(den.evaluate(x, t), -np.sqrt(1 - ab) * score, atol=1e-14)
+    # Tweedie's formula: the posterior mean from the marginal's score
+    assert np.allclose(den.evaluate(x, t), (x + (1 - ab) * score) / np.sqrt(ab), atol=1e-14)
 
 
 def test_timestep_subsets():
@@ -229,26 +231,25 @@ def test_batched_guidance_gradient_finite_differences():
     sharpness = GUIDANCE.sharpness * ab
 
     def network_step(x_t, cond, target, rays):
-        eps = mlp.evaluate(x_t, t, cond)
-        return (eps, *geo_image_gradient(predict_x0(x_t, t, eps, sched), target, sharpness, rays))
+        x0_hat = mlp.evaluate(x_t, t, cond)
+        return (x0_hat, *geo_image_gradient(x0_hat, target, sharpness, rays))
 
-    guided, _, errors = guided_epsilon_batch(x_t, t, mlp, cond, target, rays, GUIDANCE, sched)
+    guided, _, errors = guided_x0_batch(x_t, t, mlp, cond, target, rays, GUIDANCE, sched)
     assert errors == [None] * 3
-    eps, img_losses, img_grads, _ = network_step(x_t, cond, target, rays)
+    x0_hat, img_losses, img_grads, _ = network_step(x_t, cond, target, rays)
     for b in range(3):  # a batch of one gives the matching row of the larger batch
         one_target, one_rays = _stacked([targets[b]])
-        one_guided = guided_epsilon_batch(x_t[b : b + 1], t, mlp, cond[b : b + 1], one_target, one_rays, GUIDANCE, sched)[0]
+        one_guided = guided_x0_batch(x_t[b : b + 1], t, mlp, cond[b : b + 1], one_target, one_rays, GUIDANCE, sched)[0]
         _, one_losses, one_grads, _ = network_step(x_t[b : b + 1], cond[b : b + 1], one_target, one_rays)
         assert np.isclose(one_losses[0], img_losses[b], rtol=1e-12)
         assert np.allclose(one_grads[0], img_grads[b], rtol=0.0, atol=1e-9)
         assert np.allclose(one_guided[0], guided[b], rtol=0.0, atol=1e-9)
-    # the guided estimate adds rho_eff * sqrt(1 - abar_t) * d loss / d x0_hat /
-    # sqrt(abar_t) to the network's, exactly: the denoiser is not
+    # the guided estimate subtracts rho_eff * (1 - abar_t) / abar_t *
+    # d loss / d x0_hat from the network's, exactly: the denoiser is not
     # differentiated. Its d loss / d x0_hat is checked against central
     # differences of the loss in x0_hat.
     rho_eff = GUIDANCE.rho_base / (np.sqrt(img_losses) + 1e-6)
-    assert np.array_equal(guided, eps + (rho_eff * np.sqrt(1.0 - ab))[:, None, None, None] * (img_grads / np.sqrt(ab)))
-    x0_hat = predict_x0(x_t, t, eps, sched)
+    assert np.array_equal(guided, x0_hat - (rho_eff * (1.0 - ab) / ab)[:, None, None, None] * img_grads)
     h = 1e-5
     probed = 0
     for k in range(3):
@@ -303,11 +304,10 @@ def test_batched_guidance_isolates_failed_records():
     x_t = np.random.default_rng(3).standard_normal(means.shape)
     t = 10
     stacked, rays = _stacked([target] * 4)
-    guided, norms, errors = guided_epsilon_batch(x_t, t, den, None, stacked, rays, GUIDANCE, sched)
+    guided, norms, errors = guided_x0_batch(x_t, t, den, None, stacked, rays, GUIDANCE, sched)
     # the healthy record matches its batch of one bit for bit (the analytic
     # denoiser is elementwise, so batching changes no arithmetic)
-    eps = den.evaluate(x_t, t)
-    x0_hat = predict_x0(x_t, t, eps, sched)
+    x0_hat = den.evaluate(x_t, t)
     sharpness = GUIDANCE.sharpness * sched.abar(t)
     one_losses, one_grads, _ = geo_image_gradient(x0_hat[:1], ObservationBatch.stack([target]), sharpness)
     img_losses, img_grads, img_errors = geo_image_gradient(
@@ -315,20 +315,20 @@ def test_batched_guidance_isolates_failed_records():
     )
     assert img_losses[0] == one_losses[0] and np.array_equal(img_grads[0], one_grads[0])
     one_den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
-    one_guided, one_norms, _ = guided_epsilon_batch(x_t[:1], t, one_den, None, *_stacked([target]), GUIDANCE, sched)
+    one_guided, one_norms, _ = guided_x0_batch(x_t[:1], t, one_den, None, *_stacked([target]), GUIDANCE, sched)
     assert norms[0] == one_norms[0] > 0 and np.array_equal(guided[0], one_guided[0])
     # failed records: the network's estimate unchanged, their own exception
     assert isinstance(errors[1], VanishingMass) and errors[1].channel == 1
     assert isinstance(errors[2], NoIntersection)
     assert [type(e) for e in img_errors] == [type(None), VanishingMass, NoIntersection]
     assert errors[0] is None and errors[3] is None
-    assert np.array_equal(guided[1:3], eps[1:3]) and not np.any(norms[1:3])
+    assert np.array_equal(guided[1:3], x0_hat[1:3]) and not np.any(norms[1:3])
     assert np.isnan(img_losses[1:]).all() and not np.any(img_grads[1:])
     # targets stacked once for a chain, ray maps included, give what a
     # fresh build gives at every step
     for step in (30, 10):
-        fresh = guided_epsilon_batch(x_t, step, den, None, *_stacked([target] * 4), GUIDANCE, sched)
-        reused = guided_epsilon_batch(x_t, step, den, None, stacked, rays, GUIDANCE, sched)
+        fresh = guided_x0_batch(x_t, step, den, None, *_stacked([target] * 4), GUIDANCE, sched)
+        reused = guided_x0_batch(x_t, step, den, None, stacked, rays, GUIDANCE, sched)
         assert np.array_equal(fresh[0], reused[0])
         assert np.array_equal(fresh[1], reused[1])
         assert [type(e) for e in fresh[2]] == [type(e) for e in reused[2]]
