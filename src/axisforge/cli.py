@@ -27,7 +27,7 @@ _THREAD_ENV_VARS = (
 )
 
 ANALYTIC_FIELD_VAR = 1e-4
-INFER_BATCH = 32  # records sampled together by infer; guided records/s levels off above 16
+INFER_BATCH = 32  # records sampled together by infer; guided records/s levels off above about 24
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -300,6 +300,13 @@ def _finite_numbers(value, n: int) -> bool:
 
 
 def _load_predictions(pred_dir: Path) -> dict[str, dict]:
+    """Prediction lines by record id. A solved line also gets its Pose under
+    "pose", built as it is read, so that an R that is not a rotation is
+    refused at its line."""
+    import numpy as np
+
+    from .camera import Pose
+
     path = pred_dir / "predictions.jsonl"
     if not path.is_file():
         raise SystemExit(f"missing {path}")
@@ -321,14 +328,16 @@ def _load_predictions(pred_dir: Path) -> dict[str, dict]:
                     f"{path}:{lineno}: a prediction is an object with id, a boolean ok and, when ok is true, "
                     "R of 9 and T of 3 finite numbers"
                 )
+            if rec["ok"]:
+                try:  # R must be orthonormal with determinant +1
+                    rec["pose"] = Pose(R=np.reshape(rec["R"], (3, 3)), T=rec["T"])
+                except ValueError as exc:
+                    raise SystemExit(f"{path}:{lineno}: {exc}")
             preds[rec["id"]] = rec
     return preds
 
 
 def _report_for(manifest, records, preds):
-    import numpy as np
-
-    from .camera import Pose
     from .metrics import cuboid_model, evaluate_suite
 
     model = cuboid_model()
@@ -344,11 +353,7 @@ def _report_for(manifest, records, preds):
         if not pred["ok"]:
             n_failed += 1
             continue
-        pose = Pose(
-            R=np.asarray(pred["R"], dtype=float).reshape(3, 3),
-            T=np.asarray(pred["T"], dtype=float),
-        )
-        pairs.append((rec.pose, pose))
+        pairs.append((rec.pose, pred["pose"]))
         ids.append(rec.id)
     report = evaluate_suite(pairs, model, manifest.intrinsics, ids=ids, n_failed=n_failed)
     return report, missing

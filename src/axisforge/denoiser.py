@@ -196,8 +196,13 @@ class MLPDenoiser(DenoiserInterface):
         if cond.z1.shape[0] != x_rows.shape[0]:
             raise ValueError(f"{cond.z1.shape[0]} conditions for {x_rows.shape[0]} images")
         c_in, c_skip, c_out, _ = self._precond(t)
-        out, cache = self._body(c_in * x_rows, t, cond)
-        return c_skip * x_rows + c_out * out.astype(float), cache, (c_in, c_skip, c_out)
+        # c_in * x_rows rounds to the network's dtype after the float64 product
+        x_in = np.multiply(x_rows, c_in, out=np.empty(x_rows.shape, self.dtype), casting="same_kind")
+        out, cache = self._body(x_in, t, cond)
+        # c_skip * x_rows + c_out * F in float64, operation by operation
+        x0_hat = np.multiply(x_rows, c_skip)
+        x0_hat += np.multiply(out, c_out, dtype=float)
+        return x0_hat, cache, (c_in, c_skip, c_out)
 
     def evaluate(self, x_t, t, cond=None):
         """Clean-image estimate for x_t of shape (H, W, 3) or a batch (B, H, W, 3)."""

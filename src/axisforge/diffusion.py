@@ -114,8 +114,15 @@ def ddim_step(
     if not 0 <= t_prev < t:
         raise ValueError("t_prev must satisfy 0 <= t_prev < t")
     ab, ab_prev = sched.abar(t), sched.abar(t_prev)
-    eps = (np.asarray(x_t, dtype=float) - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)
-    return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
+    # sqrt(ab_prev) x0_hat + sqrt(1 - ab_prev) (x_t - sqrt(ab) x0_hat) / sqrt(1 - ab),
+    # operation by operation in two new arrays
+    eps = np.sqrt(ab) * x0_hat
+    np.subtract(x_t, eps, out=eps)
+    eps /= np.sqrt(1.0 - ab)
+    eps *= np.sqrt(1.0 - ab_prev)
+    x_prev = np.sqrt(ab_prev) * x0_hat
+    x_prev += eps
+    return x_prev
 
 
 class DenoiserInterface(ABC):
@@ -123,7 +130,11 @@ class DenoiserInterface(ABC):
 
     @abstractmethod
     def evaluate(self, x_t: np.ndarray, t: int, cond: np.ndarray | None = None) -> np.ndarray:
-        """Clean-image estimate x0_hat, same shape as x_t."""
+        """Clean-image estimate x0_hat, same shape as x_t.
+
+        The sampling code writes only into arrays it allocated itself. It
+        never writes into x_t or into the returned estimate, so a denoiser
+        may return an array that it keeps and hands out again."""
 
     def prepare_condition(self, cond: np.ndarray):
         """cond in the form this denoiser evaluates fastest, for a caller that
@@ -211,7 +222,8 @@ def geo_image_gradient(
 
     ``rays`` is ray_distance_map(target, (H, W)), built here when not
     given. Returns (losses, grads, errors): a failed image has loss nan,
-    gradient 0 and its VanishingMass or NoIntersection in errors.
+    gradient 0 and its VanishingMass or NoIntersection in errors. grads is
+    a new array, which the caller may write into.
     """
     if rays is None:
         rays = ray_distance_map(target, x0_hat.shape[1:3])
@@ -219,7 +231,8 @@ def geo_image_gradient(
     losses = geo_loss(gen, target, aniso) + spread.sum(axis=1)
     dir_err = ((gen.dir - target.dir) ** 2).sum(axis=-1)
     g_img = pullback(geo_loss_adjoint(gen, target, aniso), np.ones(aniso.shape), dir_err)
-    return losses, g_img * ((x0_hat > 0.0) & (x0_hat < 1.0)), gen.errors  # clamp pass-through
+    g_img *= (x0_hat > 0.0) & (x0_hat < 1.0)  # clamp pass-through
+    return losses, g_img, gen.errors
 
 
 def guided_x0_batch(
@@ -254,10 +267,13 @@ def guided_x0_batch(
     """
     x0_hat = denoiser.evaluate(x_t, t, cond)
     ab = sched.abar(t)
-    losses, grads, errors = geo_image_gradient(x0_hat, target, guidance.sharpness * ab, rays)
+    losses, correction, errors = geo_image_gradient(x0_hat, target, guidance.sharpness * ab, rays)
     rho_eff = np.where(np.isnan(losses), 0.0, guidance.rho_base / (np.sqrt(losses) + 1e-6))
-    correction = (rho_eff * (1.0 - ab) / ab)[:, None, None, None] * grads
-    return x0_hat - correction, np.linalg.norm(correction.reshape(len(correction), -1), axis=1), errors
+    correction *= (rho_eff * (1.0 - ab) / ab)[:, None, None, None]
+    guided = x0_hat - correction
+    # each item's norm as np.linalg.norm takes it, with the squares in place
+    squares = np.multiply(correction, correction, out=correction).reshape(len(correction), -1)
+    return guided, np.sqrt(np.add.reduce(squares, axis=1)), errors
 
 
 def _log_record(t: int, guidance_norm: float, error: Exception | None) -> dict:

@@ -206,6 +206,22 @@ def extract_axes_hard(img: TriAxisImage) -> AxisObservation:
     return AxisObservation(origin_px=origin[0], dir=dirs[0], centroid=centroid[0])
 
 
+def _channel_sums(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(w * x).sum(axis=(1, 2)) for images (B, H, W, 3), summed in the same
+    pixel order, one channel at a time and without the product image."""
+    n = len(w)
+    return np.stack(
+        [np.einsum("bp,bp->b", w[..., i].reshape(n, -1), x[..., i].reshape(n, -1)) for i in range(3)], axis=1
+    )
+
+
+def _along_rows(v: np.ndarray, width: int) -> np.ndarray:
+    """Per-channel values v (B, 3) as (B, 1, width, 3): against images
+    (B, H, width, 3) it broadcasts like v[:, None, None], but an elementwise
+    operation then runs over whole rows, not over 3 elements at a time."""
+    return np.tile(v, width).reshape(len(v), 1, width, 3)
+
+
 def soft_weights(data: np.ndarray, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
     """Graded soft threshold at 0.5 and its derivative.
 
@@ -216,10 +232,20 @@ def soft_weights(data: np.ndarray, sharpness: float) -> tuple[np.ndarray, np.nda
     if not sharpness > 0:
         raise ValueError("sharpness must be positive")
     # sigmoid(a) = (1 + tanh(a / 2)) / 2, written so that a small sharpness
-    # loses no precision
+    # loses no precision: with th = tanh(sharpness (data - 0.5) / 2), the
+    # weight is (th + half_span) / (2 half_span) and its derivative
+    # sharpness / (4 half_span) (1 - th^2), evaluated operation by operation
+    # in two new arrays
     half_span = math.tanh(sharpness / 4.0)
-    th = np.tanh(0.5 * sharpness * (data - 0.5))
-    return (th + half_span) / (2.0 * half_span), (sharpness / (4.0 * half_span)) * (1.0 - th * th)
+    th = np.subtract(data, 0.5)
+    th *= 0.5 * sharpness
+    np.tanh(th, out=th)
+    w = th + half_span
+    w /= 2.0 * half_span
+    np.multiply(th, th, out=th)
+    np.subtract(1.0, th, out=th)
+    th *= sharpness / (4.0 * half_span)
+    return w, th
 
 
 def soft_extract_with_pullback(
@@ -244,7 +270,8 @@ def soft_extract_with_pullback(
     errors, its rows are nan and its gradient is 0. A channel's direction
     turns ever faster as it nears isotropy, so its adjoint grows like
     1 / (lam_max - lam_min); a loss that weights the direction by the
-    anisotropy keeps a bounded gradient.
+    anisotropy keeps a bounded gradient. Each pullback call returns a new
+    array and writes into none of its inputs.
     """
     data = np.asarray(images, dtype=float)
     if data.ndim != 4:
@@ -272,7 +299,7 @@ def soft_extract_with_pullback(
     anisotropy = (x_t * x_t + y_t * y_t) / trace_sq
     # an image without mass divides by zero below; its rows are discarded
     with np.errstate(invalid="ignore", divide="ignore"):
-        costs = None if cost_map is None else (w * cost_map).sum(axis=(1, 2)) / m.mass
+        costs = None if cost_map is None else _channel_sums(w, np.asarray(cost_map, dtype=float)) / m.mass
 
     @np.errstate(invalid="ignore", divide="ignore")
     def pullback(
@@ -309,10 +336,13 @@ def soft_extract_with_pullback(
         g_w = m.pullback(d_mass, d_mean, d_a, d_b, d_c)
         if cost_cot is not None:
             # costs_i = sum(w_i * cost_i) / mass_i
-            g_w += (cost_map - costs[:, None, None]) * (np.asarray(cost_cot, dtype=float) / m.mass)[:, None, None]
-        g_img = g_w * dw
-        g_img[failed] = 0.0
-        return g_img
+            width = data.shape[2]
+            term = np.subtract(cost_map, _along_rows(costs, width))
+            term *= _along_rows(np.asarray(cost_cot, dtype=float) / m.mass, width)
+            g_w += term
+        g_w *= dw
+        g_w[failed] = 0.0
+        return g_w
 
     return obs, anisotropy, costs, pullback
 

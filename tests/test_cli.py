@@ -180,13 +180,15 @@ def test_eval_missing_predictions_file(tmp_path, config_path, capsys):
     pred.mkdir()
     rec_id = json.loads((data / "manifest.json").read_text())["records"][-1]["id"]
     pose = {"id": rec_id, "ok": True, "R": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "T": [0.0, 0.0, 2.4]}
-    unscorable = [  # R or T not 9 and 3 finite numbers, or ok not a boolean
+    unscorable = [  # R or T not 9 and 3 finite numbers or R not a rotation, or ok not a boolean
         {**pose, "R": [float("nan")] * 9},  # scored 0 deg of rotation error before
         {**pose, "T": [0.0, float("inf"), 2.4]},
         {**pose, "R": pose["R"][:8]},
         {**pose, "T": [0, 0, True]},
         {**pose, "R": [10**400] + pose["R"][1:]},
         {**pose, "ok": "false"},  # counted as solved before
+        {**pose, "R": [2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]},  # not orthonormal
+        {**pose, "R": [-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]},  # a reflection, determinant -1
     ]
     for bad in (
         "[1]", '{"ok": false}', f'{{"id": "{rec_id}"}}', f'{{"id": "{rec_id}", "ok": true}}', "{",

@@ -59,16 +59,19 @@ def test_evaluate_shape_and_cond_required():
 def test_evaluate_is_the_preconditioned_clean_image_estimate():
     # the denoiser returns x0_hat = c_skip * x_t + c_out * F(c_in * x_t), the
     # quantity train_denoiser fits, not a noise prediction
+    # bit for bit: the float64 product c_in * x_t is rounded to the network's
+    # dtype, and F comes back to float64 before the combination
     rng = np.random.default_rng(13)
-    den = MLPDenoiser(ARCH, SCHED, rng, 0.3, np.float64)
     x = rng.standard_normal((2, 8, 8, 3))
     cond = rng.random((2, 8, 8))
     rows = x.reshape(2, -1)
-    for t in (1, 5, 10):
-        c_in, c_skip, c_out, _ = den._precond(t)
-        body, _ = den._body(c_in * rows, t, den.prepare_condition(cond))
-        expected = (c_skip * rows + c_out * body).reshape(x.shape)
-        assert np.allclose(den.evaluate(x, t, cond), expected, rtol=0.0, atol=1e-12)
+    for dtype in (np.float64, np.float32):
+        den = MLPDenoiser(ARCH, SCHED, rng, 0.3, dtype)
+        for t in (1, 5, 10):
+            c_in, c_skip, c_out, _ = den._precond(t)
+            body, _ = den._body(c_in * rows, t, den.prepare_condition(cond))
+            expected = (c_skip * rows + c_out * body.astype(float)).reshape(x.shape)
+            assert np.array_equal(den.evaluate(x, t, cond), expected)
 
 
 def test_vjp_matches_finite_differences():

@@ -6,6 +6,7 @@ import pytest
 from axisforge.config import ArchConfig, GuidanceParams, SamplingConfig, default_intrinsics
 from axisforge.dataset import sample_pose
 from axisforge.diffusion import (
+    DenoiserInterface,
     GaussianDenoiser,
     ddim_step,
     forward_diffuse,
@@ -84,6 +85,21 @@ def test_ddim_step_exact_with_true_noise():
     mid = ddim_step(x_t, 50, x0, sched, t_prev=25)
     ab = sched.abar(25)
     assert np.allclose(mid, np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps, atol=1e-12)
+
+
+def test_ddim_step_is_the_closed_form_bit_for_bit():
+    # evaluated in place, operation by operation, the step keeps the rounding
+    # of the closed form, and it writes into neither input
+    sched = make_schedule(50, 1e-3, 0.1)
+    x_t, x0_hat = np.random.default_rng(14).standard_normal((2, 3, 8, 8, 3))
+    copies = x_t.copy(), x0_hat.copy()
+    for t, t_prev in ((50, 49), (50, 25), (20, 0), (1, 0)):
+        ab, ab_prev = sched.abar(t), sched.abar(t_prev)
+        eps = (x_t - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)
+        out = ddim_step(x_t, t, x0_hat, sched, t_prev)
+        assert np.array_equal(out, np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps)
+        assert not np.shares_memory(out, x_t) and not np.shares_memory(out, x0_hat)
+    assert np.array_equal(x_t, copies[0]) and np.array_equal(x0_hat, copies[1])
 
 
 def test_gaussian_denoiser_matches_score():
@@ -332,6 +348,43 @@ def test_batched_guidance_isolates_failed_records():
         assert np.array_equal(fresh[0], reused[0])
         assert np.array_equal(fresh[1], reused[1])
         assert [type(e) for e in fresh[2]] == [type(e) for e in reused[2]]
+
+
+class _StoredDenoiser(DenoiserInterface):
+    """Returns one stored estimate at every call, as a caching denoiser may,
+    so a caller that wrote into an estimate would change every later one."""
+
+    def __init__(self, x0_hat):
+        self.x0_hat = x0_hat
+
+    def evaluate(self, x_t, t, cond=None):
+        return self.x0_hat
+
+
+def test_guidance_arithmetic_leaves_its_inputs_unchanged():
+    sched = make_schedule(50, 1e-3, 0.05)
+    cases = [_guided_case(s) for s in (1, 2)]
+    targets = [target for _, target in cases]
+    target, rays = _stacked(targets)
+    rng = np.random.default_rng(15)
+    # some pixels outside [0, 1], so the clamp mask acts
+    x0_hat = np.stack([x0 for x0, _ in cases]) + 0.3 * rng.standard_normal((2, 16, 16, 3))
+    x_t = rng.standard_normal(x0_hat.shape)
+    arrays = (x0_hat, x_t, rays, target.origin_px, target.dir, target.centroid)
+    copies = [a.copy() for a in arrays]
+    den = _StoredDenoiser(x0_hat)
+    _, grads, _ = geo_image_gradient(x0_hat, target, 5.0, rays)
+    assert np.any(grads) and not any(np.shares_memory(grads, a) for a in arrays)
+    first = guided_x0_batch(x_t, 10, den, None, target, rays, GUIDANCE, sched)
+    second = guided_x0_batch(x_t, 10, den, None, target, rays, GUIDANCE, sched)
+    assert np.all(first[1] > 0)
+    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+    assert not np.shares_memory(first[0], x0_hat)
+    # along a whole chain the stored estimate is read at every step, never written
+    for guidance in (GUIDANCE, None):
+        sample_batch(den, [None, None], targets, guidance, sched, 5, [np.random.default_rng(b) for b in range(2)], (16, 16))
+    for a, c in zip(arrays, copies):
+        assert np.array_equal(a, c)
 
 
 def test_skipped_guidance_step_records_reason():

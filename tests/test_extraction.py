@@ -6,10 +6,11 @@ import pytest
 from axisforge.camera import project_axes
 from axisforge.config import SamplingConfig, default_intrinsics
 from axisforge.dataset import sample_pose
-from axisforge.errors import DegenerateChannel, EmptyChannel
+from axisforge.errors import DegenerateChannel, EmptyChannel, VanishingMass
 from axisforge.extraction import (
     AxisObservation,
     ObservationAdjoint,
+    _channel_sums,
     extract_axes_hard,
     extract_axes_soft,
     soft_extract_vjp,
@@ -166,3 +167,43 @@ def test_soft_weights_limits():
     assert np.allclose(w[x > 0.55], 1.0)
     w, _ = soft_weights(np.array([0.0, 1.0]), 50.0)
     assert np.allclose(w, [0.0, 1.0], atol=1e-15)
+
+
+def test_soft_weights_is_the_closed_form_bit_for_bit():
+    # evaluated in place, operation by operation, the weights keep the
+    # rounding of the closed forms
+    x = np.random.default_rng(8).uniform(-0.3, 1.3, (2, 8, 8, 3))
+    for sharpness in (1e-6, 0.3, 5.0, 50.0, 500.0):
+        half_span = math.tanh(sharpness / 4.0)
+        th = np.tanh(0.5 * sharpness * (x - 0.5))
+        w, dw = soft_weights(x, sharpness)
+        assert np.array_equal(w, (th + half_span) / (2.0 * half_span))
+        assert np.array_equal(dw, (sharpness / (4.0 * half_span)) * (1.0 - th * th))
+
+
+def test_channel_sums_keep_the_pixel_order():
+    rng = np.random.default_rng(10)
+    w, x = rng.random((2, 3, 16, 16, 3))
+    assert np.array_equal(_channel_sums(w, x), (w * x).sum(axis=(1, 2)))
+
+
+def test_soft_extraction_and_pullback_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(9)
+    images = np.stack([_blob_image(), _blob_image(stds=(4.0, 1.5)), np.zeros((32, 32, 3))])  # the last has no mass
+    cost = 20.0 * rng.random(images.shape)
+    adj = ObservationAdjoint(rng.standard_normal((3, 2)), rng.standard_normal((3, 3, 2)), rng.standard_normal((3, 2)))
+    cost_cot, aniso_cot = rng.standard_normal((2, 3, 3))
+    inputs = (images, cost, adj.origin_px, adj.dir, adj.centroid, cost_cot, aniso_cot)
+    copies = [a.copy() for a in inputs]
+    obs, _, _, pullback = soft_extract_with_pullback(images, 5.0, cost)
+    assert obs.errors[:2] == [None, None] and isinstance(obs.errors[2], VanishingMass)
+    for cots in ((), (cost_cot,), (None, aniso_cot), (cost_cot, aniso_cot)):
+        first = pullback(adj, *cots)
+        kept = first.copy()
+        second = pullback(adj, *cots)
+        # each call returns a new array that the next call leaves alone
+        assert np.array_equal(second, first) and np.array_equal(first, kept)
+        assert not any(np.shares_memory(first, a) for a in (second, *inputs))
+        assert np.any(first[:2]) and not np.any(first[2])
+    for a, c in zip(inputs, copies):
+        assert np.array_equal(a, c)
