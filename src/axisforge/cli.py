@@ -170,14 +170,14 @@ def cmd_train(args) -> int:
     _require_resolution(cfg, manifest)
     if not manifest.split("train"):
         raise SystemExit("dataset has no train split")
-    dataset = list(zip(*(load_images(args.dataset, manifest, "train", kind) for kind in ("triaxis", "query"))))
+    x0s, conds = (load_images(args.dataset, manifest, "train", kind) for kind in ("triaxis", "query"))
     sched = cfg.schedule()
     start = None
     if args.resume:
         start = load_checkpoint(args.resume)
         _require_checkpoint(cfg, start)
     rng = np.random.default_rng(cfg.seed)
-    result = train_denoiser(dataset, cfg.arch, cfg.opt, sched, rng, start_from=start)
+    result = train_denoiser(x0s, conds, cfg.arch, cfg.opt, sched, rng, start_from=start)
 
     args.out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(args.out / "checkpoint.bin", result.denoiser)

@@ -14,8 +14,11 @@ training fits. The skip carries the noisy image through at low noise, where
 a hidden layer narrower than the output could not. The parameters live in
 one flat float32 buffer, and the network passes (forward, weight
 gradients) and the optimizer run in float32; the preconditioning and
-everything downstream of x0_hat stay in float64. Checkpoints store the
-buffer as little-endian float32.
+everything downstream of x0_hat stay in float64. Training never holds a
+whole gradient: the weight gradient comes block by block, each block one
+product over the batch, and the optimizer applies each block as it comes,
+so a step holds the buffer, the two moments and two blocks of scratch.
+Checkpoints store the buffer as little-endian float32.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ CHECKPOINT_VERSION = 2  # 2: preconditioned denoiser, sigma_data in the header
 _DIVERGENCE_WARMUP = 50  # steps used to establish the divergence baseline
 DEFAULT_SIGMA_DATA = 0.5  # EDM's data standard deviation, for a denoiser built without data
 MAX_LOSS_WEIGHT = 5.0  # per-draw cap of the signal-to-noise loss weight
-ADAM_BLOCK = 1 << 16  # elements per block of the Adam step's walk
+ADAM_BLOCK = 1 << 16  # elements per gradient block of the Adam step's walk (two rows when they are wider)
 
 
 def time_embedding(t, dim: int) -> np.ndarray:
@@ -145,25 +148,39 @@ class MLPDenoiser(DenoiserInterface):
         d_z2 = (self.weights[2] @ d_out.T).T * (1.0 - h2 * h2)
         return (self.weights[1] @ d_z2.T).T * (1.0 - h1 * h1), d_z2
 
-    def _backward(self, d_out: np.ndarray, cache, out: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of <d_out, F> as one flat array laid out like the
-        parameter buffer (written into out when given); _views splits it in
-        parameters() order. The cache is _body's at one timestep per row;
-        the first weight's gradient is written as its three row blocks."""
+    def _backward(self, d_out: np.ndarray, cache, scratch: np.ndarray):
+        """Gradient of <d_out, F> as (offset, block) pairs that cover the
+        parameter buffer in order. A block is whole rows of one weight, made
+        by one product over the batch, or one bias, made by one sum. A
+        weight block has ADAM_BLOCK // n_out rows but at least two, and a
+        last block of one row joins the block before it: NumPy computes a
+        one-row product as a matrix-vector product, whose sums round
+        differently from the whole product's. Each block is written into
+        scratch (grad_scratch gives one that fits) and holds until the next
+        is drawn. The cache is _body's at one timestep per row; the first
+        weight's rows come from its three inputs in turn."""
         x_in, cond_rows, temb, h1, h2 = cache
         d_z1, d_z2 = self._pre_activation_grads(d_out, cache)
-        grad = np.empty_like(self.flat) if out is None else out
-        g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = self._views(grad)
-        nx, nc = self.arch.triaxis_dim, self.arch.cond_dim
-        np.matmul(x_in.T, d_z1, out=g_w1[:nx])
-        np.matmul(cond_rows.T, d_z1, out=g_w1[nx : nx + nc])
-        np.matmul(temb.T, d_z1, out=g_w1[nx + nc :])
-        np.sum(d_z1, axis=0, out=g_b1)
-        np.matmul(h1.T, d_z2, out=g_w2)
-        np.sum(d_z2, axis=0, out=g_b2)
-        np.matmul(h2.T, d_out, out=g_w3)
-        np.sum(d_out, axis=0, out=g_b3)
-        return grad
+        offset = 0
+        for lefts, right in (((x_in, cond_rows, temb), d_z1), ((h1,), d_z2), ((h2,), d_out)):
+            n_out = right.shape[1]
+            rows = max(2, ADAM_BLOCK // n_out)
+            for left in lefts:
+                r0, n = 0, left.shape[1]
+                while r0 < n:
+                    r1 = n if n - r0 <= rows + 1 else r0 + rows
+                    block = scratch[: (r1 - r0) * n_out]
+                    np.matmul(left[:, r0:r1].T, right, out=block.reshape(-1, n_out))
+                    yield offset, block
+                    offset += block.size
+                    r0 = r1
+            yield offset, np.sum(right, axis=0, out=scratch[:n_out])
+            offset += n_out
+
+    def grad_scratch(self) -> np.ndarray:
+        """A scratch array that holds the largest block _backward yields."""
+        widest = max(self.arch.hidden, self.arch.triaxis_dim)
+        return np.empty(min(self.flat.size, max(ADAM_BLOCK, 2 * widest) + widest), self.dtype)
 
     # --- DenoiserInterface ---
 
@@ -223,32 +240,37 @@ class MLPDenoiser(DenoiserInterface):
 
 class Adam:
     """Adaptive-moment stochastic gradient optimizer over one flat parameter
-    buffer, updated in place. The memory-bound step runs all its elementwise
-    passes on one block of ADAM_BLOCK elements before the next, so a block's
-    five arrays (1.25 MB in float32) stay in cache; each pass is IEEE-rounded
-    elementwise, so the result is bit-identical to whole-buffer passes."""
+    buffer, updated in place. The step takes the gradient as blocks and
+    runs all its elementwise passes on a block as it arrives, so no whole
+    gradient exists and a block's five arrays (parameters, moments,
+    gradient and one scratch; 1.25 MB in float32 at ADAM_BLOCK elements)
+    stay in cache. Each pass is IEEE-rounded elementwise, so the result is
+    bit-identical to whole-buffer passes over a whole gradient."""
 
     def __init__(self, param: np.ndarray, cfg: OptConfig):
         self.cfg = cfg
         self.m = np.zeros_like(param)
         self.v = np.zeros_like(param)
-        self._buf = np.empty(min(param.size, ADAM_BLOCK), param.dtype)
+        self._buf = np.empty(0, param.dtype)  # grows to the largest block
         self.step_count = 0
 
-    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
-        """One update from grad."""
+    def step(self, param: np.ndarray, blocks) -> None:
+        """One update from the gradient given as (offset, block) pairs that
+        cover param, such as MLPDenoiser._backward yields."""
         c = self.cfg
         self.step_count += 1
         bc1 = 1.0 - c.beta1**self.step_count
         bc2 = 1.0 - c.beta2**self.step_count
-        for lo in range(0, param.size, ADAM_BLOCK):
-            p, g, m, v = (a[lo : lo + ADAM_BLOCK] for a in (param, grad, self.m, self.v))
-            buf = self._buf[: p.size]
+        for lo, g in blocks:
+            p, m, v = (a[lo : lo + g.size] for a in (param, self.m, self.v))
+            if self._buf.size < g.size:
+                self._buf = np.empty(g.size, param.dtype)
+            buf = self._buf[: g.size]
             m *= c.beta1
             np.multiply(g, 1.0 - c.beta1, out=buf)
             m += buf
             v *= c.beta2
-            np.multiply(g, g, out=buf)
+            np.square(g, out=buf)
             buf *= 1.0 - c.beta2
             v += buf
             np.divide(v, bc2, out=buf)
@@ -268,14 +290,17 @@ class TrainResult:
 
 
 def train_denoiser(
-    dataset: list[tuple[np.ndarray, np.ndarray]],
+    x0s: np.ndarray,
+    conds: np.ndarray,
     arch: ArchConfig,
     opt: OptConfig,
     sched: DiffusionSchedule,
     rng: np.random.Generator,
     start_from: MLPDenoiser | None = None,
 ) -> TrainResult:
-    """Fit the denoiser to (tri-axis, query) pairs.
+    """Fit the denoiser to tri-axis images x0s, (n, H, W, 3), and their
+    query images conds, (n, H, W), as load_images returns them; float64
+    arrays are read in place, not copied.
 
     The objective is the clean-image error (x0_hat - x0)^2 weighted by
     min(SNR, MAX_LOSS_WEIGHT), SNR = abar / (1 - abar): the signal-to-noise
@@ -284,11 +309,13 @@ def train_denoiser(
     denoiser takes sigma_data from the standard deviation of the training
     tri-axis pixels.
     """
-    if not dataset:
+    n = len(x0s)
+    if n == 0:
         raise ValueError("dataset must be nonempty")
-    n = len(dataset)
-    x0s = np.stack([np.asarray(x, float).reshape(-1) for x, _ in dataset])
-    conds = np.stack([np.asarray(c, float).reshape(-1) for _, c in dataset])
+    if len(conds) != n:
+        raise ValueError(f"{n} tri-axis images for {len(conds)} query images")
+    x0s = np.asarray(x0s, dtype=float).reshape(n, -1)
+    conds = np.asarray(conds, dtype=float).reshape(n, -1)
     if x0s.shape[1] != arch.triaxis_dim or conds.shape[1] != arch.cond_dim:
         raise ValueError("dataset resolution does not match the architecture")
 
@@ -297,7 +324,7 @@ def train_denoiser(
     else:
         den = MLPDenoiser(arch, sched, rng, float(x0s.std()) or DEFAULT_SIGMA_DATA)
     adam = Adam(den.flat, opt)
-    grad = np.empty_like(den.flat)
+    scratch = den.grad_scratch()
     log: list[dict] = []
     running = None
     initial = None
@@ -316,8 +343,7 @@ def train_denoiser(
         wgt = np.minimum(ab / (1.0 - ab), MAX_LOSS_WEIGHT) * c_out * c_out
         diff = out.astype(float) - (x0 - c_skip * x_t) / c_out
         loss = float((wgt * diff * diff).mean())
-        den._backward((2.0 * wgt * diff / diff.size).astype(den.dtype), cache, out=grad)
-        adam.step(den.flat, grad)
+        adam.step(den.flat, den._backward((2.0 * wgt * diff / diff.size).astype(den.dtype), cache, scratch))
 
         if not math.isfinite(loss):
             raise DivergedLoss(f"non-finite loss at step {step}")

@@ -474,7 +474,7 @@ def oracle_overfit_smoke() -> tuple[str, str, bool]:
     arch = ArchConfig(image_size=4, hidden=256)
     opt = OptConfig(steps=2000, batch_size=64, lr=3e-3)
     sched = make_schedule(10, 0.1, 0.4)
-    res = train_denoiser([(triaxis, query)], arch, opt, sched, rng)
+    res = train_denoiser(np.stack([triaxis]), np.stack([query]), arch, opt, sched, rng)
     ratio = res.final_loss / res.initial_loss
     return "final < 0.05 x initial", f"loss ratio {ratio:.4f}", ratio < 0.05
 
@@ -496,7 +496,10 @@ def oracle_weight_grad_fd() -> tuple[str, str, bool]:
 
     out, cache = den._body(x_t, ts, den.prepare_condition(cond))
     diff = out - eps
-    grads = den._views(den._backward(2.0 * diff / diff.size, cache))
+    grad = np.empty_like(den.flat)  # filled from the block walk that train applies
+    for lo, g in den._backward(2.0 * diff / diff.size, cache, den.grad_scratch()):
+        grad[lo : lo + g.size] = g
+    grads = den._views(grad)
     params = den.parameters()
     h = 1e-5
     worst = 0.0

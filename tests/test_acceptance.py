@@ -111,14 +111,13 @@ def test_criterion_6_ablation_gap(capsys):
     sampling = SamplingConfig(depth_min=2.2, depth_max=3.2, lateral=0.25, min_axis_px=6.0)
     sched = make_schedule(100, 5e-3, 0.08)
     rng = np.random.default_rng(16)
-    train_set = []
+    triaxes, queries = [], []
     for _ in range(40):
         pose = sample_pose(rng, K, sampling)
-        train_set.append(
-            (render_triaxis(K, pose, thickness_px=1.5).data, render_query(K, pose).data)
-        )
+        triaxes.append(render_triaxis(K, pose, thickness_px=1.5).data)
+        queries.append(render_query(K, pose).data)
     den = train_denoiser(
-        train_set, ArchConfig(image_size=size, hidden=256),
+        np.stack(triaxes), np.stack(queries), ArchConfig(image_size=size, hidden=256),
         OptConfig(steps=1200, batch_size=16, lr=2e-3), sched, rng,
     ).denoiser
 

@@ -26,9 +26,10 @@ SCHED = make_schedule(10, 1e-2, 0.2)
 
 
 def _tiny_dataset(size=8):
+    """One pose's tri-axis and query images, stacked as load_images gives them."""
     K = default_intrinsics(size)
     pose = Pose(R=rot_x(25.0) @ rot_y(40.0), T=np.array([0.0, 0.0, 5.0]))
-    return [(render_triaxis(K, pose, thickness_px=1.5).data, render_query(K, pose).data)]
+    return np.stack([render_triaxis(K, pose, thickness_px=1.5).data]), np.stack([render_query(K, pose).data])
 
 
 def test_time_embedding_shape_and_range():
@@ -117,8 +118,8 @@ def test_float32_network_agrees_with_float64():
         assert close(den32.vjp(x, t, cond, cot), den64.vjp(x, t, cond, cot))
     x_in, ts = x.reshape(4, -1), np.array([1, 4, 7, 10])
     d_out = rng.standard_normal((4, ARCH.triaxis_dim))
-    grad32 = den32._backward(d_out.astype(np.float32), den32._body(x_in, ts, den32.prepare_condition(cond))[1])
-    grad64 = den64._backward(d_out, den64._body(x_in, ts, den64.prepare_condition(cond))[1])
+    grad32 = _walked_gradient(den32, d_out.astype(np.float32), den32._body(x_in, ts, den32.prepare_condition(cond))[1])
+    grad64 = _walked_gradient(den64, d_out, den64._body(x_in, ts, den64.prepare_condition(cond))[1])
     assert grad32.dtype == np.float32
     for g32, g64 in zip(den32._views(grad32), den64._views(grad64)):
         assert close(g32, g64)
@@ -139,7 +140,7 @@ def test_prepared_condition():
 def test_training_reduces_loss():
     rng = np.random.default_rng(2)
     res = train_denoiser(
-        _tiny_dataset(), ARCH, OptConfig(steps=400, batch_size=16, lr=3e-3), SCHED, rng
+        *_tiny_dataset(), ARCH, OptConfig(steps=400, batch_size=16, lr=3e-3), SCHED, rng
     )
     assert res.final_loss < 0.6 * res.initial_loss
     assert res.log[0]["step"] == 1
@@ -149,15 +150,43 @@ def test_training_reduces_loss():
 def test_training_is_deterministic():
     data = _tiny_dataset()
     opt = OptConfig(steps=50, batch_size=8, lr=1e-3)
-    a = train_denoiser(data, ARCH, opt, SCHED, np.random.default_rng(3)).denoiser
-    b = train_denoiser(data, ARCH, opt, SCHED, np.random.default_rng(3)).denoiser
+    a = train_denoiser(*data, ARCH, opt, SCHED, np.random.default_rng(3)).denoiser
+    b = train_denoiser(*data, ARCH, opt, SCHED, np.random.default_rng(3)).denoiser
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert np.array_equal(pa, pb)
 
 
+def _walked_gradient(den, d_out, cache):
+    """The block walk's gradient, filled into one parameter-sized array."""
+    grad = np.empty_like(den.flat)
+    for lo, g in den._backward(d_out, cache, den.grad_scratch()):
+        grad[lo : lo + g.size] = g
+    return grad
+
+
+def _whole_gradient(den, d_out, cache, scratch=None):
+    """The weight gradient as whole-matrix products into one parameter-sized
+    array, one product per row block of a weight (the first weight has one
+    per input): the form the block walk must reproduce bit for bit."""
+    x_in, cond_rows, temb, h1, h2 = cache
+    d_z1, d_z2 = den._pre_activation_grads(d_out, cache)
+    grad = np.empty_like(den.flat)
+    g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = den._views(grad)
+    nx, nc = den.arch.triaxis_dim, den.arch.cond_dim
+    np.matmul(x_in.T, d_z1, out=g_w1[:nx])
+    np.matmul(cond_rows.T, d_z1, out=g_w1[nx : nx + nc])
+    np.matmul(temb.T, d_z1, out=g_w1[nx + nc :])
+    np.sum(d_z1, axis=0, out=g_b1)
+    np.matmul(h1.T, d_z2, out=g_w2)
+    np.sum(d_z2, axis=0, out=g_b2)
+    np.matmul(h2.T, d_out, out=g_w3)
+    np.sum(d_out, axis=0, out=g_b3)
+    return grad
+
+
 class _WholeBufferAdam:
-    """The Adam step as whole-buffer passes, the form the blocked walk must
-    reproduce bit for bit."""
+    """The Adam step as whole-buffer passes over a whole gradient, the form
+    the blocked walk must reproduce bit for bit."""
 
     def __init__(self, param, cfg):
         self.cfg = cfg
@@ -187,39 +216,90 @@ class _WholeBufferAdam:
         param -= buf
 
 
+def _blocks(grad, width):
+    return ((lo, grad[lo : lo + width]) for lo in range(0, grad.size, width))
+
+
 @pytest.mark.parametrize("size", [1, ADAM_BLOCK - 1, ADAM_BLOCK, 2 * ADAM_BLOCK + 3])
 def test_adam_step_matches_whole_buffer_passes(size):
+    # blocks of ADAM_BLOCK, of an odd width and wider than ADAM_BLOCK, which
+    # grows the step's scratch
     rng = np.random.default_rng(size)
     cfg = OptConfig(lr=3e-3)
     param = rng.standard_normal(size).astype(np.float32)
     ref_param = param.copy()
     adam, ref = Adam(param, cfg), _WholeBufferAdam(ref_param, cfg)
-    for _ in range(3):
+    for width in (ADAM_BLOCK, 3001, ADAM_BLOCK + 7):
         grad = rng.standard_normal(size).astype(np.float32)
-        adam.step(param, grad.copy())
-        ref.step(ref_param, grad.copy())
+        adam.step(param, _blocks(grad, width))
+        ref.step(ref_param, grad)
     assert np.array_equal(param, ref_param)
     assert np.array_equal(adam.m, ref.m) and np.array_equal(adam.v, ref.v)
 
 
+@pytest.mark.parametrize(
+    "image_size, hidden, dtype",
+    [
+        (32, 43, np.float32),  # first weight: 1524 image rows a block, ragged; last: 21 rows, then 22 with the one left over
+        (148, 5, np.float32),  # last-weight rows of 65,712 elements, wider than ADAM_BLOCK: blocks of 2 and 3 rows
+        (32, 43, np.float64),  # in float64 a one-row product rounds differently at any width
+        (8, 32, np.float32),
+        (8, 1, np.float64),  # one hidden unit: one-column factors, whose whole products are matrix-vector ones too
+    ],
+)
+@pytest.mark.parametrize("batch", [18, 32])
+def test_block_walk_is_the_whole_gradient_bit_for_bit(image_size, hidden, dtype, batch):
+    arch = ArchConfig(image_size=image_size, hidden=hidden, time_embed_dim=8)
+    rng = np.random.default_rng(batch)
+    den = MLPDenoiser(arch, SCHED, rng, dtype=dtype)
+    x_in = rng.standard_normal((batch, arch.triaxis_dim))
+    cond = rng.random((batch, arch.cond_dim))
+    cache = den._body(x_in, rng.integers(1, SCHED.T + 1, size=batch), den.prepare_condition(cond))[1]
+    d_out = rng.standard_normal((batch, arch.triaxis_dim)).astype(dtype)
+    scratch = den.grad_scratch()
+    end = 0
+    for lo, g in den._backward(d_out, cache, scratch):
+        assert lo == end and np.shares_memory(g, scratch)  # in order, without gaps, in the scratch
+        end += g.size
+    assert end == den.flat.size
+    assert np.array_equal(_walked_gradient(den, d_out, cache), _whole_gradient(den, d_out, cache))
+
+
 def test_training_matches_whole_buffer_adam(monkeypatch):
-    # more than one block with a ragged last one
-    arch = ArchConfig(image_size=16, hidden=64)
-    opt = OptConfig(steps=4, batch_size=4)
-    data = _tiny_dataset(16)
-    blocked = train_denoiser(data, arch, opt, SCHED, np.random.default_rng(12))
-    assert blocked.denoiser.flat.size > ADAM_BLOCK and blocked.denoiser.flat.size % ADAM_BLOCK
-    refs = []
+    # the block walk into the blocked step against whole-matrix gradient
+    # products into whole-buffer passes: parameters, moments and log agree
+    cases = [
+        (32, 43, np.float32),  # ragged last blocks, and a one-row remainder joined to the block before it
+        (148, 5, np.float32),  # rows wider than ADAM_BLOCK
+        (16, 64, np.float32),
+        (32, 43, np.float64),
+    ]
+    opt = OptConfig(steps=4, batch_size=18)  # at batch 4 a float32 one-row product happens to round alike
 
-    def whole_buffer_adam(param, cfg):
-        refs.append(_WholeBufferAdam(param, cfg))
-        return refs[-1]
+    def run(arch, dtype, data, adam_cls):
+        made = []
 
-    monkeypatch.setattr(denoiser, "Adam", whole_buffer_adam)
-    whole = train_denoiser(data, arch, opt, SCHED, np.random.default_rng(12))
-    assert len(refs) == 1 and refs[0].step_count == opt.steps
-    assert np.array_equal(blocked.denoiser.flat, whole.denoiser.flat)
-    assert blocked.log == whole.log
+        def make(param, cfg):
+            made.append(adam_cls(param, cfg))
+            return made[-1]
+
+        monkeypatch.setattr(denoiser, "Adam", make)
+        start = MLPDenoiser(arch, SCHED, np.random.default_rng(5), dtype=dtype)
+        res = train_denoiser(*data, arch, opt, SCHED, np.random.default_rng(12), start_from=start)
+        assert len(made) == 1 and made[0].step_count == opt.steps
+        return res, made[0]
+
+    for image_size, hidden, dtype in cases:
+        arch = ArchConfig(image_size=image_size, hidden=hidden)
+        data = _tiny_dataset(image_size)
+        blocked, blocked_adam = run(arch, dtype, data, Adam)
+        with monkeypatch.context() as patch:
+            patch.setattr(MLPDenoiser, "_backward", _whole_gradient)
+            whole, whole_adam = run(arch, dtype, data, _WholeBufferAdam)
+        assert blocked.denoiser.flat.dtype == dtype
+        assert np.array_equal(blocked.denoiser.flat, whole.denoiser.flat)
+        assert np.array_equal(blocked_adam.m, whole_adam.m) and np.array_equal(blocked_adam.v, whole_adam.v)
+        assert blocked.log == whole.log
 
 
 def test_adam_allocates_no_whole_buffer_scratch():
@@ -230,17 +310,34 @@ def test_adam_allocates_no_whole_buffer_scratch():
     grad = np.full(n, 0.5, np.float32)
     tracemalloc.start()
     try:
-        Adam(param, OptConfig()).step(param, grad)
+        Adam(param, OptConfig()).step(param, _blocks(grad, ADAM_BLOCK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * param.nbytes + 2 * ADAM_BLOCK * 4
 
 
+def test_training_holds_no_whole_gradient():
+    # a training call's parameter-sized arrays are the buffer and Adam's two
+    # moments; the gradient comes one block at a time, and the data is read
+    # in place
+    arch = ArchConfig(image_size=16, hidden=512)
+    x0s, conds = _tiny_dataset(16)
+    rng = np.random.default_rng(0)  # outside the trace: the first use imports numpy.random
+    tracemalloc.start()
+    try:
+        den = train_denoiser(x0s, conds, arch, OptConfig(steps=2, batch_size=4), SCHED, rng).denoiser
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert den.flat.size >= 1 << 20
+    assert peak < 3 * den.flat.nbytes + x0s.nbytes + conds.nbytes + 4 * ADAM_BLOCK * den.flat.itemsize
+
+
 def test_training_diverged_loss_detection():
     with pytest.raises(DivergedLoss), np.errstate(over="ignore", invalid="ignore"):
         train_denoiser(
-            _tiny_dataset(),
+            *_tiny_dataset(),
             ARCH,
             OptConfig(steps=400, batch_size=8, lr=1e200),
             SCHED,
@@ -251,7 +348,7 @@ def test_training_diverged_loss_detection():
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     den = train_denoiser(
-        _tiny_dataset(), ARCH, OptConfig(steps=20, batch_size=8, lr=1e-3), SCHED, rng
+        *_tiny_dataset(), ARCH, OptConfig(steps=20, batch_size=8, lr=1e-3), SCHED, rng
     ).denoiser
     p = tmp_path / "ckpt.bin"
     save_checkpoint(p, den)
@@ -324,21 +421,24 @@ def test_resume_continues_improving(tmp_path):
     data = _tiny_dataset()
     rng = np.random.default_rng(6)
     opt = OptConfig(steps=200, batch_size=16, lr=3e-3)
-    first = train_denoiser(data, ARCH, opt, SCHED, rng)
-    second = train_denoiser(data, ARCH, opt, SCHED, rng, start_from=first.denoiser)
+    first = train_denoiser(*data, ARCH, opt, SCHED, rng)
+    second = train_denoiser(*data, ARCH, opt, SCHED, rng, start_from=first.denoiser)
     assert second.final_loss < 1.1 * first.final_loss
 
 
 def test_dataset_resolution_mismatch():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError):
-        train_denoiser(_tiny_dataset(16), ARCH, OptConfig(steps=5), SCHED, rng)
+        train_denoiser(*_tiny_dataset(16), ARCH, OptConfig(steps=5), SCHED, rng)
+    x0s, conds = _tiny_dataset()
+    with pytest.raises(ValueError, match="1 tri-axis images for 2 query images"):
+        train_denoiser(x0s, np.concatenate([conds, conds]), ARCH, OptConfig(steps=5), SCHED, rng)
 
 
 def test_sigma_data_from_training_set_and_checkpoint(tmp_path):
     data = _tiny_dataset()
-    den = train_denoiser(data, ARCH, OptConfig(steps=2, batch_size=4), SCHED, np.random.default_rng(8)).denoiser
-    assert den.sigma_data == pytest.approx(float(np.std(data[0][0])))
+    den = train_denoiser(*data, ARCH, OptConfig(steps=2, batch_size=4), SCHED, np.random.default_rng(8)).denoiser
+    assert den.sigma_data == pytest.approx(float(np.std(data[0])))
     p = tmp_path / "ckpt.bin"
     save_checkpoint(p, den)
     assert load_checkpoint(p).sigma_data == den.sigma_data

@@ -296,7 +296,7 @@ def test_guided_sampling_never_differentiates_the_network(monkeypatch):
         steps.append(t)
         return evaluate(self, x_t, t, cond)
 
-    monkeypatch.setattr(MLPDenoiser, "_pre_activation_grads", no_pullback)  # vjp's and _backward's first step
+    monkeypatch.setattr(MLPDenoiser, "_pre_activation_grads", no_pullback)  # the first step of vjp and of the weight-gradient walk
     monkeypatch.setattr(MLPDenoiser, "evaluate", counted)
     sched = make_schedule(50, 1e-3, 0.05)
     mlp = MLPDenoiser(ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15)
