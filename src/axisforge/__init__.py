@@ -1,7 +1,7 @@
 """axisforge: tri-axis 6D pose pipeline.
 
 Guided-diffusion generation of tri-axis projections, moment-based axis
-extraction, and closed-form cube-corner pose recovery.
+extraction, and closed-form pose recovery from the tri-axis.
 
 Submodule attributes are loaded lazily so that the CLI can apply its thread
 cap before numpy is first imported.
@@ -26,13 +26,10 @@ _EXPORTS = {
     "save_config": "config",
     # camera_geometry
     "Pose": "camera",
-    "Omega": "camera",
     "AxisLines": "camera",
-    "compute_omega": "camera",
     "project_point": "camera",
     "project_triaxis": "camera",
     "project_axes": "camera",
-    "nearest_rotation": "camera",
     "random_rotation": "camera",
     "rot_x": "camera",
     "rot_y": "camera",
@@ -54,10 +51,6 @@ _EXPORTS = {
     "soft_extract_vjp": "extraction",
     "soft_extract_with_pullback": "extraction",
     # tbm_solver
-    "CornerImage": "solver",
-    "CornerSolution": "solver",
-    "corner_from_observation": "solver",
-    "solve_depth_scales": "solver",
     "recover_pose": "solver",
     # diffusion_engine
     "DiffusionSchedule": "diffusion",

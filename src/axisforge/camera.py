@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,30 +41,6 @@ class Pose:
 
 
 @dataclass(frozen=True)
-class Omega:
-    """Symmetric positive-definite conic matrix used by the orthogonality system."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        object.__setattr__(self, "m", m)
-        if m.shape != (3, 3):
-            raise ValueError("omega must be 3x3")
-        if np.max(np.abs(m - m.T)) > 1e-12:
-            raise ValueError("omega must be symmetric")
-        if np.min(np.linalg.eigvalsh(m)) <= 0:
-            raise ValueError("omega must be positive definite")
-
-    @cached_property
-    def chol_upper(self) -> np.ndarray:
-        """Upper-triangular U with m = U^T U, shared read-only."""
-        U = np.linalg.cholesky(self.m).T
-        U.flags.writeable = False
-        return U
-
-
-@dataclass(frozen=True)
 class AxisLines:
     """Directed image of the object's tri-axis.
 
@@ -94,16 +69,6 @@ def project_point(K: CameraIntrinsics, pose: Pose, X_obj) -> np.ndarray:
         raise NonPositiveDepth(f"transformed depth {Xc[2]:.3g} <= {DEPTH_EPS}")
     h = K.K @ Xc
     return h[:2] / h[2]
-
-
-@lru_cache(maxsize=16)  # the solver asks for it on every call
-def compute_omega(K: CameraIntrinsics) -> Omega:
-    """Conic matrix K^-T K^-1: lets ray angles be measured from pixel coordinates."""
-    Ki = K.K_inv
-    m = Ki.T @ Ki
-    m = 0.5 * (m + m.T)
-    m.flags.writeable = False
-    return Omega(m)
 
 
 def project_triaxis(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> np.ndarray:
@@ -185,10 +150,3 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
-
-
-def nearest_rotation(M: np.ndarray) -> np.ndarray:
-    """Orthogonal Procrustes projection: the rotation closest to M in Frobenius norm."""
-    U, _, Vt = np.linalg.svd(M)
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
-    return U @ D @ Vt

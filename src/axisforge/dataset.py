@@ -85,10 +85,7 @@ def pose_is_nondegenerate(
 
     Requires: origin and all axis endpoints projectable with positive depth,
     the projected origin inside the central image box, every endpoint inside
-    the image, and each projected axis at least min_axis_px long. The length
-    floor also keeps solver probe points on the positive-depth branch of
-    each axis line (the vanishing point, when one exists, lies beyond the
-    projected endpoint).
+    the image, and each projected axis at least min_axis_px long.
     """
     try:
         points = project_triaxis(K, pose, axis_len)

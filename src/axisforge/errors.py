@@ -49,18 +49,10 @@ class VanishingMass(AxisForgeError):
         super().__init__(message or f"channel {channel} has vanishing soft mass")
 
 
-# --- corner solver ---
+# --- tri-axis solver ---
 
 class NoValidSolution(AxisForgeError):
-    """No all-positive real depth-scale solution exists."""
-
-
-class IllConditioned(AxisForgeError):
-    """A denominator in the depth-scale elimination is numerically zero."""
-
-
-class AllCandidatesRejected(AxisForgeError):
-    """Every corner candidate produced a reflected (det <= 0) frame."""
+    """No real root of the plane quadratic gives a frame along the observed axes."""
 
 
 # --- diffusion ---

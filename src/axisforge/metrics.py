@@ -71,9 +71,16 @@ def reproj_metric(gt: Pose, pred: Pose, model: ModelPoints, K: CameraIntrinsics)
 
 
 def rotation_geodesic(R1: np.ndarray, R2: np.ndarray) -> float:
-    """Relative rotation angle in degrees."""
-    arg = (float(np.trace(np.asarray(R1).T @ np.asarray(R2))) - 1.0) / 2.0
-    return math.degrees(math.acos(max(-1.0, min(1.0, arg))))
+    """Relative rotation angle in degrees, accurate at every angle.
+
+    For M = R1^T R2 at angle theta, |M - M^T|_F = sqrt(8) sin(theta) and
+    trace(M) = 1 + 2 cos(theta). The arccos of the trace alone quantizes
+    near 0 deg at sqrt(eps); atan2 of the two does not.
+    """
+    M = np.asarray(R1).T @ np.asarray(R2)
+    sin = float(np.linalg.norm(M - M.T)) / math.sqrt(8.0)
+    cos = (float(np.trace(M)) - 1.0) / 2.0
+    return math.degrees(math.atan2(sin, cos))
 
 
 @dataclass

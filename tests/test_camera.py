@@ -5,8 +5,6 @@ import pytest
 
 from axisforge.camera import (
     Pose,
-    compute_omega,
-    nearest_rotation,
     project_axes,
     project_point,
     project_triaxis,
@@ -139,20 +137,3 @@ def test_random_rotation_uniform_properties():
         R = random_rotation(rng)
         assert np.allclose(R.T @ R, np.eye(3), atol=1e-12)
         assert math.isclose(np.linalg.det(R), 1.0, abs_tol=1e-9)
-
-
-def test_nearest_rotation_recovers_noisy_rotation():
-    rng = np.random.default_rng(1)
-    R = random_rotation(rng)
-    noisy = R + 1e-3 * rng.standard_normal((3, 3))
-    R2 = nearest_rotation(noisy)
-    assert np.allclose(R2.T @ R2, np.eye(3), atol=1e-12)
-    assert math.isclose(np.linalg.det(R2), 1.0, abs_tol=1e-9)
-    assert np.linalg.norm(R2 - R) < 5e-3
-
-
-def test_compute_omega_definition():
-    omega = compute_omega(K)
-    ref = K.K_inv.T @ K.K_inv
-    assert np.allclose(omega.m, ref, atol=1e-15)
-    assert np.all(np.linalg.eigvalsh(omega.m) > 0)

@@ -290,11 +290,11 @@ def test_oracle_takes_no_config_or_seed(capsys, flag):
 
 
 def test_oracle_subset(capsys):
-    rc = main(["oracle", "--only", "schedule-abar", "omega-positive-definite"])
+    rc = main(["oracle", "--only", "schedule-abar", "project-axes-consistency"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS schedule-abar" in out
-    assert "PASS omega-positive-definite" in out
+    assert "PASS project-axes-consistency" in out
 
 
 @pytest.mark.parametrize("command", ["infer", "train"])

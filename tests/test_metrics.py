@@ -51,6 +51,12 @@ def test_rotation_geodesic_known_angles():
     assert math.isclose(rotation_geodesic(np.eye(3), rot_z(180.0)), 180.0, abs_tol=1e-6)
 
 
+def test_rotation_geodesic_small_angle():
+    # the arccos of the trace reads 0 here: near 0 deg it quantizes at sqrt(eps), about 1.2e-6 deg
+    base = rot_z(20.0)
+    assert math.isclose(rotation_geodesic(base, base @ rot_z(1e-6)), 1e-6, rel_tol=1e-6)
+
+
 def test_evaluate_pair_thresholds_strict(monkeypatch):
     model = cuboid_model()
     rec = evaluate_pair(POSE, POSE, model, K)

@@ -118,3 +118,16 @@ def test_every_export_is_read_in_src():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert sorted(set(axisforge._EXPORTS) - read) == []
+
+
+def test_every_error_class_is_raised_in_src():
+    # an exception class that no code raises is a failure mode that cannot
+    # happen; batch extraction makes its errors first and raises them per row
+    src = Path(axisforge.__file__).resolve().parent
+    classes = {node.name for node in ast.parse((src / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)}
+    made = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else node.func if isinstance(node, ast.Call) else None
+            made.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert sorted(classes - {"AxisForgeError"} - made) == []
