@@ -13,11 +13,13 @@ Gaussian prior of the data's standard deviation sigma_data: the quantity
 training fits. The skip carries the noisy image through at low noise, where
 a hidden layer narrower than the output could not. The parameters live in
 one flat float32 buffer, and the network passes (forward, weight
-gradients) and the optimizer run in float32; the preconditioning and
-everything downstream of x0_hat stay in float64. Training never holds a
-whole gradient: the weight gradient comes block by block, each block one
-product over the batch, and the optimizer applies each block as it comes,
-so a step holds the buffer, the two moments and two blocks of scratch.
+gradients) and the optimizer run in float32. The preconditioning runs in
+x_t's dtype, so x0_hat comes back in it: a sampling chain stays float32,
+and a float64 x_t gives a float64 x0_hat. Training's loss stays float64.
+Training never holds a whole gradient: the weight gradient comes block by
+block, each block one product over the batch, and the optimizer applies
+each block as it comes, so a step holds the buffer, the two moments and
+two blocks of scratch.
 Checkpoints store the buffer as little-endian float32.
 """
 
@@ -35,7 +37,7 @@ import numpy as np
 from .config import ArchConfig, OptConfig
 from .diffusion import DenoiserInterface, DiffusionSchedule, forward_diffuse, make_schedule
 from .errors import DivergedLoss
-from .render import atomic_write
+from .render import atomic_write, float_array
 
 CHECKPOINT_MAGIC = b"AXISFORGE-CKPT"
 CHECKPOINT_VERSION = 2  # 2: preconditioned denoiser, sigma_data in the header
@@ -204,26 +206,29 @@ class MLPDenoiser(DenoiserInterface):
         return 1.0 / (sab * norm), sd * sd / (norm * norm * sab), sigma * sd / norm, sab
 
     def _x0_rows(self, x_rows: np.ndarray, t, cond) -> tuple[np.ndarray, tuple, tuple]:
-        """Clean-image estimate for rows of flattened x_t at one timestep,
-        with the forward cache and the coefficients (c_in, c_skip, c_out)."""
+        """Clean-image estimate for rows of flattened x_t at one timestep, in
+        x_rows' dtype, with the forward cache and the coefficients (c_in,
+        c_skip, c_out)."""
         if cond is None:
             raise ValueError("this denoiser is conditional; cond is required")
         if not isinstance(cond, ConditionProjection):
             cond = self.prepare_condition(cond)
         if cond.z1.shape[0] != x_rows.shape[0]:
             raise ValueError(f"{cond.z1.shape[0]} conditions for {x_rows.shape[0]} images")
-        c_in, c_skip, c_out, _ = self._precond(t)
-        # c_in * x_rows rounds to the network's dtype after the float64 product
+        # Python-float coefficients, so that each product runs in x_rows' dtype
+        c_in, c_skip, c_out = (float(c) for c in self._precond(t)[:3])
+        # c_in * x_rows rounds to the network's dtype after the product
         x_in = np.multiply(x_rows, c_in, out=np.empty(x_rows.shape, self.dtype), casting="same_kind")
         out, cache = self._body(x_in, t, cond)
-        # c_skip * x_rows + c_out * F in float64, operation by operation
+        # c_skip * x_rows + c_out * F in x_rows' dtype, operation by operation
         x0_hat = np.multiply(x_rows, c_skip)
-        x0_hat += np.multiply(out, c_out, dtype=float)
+        x0_hat += np.multiply(out, c_out, dtype=x_rows.dtype)
         return x0_hat, cache, (c_in, c_skip, c_out)
 
     def evaluate(self, x_t, t, cond=None):
-        """Clean-image estimate for x_t of shape (H, W, 3) or a batch (B, H, W, 3)."""
-        x = np.asarray(x_t, dtype=float)
+        """Clean-image estimate for x_t of shape (H, W, 3) or a batch (B, H, W, 3),
+        in x_t's dtype: float32 stays float32, anything else is float64."""
+        x = float_array(x_t)
         return self._x0_rows(x.reshape(-1, self.arch.triaxis_dim), t, cond)[0].reshape(x.shape)
 
     def vjp(self, x_t, t, cond, cotangent):

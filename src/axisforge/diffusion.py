@@ -15,6 +15,10 @@ one denoiser forward. ``sample_batch`` runs several records through one
 denoiser pass and one batched soft extraction per step, under one
 GuidanceParams for the whole call and one target per record.
 
+A chain runs in its denoiser's dtype (float32 for the network, float64 for
+``GaussianDenoiser``) through every full-image pass: x_t, x0_hat, the soft
+extraction, its pullback and the DDIM step. Per-record values are float64.
+
 ``GaussianDenoiser``, the exact posterior mean of a Gaussian data
 distribution, gives an independent verification path for the sampler.
 """
@@ -36,7 +40,7 @@ from .extraction import (
     ObservationBatch,
     soft_extract_with_pullback,
 )
-from .render import TriAxisImage, _pixel_grid
+from .render import TriAxisImage, _pixel_grid, float_array
 
 
 @dataclass(frozen=True)
@@ -115,22 +119,26 @@ def ddim_step(
         raise ValueError("t_prev must satisfy 0 <= t_prev < t")
     ab, ab_prev = sched.abar(t), sched.abar(t_prev)
     # sqrt(ab_prev) x0_hat + sqrt(1 - ab_prev) (x_t - sqrt(ab) x0_hat) / sqrt(1 - ab),
-    # operation by operation in two new arrays
-    eps = np.sqrt(ab) * x0_hat
+    # operation by operation in two new arrays; Python-float factors keep
+    # x0_hat's dtype
+    eps = math.sqrt(ab) * x0_hat
     np.subtract(x_t, eps, out=eps)
-    eps /= np.sqrt(1.0 - ab)
-    eps *= np.sqrt(1.0 - ab_prev)
-    x_prev = np.sqrt(ab_prev) * x0_hat
+    eps /= math.sqrt(1.0 - ab)
+    eps *= math.sqrt(1.0 - ab_prev)
+    x_prev = math.sqrt(ab_prev) * x0_hat
     x_prev += eps
     return x_prev
 
 
 class DenoiserInterface(ABC):
-    """Clean-image estimator: the posterior mean of x0 given x_t."""
+    """Clean-image estimator: the posterior mean of x0 given x_t. Its
+    ``dtype`` is the dtype a sampling chain runs in."""
+
+    dtype = np.dtype(np.float64)
 
     @abstractmethod
     def evaluate(self, x_t: np.ndarray, t: int, cond: np.ndarray | None = None) -> np.ndarray:
-        """Clean-image estimate x0_hat, same shape as x_t.
+        """Clean-image estimate x0_hat, same shape and dtype as x_t.
 
         The sampling code writes only into arrays it allocated itself. It
         never writes into x_t or into the returned estimate, so a denoiser
@@ -161,9 +169,10 @@ class GaussianDenoiser(DenoiserInterface):
         self.sched = sched
 
     def evaluate(self, x_t, t, cond=None):
+        x = float_array(x_t)
         ab = self.sched.abar(t)
         marg_var = ab * self.var + (1.0 - ab)
-        return (np.sqrt(ab) * self.var * np.asarray(x_t, dtype=float) + (1.0 - ab) * self.mean) / marg_var
+        return ((np.sqrt(ab) * self.var * x + (1.0 - ab) * self.mean) / marg_var).astype(x.dtype, copy=False)
 
 
 # --- geometric consistency ---
@@ -269,7 +278,7 @@ def guided_x0_batch(
     ab = sched.abar(t)
     losses, correction, errors = geo_image_gradient(x0_hat, target, guidance.sharpness * ab, rays)
     rho_eff = np.where(np.isnan(losses), 0.0, guidance.rho_base / (np.sqrt(losses) + 1e-6))
-    correction *= (rho_eff * (1.0 - ab) / ab)[:, None, None, None]
+    correction *= (rho_eff * (1.0 - ab) / ab).astype(correction.dtype)[:, None, None, None]
     guided = x0_hat - correction
     # each item's norm as np.linalg.norm takes it, with the squares in place
     squares = np.multiply(correction, correction, out=correction).reshape(len(correction), -1)
@@ -357,20 +366,22 @@ def sample_batch(
 
     Record b has its own condition, target and generator; the guidance
     settings are the run's. Its initial noise comes from rngs[b] alone, so
-    it draws the same numbers as ``sample`` would give it. Its image agrees
+    it draws the same numbers as ``sample`` would give it, in float64, and
+    the chain rounds them once to the denoiser's dtype. Its image agrees
     with ``sample``'s up to floating-point rounding, which may differ between
     a batched and a single matrix product. A denoiser taking no condition
     gets cond None for every record.
     """
     ts = uniform_timesteps(sched, steps)
-    x = np.stack([rng.standard_normal((shape[0], shape[1], 3)) for rng in rngs])
+    # the chain runs in the denoiser's dtype, from float64 draws rounded once
+    x = np.stack([rng.standard_normal((shape[0], shape[1], 3)) for rng in rngs]).astype(denoiser.dtype, copy=False)
     cond = None
     if conds[0] is not None:  # prepared once for the whole chain
         cond = denoiser.prepare_condition(np.stack([np.asarray(c, dtype=float) for c in conds]))
     guided = guidance is not None and guidance.rho_base != 0.0
     if guided:  # the targets and the image shape are fixed along a chain
         target = ObservationBatch.stack(targets)
-        rays = ray_distance_map(target, shape)
+        rays = ray_distance_map(target, shape).astype(x.dtype, copy=False)
     steps_out = []  # (t, correction norms, errors) per step
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0

@@ -16,7 +16,8 @@ Per channel: weighted mean, principal eigenvector of the 2x2 second-moment
 matrix, then a least-squares intersection of the three lines gives the
 origin. Directions are sign-corrected to point from the origin toward the
 channel mass. The pipeline works on a leading batch axis throughout, so a
-batch of images costs a fixed number of array operations.
+batch of images costs a fixed number of array operations. Full-image
+passes run in the images' dtype; the per-channel moments are float64.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateChannel, EmptyChannel, NoIntersection, VanishingMass
-from .render import TriAxisImage, _pixel_grid
+from .render import TriAxisImage, _pixel_grid, float_array
 
 MIN_HARD_PIXELS = 8
 SOFT_MASS_FLOOR = 1e-6
@@ -105,11 +106,13 @@ class ObservationBatch:
 
 
 @lru_cache(maxsize=8)
-def _basis(h: int, w: int) -> np.ndarray:
-    """Monomials (1, u, v, uu, uv, vv) of the pixel coordinates, (H*W, 6)."""
+def _basis(h: int, w: int, dtype=np.float64) -> np.ndarray:
+    """Monomials (1, u, v, uu, uv, vv) of the pixel coordinates, (H*W, 6),
+    in dtype; below 4096 px a side each is an integer that float32 holds
+    exactly."""
     px = _pixel_grid(h, w)
     u, v = px[..., 0].ravel(), px[..., 1].ravel()
-    basis = np.stack([np.ones_like(u), u, v, u * u, u * v, v * v], axis=1)
+    basis = np.stack([np.ones_like(u), u, v, u * u, u * v, v * v], axis=1).astype(dtype)
     basis.flags.writeable = False
     return basis
 
@@ -117,12 +120,13 @@ def _basis(h: int, w: int) -> np.ndarray:
 class _Moments:
     """Weighted moments of the three channels of each image in a batch of
     weight images (B, H, W, 3), from one product per image with the
-    coordinate monomials; each per-channel quantity is a (B, 3) array."""
+    coordinate monomials in the images' dtype; each per-channel quantity is
+    a float64 (B, 3) array, and the pullback is an image in that dtype."""
 
     def __init__(self, w: np.ndarray):
         self.shape = w.shape
-        self.basis = _basis(*w.shape[1:3])
-        raw = np.swapaxes(w.reshape(len(w), -1, 3), 1, 2) @ self.basis  # (B, 3, 6)
+        self.basis = _basis(*w.shape[1:3], w.dtype)
+        raw = (np.swapaxes(w.reshape(len(w), -1, 3), 1, 2) @ self.basis).astype(float)  # (B, 3, 6)
         self.mass = raw[..., 0]
         with np.errstate(invalid="ignore", divide="ignore"):  # empty channels are rejected by the caller
             self.mean = raw[..., 1:3] / self.mass[..., None]
@@ -154,7 +158,7 @@ class _Moments:
         g_v = d_mean[..., 1] - mu * d_b - 2 * mv * d_c
         coeff = np.stack([const, g_u, g_v, d_a, d_b, d_c], axis=1) / self.mass[:, None]  # (B, 6, 3)
         coeff[:, 0] += d_mass
-        return (self.basis @ coeff).reshape(self.shape)
+        return (self.basis @ coeff.astype(self.basis.dtype)).reshape(self.shape)
 
 
 def _intersect(m: _Moments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,11 +219,13 @@ def _channel_sums(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _along_rows(v: np.ndarray, width: int) -> np.ndarray:
-    """Per-channel values v (B, 3) as (B, 1, width, 3): against images
-    (B, H, width, 3) it broadcasts like v[:, None, None], but an elementwise
-    operation then runs over whole rows, not over 3 elements at a time."""
-    return np.tile(v, width).reshape(len(v), 1, width, 3)
+def _along_rows(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Per-channel values v (B, 3) as (B, 1, W, 3) in the dtype of images
+    like, (B, H, W, 3): against them it broadcasts like v[:, None, None], but
+    an elementwise operation then runs over whole rows, not over 3 elements
+    at a time."""
+    width = like.shape[2]
+    return np.tile(v, width).reshape(len(v), 1, width, 3).astype(like.dtype, copy=False)
 
 
 def soft_weights(data: np.ndarray, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
@@ -231,6 +237,7 @@ def soft_weights(data: np.ndarray, sharpness: float) -> tuple[np.ndarray, np.nda
     """
     if not sharpness > 0:
         raise ValueError("sharpness must be positive")
+    sharpness = float(sharpness)  # a Python float keeps a float32 image float32
     # sigmoid(a) = (1 + tanh(a / 2)) / 2, written so that a small sharpness
     # loses no precision: with th = tanh(sharpness (data - 0.5) / 2), the
     # weight is (th + half_span) / (2 half_span) and its derivative
@@ -272,8 +279,12 @@ def soft_extract_with_pullback(
     1 / (lam_max - lam_min); a loss that weights the direction by the
     anisotropy keeps a bounded gradient. Each pullback call returns a new
     array and writes into none of its inputs.
+
+    A float32 batch stays float32 through every full-image pass, the
+    weights, the cost map and the gradient; any other batch runs in
+    float64. The observation, costs and anisotropies are float64.
     """
-    data = np.asarray(images, dtype=float)
+    data = float_array(images)
     if data.ndim != 4:
         raise ValueError(f"soft extraction takes a batch (B, H, W, 3), not shape {data.shape}")
     w, dw = soft_weights(data, sharpness)
@@ -298,8 +309,9 @@ def soft_extract_with_pullback(
     trace_sq = np.maximum(trace * trace, 1e-300)
     anisotropy = (x_t * x_t + y_t * y_t) / trace_sq
     # an image without mass divides by zero below; its rows are discarded
+    cost = None if cost_map is None else np.asarray(cost_map, dtype=data.dtype)
     with np.errstate(invalid="ignore", divide="ignore"):
-        costs = None if cost_map is None else _channel_sums(w, np.asarray(cost_map, dtype=float)) / m.mass
+        costs = None if cost is None else _channel_sums(w, cost) / m.mass
 
     @np.errstate(invalid="ignore", divide="ignore")
     def pullback(
@@ -336,9 +348,8 @@ def soft_extract_with_pullback(
         g_w = m.pullback(d_mass, d_mean, d_a, d_b, d_c)
         if cost_cot is not None:
             # costs_i = sum(w_i * cost_i) / mass_i
-            width = data.shape[2]
-            term = np.subtract(cost_map, _along_rows(costs, width))
-            term *= _along_rows(np.asarray(cost_cot, dtype=float) / m.mass, width)
+            term = np.subtract(cost, _along_rows(costs, data))
+            term *= _along_rows(np.asarray(cost_cot, dtype=float) / m.mass, data)
             g_w += term
         g_w *= dw
         g_w[failed] = 0.0

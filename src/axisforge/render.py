@@ -62,6 +62,13 @@ def _pixel_grid(h: int, w: int) -> np.ndarray:
     return px
 
 
+def float_array(a) -> np.ndarray:
+    """a as an array of floats: a float32 array stays float32, without a
+    copy, and anything else becomes float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(float, copy=False)
+
+
 def _segment_distance(h: int, w: int, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """Per-pixel distance from pixel centers to the segment p0-p1 (pixel coords)."""
     px = _pixel_grid(h, w)

@@ -60,19 +60,24 @@ def test_evaluate_shape_and_cond_required():
 def test_evaluate_is_the_preconditioned_clean_image_estimate():
     # the denoiser returns x0_hat = c_skip * x_t + c_out * F(c_in * x_t), the
     # quantity train_denoiser fits, not a noise prediction
-    # bit for bit: the float64 product c_in * x_t is rounded to the network's
-    # dtype, and F comes back to float64 before the combination
+    # bit for bit, in x_t's dtype with Python-float coefficients: the product
+    # c_in * x_t is rounded to the network's dtype, and F comes back to x_t's
+    # dtype before the combination. A float32 x_t gives a float32 x0_hat,
+    # whatever the network's dtype
     rng = np.random.default_rng(13)
-    x = rng.standard_normal((2, 8, 8, 3))
+    x64 = rng.standard_normal((2, 8, 8, 3))
     cond = rng.random((2, 8, 8))
-    rows = x.reshape(2, -1)
     for dtype in (np.float64, np.float32):
         den = MLPDenoiser(ARCH, SCHED, rng, 0.3, dtype)
-        for t in (1, 5, 10):
-            c_in, c_skip, c_out, _ = den._precond(t)
-            body, _ = den._body(c_in * rows, t, den.prepare_condition(cond))
-            expected = (c_skip * rows + c_out * body.astype(float)).reshape(x.shape)
-            assert np.array_equal(den.evaluate(x, t, cond), expected)
+        for x in (x64, x64.astype(np.float32)):
+            rows = x.reshape(2, -1)
+            for t in (1, 5, 10):
+                c_in, c_skip, c_out = (float(c) for c in den._precond(t)[:3])
+                body, _ = den._body(c_in * rows, t, den.prepare_condition(cond))
+                expected = (c_skip * rows + c_out * body.astype(x.dtype)).reshape(x.shape)
+                x0_hat = den.evaluate(x, t, cond)
+                assert x0_hat.dtype == x.dtype
+                assert np.array_equal(x0_hat, expected)
 
 
 def test_vjp_matches_finite_differences():
@@ -113,7 +118,7 @@ def test_float32_network_agrees_with_float64():
     cot = rng.standard_normal(x.shape)
     for t in (1, 5, 10):
         x0_32 = den32.evaluate(x, t, cond)
-        assert x0_32.dtype == np.float64  # the float64 boundary is the network's output
+        assert x0_32.dtype == np.float64  # x0_hat comes back in x_t's dtype, not the network's
         assert close(x0_32, den64.evaluate(x, t, cond))
         assert close(den32.vjp(x, t, cond, cot), den64.vjp(x, t, cond, cot))
     x_in, ts = x.reshape(4, -1), np.array([1, 4, 7, 10])

@@ -171,14 +171,19 @@ def test_soft_weights_limits():
 
 def test_soft_weights_is_the_closed_form_bit_for_bit():
     # evaluated in place, operation by operation, the weights keep the
-    # rounding of the closed forms
-    x = np.random.default_rng(8).uniform(-0.3, 1.3, (2, 8, 8, 3))
-    for sharpness in (1e-6, 0.3, 5.0, 50.0, 500.0):
-        half_span = math.tanh(sharpness / 4.0)
-        th = np.tanh(0.5 * sharpness * (x - 0.5))
-        w, dw = soft_weights(x, sharpness)
-        assert np.array_equal(w, (th + half_span) / (2.0 * half_span))
-        assert np.array_equal(dw, (sharpness / (4.0 * half_span)) * (1.0 - th * th))
+    # rounding of the closed forms. They keep the image's dtype: in float32
+    # they are the closed forms with Python-float scalars, even when the
+    # sharpness comes as a NumPy float64, which would promote the image
+    for dtype in (np.float64, np.float32):
+        x = np.random.default_rng(8).uniform(-0.3, 1.3, (2, 8, 8, 3)).astype(dtype)
+        for sharpness in (1e-6, 0.3, 5.0, 50.0, 500.0):
+            half_span = math.tanh(sharpness / 4.0)
+            th = np.tanh(0.5 * sharpness * (x - 0.5))
+            for given in (sharpness, np.float64(sharpness)):
+                w, dw = soft_weights(x, given)
+                assert w.dtype == dw.dtype == dtype
+                assert np.array_equal(w, (th + half_span) / (2.0 * half_span))
+                assert np.array_equal(dw, (sharpness / (4.0 * half_span)) * (1.0 - th * th))
 
 
 def test_channel_sums_keep_the_pixel_order():
