@@ -247,21 +247,16 @@ def cmd_infer(args) -> int:
         if args.analytic_denoiser:
             means = np.stack([item[1] for item in chunk])
             batch_den = GaussianDenoiser(means, np.full(means.shape, ANALYTIC_FIELD_VAR), sched)
-        try:
-            results = sample_batch(
-                batch_den,
-                [item[2] for item in chunk],
-                [item[4] for item in chunk],
-                guidance,
-                sched,
-                steps=cfg.sample_steps,
-                rngs=[item[3] for item in chunk],
-                shape=(K.height, K.width),
-            )
-        except AxisForgeError as exc:
-            for item in chunk:
-                fail(item[0], exc)
-            continue
+        results = sample_batch(
+            batch_den,
+            [item[2] for item in chunk],
+            [item[4] for item in chunk],
+            guidance,
+            sched,
+            steps=cfg.sample_steps,
+            rngs=[item[3] for item in chunk],
+            shape=(K.height, K.width),
+        )
         for (rec, *_), result in zip(chunk, results):
             save_f32(args.out / "images" / f"{rec.id}_gen.f32", result.image.data)
             reasons = [r["skip_reason"] for r in result.log if r["skipped"]]
@@ -300,9 +295,9 @@ def _finite_numbers(value, n: int) -> bool:
 
 
 def _load_predictions(pred_dir: Path) -> dict[str, dict]:
-    """Prediction lines by record id. A solved line also gets its Pose under
-    "pose", built as it is read, so that an R that is not a rotation is
-    refused at its line."""
+    """Prediction lines by record id, each id on one line. A solved line also
+    gets its Pose under "pose", built as it is read, so that an R that is not
+    a rotation is refused at its line."""
     import numpy as np
 
     from .camera import Pose
@@ -333,6 +328,8 @@ def _load_predictions(pred_dir: Path) -> dict[str, dict]:
                     rec["pose"] = Pose(R=np.reshape(rec["R"], (3, 3)), T=rec["T"])
                 except ValueError as exc:
                     raise SystemExit(f"{path}:{lineno}: {exc}")
+            if rec["id"] in preds:
+                raise SystemExit(f"{path}:{lineno}: a second prediction for id {rec['id']!r}")
             preds[rec["id"]] = rec
     return preds
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import ArchConfig, OptConfig
 from .diffusion import DenoiserInterface, DiffusionSchedule, forward_diffuse, make_schedule
-from .errors import DivergedLoss
+from .errors import DivergedLoss, InvalidSchedule
 from .render import atomic_write, float_array
 
 CHECKPOINT_MAGIC = b"AXISFORGE-CKPT"
@@ -392,16 +392,19 @@ def load_checkpoint(path: str | Path) -> MLPDenoiser:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        try:
-            version, hlen = struct.unpack("<II", f.read(8))
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        head = f.read(8)
+        if len(head) != 8:
+            raise ValueError(f"{path}: truncated checkpoint")
+        version, hlen = struct.unpack("<II", head)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        try:  # not JSON or UTF-8 (ValueError), a missing field or a bad value
             header = json.loads(f.read(hlen).decode())
             arch = ArchConfig.from_dict(header["arch"])
             sp = header["schedule"]
             sched = make_schedule(int(sp["T"]), float(sp["zeta_start"]), float(sp["zeta_end"]))
             den = MLPDenoiser(arch, sched, None, float(header["sigma_data"]))
-        except (struct.error, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, InvalidSchedule) as exc:
             raise ValueError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         if f.readinto(den.flat) != den.flat.nbytes:
             raise ValueError(f"{path}: truncated checkpoint")

@@ -14,9 +14,9 @@ class NonPositiveDepth(AxisForgeError):
 class DegenerateAxis(AxisForgeError):
     """An object axis projects to (almost) a single image point."""
 
-    def __init__(self, axis: int, message: str = ""):
+    def __init__(self, axis: int):
         self.axis = axis
-        super().__init__(message or f"axis {axis} is image-degenerate")
+        super().__init__(f"axis {axis} is image-degenerate")
 
 
 # --- extraction ---
@@ -24,17 +24,17 @@ class DegenerateAxis(AxisForgeError):
 class EmptyChannel(AxisForgeError):
     """A tri-axis channel has too few pixels above threshold."""
 
-    def __init__(self, channel: int, message: str = ""):
+    def __init__(self, channel: int):
         self.channel = channel
-        super().__init__(message or f"channel {channel} is empty")
+        super().__init__(f"channel {channel} is empty")
 
 
 class DegenerateChannel(AxisForgeError):
     """Channel moments are isotropic: a blob, not a line."""
 
-    def __init__(self, channel: int, message: str = ""):
+    def __init__(self, channel: int):
         self.channel = channel
-        super().__init__(message or f"channel {channel} is not line-like")
+        super().__init__(f"channel {channel} is not line-like")
 
 
 class NoIntersection(AxisForgeError):
@@ -44,9 +44,9 @@ class NoIntersection(AxisForgeError):
 class VanishingMass(AxisForgeError):
     """Soft-thresholded channel mass is below the numeric floor."""
 
-    def __init__(self, channel: int, message: str = ""):
+    def __init__(self, channel: int):
         self.channel = channel
-        super().__init__(message or f"channel {channel} has vanishing soft mass")
+        super().__init__(f"channel {channel} has vanishing soft mass")
 
 
 # --- tri-axis solver ---

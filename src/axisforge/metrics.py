@@ -45,14 +45,13 @@ class ModelPoints:
             raise ValueError("diameter must equal the max pairwise distance")
 
 
-def cuboid_model(half_extent: float = 1.0) -> ModelPoints:
-    """8 cuboid corners plus 6 face centers."""
+def cuboid_model() -> ModelPoints:
+    """8 corners plus 6 face centers of the cube of half-extent 1."""
     corners = np.array(
         [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
     )
     centers = np.concatenate([np.eye(3), -np.eye(3)])
-    pts = np.concatenate([corners, centers]) * half_extent
-    return ModelPoints(points=pts, diameter=2.0 * math.sqrt(3.0) * half_extent)
+    return ModelPoints(points=np.concatenate([corners, centers]), diameter=2.0 * math.sqrt(3.0))
 
 
 def add_metric(gt: Pose, pred: Pose, model: ModelPoints) -> float:

@@ -306,32 +306,29 @@ def oracle_forward_moments() -> tuple[str, str, bool]:
     )
 
 
-def ddim_gaussian_chain_stats(
-    n_chains: int = 10_000, steps: int = 50, m: float = 2.0, var: float = 0.25
-) -> tuple[float, float]:
-    """Mean and variance of the deterministic reverse chain for Gaussian data.
+def oracle_ddim_gaussian_chain() -> tuple[str, str, bool]:
+    """Mean and variance of the deterministic 50-step reverse chain for
+    Gaussian data of mean 2 and variance 0.25.
 
-    Initial draws are a variance-matched stratified normal ensemble, which
-    removes Monte Carlo noise so the statistics isolate the sampler's own
-    transport bias. The timestep subset equalizes per-step contraction.
+    Initial draws are a variance-matched stratified normal ensemble of
+    10,000 chains, which removes Monte Carlo noise so the statistics isolate
+    the sampler's own transport bias. The timestep subset equalizes per-step
+    contraction.
     """
+    n_chains, m, data_var = 10_000, 2.0, 0.25
     sched = make_schedule(2000, 5e-5, 1e-2)
-    den = GaussianDenoiser(np.array(m), np.array(var), sched)
-    ts = gaussian_optimal_timesteps(sched, steps, var)
+    den = GaussianDenoiser(np.array(m), np.array(data_var), sched)
+    ts = gaussian_optimal_timesteps(sched, 50, data_var)
     normal = statistics.NormalDist()
     z = np.array([normal.inv_cdf((i + 0.5) / n_chains) for i in range(n_chains)])
     x = z / np.std(z)  # exact unit empirical variance, zero mean by symmetry
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0
         x = ddim_step(x, t, den.evaluate(x, t), sched, t_prev=t_prev)
-    return float(np.mean(x)), float(np.var(x))
-
-
-def oracle_ddim_gaussian_chain() -> tuple[str, str, bool]:
-    mean, var = ddim_gaussian_chain_stats()
-    mean_tol = 3.0 * math.sqrt(0.25 / 10_000)
-    mean_err = abs(mean - 2.0)
-    var_err = abs(var - 0.25) / 0.25
+    mean, var = float(np.mean(x)), float(np.var(x))
+    mean_tol = 3.0 * math.sqrt(data_var / n_chains)
+    mean_err = abs(mean - m)
+    var_err = abs(var - data_var) / data_var
     ok = mean_err < mean_tol and var_err < 0.05
     return (
         f"mean within {mean_tol:.2e} of 2, var within 5% of 0.25",

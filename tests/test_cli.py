@@ -192,6 +192,7 @@ def test_eval_missing_predictions_file(tmp_path, config_path, capsys):
     ]
     for bad in (
         "[1]", '{"ok": false}', f'{{"id": "{rec_id}"}}', f'{{"id": "{rec_id}", "ok": true}}', "{",
+        '{"id": "other", "ok": false}',  # the first line's id again
         *map(json.dumps, unscorable),
     ):
         (pred / "predictions.jsonl").write_text(f'{{"id": "other", "ok": false}}\n{bad}\n')

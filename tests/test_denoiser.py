@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -410,15 +411,29 @@ def test_float64_checkpoint_save_load_save_is_byte_identical(tmp_path):
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
+    # every fault is a ValueError that names the file
     p = tmp_path / "bad.bin"
-    header = json.dumps({"schedule": SCHED.to_dict(), "sigma_data": 0.5}).encode()  # no arch
+
+    def with_header(header: bytes) -> bytes:
+        return denoiser.CHECKPOINT_MAGIC + struct.pack("<II", denoiser.CHECKPOINT_VERSION, len(header)) + header
+
+    good = {"arch": ARCH.to_dict(), "schedule": SCHED.to_dict(), "sigma_data": 0.5}
+    bad_headers = [
+        {"schedule": SCHED.to_dict(), "sigma_data": 0.5},  # no arch
+        {**good, "sigma_data": "abc"},
+        {**good, "sigma_data": -1},
+        {**good, "arch": {"hidden": "x"}},
+        {**good, "schedule": {**SCHED.to_dict(), "T": 0}},
+    ]
     for raw in (
         b"not a checkpoint at all",
         denoiser.CHECKPOINT_MAGIC + b"\x02\x00",  # cut short after the magic bytes
-        denoiser.CHECKPOINT_MAGIC + struct.pack("<II", denoiser.CHECKPOINT_VERSION, len(header)) + header,
+        with_header(b"{not json"),
+        with_header(b"\xff\xfe{}"),  # not UTF-8
+        *(with_header(json.dumps(header).encode()) for header in bad_headers),
     ):
         p.write_bytes(raw)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(p))):
             load_checkpoint(p)
 
 
@@ -451,5 +466,5 @@ def test_sigma_data_from_training_set_and_checkpoint(tmp_path):
     raw = bytearray(p.read_bytes())
     raw[len(b"AXISFORGE-CKPT") : len(b"AXISFORGE-CKPT") + 4] = (1).to_bytes(4, "little")
     p.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: unsupported checkpoint version 1$"):
         load_checkpoint(p)
