@@ -294,10 +294,10 @@ def _finite_numbers(value, n: int) -> bool:
     )
 
 
-def _load_predictions(pred_dir: Path) -> dict[str, dict]:
-    """Prediction lines by record id, each id on one line. A solved line also
-    gets its Pose under "pose", built as it is read, so that an R that is not
-    a rotation is refused at its line."""
+def _load_predictions(pred_dir: Path, records) -> dict[str, dict]:
+    """Prediction lines by record id, each id on one line and naming one of
+    records. A solved line also gets its Pose under "pose", built as it is
+    read, so that an R that is not a rotation is refused at its line."""
     import numpy as np
 
     from .camera import Pose
@@ -305,6 +305,7 @@ def _load_predictions(pred_dir: Path) -> dict[str, dict]:
     path = pred_dir / "predictions.jsonl"
     if not path.is_file():
         raise SystemExit(f"missing {path}")
+    ids = {rec.id for rec in records}
     preds = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
@@ -328,6 +329,8 @@ def _load_predictions(pred_dir: Path) -> dict[str, dict]:
                     rec["pose"] = Pose(R=np.reshape(rec["R"], (3, 3)), T=rec["T"])
                 except ValueError as exc:
                     raise SystemExit(f"{path}:{lineno}: {exc}")
+            if rec["id"] not in ids:
+                raise SystemExit(f"{path}:{lineno}: id {rec['id']!r} names no test record of the dataset")
             if rec["id"] in preds:
                 raise SystemExit(f"{path}:{lineno}: a second prediction for id {rec['id']!r}")
             preds[rec["id"]] = rec
@@ -365,7 +368,7 @@ def cmd_eval(args) -> int:
     records = manifest.split("test")
     if not records:
         raise SystemExit("dataset has no 'test' split")
-    report, missing = _report_for(manifest, records, _load_predictions(args.predictions))
+    report, missing = _report_for(manifest, records, _load_predictions(args.predictions, records))
     for rid in missing:
         print(f"MissingPrediction: {rid}")
     agg = report.aggregates()
@@ -373,7 +376,7 @@ def cmd_eval(args) -> int:
 
     delta = None
     if args.compare:
-        other, _ = _report_for(manifest, records, _load_predictions(args.compare))
+        other, _ = _report_for(manifest, records, _load_predictions(args.compare, records))
         delta = {
             k: agg[k] - other.aggregates()[k]
             for k in ("add_rate", "reproj_rate", "median_rot_deg", "median_reproj_px")

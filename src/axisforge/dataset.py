@@ -198,7 +198,8 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
 
 def load_images(dataset_dir: str | Path, manifest: Manifest, split: str, kind: str) -> np.ndarray:
     """One kind of image of a split, one row per record in manifest order:
-    (n, H, W, 3) for ``triaxis``, (n, H, W) for ``query`` and ``degraded``."""
+    (n, H, W, 3) for ``triaxis``, (n, H, W) for ``query`` and ``degraded``,
+    in the file's float32."""
     shape = (len(manifest.split(split)), *_image_shape(manifest.intrinsics, kind))
     return load_f32(Path(dataset_dir) / _image_file(split, kind), shape)
 

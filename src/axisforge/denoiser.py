@@ -15,7 +15,9 @@ a hidden layer narrower than the output could not. The parameters live in
 one flat float32 buffer, and the network passes (forward, weight
 gradients) and the optimizer run in float32. The preconditioning runs in
 x_t's dtype, so x0_hat comes back in it: a sampling chain stays float32,
-and a float64 x_t gives a float64 x0_hat. Training's loss stays float64.
+and a float64 x_t gives a float64 x0_hat. Training keeps the images in
+their stored float32 and widens each step's batch: its x_t, residual and
+loss stay float64.
 Training never holds a whole gradient: the weight gradient comes block by
 block, each block one product over the batch, and the optimizer applies
 each block as it comes, so a step holds the buffer, the two moments and
@@ -286,6 +288,16 @@ class Adam:
             p -= buf
 
 
+def _float64_std(a: np.ndarray) -> float:
+    """np.std of a's float64 widening, bit for bit, from one widened copy:
+    np.std's own passes (sum, divide, subtract, square, sum, divide, square
+    root), with the deviations written over the copy."""
+    w = a.astype(float)
+    w -= np.add.reduce(w, axis=None, keepdims=True) / w.size
+    w *= w
+    return math.sqrt(np.add.reduce(w, axis=None) / w.size)
+
+
 @dataclass
 class TrainResult:
     denoiser: MLPDenoiser
@@ -304,32 +316,40 @@ def train_denoiser(
     start_from: MLPDenoiser | None = None,
 ) -> TrainResult:
     """Fit the denoiser to tri-axis images x0s, (n, H, W, 3), and their
-    query images conds, (n, H, W), as load_images returns them; float64
-    arrays are read in place, not copied.
+    query images conds, (n, H, W), as load_images returns them. Float32
+    (or float64) arrays are read in place, not copied: a step gathers its
+    batch of rows and widens only those to float64, exactly, so float32
+    images and their float64 widening train alike, bit for bit.
 
     The objective is the clean-image error (x0_hat - x0)^2 weighted by
     min(SNR, MAX_LOSS_WEIGHT), SNR = abar / (1 - abar): the signal-to-noise
     weight of the noise-prediction loss, capped so that low-noise draws
     cannot dominate a batch (Hang et al., min-SNR weighting). A new
     denoiser takes sigma_data from the standard deviation of the training
-    tri-axis pixels.
+    tri-axis pixels, taken in float64.
+
+    A step's float64 work is two batch-sized arrays, reused from step to
+    step: x_t, then the loss terms; and the noise, then the residual.
     """
     n = len(x0s)
     if n == 0:
         raise ValueError("dataset must be nonempty")
     if len(conds) != n:
         raise ValueError(f"{n} tri-axis images for {len(conds)} query images")
-    x0s = np.asarray(x0s, dtype=float).reshape(n, -1)
-    conds = np.asarray(conds, dtype=float).reshape(n, -1)
+    x0s = float_array(x0s).reshape(n, -1)
+    conds = float_array(conds).reshape(n, -1)
     if x0s.shape[1] != arch.triaxis_dim or conds.shape[1] != arch.cond_dim:
         raise ValueError("dataset resolution does not match the architecture")
 
     if start_from is not None:
         den = start_from
     else:
-        den = MLPDenoiser(arch, sched, rng, float(x0s.std()) or DEFAULT_SIGMA_DATA)
+        den = MLPDenoiser(arch, sched, rng, _float64_std(x0s) or DEFAULT_SIGMA_DATA)
     adam = Adam(den.flat, opt)
     scratch = den.grad_scratch()
+    shape = (opt.batch_size, arch.triaxis_dim)
+    x_t, res = np.empty(shape), np.empty(shape)  # float64 step work
+    x_in = np.empty(shape, den.dtype)  # the network's input, which the step's cache holds
     log: list[dict] = []
     running = None
     initial = None
@@ -341,14 +361,27 @@ def train_denoiser(
         c_in, c_skip, c_out, sab = (c[:, None] for c in den._precond(ts))
         ab = sab * sab
         x0 = x0s[idx]
-        x_t, _ = forward_diffuse(x0, ts[:, None], sched, rng)
-        out, cache = den._body(c_in * x_t, ts, den.prepare_condition(conds[idx]))
+        forward_diffuse(x0, ts[:, None], sched, rng, out=(x_t, res))
+        # c_in * x_t rounds to the network's dtype after the product
+        np.multiply(c_in, x_t, out=x_in, casting="same_kind")
+        out, cache = den._body(x_in, ts, den.prepare_condition(conds[idx]))
         # x0 loss weighted by min(SNR, MAX_LOSS_WEIGHT), written in F's terms:
-        # x0_hat - x0 = c_out * (F - (x0 - c_skip * x_t) / c_out)
+        # x0_hat - x0 = c_out * (F - (x0 - c_skip * x_t) / c_out); each pass
+        # below is one operation of that formula, written into res or x_t
         wgt = np.minimum(ab / (1.0 - ab), MAX_LOSS_WEIGHT) * c_out * c_out
-        diff = out.astype(float) - (x0 - c_skip * x_t) / c_out
-        loss = float((wgt * diff * diff).mean())
-        adam.step(den.flat, den._backward((2.0 * wgt * diff / diff.size).astype(den.dtype), cache, scratch))
+        np.multiply(c_skip, x_t, out=res)
+        np.subtract(x0, res, out=res)
+        res /= c_out
+        diff = np.subtract(out, res, out=res)
+        terms = np.multiply(wgt, diff, out=x_t)
+        terms *= diff
+        loss = float(terms.mean())
+        np.multiply(2.0 * wgt, diff, out=x_t)
+        # out is spent: it takes the output cotangent 2 * wgt * diff / diff.size,
+        # rounded to the network's dtype
+        d_out = np.divide(x_t, diff.size, out=out, casting="same_kind")
+        adam.step(den.flat, den._backward(d_out, cache, scratch))
+        del x0, out, cache, d_out  # freed before the next step allocates its own
 
         if not math.isfinite(loss):
             raise DivergedLoss(f"non-finite loss at step {step}")

@@ -93,16 +93,26 @@ def make_schedule(T: int, zeta_start: float, zeta_end: float) -> DiffusionSchedu
     return DiffusionSchedule(T=T, zeta=zeta, alpha_bar=np.cumprod(1.0 - zeta))
 
 
-def forward_diffuse(x0: np.ndarray, t, sched: DiffusionSchedule, rng: np.random.Generator):
-    """Sample x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps; returns (x_t, eps).
-    ``t`` is one timestep or an array of them broadcast against x0, each in 1..T."""
+def forward_diffuse(x0: np.ndarray, t, sched: DiffusionSchedule, rng: np.random.Generator, out=None):
+    """Sample x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps; returns (x_t, eps),
+    float64 arrays shaped like x0. ``t`` is one timestep or an array of them
+    broadcast against x0, each in 1..T. A float32 x0 is read as it is: the
+    products widen it, exactly. ``out``, a pair of float64 arrays shaped like
+    x0, receives (x_t, eps) in place of new arrays, for a caller that draws
+    many batches, as training does; the values are the same."""
     t = np.asarray(t, dtype=int)
     if not np.all((1 <= t) & (t <= sched.T)):
         raise ValueError(f"timesteps must lie in 1..{sched.T}")
     ab = sched.alpha_bar[t - 1]
-    x0 = np.asarray(x0, dtype=float)
-    eps = rng.standard_normal(x0.shape)
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, eps
+    x0 = float_array(x0)
+    x_t, eps = (np.empty(x0.shape), np.empty(x0.shape)) if out is None else out
+    rng.standard_normal(out=eps)
+    np.multiply(np.sqrt(ab), x0, out=x_t)
+    # the noise term one leading row at a time, so that no x0-sized temporary exists
+    noise_scale = np.broadcast_to(np.sqrt(1.0 - ab), x_t.shape)
+    for row, s, e in zip(np.atleast_2d(x_t), np.atleast_2d(noise_scale), np.atleast_2d(eps)):
+        row += s * e
+    return x_t, eps
 
 
 def ddim_step(

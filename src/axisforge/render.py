@@ -2,7 +2,8 @@
 and seeded degradations.
 
 All renders are deterministic given identical inputs. Images are float
-arrays in [0, 1]; persistence helpers store them as little-endian float32.
+arrays in [0, 1]; persistence helpers store them as little-endian float32
+and read them back as float32.
 """
 
 from __future__ import annotations
@@ -224,8 +225,10 @@ def save_f32(path: str | Path, img: np.ndarray) -> None:
 
 
 def load_f32(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
+    """The file's values as a float32 array of the given shape, as stored:
+    a caller that needs float64 widens them, which is exact."""
     data = np.fromfile(str(path), dtype="<f4")
     expected = int(np.prod(shape))
     if data.size != expected:
         raise ValueError(f"{path}: expected {expected} floats, found {data.size}")
-    return data.reshape(shape).astype(float)
+    return data.reshape(shape).astype(np.float32, copy=False)  # native byte order, no copy on little-endian hosts

@@ -178,7 +178,7 @@ def test_eval_missing_predictions_file(tmp_path, config_path, capsys):
     # a malformed line is a runtime error naming the file and line
     pred = tmp_path / "pred"
     pred.mkdir()
-    rec_id = json.loads((data / "manifest.json").read_text())["records"][-1]["id"]
+    other_id, rec_id = (r["id"] for r in json.loads((data / "manifest.json").read_text())["records"][-2:])
     pose = {"id": rec_id, "ok": True, "R": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "T": [0.0, 0.0, 2.4]}
     unscorable = [  # R or T not 9 and 3 finite numbers or R not a rotation, or ok not a boolean
         {**pose, "R": [float("nan")] * 9},  # scored 0 deg of rotation error before
@@ -192,15 +192,35 @@ def test_eval_missing_predictions_file(tmp_path, config_path, capsys):
     ]
     for bad in (
         "[1]", '{"ok": false}', f'{{"id": "{rec_id}"}}', f'{{"id": "{rec_id}", "ok": true}}', "{",
-        '{"id": "other", "ok": false}',  # the first line's id again
+        f'{{"id": "{other_id}", "ok": false}}',  # the first line's id again
         *map(json.dumps, unscorable),
     ):
-        (pred / "predictions.jsonl").write_text(f'{{"id": "other", "ok": false}}\n{bad}\n')
+        (pred / "predictions.jsonl").write_text(f'{{"id": "{other_id}", "ok": false}}\n{bad}\n')
         rc = main([
             "eval", "--config", str(config_path), "--dataset", str(data), "--predictions", str(pred),
         ])
         assert rc == 2
         assert "predictions.jsonl:2: " in capsys.readouterr().err
+
+
+def test_eval_refuses_ids_that_name_no_test_record(tmp_path, config_path, capsys):
+    # a prediction set written for another dataset scored as all missing, exit 0
+    data = _render(tmp_path, config_path)
+    train_id, _, *test_ids = (r["id"] for r in json.loads((data / "manifest.json").read_text())["records"])
+    good = tmp_path / "good"
+    good.mkdir()
+    (good / "predictions.jsonl").write_text("".join(f'{{"id": "{rid}", "ok": false}}\n' for rid in test_ids))
+    for stranger in ("no_such_record", train_id):  # an unknown id, and a record of the train split
+        bad = tmp_path / "bad"
+        bad.mkdir(exist_ok=True)
+        (bad / "predictions.jsonl").write_text(f'{{"id": "{test_ids[0]}", "ok": false}}\n{{"id": "{stranger}", "ok": false}}\n')
+        for flags in (["--predictions", str(bad)], ["--predictions", str(good), "--compare", str(bad)]):
+            rc = main(["eval", "--config", str(config_path), "--dataset", str(data), *flags])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert f"{bad / 'predictions.jsonl'}:2: id {stranger!r} names no test record" in err
+    rc = main(["eval", "--config", str(config_path), "--dataset", str(data), "--predictions", str(good)])
+    assert rc == 0
 
 
 def test_rho_base_zero_matches_no_guidance(tmp_path, config_path):

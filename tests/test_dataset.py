@@ -20,7 +20,7 @@ from axisforge.config import (
 )
 from axisforge.dataset import generate_dataset, load_images, load_manifest, pose_is_nondegenerate, record_seed, sample_pose
 from axisforge.errors import DegenerateAxis, ManifestError, NonPositiveDepth
-from axisforge.render import _pixel_grid
+from axisforge.render import _pixel_grid, apply_degradation, render_query, render_triaxis
 
 CFG = dataclasses.replace(
     RunConfig(),
@@ -156,6 +156,24 @@ def test_generate_and_load_dataset(tmp_path):
             assert len({row.tobytes() for row in img}) == n  # one row per record
     ids = [r.id for r in back.records]
     assert len(set(ids)) == len(ids)
+
+
+def test_load_images_returns_the_written_float32_rows(tmp_path):
+    manifest = generate_dataset(CFG, n_train=2, n_test=1, out_dir=tmp_path)
+    K, render = manifest.intrinsics, manifest.render
+    for split in ("train", "test"):
+        records = manifest.split(split)
+        loaded = {kind: load_images(tmp_path, manifest, split, kind) for kind in ("triaxis", "query", "degraded")}
+        for i, rec in enumerate(records):
+            query = render_query(K, rec.pose).data
+            written = {
+                "triaxis": render_triaxis(K, rec.pose, render.axis_len, render.thickness_px).data,
+                "query": query,
+                "degraded": apply_degradation(query, manifest.degradation, rec.seed),
+            }
+            for kind, rows in loaded.items():
+                assert rows.dtype == np.float32
+                assert np.array_equal(rows[i], written[kind].astype(np.float32))
 
 
 def test_generate_dataset_deterministic(tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axisforge import denoiser
+from axisforge import denoiser, diffusion
 from axisforge.camera import Pose, rot_x, rot_y
 from axisforge.config import ArchConfig, OptConfig, default_intrinsics
 from axisforge.denoiser import (
@@ -323,21 +323,64 @@ def test_adam_allocates_no_whole_buffer_scratch():
     assert peak < 2 * param.nbytes + 2 * ADAM_BLOCK * 4
 
 
+def _float32_rows(n, size, seed=0):
+    """n random tri-axis and query rows in [0, 1], float32 as load_images gives them."""
+    rng = np.random.default_rng(seed)
+    return rng.random((n, size, size, 3), dtype=np.float32), rng.random((n, size, size), dtype=np.float32)
+
+
 def test_training_holds_no_whole_gradient():
     # a training call's parameter-sized arrays are the buffer and Adam's two
     # moments; the gradient comes one block at a time, and the data is read
-    # in place
+    # in place. The float32 set (4 MB) is large enough that a float64 copy of
+    # it (8 MB) would break the bound.
     arch = ArchConfig(image_size=16, hidden=512)
-    x0s, conds = _tiny_dataset(16)
     rng = np.random.default_rng(0)  # outside the trace: the first use imports numpy.random
-    tracemalloc.start()
-    try:
-        den = train_denoiser(x0s, conds, arch, OptConfig(steps=2, batch_size=4), SCHED, rng).denoiser
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert den.flat.size >= 1 << 20
-    assert peak < 3 * den.flat.nbytes + x0s.nbytes + conds.nbytes + 4 * ADAM_BLOCK * den.flat.itemsize
+    for x0s, conds in (_tiny_dataset(16), _float32_rows(1000, 16)):
+        tracemalloc.start()
+        try:
+            den = train_denoiser(x0s, conds, arch, OptConfig(steps=2, batch_size=4), SCHED, rng).denoiser
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert den.flat.size >= 1 << 20
+        assert peak < 3 * den.flat.nbytes + x0s.nbytes + conds.nbytes + 4 * ADAM_BLOCK * den.flat.itemsize
+
+
+def test_float32_rows_train_as_their_float64_widening():
+    # each step widens its gathered batch, exactly: parameters, sigma_data
+    # and log agree bit for bit with training on the widened arrays
+    x0s, conds = _float32_rows(5, 8)
+    opt = OptConfig(steps=20, batch_size=8, lr=3e-3, log_every=5)
+    narrow, wide = (
+        train_denoiser(x, c, ARCH, opt, SCHED, np.random.default_rng(4))
+        for x, c in ((x0s, conds), (x0s.astype(float), conds.astype(float)))
+    )
+    assert narrow.denoiser.flat.tobytes() == wide.denoiser.flat.tobytes()
+    assert narrow.denoiser.sigma_data == wide.denoiser.sigma_data == float(np.std(x0s.astype(float)))
+    assert narrow.log == wide.log and len(narrow.log) == 5
+
+
+def test_every_training_step_draws_x_t_through_forward_diffuse(monkeypatch):
+    # the forward-diffuse-moments oracle checks forward_diffuse, so training
+    # must draw its x_t there and train on what it draws
+    data = _tiny_dataset()
+    opt = OptConfig(steps=6, batch_size=8)
+    plain = train_denoiser(*data, ARCH, opt, SCHED, np.random.default_rng(9))
+    calls = []
+
+    def spy(x0, t, sched, rng, out=None, shift=0.0):
+        calls.append((x0.shape, np.shape(t)))
+        x_t, eps = diffusion.forward_diffuse(x0, t, sched, rng, out=out)
+        x_t += shift
+        return x_t, eps
+
+    monkeypatch.setattr(denoiser, "forward_diffuse", spy)
+    spied = train_denoiser(*data, ARCH, opt, SCHED, np.random.default_rng(9))
+    assert calls == [((8, ARCH.triaxis_dim), (8, 1))] * opt.steps
+    assert spied.log == plain.log
+    monkeypatch.setattr(denoiser, "forward_diffuse", lambda *args, **kw: spy(*args, **kw, shift=0.5))
+    assert train_denoiser(*data, ARCH, opt, SCHED, np.random.default_rng(9)).log != plain.log
 
 
 def test_training_diverged_loss_detection():
