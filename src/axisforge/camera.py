@@ -34,6 +34,8 @@ class Pose:
         object.__setattr__(self, "T", T)
         if R.shape != (3, 3):
             raise ValueError("R must be 3x3")
+        if not (np.isfinite(R).all() and np.isfinite(T).all()):
+            raise ValueError("R and T must be finite")
         if np.linalg.norm(R.T @ R - np.eye(3)) > 1e-9:
             raise ValueError("R is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-9:

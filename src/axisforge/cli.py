@@ -199,7 +199,7 @@ def cmd_infer(args) -> int:
     from .diffusion import GaussianDenoiser, sample_batch
     from .errors import AxisForgeError
     from .extraction import extract_axes_hard
-    from .render import TriAxisImage, atomic_write, save_f32
+    from .render import atomic_write, save_f32
     from .solver import recover_pose
 
     if bool(args.checkpoint) == bool(args.analytic_denoiser):
@@ -234,7 +234,7 @@ def cmd_infer(args) -> int:
         target = None
         if guidance is not None:
             try:
-                target = extract_axes_hard(TriAxisImage(gt_triaxis))
+                target = extract_axes_hard(gt_triaxis)
             except AxisForgeError as exc:
                 fail(rec, exc)
                 continue
@@ -247,7 +247,7 @@ def cmd_infer(args) -> int:
         if args.analytic_denoiser:
             means = np.stack([item[1] for item in chunk])
             batch_den = GaussianDenoiser(means, np.full(means.shape, ANALYTIC_FIELD_VAR), sched)
-        results = sample_batch(
+        images, norms, errors = sample_batch(
             batch_den,
             [item[2] for item in chunk],
             [item[4] for item in chunk],
@@ -257,16 +257,16 @@ def cmd_infer(args) -> int:
             rngs=[item[3] for item in chunk],
             shape=(K.height, K.width),
         )
-        for (rec, *_), result in zip(chunk, results):
-            save_f32(args.out / "images" / f"{rec.id}_gen.f32", result.image.data)
-            reasons = [r["skip_reason"] for r in result.log if r["skipped"]]
+        for (rec, *_), image, record_norms, record_errors in zip(chunk, images, norms, errors):
+            save_f32(args.out / "images" / f"{rec.id}_gen.f32", image)
+            reasons = [type(exc).__name__ for exc in record_errors if exc is not None]
             lines[rec.id].update(
-                skipped_guidance_steps=result.skipped_steps,
+                skipped_guidance_steps=len(reasons),
                 guidance_skips={reason: reasons.count(reason) for reason in reasons},
-                mean_guidance_norm=float(np.mean([r["guidance_norm"] for r in result.log])),
+                mean_guidance_norm=float(np.mean(record_norms)),
             )
             try:
-                obs = extract_axes_hard(result.image)
+                obs = extract_axes_hard(image)
                 pose = recover_pose(obs, K, scale_lambda_O=float(rec.pose.T[2]))  # ground-truth depth
             except AxisForgeError as exc:
                 fail(rec, exc)

@@ -149,8 +149,8 @@ def generate_dataset(
             seed = record_seed(cfg.seed, rid)
             rng = np.random.default_rng(seed)
             pose = sample_pose(rng, K, cfg.sampling, cfg.render.axis_len)
-            rows["triaxis"][i] = render_triaxis(K, pose, cfg.render.axis_len, cfg.render.thickness_px).data
-            rows["query"][i] = query = render_query(K, pose).data  # degrade the float64 render, not the row
+            rows["triaxis"][i] = render_triaxis(K, pose, cfg.render.axis_len, cfg.render.thickness_px)
+            rows["query"][i] = query = render_query(K, pose)  # degrade the float64 render, not the row
             rows["degraded"][i] = apply_degradation(query, cfg.degradation, seed)
             records.append(DatasetRecord(id=rid, split=split, pose=pose, seed=seed))
         for kind, images in rows.items():
@@ -199,9 +199,14 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
 def load_images(dataset_dir: str | Path, manifest: Manifest, split: str, kind: str) -> np.ndarray:
     """One kind of image of a split, one row per record in manifest order:
     (n, H, W, 3) for ``triaxis``, (n, H, W) for ``query`` and ``degraded``,
-    in the file's float32."""
-    shape = (len(manifest.split(split)), *_image_shape(manifest.intrinsics, kind))
-    return load_f32(Path(dataset_dir) / _image_file(split, kind), shape)
+    in the file's float32. Raises ManifestError, naming the file, when a
+    value is NaN or lies outside [0, 1]."""
+    path = Path(dataset_dir) / _image_file(split, kind)
+    images = load_f32(path, (len(manifest.split(split)), *_image_shape(manifest.intrinsics, kind)))
+    # a NaN makes its reduction NaN, which fails the comparison
+    if not (images.min() >= 0.0 and images.max() <= 1.0):
+        raise ManifestError(f"image file {path} holds a value that is NaN or outside [0, 1]")
+    return images
 
 
 def _image_file(split: str, kind: str) -> str:

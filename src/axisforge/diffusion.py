@@ -13,7 +13,9 @@ which leaves the denoiser undifferentiated (manifold-preserving guidance,
 He et al., arXiv:2311.16424), so a guided step, ``guided_x0_batch``, costs
 one denoiser forward. ``sample_batch`` runs several records through one
 denoiser pass and one batched soft extraction per step, under one
-GuidanceParams for the whole call and one target per record.
+GuidanceParams for the whole call and one target per record, and returns
+plain arrays: the clipped images and each record's per-step correction
+norms and skip errors.
 
 A chain runs in its denoiser's dtype (float32 for the network, float64 for
 ``GaussianDenoiser``) through every full-image pass: x_t, x0_hat, the soft
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +42,7 @@ from .extraction import (
     ObservationBatch,
     soft_extract_with_pullback,
 )
-from .render import TriAxisImage, _pixel_grid, float_array
+from .render import _pixel_grid, float_array
 
 
 @dataclass(frozen=True)
@@ -295,15 +297,6 @@ def guided_x0_batch(
     return guided, np.sqrt(np.add.reduce(squares, axis=1)), errors
 
 
-def _log_record(t: int, guidance_norm: float, error: Exception | None) -> dict:
-    """One step's log entry: ``skipped`` is set, with the exception's type
-    name in ``skip_reason``, when the step's guidance was skipped."""
-    record = {"t": t, "guidance_norm": float(guidance_norm), "skipped": error is not None}
-    if error is not None:
-        record["skip_reason"] = type(error).__name__
-    return record
-
-
 # --- sampling ---
 
 def uniform_timesteps(sched: DiffusionSchedule, steps: int) -> list[int]:
@@ -334,16 +327,6 @@ def gaussian_optimal_timesteps(sched: DiffusionSchedule, steps: int, data_var: f
     return list(ts[::-1])
 
 
-@dataclass
-class SampleResult:
-    image: TriAxisImage
-    log: list[dict] = field(default_factory=list)
-
-    @property
-    def skipped_steps(self) -> int:
-        return sum(1 for r in self.log if r["skipped"])
-
-
 def sample(
     denoiser: DenoiserInterface,
     cond: np.ndarray | None,
@@ -353,13 +336,14 @@ def sample(
     steps: int,
     rng: np.random.Generator,
     shape: tuple[int, int],
-) -> SampleResult:
-    """Full deterministic reverse chain of ``steps`` uniformly strided
-    timesteps producing an (H, W) = ``shape`` tri-axis image from the
-    initial noise drawn from rng, guided toward target unless guidance is
-    None or has rho_base 0.
+) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
+    """``sample_batch`` for one record, as a batch of one: its image
+    (H, W, 3), its per-step correction norms and its per-step skip errors.
+    It stays because the benchmark's tracer (``perfbench/tracing.py``)
+    looks it up by name.
     """
-    return sample_batch(denoiser, [cond], [target], guidance, sched, steps, [rng], shape)[0]
+    images, norms, errors = sample_batch(denoiser, [cond], [target], guidance, sched, steps, [rng], shape)
+    return images[0], norms[0], errors[0]
 
 
 def sample_batch(
@@ -371,16 +355,23 @@ def sample_batch(
     steps: int,
     rngs: Sequence[np.random.Generator],
     shape: tuple[int, int],
-) -> list[SampleResult]:
-    """``sample`` for several records at once, one result per record.
+) -> tuple[np.ndarray, np.ndarray, list[list[Exception | None]]]:
+    """Full deterministic reverse chains of ``steps`` uniformly strided
+    timesteps, one per record, producing (H, W) = ``shape`` tri-axis images,
+    guided toward the targets unless guidance is None or has rho_base 0.
 
     Record b has its own condition, target and generator; the guidance
-    settings are the run's. Its initial noise comes from rngs[b] alone, so
-    it draws the same numbers as ``sample`` would give it, in float64, and
-    the chain rounds them once to the denoiser's dtype. Its image agrees
-    with ``sample``'s up to floating-point rounding, which may differ between
-    a batched and a single matrix product. A denoiser taking no condition
-    gets cond None for every record.
+    settings are the run's. Its initial noise comes from rngs[b] alone, in
+    float64, and the chain rounds it once to the denoiser's dtype, so its
+    image does not depend on the other records up to floating-point
+    rounding, which may differ between a batched and a single matrix
+    product. A denoiser taking no condition gets cond None for every record.
+
+    Returns (images, norms, errors), in the style of ``guided_x0_batch``:
+    the images (B, H, W, 3) clipped to [0, 1] in the chain's dtype; norms
+    (B, steps), float64, each step's correction norm per record, 0 when
+    unguided or skipped; and errors[b][i], the exception that made record
+    b skip the guidance of step i, or None.
     """
     ts = uniform_timesteps(sched, steps)
     # the chain runs in the denoiser's dtype, from float64 draws rounded once
@@ -392,7 +383,7 @@ def sample_batch(
     if guided:  # the targets and the image shape are fixed along a chain
         target = ObservationBatch.stack(targets)
         rays = ray_distance_map(target, shape).astype(x.dtype, copy=False)
-    steps_out = []  # (t, correction norms, errors) per step
+    step_norms, step_errors = [], []
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0
         if guided:
@@ -400,11 +391,7 @@ def sample_batch(
         else:
             x0_hat, norms, errors = denoiser.evaluate(x, t, cond), np.zeros(len(x)), [None] * len(x)
         x = ddim_step(x, t, x0_hat, sched, t_prev=t_prev)
-        steps_out.append((t, norms, errors))
-    return [
-        SampleResult(
-            image=TriAxisImage(np.clip(xb, 0.0, 1.0)),
-            log=[_log_record(t, norms[b], errors[b]) for t, norms, errors in steps_out],
-        )
-        for b, xb in enumerate(x)
-    ]
+        step_norms.append(norms)
+        step_errors.append(errors)
+    norms = np.stack(step_norms, axis=1).astype(float, copy=False)
+    return np.clip(x, 0.0, 1.0), norms, [list(errors) for errors in zip(*step_errors)]

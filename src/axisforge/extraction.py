@@ -2,7 +2,8 @@
 
 Two variants share one moment-based pipeline:
 
-* ``extract_axes_hard`` thresholds at 0.5 and is used at inference time.
+* ``extract_axes_hard`` thresholds one image, widened to float64, at 0.5
+  and is used at inference time.
 * ``soft_extract_with_pullback`` replaces the threshold with a graded
   sigmoid weight so that every output is a smooth function of every pixel,
   and returns the hand-derived adjoint with the observation; the
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateChannel, EmptyChannel, NoIntersection, VanishingMass
-from .render import TriAxisImage, _pixel_grid, float_array
+from .render import _pixel_grid, float_array
 
 MIN_HARD_PIXELS = 8
 SOFT_MASS_FLOOR = 1e-6
@@ -185,15 +186,16 @@ def _assemble(m: _Moments) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return origin, sign[..., None] * m.e, centroid, sign, A, parallel
 
 
-def extract_axes_hard(img: TriAxisImage) -> AxisObservation:
-    """Deterministic extraction: intensity weights thresholded at 0.5.
+def extract_axes_hard(img: np.ndarray) -> AxisObservation:
+    """Deterministic extraction from a tri-axis image (H, W, 3), widened to
+    float64: intensity weights thresholded at 0.5.
 
     Raises EmptyChannel for a channel with fewer than MIN_HARD_PIXELS
     pixels above threshold and DegenerateChannel for a channel whose moment
     eigen-ratio is below EIGEN_RATIO_FLOOR (a blob, not a segment), checked
     channel by channel in order.
     """
-    data = img.data
+    data = np.asarray(img, dtype=float)
     mask = data > 0.5
     m = _Moments((data * mask)[None])
     counts = mask.sum(axis=(0, 1))
@@ -358,21 +360,21 @@ def soft_extract_with_pullback(
     return obs, anisotropy, costs, pullback
 
 
-def _single_soft(img: TriAxisImage | np.ndarray, sharpness: float):
-    """Observation and batch pullback of one image (H, W, 3), extracted as a
-    batch of one; raises the image's VanishingMass or NoIntersection."""
-    data = img.data if isinstance(img, TriAxisImage) else np.asarray(img, dtype=float)
-    obs, _, _, pullback = soft_extract_with_pullback(data[None], sharpness)
+def _single_soft(img: np.ndarray, sharpness: float):
+    """Observation and batch pullback of one image (H, W, 3), widened to
+    float64 and extracted as a batch of one; raises the image's
+    VanishingMass or NoIntersection."""
+    obs, _, _, pullback = soft_extract_with_pullback(np.asarray(img, dtype=float)[None], sharpness)
     return obs.record(0), pullback
 
 
-def extract_axes_soft(img: TriAxisImage | np.ndarray, sharpness: float) -> AxisObservation:
+def extract_axes_soft(img: np.ndarray, sharpness: float) -> AxisObservation:
     """Soft extraction of one image (H, W, 3)."""
     return _single_soft(img, sharpness)[0]
 
 
 def soft_extract_vjp(
-    img: TriAxisImage | np.ndarray,
+    img: np.ndarray,
     sharpness: float,
     cotangent: ObservationAdjoint | AxisObservation,
 ) -> np.ndarray:

@@ -58,7 +58,7 @@ from .extraction import (
     soft_extract_vjp,
 )
 from .metrics import cuboid_model, evaluate_suite, reproj_metric, reproj_threshold_px, rotation_geodesic
-from .render import TriAxisImage, apply_degradation, render_query, render_triaxis
+from .render import apply_degradation, render_query, render_triaxis
 from .solver import recover_pose
 
 K128 = CameraIntrinsics(f_x=100.0, f_y=100.0, c_x=64.0, c_y=64.0, width=128, height=128)
@@ -189,8 +189,8 @@ def oracle_raster_path() -> tuple[str, str, bool]:
 def oracle_query_symmetry() -> tuple[str, str, bool]:
     base = Pose(R=rot_z(30.0), T=np.array([0.0, 0.0, 5.0]))
     rotated = Pose(R=rot_z(90.0) @ base.R, T=base.T)
-    a = render_query(K128, base).data
-    b = render_query(K128, rotated).data
+    a = render_query(K128, base)
+    b = render_query(K128, rotated)
     # Rz(+90 deg) in a y-down frame maps image content like np.rot90(k=-1)
     diff = float(np.mean(np.abs(np.rot90(a, k=-1) - b)))
     diff = min(diff, float(np.mean(np.abs(np.rot90(a, k=1) - b))))
@@ -248,7 +248,7 @@ def _soft_vjp_fd_case(
     rng = np.random.default_rng(seed)
     K = default_intrinsics(size)
     pose = sample_pose(rng, K, SamplingConfig(min_axis_px=min_axis_px))
-    img = render_triaxis(K, pose, thickness_px=thickness_px).data
+    img = render_triaxis(K, pose, thickness_px=thickness_px)
     cots = rng.standard_normal((1, 10)) if random_cot else np.eye(10)
     grads = [
         soft_extract_vjp(img, 50.0, ObservationAdjoint(origin_px=c[:2], dir=c[2:8], centroid=c[8:])) for c in cots
@@ -347,7 +347,7 @@ def _guidance_fd_case(seed: int) -> tuple[float, bool]:
     K = default_intrinsics(32)
     sampling = SamplingConfig(min_axis_px=5.0)
     pose = sample_pose(rng, K, sampling)
-    x0 = render_triaxis(K, pose, thickness_px=1.5).data
+    x0 = render_triaxis(K, pose, thickness_px=1.5)
     sched = make_schedule(200, 1e-4, 0.05)
     den = GaussianDenoiser(x0, np.full(x0.shape, 0.25), sched)
     target = ObservationBatch.stack([extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))])
@@ -401,8 +401,8 @@ def oracle_overfit_smoke() -> tuple[str, str, bool]:
     rng = np.random.default_rng(13)
     K = default_intrinsics(4)
     pose = Pose(R=rot_x(25.0) @ rot_y(40.0), T=np.array([0.0, 0.0, 5.0]))
-    triaxis = render_triaxis(K, pose, thickness_px=1.5).data
-    query = render_query(K, pose).data
+    triaxis = render_triaxis(K, pose, thickness_px=1.5)
+    query = render_query(K, pose)
     # hidden width must exceed the output dimension, otherwise the rank of
     # the learned map caps the achievable fit
     arch = ArchConfig(image_size=4, hidden=256)
@@ -460,10 +460,10 @@ def oracle_analytic_sampler_image() -> tuple[str, str, bool]:
     for seed in (15, 8):
         rng = np.random.default_rng(seed)
         pose = sample_pose(rng, K, _SAMPLING_16)
-        x0 = render_triaxis(K, pose, thickness_px=1.5).data
+        x0 = render_triaxis(K, pose, thickness_px=1.5)
         den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
-        result = sample(den, None, None, None, sched, steps=50, rng=rng, shape=(16, 16))
-        maes.append(float(np.mean(np.abs(result.image.data - x0))))
+        image, _, _ = sample(den, None, None, None, sched, steps=50, rng=rng, shape=(16, 16))
+        maes.append(float(np.mean(np.abs(image - x0))))
     return "mean abs error < 0.05 (seeds 15 and 8)", ", ".join(f"{m:.4f}" for m in maes), max(maes) < 0.05
 
 
@@ -488,19 +488,19 @@ def oracle_ablation_direction() -> tuple[str, str, bool]:
         pose = sample_pose(rng, K, sampling)
         biased = Pose(R=rot_z(20.0) @ pose.R, T=pose.T)
         try:
-            mean_img = render_triaxis(K, biased, thickness_px=1.5).data
+            mean_img = render_triaxis(K, biased, thickness_px=1.5)
             target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
         except AxisForgeError:
             continue
         den = GaussianDenoiser(mean_img, np.full(mean_img.shape, 0.01), sched)
         guidance = GuidanceParams(rho_base=10.0, sharpness=50.0)
         for params, sink in ((None, unguided_losses), (guidance, guided_losses)):
-            res = sample(
+            image, _, _ = sample(
                 den, None, target, params, sched, steps=25,
                 rng=np.random.default_rng(10_000 + i), shape=(size, size),
             )
             try:
-                gen = extract_axes_soft(res.image, sharpness=50.0)
+                gen = extract_axes_soft(image, sharpness=50.0)
                 sink.append(geo_loss(gen, target))
             except AxisForgeError:
                 sink.append(math.inf)
@@ -537,7 +537,7 @@ def oracle_dataset_render_extract() -> tuple[str, str, bool]:
         errs = []
         for split in ("train", "test"):
             for rec, img in zip(manifest.split(split), load_images(tmp, manifest, split, "triaxis")):
-                obs = extract_axes_hard(TriAxisImage(img))
+                obs = extract_axes_hard(img)
                 lines = project_axes(manifest.intrinsics, rec.pose, manifest.render.axis_len)
                 for i in range(3):
                     errs.append(math.degrees(math.acos(np.clip(obs.dir[i] @ lines.dir[i], -1, 1))))
@@ -557,10 +557,10 @@ def oracle_infer_upper_bound() -> tuple[str, str, bool]:
     n = 8
     for _ in range(n):
         pose = sample_pose(rng, K, sampling)
-        gt_img = render_triaxis(K, pose, thickness_px=1.5).data
+        gt_img = render_triaxis(K, pose, thickness_px=1.5)
         den = GaussianDenoiser(gt_img, np.full(gt_img.shape, 1e-4), sched)
-        res = sample(den, None, None, None, sched, steps=50, rng=rng, shape=(size, size))
-        obs = extract_axes_hard(res.image)
+        image, _, _ = sample(den, None, None, None, sched, steps=50, rng=rng, shape=(size, size))
+        obs = extract_axes_hard(image)
         pred = recover_pose(obs, K, scale_lambda_O=float(pose.T[2]))
         if reproj_metric(pose, pred, model, K) < threshold:
             passed += 1

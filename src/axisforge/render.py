@@ -1,16 +1,17 @@
 """Synthetic scene rendering: tri-axis ground truth, shaded query images,
 and seeded degradations.
 
-All renders are deterministic given identical inputs. Images are float
-arrays in [0, 1]; persistence helpers store them as little-endian float32
-and read them back as float32.
+All renders are deterministic given identical inputs. Images are plain
+float arrays in [0, 1]: a tri-axis image is (H, W, 3), its channels 0/1/2
+carrying the X/Y/Z axis segments, and a query image is (H, W). Persistence
+helpers store them as little-endian float32 and read them back as float32;
+``dataset.load_images`` checks the range of what it reads.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,36 +23,6 @@ from .errors import NonPositiveDepth
 
 _LIGHT = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)  # directional light, toward scene
 _AMBIENT = 0.15
-
-
-@dataclass(frozen=True)
-class TriAxisImage:
-    """(H, W, 3) float image; channels 0/1/2 carry the X/Y/Z axis segments."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", d)
-        if d.ndim != 3 or d.shape[2] != 3:
-            raise ValueError("tri-axis image must have shape (H, W, 3)")
-        if d.min() < 0.0 or d.max() > 1.0:
-            raise ValueError("tri-axis values must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class QueryImage:
-    """(H, W) single-channel shaded rendering of the scene cuboid."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", d)
-        if d.ndim != 2:
-            raise ValueError("query image must have shape (H, W)")
-        if d.min() < 0.0 or d.max() > 1.0:
-            raise ValueError("query values must lie in [0, 1]")
 
 
 @lru_cache(maxsize=8)
@@ -87,8 +58,9 @@ def render_triaxis(
     pose: Pose,
     axis_len: float = 1.0,
     thickness_px: float = 2.0,
-) -> TriAxisImage:
-    """Rasterize the projected tri-axis as anti-aliased segments.
+) -> np.ndarray:
+    """Rasterize the projected tri-axis as anti-aliased segments, an
+    (H, W, 3) float64 image in [0, 1].
 
     Each channel holds one axis drawn from the projected origin to the
     projected endpoint: intensity 1 on the core, linear 1-pixel falloff.
@@ -101,7 +73,7 @@ def render_triaxis(
     for i in range(3):
         d = _segment_distance(h, w, points[0], points[i + 1])
         img[:, :, i] = np.clip(r + 0.5 - d, 0.0, 1.0)
-    return TriAxisImage(img)
+    return img
 
 
 # the eight cuboid corners at unit half-extent, index 4 * (x > 0) + 2 * (y > 0) + (z > 0)
@@ -137,8 +109,9 @@ def _fill_convex_quad(img: np.ndarray, quad: np.ndarray, value: float) -> None:
     np.copyto(img, value * cover + img * (1 - cover))
 
 
-def render_query(K: CameraIntrinsics, pose: Pose) -> QueryImage:
-    """Lambertian-shaded unit cuboid at the pose, painter's-algorithm face order."""
+def render_query(K: CameraIntrinsics, pose: Pose) -> np.ndarray:
+    """Lambertian-shaded unit cuboid at the pose, painter's-algorithm face
+    order, as an (H, W) float64 image in [0, 1]."""
     depths = (_CUBOID_CORNERS @ pose.R.T + pose.T)[:, 2]
     if depths.min() <= 1e-9:
         raise NonPositiveDepth("cuboid is not fully in front of the camera")
@@ -154,7 +127,7 @@ def render_query(K: CameraIntrinsics, pose: Pose) -> QueryImage:
     img = np.zeros((K.height, K.width))
     for _, quad, shade in sorted(faces, key=lambda f: -f[0]):
         _fill_convex_quad(img, quad, shade)
-    return QueryImage(np.clip(img, 0.0, 1.0))
+    return np.clip(img, 0.0, 1.0)
 
 
 def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:

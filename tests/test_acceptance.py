@@ -13,11 +13,11 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from axisforge.cli import main
+from axisforge.cli import INFER_BATCH, main
 from axisforge.config import ArchConfig, DegradationSpec, GuidanceParams, OptConfig, SamplingConfig, default_intrinsics
 from axisforge.dataset import sample_pose
 from axisforge.denoiser import train_denoiser
-from axisforge.diffusion import make_schedule, sample
+from axisforge.diffusion import make_schedule, sample, sample_batch
 from axisforge.errors import AxisForgeError
 from axisforge.extraction import extract_axes_hard
 from axisforge.metrics import cuboid_model, reproj_metric, reproj_threshold_px
@@ -74,15 +74,15 @@ def test_criterion_5_guidance_math(capsys, oracle):
     rng = np.random.default_rng(7)
     K = default_intrinsics(16)
     pose = sample_pose(rng, K, SamplingConfig(depth_min=2.0, depth_max=2.8, lateral=0.2, min_axis_px=5.0))
-    x0 = render_triaxis(K, pose, thickness_px=1.5).data
+    x0 = render_triaxis(K, pose, thickness_px=1.5)
     sched = make_schedule(100, 1e-4, 0.05)
     den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
     target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
-    a = sample(den, None, target, GuidanceParams(rho_base=0.0), sched,
-               steps=25, rng=np.random.default_rng(42), shape=(16, 16))
-    b = sample(den, None, None, None, sched,
-               steps=25, rng=np.random.default_rng(42), shape=(16, 16))
-    bitexact = bool(np.array_equal(a.image.data, b.image.data))
+    a, _, _ = sample(den, None, target, GuidanceParams(rho_base=0.0), sched,
+                     steps=25, rng=np.random.default_rng(42), shape=(16, 16))
+    b, _, _ = sample(den, None, None, None, sched,
+                     steps=25, rng=np.random.default_rng(42), shape=(16, 16))
+    bitexact = bool(np.array_equal(a, b))
     ok = fd.passed and bitexact
     _report(capsys, 5, "guidance-math", ok, f"{fd.measured} (need {fd.tolerance}); rho=0 bit-exact: {bitexact}")
 
@@ -96,8 +96,8 @@ def test_criterion_6_ablation_gap(capsys):
     triaxes, queries = [], []
     for _ in range(40):
         pose = sample_pose(rng, K, sampling)
-        triaxes.append(render_triaxis(K, pose, thickness_px=1.5).data)
-        queries.append(render_query(K, pose).data)
+        triaxes.append(render_triaxis(K, pose, thickness_px=1.5))
+        queries.append(render_query(K, pose))
     den = train_denoiser(
         np.stack(triaxes), np.stack(queries), ArchConfig(image_size=size, hidden=256),
         OptConfig(steps=1200, batch_size=16, lr=2e-3), sched, rng,
@@ -106,24 +106,28 @@ def test_criterion_6_ablation_gap(capsys):
     model = cuboid_model()
     threshold = reproj_threshold_px(K)
     n_poses = 100
-    success = {"guided": 0, "unguided": 0}
+    poses, targets, conds = [], [], []
     for i in range(n_poses):
-        pose_rng = np.random.default_rng(50_000 + i)
-        pose = sample_pose(pose_rng, K, sampling)
-        target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
-        cond = apply_degradation(render_query(K, pose).data, DegradationSpec(occlusion_frac=0.25), 50_000 + i)
-        for arm, guidance in (("unguided", None), ("guided", GuidanceParams(rho_base=10.0, sharpness=50.0))):
-            res = sample(
-                den, cond, target, guidance, sched, steps=30,
-                rng=np.random.default_rng(10_000 + i), shape=(size, size),
+        pose = sample_pose(np.random.default_rng(50_000 + i), K, sampling)
+        poses.append(pose)
+        targets.append(extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)))
+        conds.append(apply_degradation(render_query(K, pose), DegradationSpec(occlusion_frac=0.25), 50_000 + i))
+    success = {"guided": 0, "unguided": 0}
+    for arm, guidance in (("unguided", None), ("guided", GuidanceParams(rho_base=10.0, sharpness=50.0))):
+        # sampled in chunks of infer's batch, as infer samples its records
+        for start in range(0, n_poses, INFER_BATCH):
+            chunk = range(start, min(start + INFER_BATCH, n_poses))
+            images, _, _ = sample_batch(
+                den, [conds[i] for i in chunk], [targets[i] for i in chunk], guidance, sched, steps=30,
+                rngs=[np.random.default_rng(10_000 + i) for i in chunk], shape=(size, size),
             )
-            try:
-                obs = extract_axes_hard(res.image)
-                pred = recover_pose(obs, K, scale_lambda_O=float(pose.T[2]))
-                if reproj_metric(pose, pred, model, K) < threshold:
-                    success[arm] += 1
-            except AxisForgeError:
-                pass
+            for i, image in zip(chunk, images):
+                try:
+                    pred = recover_pose(extract_axes_hard(image), K, scale_lambda_O=float(poses[i].T[2]))
+                    if reproj_metric(poses[i], pred, model, K) < threshold:
+                        success[arm] += 1
+                except AxisForgeError:
+                    pass
     g, u = success["guided"] / n_poses, success["unguided"] / n_poses
     ok = (g - u) >= 0.10
     _report(

@@ -288,6 +288,47 @@ def test_runtime_error_exit_code(tmp_path, config_path, capsys):
         assert not out.exists()
 
 
+def test_non_finite_pose_in_manifest_exits_2(tmp_path, config_path, capsys):
+    # a NaN depth once ran through infer to "ok": true with a NaN T, which
+    # eval then refused as infer's own output
+    data = _render(tmp_path, config_path)
+    path = data / "manifest.json"
+    clean = json.loads(path.read_text())
+    for field, index, value in (("T", 2, float("nan")), ("R", 0, float("inf"))):
+        doc = json.loads(json.dumps(clean))
+        doc["records"][-1]["pose"][field][index] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (["infer", "--analytic-denoiser"], ["eval", "--predictions", str(tmp_path / "pred")]):
+            out = tmp_path / argv[0]
+            rc = main([*argv, "--config", str(config_path), "--dataset", str(data), "--out", str(out)])
+            assert rc == 2
+            assert f"malformed manifest {path}: R and T must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), -0.5, 2.0])
+@pytest.mark.parametrize("command, image", [
+    ("infer", "test_triaxis"), ("infer", "test_degraded"), ("train", "train_triaxis"),
+])
+def test_dataset_image_outside_unit_range_exits_2(tmp_path, config_path, capsys, value, command, image):
+    # a NaN pixel once passed the range check, and guided infer wrote a bare
+    # "mean_guidance_norm": NaN, which is not JSON; the degraded query was
+    # not checked at all
+    data = _render(tmp_path, config_path)
+    path = data / "images" / f"{image}.f32"
+    rows = np.fromfile(path, dtype="<f4")
+    rows[len(rows) // 2] = value
+    rows.tofile(path)
+    capsys.readouterr()
+    argv = [command, "--analytic-denoiser"] if command == "infer" else [command]
+    out = tmp_path / "out"
+    rc = main([*argv, "--config", str(config_path), "--dataset", str(data), "--out", str(out)])
+    assert rc == 2
+    assert f"image file {path} holds a value that is NaN or outside [0, 1]" in capsys.readouterr().err
+    assert not (out / "predictions.jsonl").exists() and not (out / "checkpoint.bin").exists()
+
+
 def test_eval_reads_its_config(tmp_path, config_path, capsys):
     data = _render(tmp_path, config_path)
     pred = tmp_path / "pred"

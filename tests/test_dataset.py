@@ -165,9 +165,9 @@ def test_load_images_returns_the_written_float32_rows(tmp_path):
         records = manifest.split(split)
         loaded = {kind: load_images(tmp_path, manifest, split, kind) for kind in ("triaxis", "query", "degraded")}
         for i, rec in enumerate(records):
-            query = render_query(K, rec.pose).data
+            query = render_query(K, rec.pose)
             written = {
-                "triaxis": render_triaxis(K, rec.pose, render.axis_len, render.thickness_px).data,
+                "triaxis": render_triaxis(K, rec.pose, render.axis_len, render.thickness_px),
                 "query": query,
                 "degraded": apply_degradation(query, manifest.degradation, rec.seed),
             }

@@ -30,7 +30,7 @@ def _tiny_dataset(size=8):
     """One pose's tri-axis and query images, stacked as load_images gives them."""
     K = default_intrinsics(size)
     pose = Pose(R=rot_x(25.0) @ rot_y(40.0), T=np.array([0.0, 0.0, 5.0]))
-    return np.stack([render_triaxis(K, pose, thickness_px=1.5).data]), np.stack([render_query(K, pose).data])
+    return np.stack([render_triaxis(K, pose, thickness_px=1.5)]), np.stack([render_query(K, pose)])
 
 
 def test_time_embedding_shape_and_range():

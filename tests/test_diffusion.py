@@ -190,7 +190,7 @@ def _guided_case(seed, size=16):
     K = default_intrinsics(size)
     pose = sample_pose(rng, K, SamplingConfig(depth_min=2.0, depth_max=2.8, lateral=0.2, min_axis_px=5.0))
     x0 = render_triaxis(K, pose, thickness_px=1.5)
-    return x0.data, extract_axes_hard(x0)
+    return x0, extract_axes_hard(x0)
 
 
 GUIDANCE = GuidanceParams(rho_base=10.0)
@@ -205,27 +205,28 @@ def test_sample_batch_matches_single_samples():
     # the analytic field is elementwise, so batching changes no arithmetic
     means = np.stack([x0 for x0, _ in cases])
     for guidance in (GUIDANCE, None):
-        batched = sample_batch(
+        images, norms, errors = sample_batch(
             GaussianDenoiser(means, np.full(means.shape, 0.01), sched),
             [None] * 3, targets, guidance, sched, steps=10,
             rngs=[np.random.default_rng(10 + b) for b in range(3)], shape=(16, 16),
         )
         for b, (x0, target) in enumerate(cases):
             den = GaussianDenoiser(x0, np.full(x0.shape, 0.01), sched)
-            single = sample(
+            image, step_norms, step_errors = sample(
                 den, None, target, guidance, sched, steps=10, rng=np.random.default_rng(10 + b), shape=(16, 16)
             )
-            assert np.array_equal(batched[b].image.data, single.image.data)
-            assert batched[b].log == single.log
+            assert np.array_equal(images[b], image)
+            assert np.array_equal(norms[b], step_norms)
+            assert [type(e) for e in errors[b]] == [type(e) for e in step_errors]
     # a matrix product may round differently for a batch than for one row
     mlp = MLPDenoiser(
         ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15, np.float64
     )
     conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(3)]
-    batched = sample_batch(mlp, conds, targets, GUIDANCE, sched, 10, [np.random.default_rng(b) for b in range(3)], (16, 16))
+    images, _, _ = sample_batch(mlp, conds, targets, GUIDANCE, sched, 10, [np.random.default_rng(b) for b in range(3)], (16, 16))
     for b in range(3):
-        single = sample(mlp, conds[b], targets[b], GUIDANCE, sched, 10, np.random.default_rng(b), (16, 16))
-        assert np.allclose(batched[b].image.data, single.image.data, rtol=0.0, atol=1e-9)
+        image, _, _ = sample(mlp, conds[b], targets[b], GUIDANCE, sched, 10, np.random.default_rng(b), (16, 16))
+        assert np.allclose(images[b], image, rtol=0.0, atol=1e-9)
 
 
 def _stacked(targets, shape=(16, 16)):
@@ -308,9 +309,9 @@ def test_guided_sampling_never_differentiates_the_network(monkeypatch):
     conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(2)]
     for guidance in (GUIDANCE, None):
         steps.clear()
-        results = sample_batch(mlp, conds, targets, guidance, sched, 10, [np.random.default_rng(b) for b in range(2)], (16, 16))
+        _, norms, _ = sample_batch(mlp, conds, targets, guidance, sched, 10, [np.random.default_rng(b) for b in range(2)], (16, 16))
         assert steps == uniform_timesteps(sched, 10)  # one network forward per step, guided or not
-        assert any(r["guidance_norm"] > 0 for res in results for r in res.log) == (guidance is not None)
+        assert np.any(norms > 0) == (guidance is not None)
 
 
 @pytest.mark.parametrize("kind, dtype", [("mlp", np.float32), ("mlp", np.float64), ("gaussian", np.float64)])
@@ -360,9 +361,14 @@ def test_sample_batch_runs_in_the_denoiser_dtype(monkeypatch, kind, dtype):
     for guidance in (GUIDANCE, None):
         seen.clear()
         rngs = [np.random.default_rng(b) for b in range(2)]
-        sample_batch(den, conds, [target for _, target in cases], guidance, sched, 10, rngs, (16, 16))
+        images, norms, errors = sample_batch(den, conds, [target for _, target in cases], guidance, sched, 10, rngs, (16, 16))
         expected = {"evaluate", "ddim_step"} | ({"gradient"} if guidance else set())
         assert seen == {name: {np.dtype(dtype)} for name in expected}
+        # the images come back clipped in the chain's dtype, the norms in float64
+        assert images.shape == (2, 16, 16, 3) and images.dtype == dtype
+        assert images.min() >= 0.0 and images.max() <= 1.0
+        assert norms.shape == (2, 10) and norms.dtype == np.float64
+        assert [len(e) for e in errors] == [10, 10]
 
 
 def test_float32_sampling_agrees_with_float64():
@@ -389,7 +395,7 @@ def test_float32_sampling_agrees_with_float64():
             pose = sample_pose(rng, K, SamplingConfig(depth_min=2.0, depth_max=2.8, lateral=0.2, min_axis_px=5.0))
             x0 = render_triaxis(K, pose, thickness_px=1.5)
             try:
-                records.append((x0.data, render_query(K, pose).data, extract_axes_hard(x0)))
+                records.append((x0, render_query(K, pose), extract_axes_hard(x0)))
             except AxisForgeError:
                 pass
         x0s, queries, targets = zip(*records)
@@ -402,11 +408,11 @@ def test_float32_sampling_agrees_with_float64():
         outcomes = []
         for den in (den32, den64):
             rngs = [np.random.default_rng(100 * seed + b) for b in range(4)]
-            results = sample_batch(den, queries, targets, GUIDANCE, sched, 10, rngs, (size, size))
+            images, _, _ = sample_batch(den, queries, targets, GUIDANCE, sched, 10, rngs, (size, size))
             row = []
-            for res in results:
+            for image in images:
                 try:
-                    row.append(extract_axes_hard(res.image))
+                    row.append(extract_axes_hard(image))
                 except AxisForgeError as exc:
                     row.append(type(exc))
             outcomes.append(row)
@@ -505,10 +511,12 @@ def test_skipped_guidance_step_records_reason():
     # (on a blank 0 mean the x0_hat-space correction does, and no step skips)
     dark = np.full((16, 16, 3), -1.0)
     den = GaussianDenoiser(dark, np.full(dark.shape, 1e-4), sched)
-    res = sample(den, None, target, GUIDANCE, sched, steps=10, rng=np.random.default_rng(0), shape=(16, 16))
-    assert res.skipped_steps > 0
-    assert {r["skip_reason"] for r in res.log if r["skipped"]} == {"VanishingMass"}
-    assert all("skip_reason" not in r for r in res.log if not r["skipped"])
+    _, norms, errors = sample(den, None, target, GUIDANCE, sched, steps=10, rng=np.random.default_rng(0), shape=(16, 16))
+    assert len(norms) == len(errors) == 10
+    skipped = [e is not None for e in errors]
+    assert any(skipped)
+    assert {type(e).__name__ for e in errors if e is not None} == {"VanishingMass"}
+    assert not np.any(norms[skipped])  # a skipped step corrects nothing
 
 
 def test_ray_distance_map():

@@ -17,7 +17,7 @@ from axisforge.extraction import (
     soft_extract_with_pullback,
     soft_weights,
 )
-from axisforge.render import TriAxisImage, render_triaxis
+from axisforge.render import render_triaxis
 
 K = default_intrinsics(128)
 SAMPLING = SamplingConfig(min_axis_px=10.0)
@@ -39,16 +39,24 @@ def test_hard_extraction_matches_forward_projection():
             assert _angle_deg(obs.dir[i], lines.dir[i]) < 3.0
 
 
+def test_hard_extraction_reads_float32_as_its_float64_widening():
+    # infer extracts float32 dataset rows and float32 samples; their moments
+    # summed in float32 would move the origin by about 1e-5 px
+    pose = sample_pose(np.random.default_rng(3), K, SAMPLING)
+    img = render_triaxis(K, pose, thickness_px=2.0).astype(np.float32)
+    assert extract_axes_hard(img).to_flat() == extract_axes_hard(img.astype(float)).to_flat()
+
+
 def test_hard_extraction_empty_channel():
     with pytest.raises(EmptyChannel):
-        extract_axes_hard(TriAxisImage(np.zeros((32, 32, 3))))
+        extract_axes_hard(np.zeros((32, 32, 3)))
 
 
 def test_hard_extraction_blob_is_degenerate():
     img = np.zeros((32, 32, 3))
     img[10:20, 10:20, :] = 1.0  # isotropic square in every channel
     with pytest.raises(DegenerateChannel):
-        extract_axes_hard(TriAxisImage(img))
+        extract_axes_hard(img)
 
 
 def test_directions_point_toward_channel_mass():
@@ -57,7 +65,7 @@ def test_directions_point_toward_channel_mass():
     img = render_triaxis(K, pose, thickness_px=2.0)
     obs = extract_axes_hard(img)
     for i in range(3):
-        ys, xs = np.nonzero(img.data[:, :, i] > 0.5)
+        ys, xs = np.nonzero(img[:, :, i] > 0.5)
         mean = np.array([xs.mean(), ys.mean()])
         assert float(obs.dir[i] @ (mean - obs.origin_px)) > 0
 
@@ -110,7 +118,7 @@ def _cotangent(rng, lead=()):
 def test_soft_extraction_is_graded_on_blobs():
     img = _blob_image()
     with pytest.raises(DegenerateChannel):
-        extract_axes_hard(TriAxisImage(img))
+        extract_axes_hard(img)
     rng = np.random.default_rng(5)
     cot_vec, adj = _cotangent(rng)
     grad = soft_extract_vjp(img, 50.0, adj)
@@ -131,7 +139,7 @@ def test_soft_extraction_accepts_isotropic_channel():
     vv, uu = np.mgrid[0:32, 0:32].astype(float)
     img[:, :, 0] = np.exp(-0.5 * ((uu - 10.0) ** 2 + (vv - 12.0) ** 2) / 2.5**2)  # round, on a pixel
     with pytest.raises(DegenerateChannel):
-        extract_axes_hard(TriAxisImage(img))
+        extract_axes_hard(img)
     obs, aniso, _, pullback = soft_extract_with_pullback(img[None], 50.0)
     assert np.all(np.isfinite(np.array(obs.record(0).to_flat())))
     assert aniso[0, 0] < 1e-20 and np.all(aniso[0, 1:] > 0.05)

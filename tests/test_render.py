@@ -11,8 +11,6 @@ from axisforge.errors import NonPositiveDepth
 from axisforge.render import (
     _AMBIENT,
     _LIGHT,
-    QueryImage,
-    TriAxisImage,
     _fill_convex_quad,
     _pixel_grid,
     apply_degradation,
@@ -30,9 +28,9 @@ POSE = Pose(R=rot_x(25.0) @ rot_y(-40.0), T=np.array([0.2, -0.1, 5.0]))
 def test_triaxis_shape_range_determinism():
     a = render_triaxis(K, POSE)
     b = render_triaxis(K, POSE)
-    assert a.data.shape == (128, 128, 3)
-    assert a.data.min() >= 0.0 and a.data.max() <= 1.0
-    assert np.array_equal(a.data, b.data)
+    assert a.shape == (128, 128, 3) and a.dtype == np.float64
+    assert a.min() >= 0.0 and a.max() <= 1.0
+    assert np.array_equal(a, b)
 
 
 def test_triaxis_channels_lie_on_projected_segments():
@@ -41,7 +39,7 @@ def test_triaxis_channels_lie_on_projected_segments():
     origin = lines.origin_px
     for i in range(3):
         endpoint = project_point(K, POSE, np.eye(3)[i])
-        ys, xs = np.nonzero(img.data[:, :, i] > 0.5)
+        ys, xs = np.nonzero(img[:, :, i] > 0.5)
         assert len(ys) > 0
         # every bright pixel is within the stroke width of the segment
         pts = np.stack([xs, ys], axis=1).astype(float)
@@ -51,18 +49,11 @@ def test_triaxis_channels_lie_on_projected_segments():
         assert dist.max() < 2.0
 
 
-def test_triaxis_image_validation():
-    with pytest.raises(ValueError):
-        TriAxisImage(np.zeros((8, 8)))
-    with pytest.raises(ValueError):
-        TriAxisImage(np.full((8, 8, 3), 2.0))
-
-
 def test_query_image_shape_and_range():
     q = render_query(K, POSE)
-    assert q.data.shape == (128, 128)
-    assert q.data.min() >= 0.0 and q.data.max() <= 1.0
-    assert q.data.max() > 0.1  # the cuboid is visible
+    assert q.shape == (128, 128) and q.dtype == np.float64
+    assert q.min() >= 0.0 and q.max() <= 1.0
+    assert q.max() > 0.1  # the cuboid is visible
 
 
 def _fill_convex_quad_per_edge(img, quad, value):
@@ -157,17 +148,14 @@ def test_render_query_matches_per_face_projection():
     for k in range(150):
         pose = Pose(R=random_rotation(rng), T=[*rng.uniform(-0.5, 0.5, 2), rng.uniform(3.0, 6.0)])
         cam = cams[k % 3]
-        assert np.array_equal(render_query(cam, pose).data, _render_query_per_face(cam, pose))
+        q = render_query(cam, pose)
+        assert q.shape == (cam.height, cam.width) and q.min() >= 0.0 and q.max() <= 1.0
+        assert np.array_equal(q, _render_query_per_face(cam, pose))
 
 
 def test_pixel_grid_is_the_mgrid():
     vv, uu = np.mgrid[0:20, 0:28].astype(float)
     assert np.array_equal(_pixel_grid(20, 28), np.stack([uu, vv], axis=-1))
-
-
-def test_query_image_validation():
-    with pytest.raises(ValueError):
-        QueryImage(np.zeros((4, 4, 3)))
 
 
 def test_degradation_spec_validation():
@@ -204,7 +192,7 @@ def test_degradation_blur_preserves_interior_mean():
 
 
 def test_f32_roundtrip(tmp_path):
-    img = render_triaxis(K, POSE).data
+    img = render_triaxis(K, POSE)
     p = tmp_path / "img.f32"
     save_f32(p, img)
     back = load_f32(p, img.shape)
