@@ -64,13 +64,21 @@ class AxisLines:
             raise ValueError("axis directions must be unit vectors")
 
 
+def project_points(K: CameraIntrinsics, pose: Pose, X_obj) -> np.ndarray:
+    """Pixel coordinates (N, 2) of the object-frame points X_obj (N, 3):
+    each point gets its own R @ x and K @ x matrix-vector products. Raises
+    NonPositiveDepth for the first point, in order, behind the camera."""
+    Xc = (pose.R @ np.asarray(X_obj, dtype=float)[:, :, None])[:, :, 0] + pose.T
+    behind = np.flatnonzero(Xc[:, 2] <= DEPTH_EPS)
+    if behind.size:
+        raise NonPositiveDepth(f"transformed depth {Xc[behind[0], 2]:.3g} <= {DEPTH_EPS}")
+    h = (K.K @ Xc[:, :, None])[:, :, 0]
+    return h[:, :2] / h[:, 2:]
+
+
 def project_point(K: CameraIntrinsics, pose: Pose, X_obj) -> np.ndarray:
     """Project an object-frame point to pixel coordinates."""
-    Xc = pose.R @ np.asarray(X_obj, dtype=float).reshape(3) + pose.T
-    if Xc[2] <= DEPTH_EPS:
-        raise NonPositiveDepth(f"transformed depth {Xc[2]:.3g} <= {DEPTH_EPS}")
-    h = K.K @ Xc
-    return h[:2] / h[2]
+    return project_points(K, pose, np.reshape(X_obj, (1, 3)))[0]
 
 
 def project_triaxis(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> np.ndarray:
@@ -143,8 +151,7 @@ def rot_z(deg: float) -> np.ndarray:
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation from a normalized quaternion."""
     q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
+    w, x, y, z = (q / np.linalg.norm(q)).tolist()  # Python floats: the same IEEE products and sums
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import AXIS_DEGENERACY_PX, Pose, project_triaxis, random_rotation, triaxis_lengths
+from .camera import AXIS_DEGENERACY_PX, DEPTH_EPS, Pose, project_triaxis, random_rotation, triaxis_lengths
 from .config import CameraIntrinsics, DegradationSpec, RenderParams, RunConfig, SamplingConfig
 from .errors import DegenerateSamplingExhausted, ManifestError, NonPositiveDepth
 from .render import apply_degradation, atomic_write, load_f32, render_query, render_triaxis, save_f32
@@ -105,23 +105,54 @@ def pose_is_nondegenerate(
     return bool(np.min(lengths) >= sampling.min_axis_px)
 
 
+# A draw whose shortest axis, projected in Python floats, falls short of
+# min_axis_px by more than this is refused before its Pose is built. Every
+# draw that pose_is_nondegenerate accepts projects inside the image, where
+# Python floats and project_triaxis agree to far better than 1e-6 px, so
+# the pre-test refuses only draws that the exact test refuses too.
+PRETEST_MARGIN_PX = 1e-6
+
+
+def _surely_degenerate(K: CameraIntrinsics, R: list, T: list, axis_len: float, min_axis_px: float) -> bool:
+    """Whether the draw (R as nested lists, T as a list) has a point at or
+    behind DEPTH_EPS, or an axis that projects shorter than min_axis_px by
+    more than PRETEST_MARGIN_PX: project_triaxis's formula in Python floats."""
+    (fx, g, cx), (_, fy, cy), _ = K.K.tolist()
+    tx, ty, tz = T
+    if tz <= DEPTH_EPS:
+        return True
+    u0, v0 = (fx * tx + g * ty + cx * tz) / tz, (fy * ty + cy * tz) / tz
+    for x, y, z in zip(*R):  # the axis endpoints: R's columns
+        x, y, z = x * axis_len + tx, y * axis_len + ty, z * axis_len + tz
+        if z <= DEPTH_EPS:
+            return True
+        if math.hypot((fx * x + g * y + cx * z) / z - u0, (fy * y + cy * z) / z - v0) < min_axis_px - PRETEST_MARGIN_PX:
+            return True
+    return False
+
+
 def sample_pose(
     rng: np.random.Generator,
     K: CameraIntrinsics,
     sampling: SamplingConfig,
     axis_len: float = 1.0,
 ) -> Pose:
-    """Rejection-sample a nondegenerate pose; uniform rotation, boxed translation."""
+    """Rejection-sample a nondegenerate pose; uniform rotation, boxed translation.
+
+    The first draw that pose_is_nondegenerate accepts is returned. A draw
+    that _surely_degenerate refuses, which that test would refuse too, is
+    dropped before its Pose is built.
+    """
     for _ in range(MAX_CONSECUTIVE_REJECTIONS):
         R = random_rotation(rng)
-        T = np.array(
-            [
-                rng.uniform(-sampling.lateral, sampling.lateral),
-                rng.uniform(-sampling.lateral, sampling.lateral),
-                rng.uniform(sampling.depth_min, sampling.depth_max),
-            ]
-        )
-        pose = Pose(R=R, T=T)
+        T = [
+            rng.uniform(-sampling.lateral, sampling.lateral),
+            rng.uniform(-sampling.lateral, sampling.lateral),
+            rng.uniform(sampling.depth_min, sampling.depth_max),
+        ]
+        if _surely_degenerate(K, R.tolist(), T, axis_len, sampling.min_axis_px):
+            continue
+        pose = Pose(R=R, T=np.array(T))
         if pose_is_nondegenerate(K, pose, sampling, axis_len):
             return pose
     raise DegenerateSamplingExhausted(
@@ -185,6 +216,9 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
         records = [DatasetRecord.from_dict(r) for r in doc["records"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise ManifestError(f"malformed manifest {path}: {exc}") from exc
+    repeated = [rid for rid, n in Counter(r.id for r in records).items() if n > 1]
+    if repeated:  # records are keyed by id: a second one would overwrite the first's results
+        raise ManifestError(f"{path}: record id {repeated[0]!r} appears more than once")
     for split, count in Counter(r.split for r in records).items():
         for kind in IMAGE_KINDS:
             image_path = Path(dataset_dir) / _image_file(split, kind)

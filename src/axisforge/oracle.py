@@ -114,9 +114,9 @@ def oracle_roundtrip_1000() -> tuple[str, str, bool]:
         worst_t = max(worst_t, float(np.linalg.norm(pose.T - pred.T) / np.linalg.norm(pose.T)))
     dt = time.perf_counter() - t0
     ok = worst_rot < 1e-6 and worst_t < 1e-6 and dt < 1.0
-    return (
+    return (  # the time stays out of the measured string, so that two runs' strings compare equal
         "rot < 1e-6 rad, trans rel < 1e-6, < 1 s",
-        f"worst rot {worst_rot:.3e} rad, worst trans {worst_t:.3e}, {dt:.2f} s",
+        f"worst rot {worst_rot:.3e} rad, worst trans {worst_t:.3e}",
         ok,
     )
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import Pose, project_point, project_triaxis, require_nondegenerate, row_norms, triaxis_lengths
+from .camera import Pose, project_points, project_triaxis, require_nondegenerate, row_norms, triaxis_lengths
 from .config import CameraIntrinsics, DegradationSpec
 from .errors import NonPositiveDepth
 
@@ -41,18 +41,6 @@ def float_array(a) -> np.ndarray:
     return a if a.dtype == np.float32 else a.astype(float, copy=False)
 
 
-def _segment_distance(h: int, w: int, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Per-pixel distance from pixel centers to the segment p0-p1 (pixel coords)."""
-    px = _pixel_grid(h, w)
-    d = p1 - p0
-    len2 = float(d @ d)
-    if len2 < 1e-18:
-        return np.linalg.norm(px - p0, axis=-1)
-    t = np.clip(((px - p0) @ d) / len2, 0.0, 1.0)
-    closest = p0 + t[..., None] * d
-    return np.linalg.norm(px - closest, axis=-1)
-
-
 def render_triaxis(
     K: CameraIntrinsics,
     pose: Pose,
@@ -64,69 +52,81 @@ def render_triaxis(
 
     Each channel holds one axis drawn from the projected origin to the
     projected endpoint: intensity 1 on the core, linear 1-pixel falloff.
+    The three axes' pixel distances are computed in one pass.
     """
     h, w = K.height, K.width
     points = project_triaxis(K, pose, axis_len)
-    require_nondegenerate(triaxis_lengths(points))
-    img = np.zeros((h, w, 3))
+    require_nondegenerate(triaxis_lengths(points))  # so no axis has zero length below
+    origin, axes = points[0], points[1:] - points[0]
+    px = _pixel_grid(h, w).reshape(-1, 2)
+    len2 = (axes[:, None, :] @ axes[:, :, None])[:, 0]  # (3, 1): one dot per axis
+    # the fraction along each axis of the closest point: one matrix-vector
+    # product per axis, which a (H * W, 2) @ (2, 3) product would round differently
+    t = np.clip(((px - origin) @ axes[:, :, None])[:, :, 0] / len2, 0.0, 1.0)  # (3, H * W)
+    # offset from the closest point, origin + t * axis, one coordinate at a time
+    du = px[:, 0] - (origin[0] + t * axes[:, :1])
+    dv = px[:, 1] - (origin[1] + t * axes[:, 1:])
+    dist = np.sqrt(du * du + dv * dv)
     r = thickness_px / 2.0
-    for i in range(3):
-        d = _segment_distance(h, w, points[0], points[i + 1])
-        img[:, :, i] = np.clip(r + 0.5 - d, 0.0, 1.0)
-    return img
+    return np.ascontiguousarray(np.clip(r + 0.5 - dist, 0.0, 1.0).T).reshape(h, w, 3)
 
 
 # the eight cuboid corners at unit half-extent, index 4 * (x > 0) + 2 * (y > 0) + (z > 0)
 _CUBOID_CORNERS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
 
-# (axis, sign): face with outward object-frame normal sign * e_axis
-_CUBOID_FACES = ((0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0))
+# face f has the outward object-frame normal _FACE_SIGN[f] * e_{_FACE_AXIS[f]}
+_FACE_AXIS = np.array([0, 0, 1, 1, 2, 2])
+_FACE_SIGN = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 # each face's corners, in order around it
 _FACE_CORNERS = np.array([[4, 6, 7, 5], [0, 2, 3, 1], [2, 3, 7, 6], [0, 1, 5, 4], [1, 5, 7, 3], [0, 4, 6, 2]])
 
 
-def _fill_convex_quad(img: np.ndarray, quad: np.ndarray, value: float) -> None:
-    """Paint a convex quad (pixel coords) with 1-pixel anti-aliased edges."""
-    h, w = img.shape
-    nxt = quad[[1, 2, 3, 0]]
-    cross = quad[:, 0] * nxt[:, 1] - nxt[:, 0] * quad[:, 1]
-    area2 = 0.0 + cross[0] + cross[1] + cross[2] + cross[3]  # summed in corner order
-    if abs(area2) < 1e-12:
-        return
-    edges = nxt - quad  # edge k runs from corner k to corner k + 1
-    norms = row_norms(edges)
-    keep = ~(norms < 1e-12)  # a zero-length edge bounds nothing
-    p, e, n = quad[keep, :, None, None], edges[keep, :, None, None], norms[keep, None, None]
+def _quad_coverage(h: int, w: int, quads: np.ndarray) -> np.ndarray:
+    """Anti-aliased coverage (N, H, W) in [0, 1] of each of the N convex
+    quads (N, 4, 2) in pixel coords, with 1-pixel edges. A quad of zero area
+    covers nothing."""
+    nxt = quads[:, [1, 2, 3, 0]]
+    cross = quads[..., 0] * nxt[..., 1] - nxt[..., 0] * quads[..., 1]
+    area2 = 0.0 + cross[:, 0] + cross[:, 1] + cross[:, 2] + cross[:, 3]  # summed in corner order
+    edges = nxt - quads  # edge k runs from corner k to corner k + 1
+    norms = row_norms(edges.reshape(-1, 2)).reshape(-1, 4, 1, 1)
+    p, e = quads[..., None, None], edges[..., None, None]  # (N, 4, 2, 1, 1)
     px = _pixel_grid(h, w)
-    orient = np.sign(area2)  # +-1, so it distributes over the difference exactly
+    orient = np.sign(area2)[:, None, None, None]  # +-1, so it distributes over the difference exactly
     # signed distance to each edge's line, positive outside for this winding:
     # orient * ((u - p_u) e_v - (v - p_v) e_u) / |e|, whose first product
     # depends on the column only and whose second on the row only
-    across = orient * ((px[:1, :, 0] - p[:, 0]) * e[:, 1])  # (edges, 1, W)
-    down = orient * ((px[:, :1, 1] - p[:, 1]) * e[:, 0])  # (edges, H, 1)
-    inside = np.max((across - down) / n, axis=0, initial=-np.inf)
-    cover = np.clip(0.5 - inside, 0.0, 1.0)
-    np.copyto(img, value * cover + img * (1 - cover))
+    across = orient * ((px[:1, :, 0] - p[:, :, 0]) * e[:, :, 1])  # (N, 4, 1, W)
+    down = orient * ((px[:, :1, 1] - p[:, :, 1]) * e[:, :, 0])  # (N, 4, H, 1)
+    short = norms < 1e-12  # a zero-length edge bounds nothing
+    outside = (across - down) / np.where(short, 1.0, norms)
+    outside[short[:, :, 0, 0]] = -np.inf
+    cover = 0.5 - outside.max(axis=1)
+    np.clip(cover, 0.0, 1.0, out=cover)
+    cover[np.abs(area2) < 1e-12] = 0.0
+    return cover
 
 
 def render_query(K: CameraIntrinsics, pose: Pose) -> np.ndarray:
     """Lambertian-shaded unit cuboid at the pose, painter's-algorithm face
-    order, as an (H, W) float64 image in [0, 1]."""
+    order, as an (H, W) float64 image in [0, 1]. The six faces' coverage is
+    computed in one pass, then composited from the farthest face in."""
     depths = (_CUBOID_CORNERS @ pose.R.T + pose.T)[:, 2]
     if depths.min() <= 1e-9:
         raise NonPositiveDepth("cuboid is not fully in front of the camera")
-    corners_px = np.stack([project_point(K, pose, p) for p in _CUBOID_CORNERS])
+    corners_px = project_points(K, pose, _CUBOID_CORNERS)
     face_z = (_CUBOID_CORNERS[_FACE_CORNERS] @ pose.R.T + pose.T)[..., 2]  # one (4, 3) product per face
+    # ordered by summed depth, as by mean depth (dividing by 4 is exact); ties keep face order
+    far_first = np.argsort(-face_z.sum(axis=1), kind="stable")
+    normals = pose.R.T[_FACE_AXIS] * _FACE_SIGN[:, None]  # row f: R[:, axis] * sign
+    lit = (normals[:, None, :] @ -_LIGHT[:, None])[:, 0, 0]  # one dot per face
+    shade = _AMBIENT + (1 - _AMBIENT) * np.maximum(0.0, lit)
 
-    faces = []
-    for (axis, sign), corners, cam_z in zip(_CUBOID_FACES, _FACE_CORNERS, face_z):
-        n_cam = pose.R[:, axis] * sign
-        shade = _AMBIENT + (1 - _AMBIENT) * max(0.0, float(n_cam @ (-_LIGHT)))
-        faces.append((float(cam_z.mean()), corners_px[corners], shade))
-
+    cover = _quad_coverage(K.height, K.width, corners_px[_FACE_CORNERS])
+    painted, kept = shade[:, None, None] * cover, 1 - cover
     img = np.zeros((K.height, K.width))
-    for _, quad, shade in sorted(faces, key=lambda f: -f[0]):
-        _fill_convex_quad(img, quad, shade)
+    for f in far_first:
+        img = painted[f] + img * kept[f]
     return np.clip(img, 0.0, 1.0)
 
 

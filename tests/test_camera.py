@@ -7,6 +7,7 @@ from axisforge.camera import (
     Pose,
     project_axes,
     project_point,
+    project_points,
     project_triaxis,
     random_rotation,
     rot_x,
@@ -83,6 +84,24 @@ def test_projected_axis_lengths_positive_and_consistent():
     for i in range(3):
         ref = np.linalg.norm(project_point(K, pose, np.eye(3)[i]) - origin)
         assert lengths[i] == ref
+
+
+def test_project_points_matches_per_point_products():
+    rng = np.random.default_rng(6)
+    skewed = CameraIntrinsics(f_x=37.5, f_y=41.25, c_x=15.3, c_y=17.9, width=32, height=32, gamma=0.7)
+    for k in range(300):
+        cam = (K, skewed)[k % 2]
+        pose = Pose(R=random_rotation(rng), T=[*rng.uniform(-1.0, 1.0, 2), rng.uniform(2.0, 6.0)])
+        X = rng.uniform(-1.0, 1.0, (8, 3))
+        ref = []
+        for x in X:  # one R @ x and one K @ x product per point
+            h = cam.K @ (pose.R @ x + pose.T)
+            ref.append(h[:2] / h[2])
+        assert np.array_equal(project_points(cam, pose, X), np.array(ref))
+        assert np.array_equal(project_point(cam, pose, X[3]), ref[3])
+    pose = Pose(R=np.eye(3), T=[0.0, 0.0, 0.5])
+    with pytest.raises(NonPositiveDepth, match="transformed depth -0.5"):
+        project_points(K, pose, [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, -2.0]])
 
 
 def _project_each(K, pose, axis_len):

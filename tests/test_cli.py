@@ -307,6 +307,24 @@ def test_non_finite_pose_in_manifest_exits_2(tmp_path, config_path, capsys):
             assert not out.exists()
 
 
+def test_repeated_record_id_in_manifest_exits_2(tmp_path, config_path, capsys):
+    # infer once wrote two lines for the id, one record's result and image
+    # overwriting the other's, and eval then refused infer's own output
+    data = _render(tmp_path, config_path, n_train=2, n_test=3)
+    path = data / "manifest.json"
+    doc = json.loads(path.read_text())
+    first, second = [r for r in doc["records"] if r["split"] == "test"][:2]
+    second["id"] = first["id"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["train"], ["infer", "--analytic-denoiser"], ["eval", "--predictions", str(tmp_path / "pred")]):
+        out = tmp_path / argv[0]
+        rc = main([*argv, "--config", str(config_path), "--dataset", str(data), "--out", str(out)])
+        assert rc == 2
+        assert f"{path}: record id '{first['id']}' appears more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), -0.5, 2.0])
 @pytest.mark.parametrize("command, image", [
     ("infer", "test_triaxis"), ("infer", "test_degraded"), ("train", "train_triaxis"),

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from axisforge.camera import AXIS_DEGENERACY_PX, Pose, project_point, random_rotation, rot_y
+from axisforge.camera import AXIS_DEGENERACY_PX, Pose, project_point, project_triaxis, random_rotation, rot_y, triaxis_lengths
 from axisforge.config import (
     ArchConfig,
     CameraIntrinsics,
@@ -18,7 +18,16 @@ from axisforge.config import (
     load_config,
     save_config,
 )
-from axisforge.dataset import generate_dataset, load_images, load_manifest, pose_is_nondegenerate, record_seed, sample_pose
+from axisforge import dataset
+from axisforge.dataset import (
+    _surely_degenerate,
+    generate_dataset,
+    load_images,
+    load_manifest,
+    pose_is_nondegenerate,
+    record_seed,
+    sample_pose,
+)
 from axisforge.errors import DegenerateAxis, ManifestError, NonPositiveDepth
 from axisforge.render import _pixel_grid, apply_degradation, render_query, render_triaxis
 
@@ -62,6 +71,88 @@ def test_sample_pose_is_nondegenerate():
         pose = sample_pose(rng, K, CFG.sampling)
         assert pose_is_nondegenerate(K, pose, CFG.sampling, 1.0)
         assert CFG.sampling.depth_min <= pose.T[2] <= CFG.sampling.depth_max
+
+
+# (intrinsics, sampling, axis length): the default, 128 px with min_axis_px
+# 15, 16 px, and a skewed camera
+SAMPLING_CASES = [
+    (default_intrinsics(32), SamplingConfig(), 1.0),
+    (default_intrinsics(128), SamplingConfig(min_axis_px=15.0), 1.0),
+    (default_intrinsics(16), CFG.sampling, 1.0),
+    (CameraIntrinsics(f_x=37.5, f_y=41.25, c_x=15.3, c_y=17.9, width=32, height=32, gamma=0.7), SamplingConfig(), 0.8),
+]
+
+
+def _draw(rng, sampling):
+    R = random_rotation(rng)
+    T = [
+        rng.uniform(-sampling.lateral, sampling.lateral),
+        rng.uniform(-sampling.lateral, sampling.lateral),
+        rng.uniform(sampling.depth_min, sampling.depth_max),
+    ]
+    return R, T
+
+
+def _sample_pose_reference(rng, K, sampling, axis_len):
+    """sample_pose as a plain loop: draw, build the Pose, judge it exactly."""
+    while True:
+        R, T = _draw(rng, sampling)
+        pose = Pose(R=R, T=np.array(T))
+        if pose_is_nondegenerate(K, pose, sampling, axis_len):
+            return pose
+
+
+@pytest.mark.parametrize("K, sampling, axis_len", SAMPLING_CASES)
+def test_sample_pose_matches_the_reference_loop(K, sampling, axis_len):
+    for seed in range(30):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            pose, ref = sample_pose(rng, K, sampling, axis_len), _sample_pose_reference(ref_rng, K, sampling, axis_len)
+            assert np.array_equal(pose.R, ref.R) and np.array_equal(pose.T, ref.T)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pose_pretest_refuses_only_what_the_exact_test_refuses():
+    draws = refused = wrongly_refused = at_threshold = 0
+    for k, (K, sampling, axis_len) in enumerate(SAMPLING_CASES):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(2500):
+            R, T = _draw(rng, sampling)
+            pose = Pose(R=R, T=np.array(T))
+            exact = pose_is_nondegenerate(K, pose, sampling, axis_len)
+            draws += 1
+            if _surely_degenerate(K, R.tolist(), T, axis_len, sampling.min_axis_px):
+                refused += 1
+                wrongly_refused += exact
+            elif exact:
+                # the same draw with its own shortest axis as the bound, which
+                # the exact test still accepts: the pre-test must too
+                shortest = float(triaxis_lengths(project_triaxis(K, pose, axis_len)).min())
+                tight = dataclasses.replace(sampling, min_axis_px=shortest)
+                assert pose_is_nondegenerate(K, pose, tight, axis_len)
+                wrongly_refused += _surely_degenerate(K, R.tolist(), T, axis_len, shortest)
+                at_threshold += 1
+    assert draws >= 10_000 and refused > 5000 and at_threshold > 200
+    assert wrongly_refused == 0
+
+
+def test_sample_pose_judges_few_draws_exactly(monkeypatch):
+    counts = {"draws": 0, "judged": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(dataset, "random_rotation", counted("draws", random_rotation))
+    monkeypatch.setattr(dataset, "pose_is_nondegenerate", counted("judged", pose_is_nondegenerate))
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        sample_pose(rng, default_intrinsics(32), SamplingConfig())
+    # nearly every rejection at the default fails the min_axis_px length test
+    assert counts["draws"] > 150 and counts["judged"] < counts["draws"] / 4
 
 
 def _twelve_projection_predicate(K, pose, sampling, axis_len):

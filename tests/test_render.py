@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from axisforge import render
-from axisforge.camera import Pose, project_axes, project_point, random_rotation, rot_x, rot_y
+from axisforge.camera import Pose, project_axes, project_point, project_triaxis, random_rotation, rot_x, rot_y
 from axisforge.config import CameraIntrinsics, DegradationSpec
 from axisforge.errors import NonPositiveDepth
 from axisforge.render import (
     _AMBIENT,
     _LIGHT,
-    _fill_convex_quad,
     _pixel_grid,
+    _quad_coverage,
     apply_degradation,
     atomic_write,
     load_f32,
@@ -49,6 +49,37 @@ def test_triaxis_channels_lie_on_projected_segments():
         assert dist.max() < 2.0
 
 
+def _render_triaxis_per_axis(K, pose, axis_len, thickness_px):
+    """render_triaxis drawing one axis at a time, each from its own
+    distance-to-segment pass, the form the one-pass render must reproduce
+    bit for bit."""
+    points = project_triaxis(K, pose, axis_len)
+    vv, uu = np.mgrid[0 : K.height, 0 : K.width].astype(float)
+    px = np.stack([uu, vv], axis=-1)
+    img = np.zeros((K.height, K.width, 3))
+    for i in range(3):
+        p0, d = points[0], points[i + 1] - points[0]
+        t = np.clip(((px - p0) @ d) / float(d @ d), 0.0, 1.0)
+        dist = np.linalg.norm(px - (p0 + t[..., None] * d), axis=-1)
+        img[:, :, i] = np.clip(thickness_px / 2.0 + 0.5 - dist, 0.0, 1.0)
+    return img
+
+
+def test_render_triaxis_matches_per_axis_passes():
+    rng = np.random.default_rng(11)
+    cams = [
+        CameraIntrinsics(f_x=25.0, f_y=25.0, c_x=16.0, c_y=16.0, width=32, height=32),
+        CameraIntrinsics(f_x=100.0, f_y=96.0, c_x=63.5, c_y=64.25, width=112, height=96, gamma=1.5),
+        CameraIntrinsics(f_x=25.0, f_y=25.0, c_x=16.0, c_y=16.0, width=40, height=24),
+    ]
+    for k in range(150):
+        pose = Pose(R=random_rotation(rng), T=[*rng.uniform(-0.5, 0.5, 2), rng.uniform(3.0, 6.0)])
+        cam, axis_len, thickness = cams[k % 3], (1.0, 0.6)[k % 2], (1.5, 2.0, 3.0)[k % 3]
+        img = render_triaxis(cam, pose, axis_len, thickness)
+        assert img.shape == (cam.height, cam.width, 3) and img.flags.c_contiguous
+        assert np.array_equal(img, _render_triaxis_per_axis(cam, pose, axis_len, thickness))
+
+
 def test_query_image_shape_and_range():
     q = render_query(K, POSE)
     assert q.shape == (128, 128) and q.dtype == np.float64
@@ -82,6 +113,8 @@ def _fill_convex_quad_per_edge(img, quad, value):
 
 
 def test_fill_convex_quad_matches_per_edge_passes():
+    """_quad_coverage of every quad in one pass, composited as render_query
+    composites a face, against one fill per quad, one pass per edge."""
     rng = np.random.default_rng(9)
     a, b, c = rng.uniform(2.0, 20.0, (3, 2))
     quads = [
@@ -96,12 +129,13 @@ def test_fill_convex_quad_matches_per_edge_passes():
         radius = rng.uniform(0.5, 15.0)
         quads.append(rng.uniform(0.0, 24.0, 2) + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
     quads += list(rng.uniform(-5.0, 30.0, (50, 4, 2)))  # arbitrary, also non-convex
+    covers = _quad_coverage(20, 28, np.array(quads))
+    assert covers.shape == (len(quads), 20, 28)
     painted = 0
-    for quad in quads:
+    for quad, cover in zip(quads, covers):
         base = rng.uniform(0.0, 1.0, (20, 28))
-        img, ref = base.copy(), base.copy()
         value = rng.uniform(0.0, 1.0)
-        _fill_convex_quad(img, quad, value)
+        img, ref = value * cover + base * (1 - cover), base.copy()
         _fill_convex_quad_per_edge(ref, quad, value)
         assert np.array_equal(img, ref)
         painted += not np.array_equal(img, base)
