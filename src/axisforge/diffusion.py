@@ -38,7 +38,6 @@ from .config import GuidanceParams
 from .errors import InvalidSchedule
 from .extraction import (
     AxisObservation,
-    ObservationAdjoint,
     ObservationBatch,
     soft_extract_with_pullback,
 )
@@ -203,20 +202,6 @@ def geo_loss(
     return (w[..., None, :] @ (d * d).sum(axis=-1)[..., None])[..., 0, 0] + (c * c).sum(axis=-1)
 
 
-def geo_loss_adjoint(
-    gen: AxisObservation | ObservationBatch,
-    gt: AxisObservation | ObservationBatch,
-    dir_weight: np.ndarray | None = None,
-) -> ObservationAdjoint:
-    """Gradient of geo_loss with respect to the generated observation(s)."""
-    w = np.ones(3) if dir_weight is None else np.asarray(dir_weight, dtype=float)
-    return ObservationAdjoint(
-        origin_px=np.zeros(np.shape(gen.centroid)),
-        dir=2.0 * w[..., None] * (gen.dir - gt.dir),
-        centroid=2.0 * (gen.centroid - gt.centroid),
-    )
-
-
 def ray_distance_map(gt: AxisObservation | ObservationBatch, shape: tuple[int, int]) -> np.ndarray:
     """Squared pixel distance from every pixel to each target axis ray, the
     half-line from gt.origin_px along gt.dir[i], as an (H, W, 3) map, or a
@@ -250,8 +235,11 @@ def geo_image_gradient(
         rays = ray_distance_map(target, x0_hat.shape[1:3])
     gen, aniso, spread, pullback = soft_extract_with_pullback(np.clip(x0_hat, 0.0, 1.0), sharpness, rays)
     losses = geo_loss(gen, target, aniso) + spread.sum(axis=1)
-    dir_err = ((gen.dir - target.dir) ** 2).sum(axis=-1)
-    g_img = pullback(geo_loss_adjoint(gen, target, aniso), np.ones(aniso.shape), dir_err)
+    # geo_loss's cotangents (the origin does not enter it), then the ray
+    # costs' and the anisotropies'
+    d_dir = gen.dir - target.dir
+    cot = (np.zeros(gen.centroid.shape), 2.0 * aniso[..., None] * d_dir, 2.0 * (gen.centroid - target.centroid))
+    g_img = pullback(*cot, np.ones(aniso.shape), (d_dir * d_dir).sum(axis=-1))
     g_img *= (x0_hat > 0.0) & (x0_hat < 1.0)  # clamp pass-through
     return losses, g_img, gen.errors
 
@@ -378,7 +366,7 @@ def sample_batch(
     x = np.stack([rng.standard_normal((shape[0], shape[1], 3)) for rng in rngs]).astype(denoiser.dtype, copy=False)
     cond = None
     if conds[0] is not None:  # prepared once for the whole chain
-        cond = denoiser.prepare_condition(np.stack([np.asarray(c, dtype=float) for c in conds]))
+        cond = denoiser.prepare_condition(np.stack(conds))
     guided = guidance is not None and guidance.rho_base != 0.0
     if guided:  # the targets and the image shape are fixed along a chain
         target = ObservationBatch.stack(targets)

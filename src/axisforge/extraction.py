@@ -8,7 +8,8 @@ Two variants share one moment-based pipeline:
   sigmoid weight so that every output is a smooth function of every pixel,
   and returns the hand-derived adjoint with the observation; the
   sampling-time guidance gradient uses it. It takes only a batch, and a
-  failed image's error comes back in its slot of the ObservationBatch.
+  failed image's error comes back in its slot of the ObservationBatch; its
+  pullback takes the cotangent as plain arrays (d_origin, d_dir, d_centroid).
   ``extract_axes_soft`` and ``soft_extract_vjp`` run one image as a batch
   of one and raise its error. They stay because the benchmark's tracer
   (``perfbench/tracing.py``) looks them up by name.
@@ -16,8 +17,9 @@ Two variants share one moment-based pipeline:
 Per channel: weighted mean, principal eigenvector of the 2x2 second-moment
 matrix, then a least-squares intersection of the three lines gives the
 origin. Directions are sign-corrected to point from the origin toward the
-channel mass. The pipeline works on a leading batch axis throughout, so a
-batch of images costs a fixed number of array operations. Full-image
+channel mass. The second-moment terms a - c, 2b and a + c are formed once,
+in ``_Moments``. The pipeline works on a leading batch axis throughout, so
+a batch of images costs a fixed number of array operations. Full-image
 passes run in the images' dtype; the per-channel moments are float64.
 """
 
@@ -59,24 +61,6 @@ class AxisObservation:
 
     def to_flat(self) -> list[float]:
         return [*self.origin_px, *self.dir.ravel(), *self.centroid]
-
-
-@dataclass(frozen=True)
-class ObservationAdjoint:
-    """Cotangent with the same shape as AxisObservation, without unit
-    constraints; a batch of B cotangents keeps its leading axis:
-    origin_px (B, 2), dir (B, 3, 2), centroid (B, 2)."""
-
-    origin_px: np.ndarray
-    dir: np.ndarray
-    centroid: np.ndarray
-
-    def __post_init__(self):
-        o = np.asarray(self.origin_px, dtype=float)
-        lead = o.shape[:-1]
-        object.__setattr__(self, "origin_px", o.reshape(*lead, 2))
-        object.__setattr__(self, "dir", np.asarray(self.dir, dtype=float).reshape(*lead, 3, 2))
-        object.__setattr__(self, "centroid", np.asarray(self.centroid, dtype=float).reshape(*lead, 2))
 
 
 @dataclass(frozen=True)
@@ -122,7 +106,10 @@ class _Moments:
     """Weighted moments of the three channels of each image in a batch of
     weight images (B, H, W, 3), from one product per image with the
     coordinate monomials in the images' dtype; each per-channel quantity is
-    a float64 (B, 3) array, and the pullback is an image in that dtype."""
+    a float64 (B, 3) array, and the pullback is an image in that dtype.
+    Beside the central moments a, b, c it keeps x = a - c, y = 2b and
+    trace = a + c for every reader: the principal axis is at angle
+    atan2(y, x) / 2 and the eigenvalues are (trace +- hypot(x, y)) / 2."""
 
     def __init__(self, w: np.ndarray):
         self.shape = w.shape
@@ -135,10 +122,8 @@ class _Moments:
             self.a = raw[..., 3] / self.mass - mu * mu
             self.b = raw[..., 4] / self.mass - mu * mv
             self.c = raw[..., 5] / self.mass - mv * mv
-        half = np.hypot(self.a - self.c, 2 * self.b) / 2.0
-        mid = (self.a + self.c) / 2.0
-        self.lam_max, self.lam_min = mid + half, mid - half
-        theta = 0.5 * np.arctan2(2 * self.b, self.a - self.c)
+        self.x, self.y, self.trace = self.a - self.c, 2.0 * self.b, self.a + self.c
+        theta = 0.5 * np.arctan2(self.y, self.x)
         self.e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)  # principal axes, (B, 3, 2)
 
     def pullback(self, d_mass, d_mean, d_a, d_b, d_c) -> np.ndarray:
@@ -199,7 +184,8 @@ def extract_axes_hard(img: np.ndarray) -> AxisObservation:
     mask = data > 0.5
     m = _Moments((data * mask)[None])
     counts = mask.sum(axis=(0, 1))
-    lam_max, lam_min = m.lam_max[0], m.lam_min[0]
+    half, mid = np.hypot(m.x[0], m.y[0]) / 2.0, m.trace[0] / 2.0
+    lam_max, lam_min = mid + half, mid - half
     for i in range(3):
         if counts[i] < MIN_HARD_PIXELS:
             raise EmptyChannel(i)
@@ -269,7 +255,8 @@ def soft_extract_with_pullback(
     ((lam_max - lam_min) / (lam_max + lam_min))^2 of its second-moment
     matrix, in [0, 1], as (B, 3); the soft-weighted mean of ``cost_map`` (a
     per-pixel cost, (B, H, W, 3)) in each channel, (B, 3), or None without a
-    map; and a pullback mapping a batched observation cotangent, and
+    map; and a pullback mapping the observation's cotangent, given as three
+    arrays d_origin (B, 2), d_dir (B, 3, 2) and d_centroid (B, 2), and
     optionally (B, 3) cotangents of the channel costs and anisotropies, to
     the image gradient of the loss, (B, H, W, 3).
 
@@ -307,9 +294,9 @@ def soft_extract_with_pullback(
         centroid=np.where(nan_rows, np.nan, centroid),
         errors=errors,
     )
-    x_t, y_t, trace = m.a - m.c, 2.0 * m.b, m.a + m.c
-    trace_sq = np.maximum(trace * trace, 1e-300)
-    anisotropy = (x_t * x_t + y_t * y_t) / trace_sq
+    r_sq = m.x * m.x + m.y * m.y  # (lam_max - lam_min)^2
+    trace_sq = np.maximum(m.trace * m.trace, 1e-300)
+    anisotropy = r_sq / trace_sq
     # an image without mass divides by zero below; its rows are discarded
     cost = None if cost_map is None else np.asarray(cost_map, dtype=data.dtype)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -317,36 +304,39 @@ def soft_extract_with_pullback(
 
     @np.errstate(invalid="ignore", divide="ignore")
     def pullback(
-        cotangent: ObservationAdjoint | ObservationBatch,
+        d_origin: np.ndarray,
+        d_dir: np.ndarray,
+        d_centroid: np.ndarray,
         cost_cot: np.ndarray | None = None,
         aniso_cot: np.ndarray | None = None,
     ) -> np.ndarray:
         total = m.mass.sum(axis=1, keepdims=True)
         # centroid = sum(mass_i * mean_i) / total
-        d_mean = (m.mass / total)[..., None] * cotangent.centroid[:, None]
-        d_mass = ((m.mean - centroid[:, None]) @ cotangent.centroid[..., None])[..., 0] / total
+        d_mean = (m.mass / total)[..., None] * d_centroid[:, None]
+        d_mass = ((m.mean - centroid[:, None]) @ d_centroid[..., None])[..., 0] / total
         # origin = A^-1 r with A = sum(P_i), r = sum(P_i mean_i), P_i = I - e_i e_i^T;
-        # dL/dP_i = y (mean_i - origin)^T with y = A^-1 g_origin
-        y = np.linalg.solve(A, cotangent.origin_px[..., None])[..., 0]
+        # dL/dP_i = z (mean_i - origin)^T with z = A^-1 d_origin
+        z = np.linalg.solve(A, d_origin[..., None])[..., 0]
         rel = m.mean - origin[:, None]
-        ey = (m.e @ y[..., None])[..., 0]
+        ez = (m.e @ z[..., None])[..., 0]
         d_e = (
-            sign[..., None] * cotangent.dir
-            - np.einsum("bik,bik->bi", rel, m.e)[..., None] * y[:, None]
-            - rel * ey[..., None]
+            sign[..., None] * d_dir
+            - np.einsum("bik,bik->bi", rel, m.e)[..., None] * z[:, None]
+            - rel * ez[..., None]
         )
-        d_mean += y[:, None] - m.e * ey[..., None]
-        # e = (cos theta, sin theta) with theta = atan2(2b, a - c) / 2; an
+        d_mean += z[:, None] - m.e * ez[..., None]
+        # e = (cos theta, sin theta) with theta = atan2(y, x) / 2; an
         # exactly isotropic channel has no angular sensitivity
         d_theta = d_e[..., 1] * m.e[..., 0] - d_e[..., 0] * m.e[..., 1]
-        k = d_theta / np.maximum(x_t * x_t + y_t * y_t, 1e-300)
-        d_a, d_b, d_c = -0.5 * y_t * k, x_t * k, 0.5 * y_t * k
+        k = d_theta / np.maximum(r_sq, 1e-300)
+        d_a, d_b, d_c = -0.5 * m.y * k, m.x * k, 0.5 * m.y * k
         if aniso_cot is not None:
-            # anisotropy = (x^2 + y^2) / trace^2 with x = a - c, y = 2b, trace = a + c
+            # anisotropy = (x^2 + y^2) / trace^2
             q_cot = np.asarray(aniso_cot, dtype=float)
-            d_a = d_a + q_cot * (2.0 * x_t - 2.0 * anisotropy * trace) / trace_sq
-            d_b = d_b + q_cot * 4.0 * y_t / trace_sq
-            d_c = d_c + q_cot * (-2.0 * x_t - 2.0 * anisotropy * trace) / trace_sq
+            two_q_trace = 2.0 * anisotropy * m.trace
+            d_a = d_a + q_cot * (2.0 * m.x - two_q_trace) / trace_sq
+            d_b = d_b + q_cot * 4.0 * m.y / trace_sq
+            d_c = d_c + q_cot * (-2.0 * m.x - two_q_trace) / trace_sq
         g_w = m.pullback(d_mass, d_mean, d_a, d_b, d_c)
         if cost_cot is not None:
             # costs_i = sum(w_i * cost_i) / mass_i
@@ -376,8 +366,9 @@ def extract_axes_soft(img: np.ndarray, sharpness: float) -> AxisObservation:
 def soft_extract_vjp(
     img: np.ndarray,
     sharpness: float,
-    cotangent: ObservationAdjoint | AxisObservation,
+    cotangent: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Adjoint of extract_axes_soft: d<cotangent, soft(img)>/d img, shape (H, W, 3)."""
+    """Adjoint of extract_axes_soft: d<cotangent, soft(img)>/d img, shape (H, W, 3),
+    for a cotangent (d_origin (2,), d_dir (3, 2), d_centroid (2,))."""
     pullback = _single_soft(img, sharpness)[1]
-    return pullback(ObservationAdjoint(cotangent.origin_px[None], cotangent.dir[None], cotangent.centroid[None]))[0]
+    return pullback(*(c[None] for c in cotangent))[0]

@@ -51,7 +51,6 @@ from .diffusion import (
 from .errors import AxisForgeError
 from .extraction import (
     AxisObservation,
-    ObservationAdjoint,
     ObservationBatch,
     extract_axes_hard,
     extract_axes_soft,
@@ -251,7 +250,7 @@ def _soft_vjp_fd_case(
     img = render_triaxis(K, pose, thickness_px=thickness_px)
     cots = rng.standard_normal((1, 10)) if random_cot else np.eye(10)
     grads = [
-        soft_extract_vjp(img, 50.0, ObservationAdjoint(origin_px=c[:2], dir=c[2:8], centroid=c[8:])) for c in cots
+        soft_extract_vjp(img, 50.0, (c[:2], c[2:8].reshape(3, 2), c[8:])) for c in cots
     ]
     h = 1e-4
     worst = 0.0

@@ -153,7 +153,8 @@ def apply_degradation(img: np.ndarray, spec: DegradationSpec, seed: int) -> np.n
     """Occlude, add noise, clamp, then blur. Seeded by ``seed`` and reproducible."""
     out = np.array(img, dtype=float)
     h, w = out.shape[:2]
-    rng = np.random.default_rng(seed)
+    if spec.occlusion_frac > 0 or spec.noise_sigma > 0:
+        rng = np.random.default_rng(seed)
     if spec.occlusion_frac > 0:
         area = spec.occlusion_frac * h * w
         aspect = rng.uniform(0.5, 2.0)

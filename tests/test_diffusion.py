@@ -13,7 +13,6 @@ from axisforge.diffusion import (
     gaussian_optimal_timesteps,
     geo_image_gradient,
     geo_loss,
-    geo_loss_adjoint,
     guided_x0_batch,
     make_schedule,
     ray_distance_map,
@@ -24,7 +23,6 @@ from axisforge.diffusion import (
 from axisforge.errors import InvalidSchedule, NoIntersection, VanishingMass
 from axisforge.extraction import (
     AxisObservation,
-    ObservationAdjoint,
     ObservationBatch,
     extract_axes_hard,
     soft_extract_with_pullback,
@@ -136,11 +134,18 @@ def test_geo_loss_and_adjoint():
     rng = np.random.default_rng(4)
     K = default_intrinsics(32)
     pose = sample_pose(rng, K, SamplingConfig(min_axis_px=6.0))
-    obs = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
+    x0 = render_triaxis(K, pose, thickness_px=1.5)[None]
+    obs = extract_axes_hard(x0[0])
     assert geo_loss(obs, obs) == 0.0
-    adj = geo_loss_adjoint(obs, obs)
-    assert np.allclose(adj.dir, 0.0)
-    assert np.allclose(adj.centroid, 0.0)
+    # against its own soft observation an image's geo_loss and its gradient
+    # vanish, leaving the loss and gradient of the ray term alone
+    gen = soft_extract_with_pullback(x0, 50.0)[0]
+    rays = ray_distance_map(gen, (32, 32))
+    _, _, spread, pullback = soft_extract_with_pullback(x0, 50.0, rays)
+    losses, grads, errors = geo_image_gradient(x0, gen, 50.0, rays)
+    assert errors == [None] and np.array_equal(losses, spread.sum(axis=1))
+    ray_grad = pullback(np.zeros((1, 2)), np.zeros((1, 3, 2)), np.zeros((1, 2)), np.ones((1, 3)), np.zeros((1, 3)))
+    assert np.any(grads) and np.array_equal(grads, ray_grad * ((x0 > 0.0) & (x0 < 1.0)))
 
 
 def _near_isotropic_image(eps, size=32):
@@ -162,12 +167,12 @@ def test_guidance_gradient_bounded_near_isotropy():
     target = ObservationBatch.stack([
         AxisObservation(origin_px=[14.0, 15.0], dir=[[-0.6, -0.8], [1.0, 0.0], [0.0, 1.0]], centroid=[15.0, 15.0])
     ])
-    turn = ObservationAdjoint(origin_px=np.zeros((1, 2)), dir=[[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]], centroid=np.zeros(2))
+    turn = (np.zeros((1, 2)), np.array([[[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]]), np.zeros((1, 2)))
     raw, weighted = [], []
     for eps in (1e-2, 1e-4, 1e-6):
         x0 = _near_isotropic_image(eps)[None]
         _, aniso, _, pullback = soft_extract_with_pullback(x0, 50.0)
-        raw.append(np.linalg.norm(pullback(turn)))
+        raw.append(np.linalg.norm(pullback(*turn)))
         weighted.append(np.linalg.norm(geo_image_gradient(x0, target, 50.0)[1]))
     assert aniso[0, 0] < 1e-10 and np.all(aniso[0, 1:] > 0.5)
     # the bare direction's adjoint grows like 1 / (lam_max - lam_min) ...

@@ -9,7 +9,6 @@ from axisforge.dataset import sample_pose
 from axisforge.errors import DegenerateChannel, EmptyChannel, VanishingMass
 from axisforge.extraction import (
     AxisObservation,
-    ObservationAdjoint,
     _channel_sums,
     extract_axes_hard,
     extract_axes_soft,
@@ -108,10 +107,10 @@ def _blob_image(size=32, stds=(3.0, 2.2)):
 
 
 def _cotangent(rng, lead=()):
-    """A random observation cotangent, flat and as an adjoint with the
-    leading batch axes ``lead``."""
+    """A random observation cotangent, flat and as the pullback's arrays
+    (d_origin, d_dir, d_centroid) with the leading batch axes ``lead``."""
     cot_vec = rng.standard_normal(10)
-    adj = ObservationAdjoint(origin_px=cot_vec[:2].reshape(*lead, 2), dir=cot_vec[2:8], centroid=cot_vec[8:])
+    adj = (cot_vec[:2].reshape(*lead, 2), cot_vec[2:8].reshape(*lead, 3, 2), cot_vec[8:].reshape(*lead, 2))
     return cot_vec, adj
 
 
@@ -143,7 +142,7 @@ def test_soft_extraction_accepts_isotropic_channel():
     obs, aniso, _, pullback = soft_extract_with_pullback(img[None], 50.0)
     assert np.all(np.isfinite(np.array(obs.record(0).to_flat())))
     assert aniso[0, 0] < 1e-20 and np.all(aniso[0, 1:] > 0.05)
-    assert np.all(np.isfinite(pullback(_cotangent(np.random.default_rng(6), (1,))[1], None, np.ones((1, 3)))))
+    assert np.all(np.isfinite(pullback(*_cotangent(np.random.default_rng(6), (1,))[1], None, np.ones((1, 3)))))
 
 
 def test_soft_extraction_cost_map_and_anisotropy_adjoint():
@@ -157,13 +156,40 @@ def test_soft_extraction_cost_map_and_anisotropy_adjoint():
         obs, aniso, costs, _ = soft_extract_with_pullback(x[None], 5.0, cost[None])
         return float(cot_vec @ np.array(obs.record(0).to_flat()) + cost_cot @ costs[0] + aniso_cot @ aniso[0])
 
-    grad = soft_extract_with_pullback(img[None], 5.0, cost[None])[3](adj, cost_cot[None], aniso_cot[None])[0]
+    grad = soft_extract_with_pullback(img[None], 5.0, cost[None])[3](*adj, cost_cot[None], aniso_cot[None])[0]
     h = 1e-5
     for _ in range(5):
         v = rng.standard_normal(img.shape)
         v /= np.linalg.norm(v)
         fd = (objective(img + h * v) - objective(img - h * v)) / (2 * h)
         assert abs(float((grad * v).sum()) - fd) < 1e-4 * max(1.0, abs(fd))
+
+
+def test_batched_pullback_matches_each_records_finite_differences():
+    # three records in one batch, the middle one without mass: each row's
+    # gradient is the derivative of that record's own objective, extracted
+    # alone, so a pullback that mixed records would fail here
+    rng = np.random.default_rng(12)
+    images = np.stack([_blob_image(), np.zeros((32, 32, 3)), _blob_image(stds=(4.0, 1.5))[::-1]])
+    cost = 20.0 * rng.random(images.shape)
+    cot_vecs = rng.standard_normal((3, 10))
+    adj = (cot_vecs[:, :2], cot_vecs[:, 2:8].reshape(3, 3, 2), cot_vecs[:, 8:])
+    cost_cot, aniso_cot = rng.standard_normal((2, 3, 3))
+    grads = soft_extract_with_pullback(images, 5.0, cost)[3](*adj, cost_cot, aniso_cot)
+
+    def objective(b, x):
+        obs, aniso, costs, _ = soft_extract_with_pullback(x[None], 5.0, cost[b][None])
+        flat = np.array(obs.record(0).to_flat())
+        return float(cot_vecs[b] @ flat + cost_cot[b] @ costs[0] + aniso_cot[b] @ aniso[0])
+
+    assert np.all(grads[1] == 0.0)
+    h = 1e-5
+    for b in (0, 2):
+        for _ in range(5):
+            v = rng.standard_normal(images.shape[1:])
+            v /= np.linalg.norm(v)
+            fd = (objective(b, images[b] + h * v) - objective(b, images[b] - h * v)) / (2 * h)
+            assert abs(float((grads[b] * v).sum()) - fd) < 1e-4 * max(1.0, abs(fd))
 
 
 def test_soft_weights_limits():
@@ -204,16 +230,16 @@ def test_soft_extraction_and_pullback_leave_their_inputs_unchanged():
     rng = np.random.default_rng(9)
     images = np.stack([_blob_image(), _blob_image(stds=(4.0, 1.5)), np.zeros((32, 32, 3))])  # the last has no mass
     cost = 20.0 * rng.random(images.shape)
-    adj = ObservationAdjoint(rng.standard_normal((3, 2)), rng.standard_normal((3, 3, 2)), rng.standard_normal((3, 2)))
+    adj = (rng.standard_normal((3, 2)), rng.standard_normal((3, 3, 2)), rng.standard_normal((3, 2)))
     cost_cot, aniso_cot = rng.standard_normal((2, 3, 3))
-    inputs = (images, cost, adj.origin_px, adj.dir, adj.centroid, cost_cot, aniso_cot)
+    inputs = (images, cost, *adj, cost_cot, aniso_cot)
     copies = [a.copy() for a in inputs]
     obs, _, _, pullback = soft_extract_with_pullback(images, 5.0, cost)
     assert obs.errors[:2] == [None, None] and isinstance(obs.errors[2], VanishingMass)
     for cots in ((), (cost_cot,), (None, aniso_cot), (cost_cot, aniso_cot)):
-        first = pullback(adj, *cots)
+        first = pullback(*adj, *cots)
         kept = first.copy()
-        second = pullback(adj, *cots)
+        second = pullback(*adj, *cots)
         # each call returns a new array that the next call leaves alone
         assert np.array_equal(second, first) and np.array_equal(first, kept)
         assert not any(np.shares_memory(first, a) for a in (second, *inputs))

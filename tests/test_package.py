@@ -45,6 +45,24 @@ def test_reading_a_config_imports_no_numerics(tmp_path):
     assert out.stdout.strip() == "3 []"
 
 
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # scipy and pytest-benchmark are installed for development, so an
+    # import of either would pass every other test and break an install
+    # that has only the declared dependency
+    allowed = set(sys.stdlib_module_names) | {"numpy", "axisforge"}
+    outside = []
+    for path in sorted(Path(axisforge.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["axisforge" if node.level else node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: {n}" for n in names if n.partition(".")[0] not in allowed]
+    assert outside == []
+
+
 def test_every_config_section_is_defined_in_config():
     # a section defined beside the numerics would make reading a config import them
     sections, outside = {"Section"}, []

@@ -225,6 +225,22 @@ def test_degradation_blur_preserves_interior_mean():
     assert abs(out[4:-4, 4:-4].mean() - img[4:-4, 4:-4].mean()) < 0.02
 
 
+def test_degradation_without_draws_builds_no_generator(monkeypatch):
+    # the default spec (and a blur alone) draws nothing, so it must not pay
+    # for a generator; a spec that draws still builds one from the seed
+    img = np.random.default_rng(2).uniform(size=(16, 16))
+    want = {spec: apply_degradation(img, spec, 4) for spec in (DegradationSpec(), DegradationSpec(blur_radius=1))}
+
+    def refuse(seed):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for spec, out in want.items():
+        assert np.array_equal(apply_degradation(img, spec, 4), out)
+    with pytest.raises(AssertionError, match="generator"):
+        apply_degradation(img, DegradationSpec(noise_sigma=0.1), 4)
+
+
 def test_f32_roundtrip(tmp_path):
     img = render_triaxis(K, POSE)
     p = tmp_path / "img.f32"
