@@ -1,5 +1,9 @@
 """Pinhole camera model, tri-axis forward projection, and rotation helpers.
 
+``AxisObservation`` is the one type of a tri-axis image, the object that
+passes from projection and extraction to guidance and the pose solver: an
+origin, three directed unit axes and a centroid, for one image or a batch.
+
 Conventions (standard computer vision):
     camera frame  - X right, Y down, Z forward along the optical axis
     image frame   - u right, v down, in pixels; pixel (col j, row i) has
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,25 +48,52 @@ class Pose:
 
 
 @dataclass(frozen=True)
-class AxisLines:
-    """Directed image of the object's tri-axis.
+class AxisObservation:
+    """The image of the object's tri-axis, for one image or for B records
+    stacked along a leading axis.
 
-    origin_px : image of the object origin
-    dir       : (3, 2) unit vectors pointing from the origin toward each
-                projected axis endpoint (X, Y, Z order)
+    origin_px : (..., 2) image of the object origin
+    dir       : (..., 3, 2) unit vectors pointing from the origin toward each
+                axis (X, Y, Z order)
+    centroid  : (..., 2) centroid of the three axis segments' ink
+    errors    : for a batch, errors[b] is the exception of record b, whose
+                extraction failed and whose rows are nan; empty for one image
     """
 
     origin_px: np.ndarray
     dir: np.ndarray
+    centroid: np.ndarray
+    errors: Sequence[Exception | None] = ()
 
     def __post_init__(self):
-        origin = np.asarray(self.origin_px, dtype=float).reshape(2)
-        d = np.asarray(self.dir, dtype=float).reshape(3, 2)
-        object.__setattr__(self, "origin_px", origin)
+        origin = np.asarray(self.origin_px, dtype=float)
+        lead = origin.shape[:-1]
+        d = np.asarray(self.dir, dtype=float).reshape(*lead, 3, 2)
+        object.__setattr__(self, "origin_px", origin.reshape(*lead, 2))
         object.__setattr__(self, "dir", d)
-        norms = np.linalg.norm(d, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        object.__setattr__(self, "centroid", np.asarray(self.centroid, dtype=float).reshape(*lead, 2))
+        # a nan row compares False: a failed record's rows pass, and hide no other row
+        if np.any(np.abs(np.linalg.norm(d, axis=-1) - 1.0) > 1e-9):
             raise ValueError("axis directions must be unit vectors")
+
+    @classmethod
+    def stack(cls, observations: Sequence["AxisObservation"]) -> "AxisObservation":
+        """B single-image observations as one batch without errors."""
+        return cls(
+            origin_px=np.stack([o.origin_px for o in observations]),
+            dir=np.stack([o.dir for o in observations]),
+            centroid=np.stack([o.centroid for o in observations]),
+            errors=[None] * len(observations),
+        )
+
+    def record(self, b: int) -> "AxisObservation":
+        """Record b of a batch; raises its extraction error if it failed."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        return AxisObservation(origin_px=self.origin_px[b], dir=self.dir[b], centroid=self.centroid[b])
+
+    def to_flat(self) -> list[float]:
+        return [*self.origin_px, *self.dir.ravel(), *self.centroid]
 
 
 def project_points(K: CameraIntrinsics, pose: Pose, X_obj) -> np.ndarray:
@@ -83,17 +115,11 @@ def project_point(K: CameraIntrinsics, pose: Pose, X_obj) -> np.ndarray:
 
 def project_triaxis(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> np.ndarray:
     """Pixel coordinates (4, 2) of the object origin and of the X, Y, Z axis
-    endpoints ``axis_len`` along each axis, bit-identical to project_point on
-    each: every point gets the same matrix-vector product with K. Raises
-    NonPositiveDepth for the first point, in that order, behind the camera."""
+    endpoints ``axis_len`` along each axis. Raises NonPositiveDepth for the
+    first point, in that order, behind the camera."""
     if axis_len <= 0:
         raise ValueError("axis_len must be positive")
-    Xc = np.vstack([pose.T, pose.R.T * axis_len + pose.T])  # row i: R @ (axis_len e_i) + T
-    behind = np.flatnonzero(Xc[:, 2] <= DEPTH_EPS)
-    if behind.size:
-        raise NonPositiveDepth(f"transformed depth {Xc[behind[0], 2]:.3g} <= {DEPTH_EPS}")
-    h = (K.K @ Xc[:, :, None])[:, :, 0]  # one stacked gemv, as project_point's K.K @ Xc
-    return h[:, :2] / h[:, 2:]
+    return project_points(K, pose, axis_len * np.eye(4, 3, -1))  # rows: 0, then axis_len e_i
 
 
 def row_norms(d: np.ndarray) -> np.ndarray:
@@ -116,16 +142,22 @@ def require_nondegenerate(lengths: np.ndarray) -> None:
             raise DegenerateAxis(i)
 
 
-def project_axes(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> AxisLines:
-    """Forward-project the object tri-axis to directed image lines.
+def project_axes(K: CameraIntrinsics, pose: Pose, axis_len: float = 1.0) -> AxisObservation:
+    """Forward-project the object tri-axis to its image.
 
     Each direction points from the projected origin toward the projected
-    endpoint ``axis_len`` along the corresponding object axis.
+    endpoint ``axis_len`` along the corresponding object axis. The centroid
+    is that of the three projected segments, each weighted by its length.
     """
     points = project_triaxis(K, pose, axis_len)
     lengths = triaxis_lengths(points)
     require_nondegenerate(lengths)
-    return AxisLines(origin_px=points[0], dir=(points[1:] - points[0]) / lengths[:, None])
+    rel = points[1:] - points[0]
+    return AxisObservation(
+        origin_px=points[0],
+        dir=rel / lengths[:, None],
+        centroid=points[0] + lengths @ rel / (2.0 * lengths.sum()),
+    )
 
 
 # --- rotation helpers ---

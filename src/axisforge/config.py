@@ -4,8 +4,8 @@ A section is a dataclass whose fields are numbers or nested sections. It
 is written as ``dataclasses.asdict``. Reading it back rejects a key that
 names no field, fills a missing field with its default, names every
 missing field that has none, and converts each value to the field's
-annotated type; an int field refuses a fraction, and a numeric field
-refuses a boolean. Every error is a
+annotated type; an int field refuses a fraction, a float field refuses
+NaN and infinity, and a numeric field refuses a boolean. Every error is a
 ValueError naming the dotted key, e.g. ``'guidance.rho_base'``.
 
 Every section lives here, from the camera to the guidance, with
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from functools import cached_property
 from pathlib import Path
@@ -64,9 +65,12 @@ def _decode(tp: type, value, key: str):
     if tp is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"config key '{key}' must be an integer, not {value!r}")
     try:
-        return tp(value)
+        value = tp(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config key '{key}': {exc}") from exc
+    if tp is float and not math.isfinite(value):
+        raise ValueError(f"config key '{key}' must be finite, not {value!r}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)

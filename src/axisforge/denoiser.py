@@ -89,8 +89,8 @@ class MLPDenoiser(DenoiserInterface):
         sigma_data: float = DEFAULT_SIGMA_DATA,
         dtype=np.float32,
     ):
-        if not sigma_data > 0:
-            raise ValueError("sigma_data must be positive")
+        if not 0 < sigma_data < math.inf:
+            raise ValueError("sigma_data must be finite and positive")
         self.arch = arch
         self.sched = sched
         self.sigma_data = float(sigma_data)

@@ -34,13 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .camera import AxisObservation
 from .config import GuidanceParams
 from .errors import InvalidSchedule
-from .extraction import (
-    AxisObservation,
-    ObservationBatch,
-    soft_extract_with_pullback,
-)
+from .extraction import soft_extract_with_pullback
 from .render import _pixel_grid, float_array
 
 
@@ -189,8 +186,8 @@ class GaussianDenoiser(DenoiserInterface):
 # --- geometric consistency ---
 
 def geo_loss(
-    gen: AxisObservation | ObservationBatch,
-    gt: AxisObservation | ObservationBatch,
+    gen: AxisObservation,
+    gt: AxisObservation,
     dir_weight: np.ndarray | None = None,
 ):
     """Squared direction mismatch summed over axes, each axis weighted by
@@ -202,7 +199,7 @@ def geo_loss(
     return (w[..., None, :] @ (d * d).sum(axis=-1)[..., None])[..., 0, 0] + (c * c).sum(axis=-1)
 
 
-def ray_distance_map(gt: AxisObservation | ObservationBatch, shape: tuple[int, int]) -> np.ndarray:
+def ray_distance_map(gt: AxisObservation, shape: tuple[int, int]) -> np.ndarray:
     """Squared pixel distance from every pixel to each target axis ray, the
     half-line from gt.origin_px along gt.dir[i], as an (H, W, 3) map, or a
     (B, H, W, 3) stack for a batch of targets."""
@@ -213,7 +210,7 @@ def ray_distance_map(gt: AxisObservation | ObservationBatch, shape: tuple[int, i
 
 def geo_image_gradient(
     x0_hat: np.ndarray,
-    target: ObservationBatch,
+    target: AxisObservation,
     sharpness: float,
     rays: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
@@ -249,7 +246,7 @@ def guided_x0_batch(
     t: int,
     denoiser: DenoiserInterface,
     cond: np.ndarray | None,
-    target: ObservationBatch,
+    target: AxisObservation,
     rays: np.ndarray,
     guidance: GuidanceParams,
     sched: DiffusionSchedule,
@@ -369,7 +366,7 @@ def sample_batch(
         cond = denoiser.prepare_condition(np.stack(conds))
     guided = guidance is not None and guidance.rho_base != 0.0
     if guided:  # the targets and the image shape are fixed along a chain
-        target = ObservationBatch.stack(targets)
+        target = AxisObservation.stack(targets)
         rays = ray_distance_map(target, shape).astype(x.dtype, copy=False)
     step_norms, step_errors = [], []
     for i, t in enumerate(ts):

@@ -7,9 +7,10 @@ Two variants share one moment-based pipeline:
 * ``soft_extract_with_pullback`` replaces the threshold with a graded
   sigmoid weight so that every output is a smooth function of every pixel,
   and returns the hand-derived adjoint with the observation; the
-  sampling-time guidance gradient uses it. It takes only a batch, and a
-  failed image's error comes back in its slot of the ObservationBatch; its
-  pullback takes the cotangent as plain arrays (d_origin, d_dir, d_centroid).
+  sampling-time guidance gradient uses it. It takes only a batch and
+  returns one AxisObservation (``camera.py``) for it, with a failed
+  image's error in its slot of the observation's errors; its pullback
+  takes the cotangent as plain arrays (d_origin, d_dir, d_centroid).
   ``extract_axes_soft`` and ``soft_extract_vjp`` run one image as a batch
   of one and raise its error. They stay because the benchmark's tracer
   (``perfbench/tracing.py``) looks them up by name.
@@ -26,12 +27,12 @@ passes run in the images' dtype; the per-channel moments are float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from .camera import AxisObservation
 from .errors import DegenerateChannel, EmptyChannel, NoIntersection, VanishingMass
 from .render import _pixel_grid, float_array
 
@@ -39,55 +40,6 @@ MIN_HARD_PIXELS = 8
 SOFT_MASS_FLOOR = 1e-6
 EIGEN_RATIO_FLOOR = 4.0
 _INTERSECT_DET_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class AxisObservation:
-    """Tri-axis measurement: intersection point, directed unit axes, centroid."""
-
-    origin_px: np.ndarray
-    dir: np.ndarray
-    centroid: np.ndarray
-
-    def __post_init__(self):
-        o = np.asarray(self.origin_px, dtype=float).reshape(2)
-        d = np.asarray(self.dir, dtype=float).reshape(3, 2)
-        c = np.asarray(self.centroid, dtype=float).reshape(2)
-        object.__setattr__(self, "origin_px", o)
-        object.__setattr__(self, "dir", d)
-        object.__setattr__(self, "centroid", c)
-        if np.max(np.abs(np.linalg.norm(d, axis=1) - 1.0)) > 1e-9:
-            raise ValueError("axis directions must be unit vectors")
-
-    def to_flat(self) -> list[float]:
-        return [*self.origin_px, *self.dir.ravel(), *self.centroid]
-
-
-@dataclass(frozen=True)
-class ObservationBatch:
-    """AxisObservation fields of B records stacked along a leading axis:
-    origin_px (B, 2), dir (B, 3, 2), centroid (B, 2). A record whose
-    extraction failed has nan rows and its exception in errors[b]."""
-
-    origin_px: np.ndarray
-    dir: np.ndarray
-    centroid: np.ndarray
-    errors: list[Exception | None]
-
-    @classmethod
-    def stack(cls, observations: Sequence[AxisObservation]) -> "ObservationBatch":
-        return cls(
-            origin_px=np.stack([o.origin_px for o in observations]),
-            dir=np.stack([o.dir for o in observations]),
-            centroid=np.stack([o.centroid for o in observations]),
-            errors=[None] * len(observations),
-        )
-
-    def record(self, b: int) -> AxisObservation:
-        """Record b's observation; raises its extraction error if it failed."""
-        if self.errors[b] is not None:
-            raise self.errors[b]
-        return AxisObservation(origin_px=self.origin_px[b], dir=self.dir[b], centroid=self.centroid[b])
 
 
 @lru_cache(maxsize=8)
@@ -247,11 +199,11 @@ def soft_extract_with_pullback(
     images: np.ndarray,
     sharpness: float,
     cost_map: np.ndarray | None = None,
-) -> tuple[ObservationBatch, np.ndarray, np.ndarray | None, Callable[..., np.ndarray]]:
+) -> tuple[AxisObservation, np.ndarray, np.ndarray | None, Callable[..., np.ndarray]]:
     """Soft extraction of a batch of images (B, H, W, 3) and its adjoint,
     from one forward pass.
 
-    Returns the ObservationBatch; each channel's anisotropy
+    Returns the batch's AxisObservation; each channel's anisotropy
     ((lam_max - lam_min) / (lam_max + lam_min))^2 of its second-moment
     matrix, in [0, 1], as (B, 3); the soft-weighted mean of ``cost_map`` (a
     per-pixel cost, (B, H, W, 3)) in each channel, (B, 3), or None without a
@@ -288,7 +240,7 @@ def soft_extract_with_pullback(
         else:
             errors[b] = NoIntersection("axis lines are mutually parallel")
     nan_rows = failed[:, None]
-    obs = ObservationBatch(
+    obs = AxisObservation(
         origin_px=np.where(nan_rows, np.nan, origin),
         dir=np.where(nan_rows[..., None], np.nan, dirs),
         centroid=np.where(nan_rows, np.nan, centroid),

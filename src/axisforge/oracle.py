@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import (
+    AxisObservation,
     Pose,
     project_axes,
     project_point,
@@ -50,8 +51,6 @@ from .diffusion import (
 )
 from .errors import AxisForgeError
 from .extraction import (
-    AxisObservation,
-    ObservationBatch,
     extract_axes_hard,
     extract_axes_soft,
     soft_extract_vjp,
@@ -103,11 +102,10 @@ def oracle_roundtrip_1000() -> tuple[str, str, bool]:
     while n < 1000:
         pose = _geometry_pose(rng)
         try:
-            lines = project_axes(K128, pose)
+            obs = project_axes(K128, pose)
         except AxisForgeError:
             continue
         n += 1
-        obs = AxisObservation(origin_px=lines.origin_px, dir=lines.dir, centroid=lines.origin_px)
         pred = recover_pose(obs, K128, scale_lambda_O=float(pose.T[2]))
         worst_rot = max(worst_rot, math.radians(rotation_geodesic(pose.R, pred.R)))
         worst_t = max(worst_t, float(np.linalg.norm(pose.T - pred.T) / np.linalg.norm(pose.T)))
@@ -130,11 +128,10 @@ def oracle_tbm_plane_residual() -> tuple[str, str, bool]:
     while n < 200:
         pose = _geometry_pose(rng)
         try:
-            lines = project_axes(K128, pose)
+            obs = project_axes(K128, pose)
         except AxisForgeError:
             continue
         n += 1
-        obs = AxisObservation(origin_px=lines.origin_px, dir=lines.dir, centroid=lines.origin_px)
         R = recover_pose(obs, K128).R
         r_O = K128.K_inv @ np.array([*obs.origin_px, 1.0])
         plane = 0.0
@@ -349,7 +346,7 @@ def _guidance_fd_case(seed: int) -> tuple[float, bool]:
     x0 = render_triaxis(K, pose, thickness_px=1.5)
     sched = make_schedule(200, 1e-4, 0.05)
     den = GaussianDenoiser(x0, np.full(x0.shape, 0.25), sched)
-    target = ObservationBatch.stack([extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))])
+    target = AxisObservation.stack([extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))])
     t = 100
     x_t, _ = forward_diffuse(x0, t, sched, rng)
     rays = ray_distance_map(target, x0.shape[:2])

@@ -17,10 +17,9 @@ import math
 
 import numpy as np
 
-from .camera import Pose, project_axes
+from .camera import AxisObservation, Pose, project_axes
 from .config import CameraIntrinsics
 from .errors import DegenerateAxis, NonPositiveDepth, NoValidSolution
-from .extraction import AxisObservation
 
 
 def _real_roots(poly: np.ndarray) -> list[float]:

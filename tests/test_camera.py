@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -130,6 +131,21 @@ def test_project_triaxis_matches_project_point_exactly():
         else:
             assert np.array_equal(project_triaxis(cam, pose, axis_len), ref)
     assert 10 < behind < 500
+    # axis-aligned rotations, whose products hold exact zeros, with no lateral translation
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            R = np.zeros((3, 3))
+            R[range(3), perm] = signs
+            if np.linalg.det(R) < 0:
+                continue
+            for cam, depth, axis_len in itertools.product((K, skewed), (0.5, 4.0), (1.0, 0.8, 1e-3)):
+                pose = Pose(R=R, T=[0.0, 0.0, depth])
+                ref = _project_each(cam, pose, axis_len)
+                if isinstance(ref, str):
+                    with pytest.raises(NonPositiveDepth, match=ref):
+                        project_triaxis(cam, pose, axis_len)
+                else:
+                    assert project_triaxis(cam, pose, axis_len).tobytes() == ref.tobytes()
     # the first point behind the camera is the one reported: the origin, then an endpoint
     for pose in (
         Pose(R=np.eye(3), T=[0.0, 0.0, -1.0]),

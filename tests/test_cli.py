@@ -455,6 +455,51 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("command, key, spelling", [
+    # exit 0, writing bare "mean_guidance_norm": NaN lines, which are not JSON
+    ("infer", "guidance.rho_base", "Infinity"),
+    # exit 2, blaming "1000 consecutive pose rejections"
+    ("render-dataset", "intrinsics.c_x", "NaN"),
+    # exit 0, with every tri-axis pixel 1.0
+    ("render-dataset", "render.thickness_px", "Infinity"),
+    ("render-dataset", "render.thickness_px", "1e999"),  # json reads it as inf
+    ("render-dataset", "degradation.noise_sigma", '"inf"'),
+    ("render-dataset", "guidance.sharpness", '"nan"'),
+])
+def test_non_finite_config_float_exits_2(tmp_path, config_path, capsys, command, key, spelling):
+    doc = json.loads(json.dumps(CONFIG))
+    *sections, field = key.split(".")
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[field] = "@"
+    config = tmp_path / "non_finite.json"
+    config.write_text(json.dumps(doc).replace('"@"', spelling))
+    argv = ["render-dataset"]
+    if command == "infer":
+        argv = ["infer", "--dataset", str(_render(tmp_path, config_path)), "--analytic-denoiser"]
+    out = tmp_path / "out"
+    rc = main([*argv, "--config", str(config), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}' must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_finite_float_in_manifest_exits_2(tmp_path, config_path, capsys):
+    data = _render(tmp_path, config_path)
+    path = data / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["render"]["thickness_px"] = float("inf")
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["infer", "--analytic-denoiser", "--config", str(config_path), "--dataset", str(data), "--out", str(out)])
+    assert rc == 2
+    assert f"malformed manifest {path}: config key 'thickness_px' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infer_out_of_range_steps_exits_2_before_writing(tmp_path, config_path, capsys):
     # unchecked, infer made its output directory before the sampler refused
     data = _render(tmp_path, config_path)

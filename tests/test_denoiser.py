@@ -480,6 +480,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
             load_checkpoint(p)
 
 
+def test_checkpoint_refuses_a_non_finite_sigma_data(tmp_path):
+    # a header holding "sigma_data": Infinity once loaded, and every x0_hat was nan
+    p = tmp_path / "ckpt.bin"
+    save_checkpoint(p, MLPDenoiser(ARCH, SCHED, np.random.default_rng(0)))
+    raw = p.read_bytes()
+    start = len(denoiser.CHECKPOINT_MAGIC) + 8
+    (hlen,) = struct.unpack("<I", raw[start - 4:start])
+    for value in (float("inf"), float("nan")):
+        header = json.dumps({**json.loads(raw[start:start + hlen]), "sigma_data": value}).encode()
+        p.write_bytes(raw[:start - 4] + struct.pack("<I", len(header)) + header + raw[start + hlen:])
+        with pytest.raises(ValueError, match=re.escape(str(p)) + ".*sigma_data must be finite and positive"):
+            load_checkpoint(p)
+
+
 def test_resume_continues_improving(tmp_path):
     data = _tiny_dataset()
     rng = np.random.default_rng(6)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from axisforge.camera import AxisObservation
 from axisforge.config import ArchConfig, GuidanceParams, OptConfig, SamplingConfig, default_intrinsics
 from axisforge.dataset import sample_pose
 from axisforge.diffusion import (
@@ -21,12 +22,7 @@ from axisforge.diffusion import (
     uniform_timesteps,
 )
 from axisforge.errors import InvalidSchedule, NoIntersection, VanishingMass
-from axisforge.extraction import (
-    AxisObservation,
-    ObservationBatch,
-    extract_axes_hard,
-    soft_extract_with_pullback,
-)
+from axisforge.extraction import extract_axes_hard, soft_extract_with_pullback
 from axisforge.render import render_triaxis
 
 
@@ -164,7 +160,7 @@ def _near_isotropic_image(eps, size=32):
 
 
 def test_guidance_gradient_bounded_near_isotropy():
-    target = ObservationBatch.stack([
+    target = AxisObservation.stack([
         AxisObservation(origin_px=[14.0, 15.0], dir=[[-0.6, -0.8], [1.0, 0.0], [0.0, 1.0]], centroid=[15.0, 15.0])
     ])
     turn = (np.zeros((1, 2)), np.array([[[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]]), np.zeros((1, 2)))
@@ -236,7 +232,7 @@ def test_sample_batch_matches_single_samples():
 
 def _stacked(targets, shape=(16, 16)):
     """A batch's stacked targets and their ray map, as sample_batch builds them."""
-    target = ObservationBatch.stack(targets)
+    target = AxisObservation.stack(targets)
     return target, ray_distance_map(target, shape)
 
 
@@ -446,9 +442,9 @@ def test_batched_guidance_isolates_failed_records():
     # denoiser is elementwise, so batching changes no arithmetic)
     x0_hat = den.evaluate(x_t, t)
     sharpness = GUIDANCE.sharpness * sched.abar(t)
-    one_losses, one_grads, _ = geo_image_gradient(x0_hat[:1], ObservationBatch.stack([target]), sharpness)
+    one_losses, one_grads, _ = geo_image_gradient(x0_hat[:1], AxisObservation.stack([target]), sharpness)
     img_losses, img_grads, img_errors = geo_image_gradient(
-        x0_hat[:3], ObservationBatch.stack([target] * 3), sharpness
+        x0_hat[:3], AxisObservation.stack([target] * 3), sharpness
     )
     assert img_losses[0] == one_losses[0] and np.array_equal(img_grads[0], one_grads[0])
     one_den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)

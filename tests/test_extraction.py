@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from axisforge.camera import project_axes
+from axisforge.camera import AxisObservation, project_axes
 from axisforge.config import SamplingConfig, default_intrinsics
 from axisforge.dataset import sample_pose
 from axisforge.errors import DegenerateChannel, EmptyChannel, VanishingMass
 from axisforge.extraction import (
-    AxisObservation,
     _channel_sums,
     extract_axes_hard,
     extract_axes_soft,
@@ -92,6 +91,40 @@ def test_observation_flat_roundtrip():
 def test_observation_requires_unit_directions():
     with pytest.raises(ValueError):
         AxisObservation(origin_px=np.zeros(2), dir=np.ones((3, 2)), centroid=np.zeros(2))
+
+
+def test_batch_observation_checks_every_row_that_is_not_nan():
+    # the maximum over a nan row is nan, which once passed the check and hid a bad row beside it
+    with pytest.raises(ValueError, match="unit vectors"):
+        AxisObservation(origin_px=np.zeros(2), dir=[[np.nan, np.nan], [0.0, 2.0], [1.0, 0.0]], centroid=np.zeros(2))
+    d = np.tile([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], (3, 1, 1))
+    d[0] = np.nan  # a failed record's rows
+    errors = [VanishingMass(1), None, None]
+    obs = AxisObservation(origin_px=np.zeros((3, 2)), dir=d, centroid=np.zeros((3, 2)), errors=errors)
+    with pytest.raises(VanishingMass):
+        obs.record(0)
+    assert np.array_equal(obs.record(2).dir, d[2])
+    d[2, 1] = [0.0, 2.0]
+    with pytest.raises(ValueError, match="unit vectors"):
+        AxisObservation(origin_px=np.zeros((3, 2)), dir=d, centroid=np.zeros((3, 2)), errors=errors)
+
+
+@pytest.mark.parametrize("size, thickness", [(32, 1.5), (128, 2.0)])
+def test_projected_centroid_matches_hard_extraction(size, thickness):
+    # the length-weighted centroid of the projected segments is where the
+    # rendered ink's centroid lies; the origin is 1.6 px off in the median at 32 px
+    cam = default_intrinsics(size)
+    rng = np.random.default_rng(60000)
+    gaps = []
+    for _ in range(100):
+        pose = sample_pose(rng, cam, SamplingConfig())
+        try:
+            obs = extract_axes_hard(render_triaxis(cam, pose, thickness_px=thickness))
+        except (DegenerateChannel, EmptyChannel):
+            continue
+        gaps.append(float(np.linalg.norm(project_axes(cam, pose).centroid - obs.centroid)))
+    assert len(gaps) > 90
+    assert max(gaps) < 1.0
 
 
 def _blob_image(size=32, stds=(3.0, 2.2)):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import re
@@ -75,6 +76,24 @@ def test_every_config_section_is_defined_in_config():
                 else:
                     outside.append(f"{path.name}: {node.name}")
     assert outside == []
+
+
+def test_every_config_field_is_read_in_src():
+    # a knob that only its own validation reads changes nothing that a command does
+    from axisforge import config
+
+    sections = [c for c in vars(config).values() if isinstance(c, type) and issubclass(c, config.Section)]
+    fields = {f.name for c in sections if c is not config.Section for f in dataclasses.fields(c)}
+    read = set()
+    for path in Path(axisforge.__file__).resolve().parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        checks = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"]
+        skipped = {id(n) for check in checks for n in ast.walk(check)} if path.name == "config.py" else set()
+        read |= {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in skipped
+        }
+    assert sorted(fields - read) == []
 
 
 def test_readme_counts_the_oracles_and_names_are_unique():

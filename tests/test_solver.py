@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 
 from axisforge import solver
-from axisforge.camera import project_axes
+from axisforge.camera import AxisObservation, project_axes
 from axisforge.errors import AxisForgeError
-from axisforge.extraction import AxisObservation
 from axisforge.metrics import rotation_geodesic
 from axisforge.oracle import K128 as K, _geometry_pose
 from axisforge.solver import recover_pose
-
-
-def _exact_observation(pose):
-    lines = project_axes(K, pose)
-    return AxisObservation(origin_px=lines.origin_px, dir=lines.dir, centroid=lines.origin_px)
 
 
 def _exact_poses(rng, n):
@@ -24,7 +18,7 @@ def _exact_poses(rng, n):
     while len(out) < n:
         pose = _geometry_pose(rng)
         try:
-            obs = _exact_observation(pose)
+            obs = project_axes(K, pose)
         except AxisForgeError:
             continue
         out.append((pose, obs))
