@@ -196,7 +196,7 @@ def cmd_infer(args) -> int:
 
     from .dataset import load_images, load_manifest, record_seed
     from .denoiser import load_checkpoint
-    from .diffusion import GaussianDenoiser, sample_batch
+    from .diffusion import GaussianDenoiser, sample
     from .errors import AxisForgeError
     from .extraction import extract_axes_hard
     from .render import atomic_write, save_f32
@@ -247,7 +247,7 @@ def cmd_infer(args) -> int:
         if args.analytic_denoiser:
             means = np.stack([item[1] for item in chunk])
             batch_den = GaussianDenoiser(means, np.full(means.shape, ANALYTIC_FIELD_VAR), sched)
-        images, norms, errors = sample_batch(
+        images, norms, errors = sample(
             batch_den,
             [item[2] for item in chunk],
             [item[4] for item in chunk],

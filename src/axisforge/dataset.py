@@ -210,10 +210,16 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
     if version != MANIFEST_VERSION:
         raise ManifestError(f"{path}: manifest version {version!r} is not supported; re-render the dataset")
     try:
-        intrinsics = CameraIntrinsics.from_dict(doc["intrinsics"])
-        render = RenderParams.from_dict(doc["render"])
+        intrinsics = CameraIntrinsics.from_dict(doc["intrinsics"], "intrinsics.")
+        render = RenderParams.from_dict(doc["render"], "render.")
         degradation = DegradationSpec.from_dict(doc["degradation"], "degradation.")
-        records = [DatasetRecord.from_dict(r) for r in doc["records"]]
+        records = []
+        for i, r in enumerate(doc["records"]):
+            try:
+                records.append(DatasetRecord.from_dict(r))
+            except (KeyError, ValueError, TypeError) as exc:
+                rid = f", id {r['id']!r}" if isinstance(r, dict) and "id" in r else ""
+                raise ValueError(f"{exc} (record {i}{rid})") from exc
     except (KeyError, ValueError, TypeError) as exc:
         raise ManifestError(f"malformed manifest {path}: {exc}") from exc
     repeated = [rid for rid, n in Counter(r.id for r in records).items() if n > 1]

@@ -11,7 +11,7 @@ distance from the target's axis ray. The guided estimate is
 x0_hat - rho_eff * (1 - alpha_bar_t) / alpha_bar_t * d loss / d x0_hat,
 which leaves the denoiser undifferentiated (manifold-preserving guidance,
 He et al., arXiv:2311.16424), so a guided step, ``guided_x0_batch``, costs
-one denoiser forward. ``sample_batch`` runs several records through one
+one denoiser forward. ``sample`` runs several records through one
 denoiser pass and one batched soft extraction per step, under one
 GuidanceParams for the whole call and one target per record, and returns
 plain arrays: the clipped images and each record's per-step correction
@@ -19,7 +19,7 @@ norms and skip errors.
 
 A chain runs in its denoiser's dtype (float32 for the network, float64 for
 ``GaussianDenoiser``) through every full-image pass: x_t, x0_hat, the soft
-extraction, its pullback and the DDIM step. Per-record values are float64.
+extraction, its adjoint and the DDIM step. Per-record values are float64.
 
 ``GaussianDenoiser``, the exact posterior mean of a Gaussian data
 distribution, gives an independent verification path for the sampler.
@@ -37,7 +37,7 @@ import numpy as np
 from .camera import AxisObservation
 from .config import GuidanceParams
 from .errors import InvalidSchedule
-from .extraction import soft_extract_with_pullback
+from .extraction import extract_axes_soft, soft_extract_vjp
 from .render import _pixel_grid, float_array
 
 
@@ -216,7 +216,7 @@ def geo_image_gradient(
 ) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
     """Guidance losses of clip(x0_hat, 0, 1) for a batch x0_hat of shape
     (B, H, W, 3), and their gradients with respect to x0_hat, from one soft
-    extraction and one pullback. Image b's loss is geo_loss of its soft
+    extraction and its adjoint. Image b's loss is geo_loss of its soft
     observation against target b, each direction weighted by its channel's
     anisotropy, plus, summed over channels, the soft-weighted mean of the
     squared distance to the target's ray. The anisotropy weight vanishes
@@ -230,13 +230,13 @@ def geo_image_gradient(
     """
     if rays is None:
         rays = ray_distance_map(target, x0_hat.shape[1:3])
-    gen, aniso, spread, pullback = soft_extract_with_pullback(np.clip(x0_hat, 0.0, 1.0), sharpness, rays)
+    gen, aniso, spread, state = extract_axes_soft(np.clip(x0_hat, 0.0, 1.0), sharpness, rays)
     losses = geo_loss(gen, target, aniso) + spread.sum(axis=1)
     # geo_loss's cotangents (the origin does not enter it), then the ray
     # costs' and the anisotropies'
     d_dir = gen.dir - target.dir
     cot = (np.zeros(gen.centroid.shape), 2.0 * aniso[..., None] * d_dir, 2.0 * (gen.centroid - target.centroid))
-    g_img = pullback(*cot, np.ones(aniso.shape), (d_dir * d_dir).sum(axis=-1))
+    g_img = soft_extract_vjp(state, *cot, np.ones(aniso.shape), (d_dir * d_dir).sum(axis=-1))
     g_img *= (x0_hat > 0.0) & (x0_hat < 1.0)  # clamp pass-through
     return losses, g_img, gen.errors
 
@@ -313,25 +313,6 @@ def gaussian_optimal_timesteps(sched: DiffusionSchedule, steps: int, data_var: f
 
 
 def sample(
-    denoiser: DenoiserInterface,
-    cond: np.ndarray | None,
-    target: AxisObservation | None,
-    guidance: GuidanceParams | None,
-    sched: DiffusionSchedule,
-    steps: int,
-    rng: np.random.Generator,
-    shape: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
-    """``sample_batch`` for one record, as a batch of one: its image
-    (H, W, 3), its per-step correction norms and its per-step skip errors.
-    It stays because the benchmark's tracer (``perfbench/tracing.py``)
-    looks it up by name.
-    """
-    images, norms, errors = sample_batch(denoiser, [cond], [target], guidance, sched, steps, [rng], shape)
-    return images[0], norms[0], errors[0]
-
-
-def sample_batch(
     denoiser: DenoiserInterface,
     conds: Sequence[np.ndarray | None],
     targets: Sequence[AxisObservation | None],

@@ -4,16 +4,14 @@ Two variants share one moment-based pipeline:
 
 * ``extract_axes_hard`` thresholds one image, widened to float64, at 0.5
   and is used at inference time.
-* ``soft_extract_with_pullback`` replaces the threshold with a graded
-  sigmoid weight so that every output is a smooth function of every pixel,
-  and returns the hand-derived adjoint with the observation; the
-  sampling-time guidance gradient uses it. It takes only a batch and
-  returns one AxisObservation (``camera.py``) for it, with a failed
-  image's error in its slot of the observation's errors; its pullback
-  takes the cotangent as plain arrays (d_origin, d_dir, d_centroid).
-  ``extract_axes_soft`` and ``soft_extract_vjp`` run one image as a batch
-  of one and raise its error. They stay because the benchmark's tracer
-  (``perfbench/tracing.py``) looks them up by name.
+* ``extract_axes_soft`` replaces the threshold with a graded sigmoid
+  weight so that every output is a smooth function of every pixel, and
+  ``soft_extract_vjp`` is its hand-derived adjoint; the sampling-time
+  guidance gradient uses both. The forward takes only a batch and returns
+  one AxisObservation (``camera.py``) for it, with a failed image's error in
+  its slot of the observation's errors, and the forward state that the
+  adjoint reads; the adjoint takes the cotangent as plain arrays
+  (d_origin, d_dir, d_centroid).
 
 Per channel: weighted mean, principal eigenvector of the 2x2 second-moment
 matrix, then a least-squares intersection of the three lines gives the
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,31 +193,40 @@ def soft_weights(data: np.ndarray, sharpness: float) -> tuple[np.ndarray, np.nda
     return w, th
 
 
-def soft_extract_with_pullback(
+class _SoftForward(NamedTuple):
+    """What soft_extract_vjp reads of an extract_axes_soft forward pass."""
+
+    m: _Moments
+    origin: np.ndarray
+    centroid: np.ndarray
+    sign: np.ndarray
+    A: np.ndarray
+    failed: np.ndarray
+    r_sq: np.ndarray
+    trace_sq: np.ndarray
+    anisotropy: np.ndarray
+    dw: np.ndarray
+    cost: np.ndarray | None
+    costs: np.ndarray | None
+
+
+def extract_axes_soft(
     images: np.ndarray,
     sharpness: float,
     cost_map: np.ndarray | None = None,
-) -> tuple[AxisObservation, np.ndarray, np.ndarray | None, Callable[..., np.ndarray]]:
-    """Soft extraction of a batch of images (B, H, W, 3) and its adjoint,
-    from one forward pass.
+) -> tuple[AxisObservation, np.ndarray, np.ndarray | None, _SoftForward]:
+    """Soft extraction of a batch of images (B, H, W, 3).
 
     Returns the batch's AxisObservation; each channel's anisotropy
     ((lam_max - lam_min) / (lam_max + lam_min))^2 of its second-moment
     matrix, in [0, 1], as (B, 3); the soft-weighted mean of ``cost_map`` (a
     per-pixel cost, (B, H, W, 3)) in each channel, (B, 3), or None without a
-    map; and a pullback mapping the observation's cotangent, given as three
-    arrays d_origin (B, 2), d_dir (B, 3, 2) and d_centroid (B, 2), and
-    optionally (B, 3) cotangents of the channel costs and anisotropies, to
-    the image gradient of the loss, (B, H, W, 3).
+    map; and the forward state that soft_extract_vjp reads.
 
     The extraction is graded: a blob-like channel still yields its principal
     axis, so an image fails only with VanishingMass or NoIntersection. A
     failed image raises nothing: its exception is in the observation's
-    errors, its rows are nan and its gradient is 0. A channel's direction
-    turns ever faster as it nears isotropy, so its adjoint grows like
-    1 / (lam_max - lam_min); a loss that weights the direction by the
-    anisotropy keeps a bounded gradient. Each pullback call returns a new
-    array and writes into none of its inputs.
+    errors, its rows are nan and its gradient is 0.
 
     A float32 batch stays float32 through every full-image pass, the
     weights, the cost map and the gradient; any other batch runs in
@@ -253,74 +260,65 @@ def soft_extract_with_pullback(
     cost = None if cost_map is None else np.asarray(cost_map, dtype=data.dtype)
     with np.errstate(invalid="ignore", divide="ignore"):
         costs = None if cost is None else _channel_sums(w, cost) / m.mass
-
-    @np.errstate(invalid="ignore", divide="ignore")
-    def pullback(
-        d_origin: np.ndarray,
-        d_dir: np.ndarray,
-        d_centroid: np.ndarray,
-        cost_cot: np.ndarray | None = None,
-        aniso_cot: np.ndarray | None = None,
-    ) -> np.ndarray:
-        total = m.mass.sum(axis=1, keepdims=True)
-        # centroid = sum(mass_i * mean_i) / total
-        d_mean = (m.mass / total)[..., None] * d_centroid[:, None]
-        d_mass = ((m.mean - centroid[:, None]) @ d_centroid[..., None])[..., 0] / total
-        # origin = A^-1 r with A = sum(P_i), r = sum(P_i mean_i), P_i = I - e_i e_i^T;
-        # dL/dP_i = z (mean_i - origin)^T with z = A^-1 d_origin
-        z = np.linalg.solve(A, d_origin[..., None])[..., 0]
-        rel = m.mean - origin[:, None]
-        ez = (m.e @ z[..., None])[..., 0]
-        d_e = (
-            sign[..., None] * d_dir
-            - np.einsum("bik,bik->bi", rel, m.e)[..., None] * z[:, None]
-            - rel * ez[..., None]
-        )
-        d_mean += z[:, None] - m.e * ez[..., None]
-        # e = (cos theta, sin theta) with theta = atan2(y, x) / 2; an
-        # exactly isotropic channel has no angular sensitivity
-        d_theta = d_e[..., 1] * m.e[..., 0] - d_e[..., 0] * m.e[..., 1]
-        k = d_theta / np.maximum(r_sq, 1e-300)
-        d_a, d_b, d_c = -0.5 * m.y * k, m.x * k, 0.5 * m.y * k
-        if aniso_cot is not None:
-            # anisotropy = (x^2 + y^2) / trace^2
-            q_cot = np.asarray(aniso_cot, dtype=float)
-            two_q_trace = 2.0 * anisotropy * m.trace
-            d_a = d_a + q_cot * (2.0 * m.x - two_q_trace) / trace_sq
-            d_b = d_b + q_cot * 4.0 * m.y / trace_sq
-            d_c = d_c + q_cot * (-2.0 * m.x - two_q_trace) / trace_sq
-        g_w = m.pullback(d_mass, d_mean, d_a, d_b, d_c)
-        if cost_cot is not None:
-            # costs_i = sum(w_i * cost_i) / mass_i
-            term = np.subtract(cost, _along_rows(costs, data))
-            term *= _along_rows(np.asarray(cost_cot, dtype=float) / m.mass, data)
-            g_w += term
-        g_w *= dw
-        g_w[failed] = 0.0
-        return g_w
-
-    return obs, anisotropy, costs, pullback
+    state = _SoftForward(m, origin, centroid, sign, A, failed, r_sq, trace_sq, anisotropy, dw, cost, costs)
+    return obs, anisotropy, costs, state
 
 
-def _single_soft(img: np.ndarray, sharpness: float):
-    """Observation and batch pullback of one image (H, W, 3), widened to
-    float64 and extracted as a batch of one; raises the image's
-    VanishingMass or NoIntersection."""
-    obs, _, _, pullback = soft_extract_with_pullback(np.asarray(img, dtype=float)[None], sharpness)
-    return obs.record(0), pullback
-
-
-def extract_axes_soft(img: np.ndarray, sharpness: float) -> AxisObservation:
-    """Soft extraction of one image (H, W, 3)."""
-    return _single_soft(img, sharpness)[0]
-
-
+@np.errstate(invalid="ignore", divide="ignore")
 def soft_extract_vjp(
-    img: np.ndarray,
-    sharpness: float,
-    cotangent: tuple[np.ndarray, np.ndarray, np.ndarray],
+    state: _SoftForward,
+    d_origin: np.ndarray,
+    d_dir: np.ndarray,
+    d_centroid: np.ndarray,
+    cost_cot: np.ndarray | None = None,
+    aniso_cot: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Adjoint of extract_axes_soft: d<cotangent, soft(img)>/d img, shape (H, W, 3),
-    for a cotangent (d_origin (2,), d_dir (3, 2), d_centroid (2,))."""
-    pullback = _single_soft(img, sharpness)[1]
-    return pullback(*(c[None] for c in cotangent))[0]
+    """Adjoint of extract_axes_soft, from its forward state: the image
+    gradient, (B, H, W, 3), of a loss whose cotangent is d_origin (B, 2),
+    d_dir (B, 3, 2) and d_centroid (B, 2) on the observation and,
+    optionally, (B, 3) cotangents of the channel costs and anisotropies.
+
+    A channel's direction turns ever faster as it nears isotropy, so its
+    adjoint grows like 1 / (lam_max - lam_min); a loss that weights the
+    direction by the anisotropy keeps a bounded gradient. A failed image's
+    gradient is 0. Each call returns a new array and writes into none of
+    its inputs.
+    """
+    m, origin, centroid, sign = state.m, state.origin, state.centroid, state.sign
+    total = m.mass.sum(axis=1, keepdims=True)
+    # centroid = sum(mass_i * mean_i) / total
+    d_mean = (m.mass / total)[..., None] * d_centroid[:, None]
+    d_mass = ((m.mean - centroid[:, None]) @ d_centroid[..., None])[..., 0] / total
+    # origin = A^-1 r with A = sum(P_i), r = sum(P_i mean_i), P_i = I - e_i e_i^T;
+    # dL/dP_i = z (mean_i - origin)^T with z = A^-1 d_origin
+    z = np.linalg.solve(state.A, d_origin[..., None])[..., 0]
+    rel = m.mean - origin[:, None]
+    ez = (m.e @ z[..., None])[..., 0]
+    d_e = (
+        sign[..., None] * d_dir
+        - np.einsum("bik,bik->bi", rel, m.e)[..., None] * z[:, None]
+        - rel * ez[..., None]
+    )
+    d_mean += z[:, None] - m.e * ez[..., None]
+    # e = (cos theta, sin theta) with theta = atan2(y, x) / 2; an
+    # exactly isotropic channel has no angular sensitivity
+    d_theta = d_e[..., 1] * m.e[..., 0] - d_e[..., 0] * m.e[..., 1]
+    k = d_theta / np.maximum(state.r_sq, 1e-300)
+    d_a, d_b, d_c = -0.5 * m.y * k, m.x * k, 0.5 * m.y * k
+    if aniso_cot is not None:
+        # anisotropy = (x^2 + y^2) / trace^2
+        q_cot = np.asarray(aniso_cot, dtype=float)
+        trace_sq = state.trace_sq
+        two_q_trace = 2.0 * state.anisotropy * m.trace
+        d_a = d_a + q_cot * (2.0 * m.x - two_q_trace) / trace_sq
+        d_b = d_b + q_cot * 4.0 * m.y / trace_sq
+        d_c = d_c + q_cot * (-2.0 * m.x - two_q_trace) / trace_sq
+    g_w = m.pullback(d_mass, d_mean, d_a, d_b, d_c)
+    if cost_cot is not None:
+        # costs_i = sum(w_i * cost_i) / mass_i
+        term = np.subtract(state.cost, _along_rows(state.costs, state.dw))
+        term *= _along_rows(np.asarray(cost_cot, dtype=float) / m.mass, state.dw)
+        g_w += term
+    g_w *= state.dw
+    g_w[state.failed] = 0.0
+    return g_w

@@ -50,11 +50,7 @@ from .diffusion import (
     sample,
 )
 from .errors import AxisForgeError
-from .extraction import (
-    extract_axes_hard,
-    extract_axes_soft,
-    soft_extract_vjp,
-)
+from .extraction import extract_axes_hard, extract_axes_soft, soft_extract_vjp
 from .metrics import cuboid_model, evaluate_suite, reproj_metric, reproj_threshold_px, rotation_geodesic
 from .render import apply_degradation, render_query, render_triaxis
 from .solver import recover_pose
@@ -201,6 +197,12 @@ def oracle_occlusion_area() -> tuple[str, str, bool]:
     return "0.25 +- 10%", f"zeroed fraction {frac:.4f}", ok
 
 
+def _soft_record(img: np.ndarray) -> AxisObservation:
+    """Soft observation of one float64 image at sharpness 50, extracted as
+    a batch of one; raises the image's VanishingMass or NoIntersection."""
+    return extract_axes_soft(img[None], 50.0)[0].record(0)
+
+
 def _hard_soft_gaps(seed: int, n: int) -> tuple[list[float], float]:
     """Direction gaps (deg) of n rendered poses and their largest origin gap (px)."""
     rng = np.random.default_rng(seed)
@@ -211,7 +213,7 @@ def _hard_soft_gaps(seed: int, n: int) -> tuple[list[float], float]:
         pose = sample_pose(rng, K128, sampling)
         img = render_triaxis(K128, pose, thickness_px=2.0)
         hard = extract_axes_hard(img)
-        soft = extract_axes_soft(img, sharpness=50.0)
+        soft = _soft_record(img)
         for i in range(3):
             degs.append(math.degrees(math.acos(np.clip(hard.dir[i] @ soft.dir[i], -1, 1))))
         worst_px = max(worst_px, float(np.linalg.norm(hard.origin_px - soft.origin_px)))
@@ -246,16 +248,15 @@ def _soft_vjp_fd_case(
     pose = sample_pose(rng, K, SamplingConfig(min_axis_px=min_axis_px))
     img = render_triaxis(K, pose, thickness_px=thickness_px)
     cots = rng.standard_normal((1, 10)) if random_cot else np.eye(10)
-    grads = [
-        soft_extract_vjp(img, 50.0, (c[:2], c[2:8].reshape(3, 2), c[8:])) for c in cots
-    ]
+    state = extract_axes_soft(img[None], 50.0)[3]
+    grads = [soft_extract_vjp(state, c[None, :2], c[2:8].reshape(1, 3, 2), c[None, 8:])[0] for c in cots]
     h = 1e-4
     worst = 0.0
     for _ in range(n_probes):
         v = rng.standard_normal(img.shape)
         v /= np.linalg.norm(v)
-        f_plus = cots @ np.array(extract_axes_soft(img + h * v, 50.0).to_flat())
-        f_minus = cots @ np.array(extract_axes_soft(img - h * v, 50.0).to_flat())
+        f_plus = cots @ np.array(_soft_record(img + h * v).to_flat())
+        f_minus = cots @ np.array(_soft_record(img - h * v).to_flat())
         for grad, fd in zip(grads, (f_plus - f_minus) / (2 * h)):
             worst = max(worst, _fd_relative(float((grad * v).sum()), float(fd), floor=1e-6))
     return worst
@@ -458,7 +459,7 @@ def oracle_analytic_sampler_image() -> tuple[str, str, bool]:
         pose = sample_pose(rng, K, _SAMPLING_16)
         x0 = render_triaxis(K, pose, thickness_px=1.5)
         den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
-        image, _, _ = sample(den, None, None, None, sched, steps=50, rng=rng, shape=(16, 16))
+        image = sample(den, [None], [None], None, sched, steps=50, rngs=[rng], shape=(16, 16))[0][0]
         maes.append(float(np.mean(np.abs(image - x0))))
     return "mean abs error < 0.05 (seeds 15 and 8)", ", ".join(f"{m:.4f}" for m in maes), max(maes) < 0.05
 
@@ -491,12 +492,12 @@ def oracle_ablation_direction() -> tuple[str, str, bool]:
         den = GaussianDenoiser(mean_img, np.full(mean_img.shape, 0.01), sched)
         guidance = GuidanceParams(rho_base=10.0, sharpness=50.0)
         for params, sink in ((None, unguided_losses), (guidance, guided_losses)):
-            image, _, _ = sample(
-                den, None, target, params, sched, steps=25,
-                rng=np.random.default_rng(10_000 + i), shape=(size, size),
-            )
+            image = sample(
+                den, [None], [target], params, sched, steps=25,
+                rngs=[np.random.default_rng(10_000 + i)], shape=(size, size),
+            )[0][0]
             try:
-                gen = extract_axes_soft(image, sharpness=50.0)
+                gen = _soft_record(image)
                 sink.append(geo_loss(gen, target))
             except AxisForgeError:
                 sink.append(math.inf)
@@ -555,7 +556,7 @@ def oracle_infer_upper_bound() -> tuple[str, str, bool]:
         pose = sample_pose(rng, K, sampling)
         gt_img = render_triaxis(K, pose, thickness_px=1.5)
         den = GaussianDenoiser(gt_img, np.full(gt_img.shape, 1e-4), sched)
-        image, _, _ = sample(den, None, None, None, sched, steps=50, rng=rng, shape=(size, size))
+        image = sample(den, [None], [None], None, sched, steps=50, rngs=[rng], shape=(size, size))[0][0]
         obs = extract_axes_hard(image)
         pred = recover_pose(obs, K, scale_lambda_O=float(pose.T[2]))
         if reproj_metric(pose, pred, model, K) < threshold:

@@ -18,7 +18,7 @@ from axisforge.cli import INFER_BATCH, main
 from axisforge.config import ArchConfig, DegradationSpec, GuidanceParams, OptConfig, SamplingConfig, default_intrinsics
 from axisforge.dataset import sample_pose
 from axisforge.denoiser import train_denoiser
-from axisforge.diffusion import make_schedule, sample, sample_batch
+from axisforge.diffusion import make_schedule, sample
 from axisforge.errors import AxisForgeError
 from axisforge.extraction import extract_axes_hard
 from axisforge.metrics import cuboid_model, reproj_metric, reproj_threshold_px
@@ -87,10 +87,10 @@ def test_criterion_5_guidance_math(capsys, oracle):
     sched = make_schedule(100, 1e-4, 0.05)
     den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
     target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
-    a, _, _ = sample(den, None, target, GuidanceParams(rho_base=0.0), sched,
-                     steps=25, rng=np.random.default_rng(42), shape=(16, 16))
-    b, _, _ = sample(den, None, None, None, sched,
-                     steps=25, rng=np.random.default_rng(42), shape=(16, 16))
+    a, _, _ = sample(den, [None], [target], GuidanceParams(rho_base=0.0), sched,
+                     steps=25, rngs=[np.random.default_rng(42)], shape=(16, 16))
+    b, _, _ = sample(den, [None], [None], None, sched,
+                     steps=25, rngs=[np.random.default_rng(42)], shape=(16, 16))
     bitexact = bool(np.array_equal(a, b))
     ok = fd.passed and bitexact
     _report(capsys, 5, "guidance-math", ok, f"{fd.measured} (need {fd.tolerance}); rho=0 bit-exact: {bitexact}")
@@ -126,7 +126,7 @@ def test_criterion_6_ablation_gap(capsys):
         # sampled in chunks of infer's batch, as infer samples its records
         for start in range(0, n_poses, INFER_BATCH):
             chunk = range(start, min(start + INFER_BATCH, n_poses))
-            images, _, _ = sample_batch(
+            images, _, _ = sample(
                 den, [conds[i] for i in chunk], [targets[i] for i in chunk], guidance, sched, steps=30,
                 rngs=[np.random.default_rng(10_000 + i) for i in chunk], shape=(size, size),
             )

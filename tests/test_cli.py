@@ -100,6 +100,40 @@ def test_analytic_infer_on_a_non_square_camera(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_infer_runs_the_sampler_and_soft_extraction_by_name(tmp_path, monkeypatch, capsys):
+    # a wrapper set on each module attribute and on every by-name binding of
+    # it, as a tracer sets one, sees one sample call per chunk of records and
+    # one soft extraction and one adjoint per guided step
+    import sys
+
+    from axisforge import cli, diffusion, extraction
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "sample_steps": 5}))
+    data = _render(tmp_path, config, n_test=4)
+    counts = dict.fromkeys(("sample", "extract_axes_soft", "soft_extract_vjp"), 0)
+    for module, name in ((diffusion, "sample"), (extraction, "extract_axes_soft"), (extraction, "soft_extract_vjp")):
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for owner in [m for key, m in sys.modules.items() if key.startswith("axisforge.")]:
+            if getattr(owner, name, None) is fn:
+                monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(cli, "INFER_BATCH", 2)
+    pred = tmp_path / "pred"
+    rc = main(["infer", "--config", str(config), "--dataset", str(data), "--analytic-denoiser", "--out", str(pred)])
+    assert rc == 0
+    # a record whose ground-truth target does not extract is never sampled
+    lines = (pred / "predictions.jsonl").read_text().splitlines()
+    chunks = (sum("skipped_guidance_steps" in json.loads(line) for line in lines) + 1) // 2
+    assert chunks >= 2
+    assert counts == {"sample": chunks, "extract_axes_soft": 5 * chunks, "soft_extract_vjp": 5 * chunks}
+    capsys.readouterr()
+
+
 def test_infer_requires_exactly_one_denoiser(tmp_path, config_path, capsys):
     data = _render(tmp_path, config_path)
     rc = main([
@@ -487,17 +521,21 @@ def test_non_finite_config_float_exits_2(tmp_path, config_path, capsys, command,
 
 
 def test_non_finite_float_in_manifest_exits_2(tmp_path, config_path, capsys):
+    # the refused key is named by its dotted path, as in a run config
     data = _render(tmp_path, config_path)
     path = data / "manifest.json"
-    doc = json.loads(path.read_text())
-    doc["render"]["thickness_px"] = float("inf")
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    out = tmp_path / "out"
-    rc = main(["infer", "--analytic-denoiser", "--config", str(config_path), "--dataset", str(data), "--out", str(out)])
-    assert rc == 2
-    assert f"malformed manifest {path}: config key 'thickness_px' must be finite" in capsys.readouterr().err
-    assert not out.exists()
+    whole = path.read_text()
+    for section, key, value in (("render", "thickness_px", float("inf")), ("intrinsics", "c_x", float("nan"))):
+        doc = json.loads(whole)
+        doc[section][key] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main(["infer", "--analytic-denoiser", "--config", str(config_path), "--dataset", str(data), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"malformed manifest {path}: config key '{section}.{key}' must be finite" in err
+        assert not out.exists()
 
 
 def test_infer_out_of_range_steps_exits_2_before_writing(tmp_path, config_path, capsys):

@@ -317,6 +317,23 @@ def test_load_manifest_missing_image(tmp_path):
         load_manifest(tmp_path)
 
 
+def test_malformed_record_is_named_by_index_and_id(tmp_path):
+    # one bad record among several: the message says which one it is
+    generate_dataset(CFG, 3, 2, tmp_path)
+    path = tmp_path / "manifest.json"
+    clean = path.read_text()
+    doc = json.loads(clean)
+    doc["records"][3]["pose"]["R"][0] = 2.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=r"R is not orthonormal \(record 3, id 'test_00000'\)$"):
+        load_manifest(tmp_path)
+    doc = json.loads(clean)
+    del doc["records"][1]["id"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=r"malformed manifest .*: 'id' \(record 1\)$"):
+        load_manifest(tmp_path)
+
+
 def test_config_roundtrip(tmp_path):
     p = tmp_path / "config.json"
     for cfg in (CFG, ALL_SET):

@@ -18,11 +18,10 @@ from axisforge.diffusion import (
     make_schedule,
     ray_distance_map,
     sample,
-    sample_batch,
     uniform_timesteps,
 )
 from axisforge.errors import InvalidSchedule, NoIntersection, VanishingMass
-from axisforge.extraction import extract_axes_hard, soft_extract_with_pullback
+from axisforge.extraction import extract_axes_hard, extract_axes_soft, soft_extract_vjp
 from axisforge.render import render_triaxis
 
 
@@ -135,12 +134,14 @@ def test_geo_loss_and_adjoint():
     assert geo_loss(obs, obs) == 0.0
     # against its own soft observation an image's geo_loss and its gradient
     # vanish, leaving the loss and gradient of the ray term alone
-    gen = soft_extract_with_pullback(x0, 50.0)[0]
+    gen = extract_axes_soft(x0, 50.0)[0]
     rays = ray_distance_map(gen, (32, 32))
-    _, _, spread, pullback = soft_extract_with_pullback(x0, 50.0, rays)
+    _, _, spread, state = extract_axes_soft(x0, 50.0, rays)
     losses, grads, errors = geo_image_gradient(x0, gen, 50.0, rays)
     assert errors == [None] and np.array_equal(losses, spread.sum(axis=1))
-    ray_grad = pullback(np.zeros((1, 2)), np.zeros((1, 3, 2)), np.zeros((1, 2)), np.ones((1, 3)), np.zeros((1, 3)))
+    ray_grad = soft_extract_vjp(
+        state, np.zeros((1, 2)), np.zeros((1, 3, 2)), np.zeros((1, 2)), np.ones((1, 3)), np.zeros((1, 3))
+    )
     assert np.any(grads) and np.array_equal(grads, ray_grad * ((x0 > 0.0) & (x0 < 1.0)))
 
 
@@ -167,8 +168,8 @@ def test_guidance_gradient_bounded_near_isotropy():
     raw, weighted = [], []
     for eps in (1e-2, 1e-4, 1e-6):
         x0 = _near_isotropic_image(eps)[None]
-        _, aniso, _, pullback = soft_extract_with_pullback(x0, 50.0)
-        raw.append(np.linalg.norm(pullback(*turn)))
+        _, aniso, _, state = extract_axes_soft(x0, 50.0)
+        raw.append(np.linalg.norm(soft_extract_vjp(state, *turn)))
         weighted.append(np.linalg.norm(geo_image_gradient(x0, target, 50.0)[1]))
     assert aniso[0, 0] < 1e-10 and np.all(aniso[0, 1:] > 0.5)
     # the bare direction's adjoint grows like 1 / (lam_max - lam_min) ...
@@ -197,7 +198,7 @@ def _guided_case(seed, size=16):
 GUIDANCE = GuidanceParams(rho_base=10.0)
 
 
-def test_sample_batch_matches_single_samples():
+def test_batched_sampling_matches_single_records():
     from axisforge.denoiser import MLPDenoiser
 
     sched = make_schedule(50, 1e-3, 0.05)
@@ -206,7 +207,7 @@ def test_sample_batch_matches_single_samples():
     # the analytic field is elementwise, so batching changes no arithmetic
     means = np.stack([x0 for x0, _ in cases])
     for guidance in (GUIDANCE, None):
-        images, norms, errors = sample_batch(
+        images, norms, errors = sample(
             GaussianDenoiser(means, np.full(means.shape, 0.01), sched),
             [None] * 3, targets, guidance, sched, steps=10,
             rngs=[np.random.default_rng(10 + b) for b in range(3)], shape=(16, 16),
@@ -214,24 +215,24 @@ def test_sample_batch_matches_single_samples():
         for b, (x0, target) in enumerate(cases):
             den = GaussianDenoiser(x0, np.full(x0.shape, 0.01), sched)
             image, step_norms, step_errors = sample(
-                den, None, target, guidance, sched, steps=10, rng=np.random.default_rng(10 + b), shape=(16, 16)
+                den, [None], [target], guidance, sched, steps=10, rngs=[np.random.default_rng(10 + b)], shape=(16, 16)
             )
-            assert np.array_equal(images[b], image)
-            assert np.array_equal(norms[b], step_norms)
-            assert [type(e) for e in errors[b]] == [type(e) for e in step_errors]
+            assert np.array_equal(images[b], image[0])
+            assert np.array_equal(norms[b], step_norms[0])
+            assert [type(e) for e in errors[b]] == [type(e) for e in step_errors[0]]
     # a matrix product may round differently for a batch than for one row
     mlp = MLPDenoiser(
         ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15, np.float64
     )
     conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(3)]
-    images, _, _ = sample_batch(mlp, conds, targets, GUIDANCE, sched, 10, [np.random.default_rng(b) for b in range(3)], (16, 16))
+    images, _, _ = sample(mlp, conds, targets, GUIDANCE, sched, 10, [np.random.default_rng(b) for b in range(3)], (16, 16))
     for b in range(3):
-        image, _, _ = sample(mlp, conds[b], targets[b], GUIDANCE, sched, 10, np.random.default_rng(b), (16, 16))
-        assert np.allclose(images[b], image, rtol=0.0, atol=1e-9)
+        image, _, _ = sample(mlp, conds[b : b + 1], targets[b : b + 1], GUIDANCE, sched, 10, [np.random.default_rng(b)], (16, 16))
+        assert np.allclose(images[b], image[0], rtol=0.0, atol=1e-9)
 
 
 def _stacked(targets, shape=(16, 16)):
-    """A batch's stacked targets and their ray map, as sample_batch builds them."""
+    """A batch's stacked targets and their ray map, as sample builds them."""
     target = AxisObservation.stack(targets)
     return target, ray_distance_map(target, shape)
 
@@ -310,13 +311,13 @@ def test_guided_sampling_never_differentiates_the_network(monkeypatch):
     conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(2)]
     for guidance in (GUIDANCE, None):
         steps.clear()
-        _, norms, _ = sample_batch(mlp, conds, targets, guidance, sched, 10, [np.random.default_rng(b) for b in range(2)], (16, 16))
+        _, norms, _ = sample(mlp, conds, targets, guidance, sched, 10, [np.random.default_rng(b) for b in range(2)], (16, 16))
         assert steps == uniform_timesteps(sched, 10)  # one network forward per step, guided or not
         assert np.any(norms > 0) == (guidance is not None)
 
 
 @pytest.mark.parametrize("kind, dtype", [("mlp", np.float32), ("mlp", np.float64), ("gaussian", np.float64)])
-def test_sample_batch_runs_in_the_denoiser_dtype(monkeypatch, kind, dtype):
+def test_sampling_runs_in_the_denoiser_dtype(monkeypatch, kind, dtype):
     # one code path: the denoiser's dtype is the chain's. Every x_t the
     # denoiser and the DDIM step read, every x0_hat, guided or not, every
     # step's output and every guidance gradient has it
@@ -362,7 +363,7 @@ def test_sample_batch_runs_in_the_denoiser_dtype(monkeypatch, kind, dtype):
     for guidance in (GUIDANCE, None):
         seen.clear()
         rngs = [np.random.default_rng(b) for b in range(2)]
-        images, norms, errors = sample_batch(den, conds, [target for _, target in cases], guidance, sched, 10, rngs, (16, 16))
+        images, norms, errors = sample(den, conds, [target for _, target in cases], guidance, sched, 10, rngs, (16, 16))
         expected = {"evaluate", "ddim_step"} | ({"gradient"} if guidance else set())
         assert seen == {name: {np.dtype(dtype)} for name in expected}
         # the images come back clipped in the chain's dtype, the norms in float64
@@ -409,7 +410,7 @@ def test_float32_sampling_agrees_with_float64():
         outcomes = []
         for den in (den32, den64):
             rngs = [np.random.default_rng(100 * seed + b) for b in range(4)]
-            images, _, _ = sample_batch(den, queries, targets, GUIDANCE, sched, 10, rngs, (size, size))
+            images, _, _ = sample(den, queries, targets, GUIDANCE, sched, 10, rngs, (size, size))
             row = []
             for image in images:
                 try:
@@ -499,7 +500,7 @@ def test_guidance_arithmetic_leaves_its_inputs_unchanged():
     assert not np.shares_memory(first[0], x0_hat)
     # along a whole chain the stored estimate is read at every step, never written
     for guidance in (GUIDANCE, None):
-        sample_batch(den, [None, None], targets, guidance, sched, 5, [np.random.default_rng(b) for b in range(2)], (16, 16))
+        sample(den, [None, None], targets, guidance, sched, 5, [np.random.default_rng(b) for b in range(2)], (16, 16))
     for a, c in zip(arrays, copies):
         assert np.array_equal(a, c)
 
@@ -512,7 +513,7 @@ def test_skipped_guidance_step_records_reason():
     # (on a blank 0 mean the x0_hat-space correction does, and no step skips)
     dark = np.full((16, 16, 3), -1.0)
     den = GaussianDenoiser(dark, np.full(dark.shape, 1e-4), sched)
-    _, norms, errors = sample(den, None, target, GUIDANCE, sched, steps=10, rng=np.random.default_rng(0), shape=(16, 16))
+    _, (norms,), (errors,) = sample(den, [None], [target], GUIDANCE, sched, 10, [np.random.default_rng(0)], (16, 16))
     assert len(norms) == len(errors) == 10
     skipped = [e is not None for e in errors]
     assert any(skipped)

@@ -12,7 +12,6 @@ from axisforge.extraction import (
     extract_axes_hard,
     extract_axes_soft,
     soft_extract_vjp,
-    soft_extract_with_pullback,
     soft_weights,
 )
 from axisforge.render import render_triaxis
@@ -71,9 +70,9 @@ def test_directions_point_toward_channel_mass():
 def test_soft_extraction_sharpness_validation():
     img = np.zeros((8, 8, 3))
     with pytest.raises(ValueError):
-        extract_axes_soft(img, sharpness=0.0)
+        extract_axes_soft(img[None], sharpness=0.0)
     with pytest.raises(ValueError):
-        soft_extract_with_pullback(img, 50.0)  # one image, not a batch
+        extract_axes_soft(img, 50.0)  # one image, not a batch
 
 
 def test_observation_flat_roundtrip():
@@ -139,11 +138,11 @@ def _blob_image(size=32, stds=(3.0, 2.2)):
     return img
 
 
-def _cotangent(rng, lead=()):
-    """A random observation cotangent, flat and as the pullback's arrays
-    (d_origin, d_dir, d_centroid) with the leading batch axes ``lead``."""
+def _cotangent(rng):
+    """A random observation cotangent, flat and as the adjoint's arrays
+    (d_origin, d_dir, d_centroid) for a batch of one."""
     cot_vec = rng.standard_normal(10)
-    adj = (cot_vec[:2].reshape(*lead, 2), cot_vec[2:8].reshape(*lead, 3, 2), cot_vec[8:].reshape(*lead, 2))
+    adj = (cot_vec[:2].reshape(1, 2), cot_vec[2:8].reshape(1, 3, 2), cot_vec[8:].reshape(1, 2))
     return cot_vec, adj
 
 
@@ -153,14 +152,18 @@ def test_soft_extraction_is_graded_on_blobs():
         extract_axes_hard(img)
     rng = np.random.default_rng(5)
     cot_vec, adj = _cotangent(rng)
-    grad = soft_extract_vjp(img, 50.0, adj)
-    assert np.all(np.isfinite(np.array(extract_axes_soft(img, 50.0).to_flat())))
+
+    def soft_flat(x):
+        return np.array(extract_axes_soft(x[None], 50.0)[0].record(0).to_flat())
+
+    grad = soft_extract_vjp(extract_axes_soft(img[None], 50.0)[3], *adj)[0]
+    assert np.all(np.isfinite(soft_flat(img)))
     h = 1e-4
     for _ in range(5):
         v = rng.standard_normal(img.shape)
         v /= np.linalg.norm(v)
-        sp = float(cot_vec @ np.array(extract_axes_soft(img + h * v, 50.0).to_flat()))
-        sm = float(cot_vec @ np.array(extract_axes_soft(img - h * v, 50.0).to_flat()))
+        sp = float(cot_vec @ soft_flat(img + h * v))
+        sm = float(cot_vec @ soft_flat(img - h * v))
         fd = (sp - sm) / (2 * h)
         an = float((grad * v).sum())
         assert abs(an - fd) < 1e-4 * max(1.0, abs(fd))
@@ -172,24 +175,26 @@ def test_soft_extraction_accepts_isotropic_channel():
     img[:, :, 0] = np.exp(-0.5 * ((uu - 10.0) ** 2 + (vv - 12.0) ** 2) / 2.5**2)  # round, on a pixel
     with pytest.raises(DegenerateChannel):
         extract_axes_hard(img)
-    obs, aniso, _, pullback = soft_extract_with_pullback(img[None], 50.0)
+    obs, aniso, _, state = extract_axes_soft(img[None], 50.0)
     assert np.all(np.isfinite(np.array(obs.record(0).to_flat())))
     assert aniso[0, 0] < 1e-20 and np.all(aniso[0, 1:] > 0.05)
-    assert np.all(np.isfinite(pullback(*_cotangent(np.random.default_rng(6), (1,))[1], None, np.ones((1, 3)))))
+    adj = _cotangent(np.random.default_rng(6))[1]
+    assert np.all(np.isfinite(soft_extract_vjp(state, *adj, None, np.ones((1, 3)))))
 
 
 def test_soft_extraction_cost_map_and_anisotropy_adjoint():
     rng = np.random.default_rng(7)
     img = _blob_image()
     cost = 20.0 * rng.random(img.shape)
-    cot_vec, adj = _cotangent(rng, (1,))
+    cot_vec, adj = _cotangent(rng)
     cost_cot, aniso_cot = rng.standard_normal((2, 3))
 
     def objective(x):
-        obs, aniso, costs, _ = soft_extract_with_pullback(x[None], 5.0, cost[None])
+        obs, aniso, costs, _ = extract_axes_soft(x[None], 5.0, cost[None])
         return float(cot_vec @ np.array(obs.record(0).to_flat()) + cost_cot @ costs[0] + aniso_cot @ aniso[0])
 
-    grad = soft_extract_with_pullback(img[None], 5.0, cost[None])[3](*adj, cost_cot[None], aniso_cot[None])[0]
+    state = extract_axes_soft(img[None], 5.0, cost[None])[3]
+    grad = soft_extract_vjp(state, *adj, cost_cot[None], aniso_cot[None])[0]
     h = 1e-5
     for _ in range(5):
         v = rng.standard_normal(img.shape)
@@ -201,17 +206,17 @@ def test_soft_extraction_cost_map_and_anisotropy_adjoint():
 def test_batched_pullback_matches_each_records_finite_differences():
     # three records in one batch, the middle one without mass: each row's
     # gradient is the derivative of that record's own objective, extracted
-    # alone, so a pullback that mixed records would fail here
+    # alone, so an adjoint that mixed records would fail here
     rng = np.random.default_rng(12)
     images = np.stack([_blob_image(), np.zeros((32, 32, 3)), _blob_image(stds=(4.0, 1.5))[::-1]])
     cost = 20.0 * rng.random(images.shape)
     cot_vecs = rng.standard_normal((3, 10))
     adj = (cot_vecs[:, :2], cot_vecs[:, 2:8].reshape(3, 3, 2), cot_vecs[:, 8:])
     cost_cot, aniso_cot = rng.standard_normal((2, 3, 3))
-    grads = soft_extract_with_pullback(images, 5.0, cost)[3](*adj, cost_cot, aniso_cot)
+    grads = soft_extract_vjp(extract_axes_soft(images, 5.0, cost)[3], *adj, cost_cot, aniso_cot)
 
     def objective(b, x):
-        obs, aniso, costs, _ = soft_extract_with_pullback(x[None], 5.0, cost[b][None])
+        obs, aniso, costs, _ = extract_axes_soft(x[None], 5.0, cost[b][None])
         flat = np.array(obs.record(0).to_flat())
         return float(cot_vecs[b] @ flat + cost_cot[b] @ costs[0] + aniso_cot[b] @ aniso[0])
 
@@ -267,12 +272,12 @@ def test_soft_extraction_and_pullback_leave_their_inputs_unchanged():
     cost_cot, aniso_cot = rng.standard_normal((2, 3, 3))
     inputs = (images, cost, *adj, cost_cot, aniso_cot)
     copies = [a.copy() for a in inputs]
-    obs, _, _, pullback = soft_extract_with_pullback(images, 5.0, cost)
+    obs, _, _, state = extract_axes_soft(images, 5.0, cost)
     assert obs.errors[:2] == [None, None] and isinstance(obs.errors[2], VanishingMass)
     for cots in ((), (cost_cot,), (None, aniso_cot), (cost_cot, aniso_cot)):
-        first = pullback(*adj, *cots)
+        first = soft_extract_vjp(state, *adj, *cots)
         kept = first.copy()
-        second = pullback(*adj, *cots)
+        second = soft_extract_vjp(state, *adj, *cots)
         # each call returns a new array that the next call leaves alone
         assert np.array_equal(second, first) and np.array_equal(first, kept)
         assert not any(np.shares_memory(first, a) for a in (second, *inputs))
