@@ -223,18 +223,21 @@ def cmd_infer(args) -> int:
 
     def fail(rec, exc):
         lines[rec.id].update({"ok": False, "error": type(exc).__name__, "message": str(exc)})
+        exc.__traceback__ = None  # an error kept in an observation would keep this frame and its denoiser alive
 
     # only a guided run reads the ground-truth target, so only it can fail on one
     guidance = cfg.guidance if args.guidance and cfg.guidance.rho_base > 0 else None
     pending = []  # (record, ground-truth tri-axis, condition, generator, target or None)
     gt_triaxes = load_images(args.dataset, manifest, "test", "triaxis")
     conds = load_images(args.dataset, manifest, "test", "degraded")
-    for rec, gt_triaxis, cond in zip(records, gt_triaxes, conds):
+    if guidance is not None:  # at most INFER_BATCH targets widened to float64 at once
+        parts = [extract_axes_hard(gt_triaxes[i : i + INFER_BATCH]) for i in range(0, len(records), INFER_BATCH)]
+    for i, (rec, gt_triaxis, cond) in enumerate(zip(records, gt_triaxes, conds)):
         rng = np.random.default_rng(record_seed(cfg.seed, rec.id))
         target = None
         if guidance is not None:
             try:
-                target = extract_axes_hard(gt_triaxis)
+                target = parts[i // INFER_BATCH].record(i % INFER_BATCH)
             except AxisForgeError as exc:
                 fail(rec, exc)
                 continue
@@ -257,7 +260,8 @@ def cmd_infer(args) -> int:
             rngs=[item[3] for item in chunk],
             shape=(K.height, K.width),
         )
-        for (rec, *_), image, record_norms, record_errors in zip(chunk, images, norms, errors):
+        observed = extract_axes_hard(images)
+        for b, ((rec, *_), image, record_norms, record_errors) in enumerate(zip(chunk, images, norms, errors)):
             save_f32(args.out / "images" / f"{rec.id}_gen.f32", image)
             reasons = [type(exc).__name__ for exc in record_errors if exc is not None]
             lines[rec.id].update(
@@ -266,8 +270,7 @@ def cmd_infer(args) -> int:
                 mean_guidance_norm=float(np.mean(record_norms)),
             )
             try:
-                obs = extract_axes_hard(image)
-                pose = recover_pose(obs, K, scale_lambda_O=float(rec.pose.T[2]))  # ground-truth depth
+                pose = recover_pose(observed.record(b), K, scale_lambda_O=float(rec.pose.T[2]))  # ground-truth depth
             except AxisForgeError as exc:
                 fail(rec, exc)
                 continue

@@ -1,15 +1,16 @@
 """Axis observation extraction from tri-axis images.
 
-Two variants share one moment-based pipeline:
+Two variants share one moment-based pipeline and one contract: each takes
+only a batch (B, H, W, 3) and returns one AxisObservation (``camera.py``)
+for it, in which a failed image raises nothing: its rows are nan and its
+exception is in its slot of the observation's errors.
 
-* ``extract_axes_hard`` thresholds one image, widened to float64, at 0.5
+* ``extract_axes_hard`` thresholds the batch, widened to float64, at 0.5
   and is used at inference time.
 * ``extract_axes_soft`` replaces the threshold with a graded sigmoid
   weight so that every output is a smooth function of every pixel, and
   ``soft_extract_vjp`` is its hand-derived adjoint; the sampling-time
-  guidance gradient uses both. The forward takes only a batch and returns
-  one AxisObservation (``camera.py``) for it, with a failed image's error in
-  its slot of the observation's errors, and the forward state that the
+  guidance gradient uses both. The forward also returns the state that the
   adjoint reads; the adjoint takes the cotangent as plain arrays
   (d_origin, d_dir, d_centroid).
 
@@ -111,41 +112,52 @@ def _intersect(m: _Moments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.solve(A, r[..., None])[..., 0], A, parallel
 
 
-def _assemble(m: _Moments) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Origins (B, 2), directed axes (B, 3, 2) and centroids (B, 2) from
-    channel moments, with the direction signs and the intersection's normal
-    matrices for the adjoint and the mask of images without an intersection."""
+def _observe(
+    m: _Moments, bad: np.ndarray, channel_error
+) -> tuple[AxisObservation, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The batch's AxisObservation from its channel moments, then its origins,
+    centroids, direction signs, normal matrices and failed-image mask. bad
+    (B, 3) flags failing channels: image b fails with channel_error(b, i) for
+    its first flagged channel i, or else with NoIntersection if its lines are
+    parallel. A failed image's rows are nan."""
     origin, A, parallel = _intersect(m)
     sign = np.where(np.einsum("bik,bik->bi", m.e, m.mean - origin[:, None]) >= 0, 1.0, -1.0)
     centroid = (m.mass[:, None] @ m.mean)[:, 0] / m.mass.sum(axis=1, keepdims=True)
-    return origin, sign[..., None] * m.e, centroid, sign, A, parallel
+    failed = bad.any(axis=1) | parallel
+    errors: list[Exception | None] = [None] * len(failed)
+    for b in np.flatnonzero(failed):
+        i = int(np.argmax(bad[b]))  # the first failing channel, if any
+        errors[b] = channel_error(b, i) if bad[b, i] else NoIntersection("axis lines are mutually parallel")
+    nan_rows = failed[:, None]
+    obs = AxisObservation(
+        origin_px=np.where(nan_rows, np.nan, origin),
+        dir=np.where(nan_rows[..., None], np.nan, sign[..., None] * m.e),
+        centroid=np.where(nan_rows, np.nan, centroid),
+        errors=errors,
+    )
+    return obs, origin, centroid, sign, A, failed
 
 
-def extract_axes_hard(img: np.ndarray) -> AxisObservation:
-    """Deterministic extraction from a tri-axis image (H, W, 3), widened to
-    float64: intensity weights thresholded at 0.5.
+def extract_axes_hard(images: np.ndarray) -> AxisObservation:
+    """Deterministic extraction of a batch of tri-axis images (B, H, W, 3),
+    widened to float64: intensity weights thresholded at 0.5.
 
-    Raises EmptyChannel for a channel with fewer than MIN_HARD_PIXELS
-    pixels above threshold and DegenerateChannel for a channel whose moment
-    eigen-ratio is below EIGEN_RATIO_FLOOR (a blob, not a segment), checked
-    channel by channel in order.
+    An image fails with EmptyChannel for a channel with fewer than
+    MIN_HARD_PIXELS pixels above threshold or DegenerateChannel for a
+    channel whose moment eigen-ratio is below EIGEN_RATIO_FLOOR (a blob, not
+    a segment), for the first such channel in order, or else NoIntersection.
     """
-    data = np.asarray(img, dtype=float)
+    data = np.asarray(images, dtype=float)
+    if data.ndim != 4:
+        raise ValueError(f"hard extraction takes a batch (B, H, W, 3), not shape {data.shape}")
     mask = data > 0.5
-    m = _Moments((data * mask)[None])
-    counts = mask.sum(axis=(0, 1))
-    half, mid = np.hypot(m.x[0], m.y[0]) / 2.0, m.trace[0] / 2.0
+    m = _Moments(data * mask)
+    half, mid = np.hypot(m.x, m.y) / 2.0, m.trace / 2.0
     lam_max, lam_min = mid + half, mid - half
-    for i in range(3):
-        if counts[i] < MIN_HARD_PIXELS:
-            raise EmptyChannel(i)
-        # a segment has one dominant moment axis; a blob does not
-        if lam_max[i] <= 0 or lam_max[i] / max(lam_min[i], 1e-300) < EIGEN_RATIO_FLOOR:
-            raise DegenerateChannel(i)
-    origin, dirs, centroid, _, _, parallel = _assemble(m)
-    if parallel[0]:
-        raise NoIntersection("axis lines are mutually parallel")
-    return AxisObservation(origin_px=origin[0], dir=dirs[0], centroid=centroid[0])
+    # a segment has one dominant moment axis; a blob does not
+    degenerate = (lam_max <= 0) | (lam_max / np.maximum(lam_min, 1e-300) < EIGEN_RATIO_FLOOR)
+    empty = mask.sum(axis=(1, 2)) < MIN_HARD_PIXELS
+    return _observe(m, empty | degenerate, lambda b, i: EmptyChannel(i) if empty[b, i] else DegenerateChannel(i))[0]
 
 
 def _channel_sums(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -224,9 +236,8 @@ def extract_axes_soft(
     map; and the forward state that soft_extract_vjp reads.
 
     The extraction is graded: a blob-like channel still yields its principal
-    axis, so an image fails only with VanishingMass or NoIntersection. A
-    failed image raises nothing: its exception is in the observation's
-    errors, its rows are nan and its gradient is 0.
+    axis, so an image fails only with VanishingMass or NoIntersection, and
+    a failed image's gradient is 0.
 
     A float32 batch stays float32 through every full-image pass, the
     weights, the cost map and the gradient; any other batch runs in
@@ -237,22 +248,7 @@ def extract_axes_soft(
         raise ValueError(f"soft extraction takes a batch (B, H, W, 3), not shape {data.shape}")
     w, dw = soft_weights(data, sharpness)
     m = _Moments(w)
-    origin, dirs, centroid, sign, A, parallel = _assemble(m)
-    vanishing = m.mass <= SOFT_MASS_FLOOR
-    failed = vanishing.any(axis=1) | parallel
-    errors: list[Exception | None] = [None] * len(data)
-    for b in np.flatnonzero(failed):
-        if vanishing[b].any():
-            errors[b] = VanishingMass(int(np.argmax(vanishing[b])))
-        else:
-            errors[b] = NoIntersection("axis lines are mutually parallel")
-    nan_rows = failed[:, None]
-    obs = AxisObservation(
-        origin_px=np.where(nan_rows, np.nan, origin),
-        dir=np.where(nan_rows[..., None], np.nan, dirs),
-        centroid=np.where(nan_rows, np.nan, centroid),
-        errors=errors,
-    )
+    obs, origin, centroid, sign, A, failed = _observe(m, m.mass <= SOFT_MASS_FLOOR, lambda b, i: VanishingMass(i))
     r_sq = m.x * m.x + m.y * m.y  # (lam_max - lam_min)^2
     trace_sq = np.maximum(m.trace * m.trace, 1e-300)
     anisotropy = r_sq / trace_sq

@@ -151,7 +151,7 @@ def oracle_raster_path() -> tuple[str, str, bool]:
         img = render_triaxis(K128, pose, thickness_px=2.0)
         lines = project_axes(K128, pose)
         try:
-            obs = extract_axes_hard(img)
+            obs = extract_axes_hard(img[None]).record(0)
         except AxisForgeError:
             dir_errs.append(math.inf)
             rot_errs.append(math.inf)
@@ -212,7 +212,7 @@ def _hard_soft_gaps(seed: int, n: int) -> tuple[list[float], float]:
     for _ in range(n):
         pose = sample_pose(rng, K128, sampling)
         img = render_triaxis(K128, pose, thickness_px=2.0)
-        hard = extract_axes_hard(img)
+        hard = extract_axes_hard(img[None]).record(0)
         soft = _soft_record(img)
         for i in range(3):
             degs.append(math.degrees(math.acos(np.clip(hard.dir[i] @ soft.dir[i], -1, 1))))
@@ -347,7 +347,7 @@ def _guidance_fd_case(seed: int) -> tuple[float, bool]:
     x0 = render_triaxis(K, pose, thickness_px=1.5)
     sched = make_schedule(200, 1e-4, 0.05)
     den = GaussianDenoiser(x0, np.full(x0.shape, 0.25), sched)
-    target = AxisObservation.stack([extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))])
+    target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)[None])
     t = 100
     x_t, _ = forward_diffuse(x0, t, sched, rng)
     rays = ray_distance_map(target, x0.shape[:2])
@@ -486,7 +486,7 @@ def oracle_ablation_direction() -> tuple[str, str, bool]:
         biased = Pose(R=rot_z(20.0) @ pose.R, T=pose.T)
         try:
             mean_img = render_triaxis(K, biased, thickness_px=1.5)
-            target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
+            target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)[None]).record(0)
         except AxisForgeError:
             continue
         den = GaussianDenoiser(mean_img, np.full(mean_img.shape, 0.01), sched)
@@ -533,8 +533,9 @@ def oracle_dataset_render_extract() -> tuple[str, str, bool]:
         manifest = load_manifest(tmp)
         errs = []
         for split in ("train", "test"):
-            for rec, img in zip(manifest.split(split), load_images(tmp, manifest, split, "triaxis")):
-                obs = extract_axes_hard(img)
+            observed = extract_axes_hard(load_images(tmp, manifest, split, "triaxis"))
+            for b, rec in enumerate(manifest.split(split)):
+                obs = observed.record(b)
                 lines = project_axes(manifest.intrinsics, rec.pose, manifest.render.axis_len)
                 for i in range(3):
                     errs.append(math.degrees(math.acos(np.clip(obs.dir[i] @ lines.dir[i], -1, 1))))
@@ -557,8 +558,7 @@ def oracle_infer_upper_bound() -> tuple[str, str, bool]:
         gt_img = render_triaxis(K, pose, thickness_px=1.5)
         den = GaussianDenoiser(gt_img, np.full(gt_img.shape, 1e-4), sched)
         image = sample(den, [None], [None], None, sched, steps=50, rngs=[rng], shape=(size, size))[0][0]
-        obs = extract_axes_hard(image)
-        pred = recover_pose(obs, K, scale_lambda_O=float(pose.T[2]))
+        pred = recover_pose(extract_axes_hard(image[None]).record(0), K, scale_lambda_O=float(pose.T[2]))
         if reproj_metric(pose, pred, model, K) < threshold:
             passed += 1
     rate = passed / n

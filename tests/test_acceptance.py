@@ -86,7 +86,7 @@ def test_criterion_5_guidance_math(capsys, oracle):
     x0 = render_triaxis(K, pose, thickness_px=1.5)
     sched = make_schedule(100, 1e-4, 0.05)
     den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
-    target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5))
+    target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)[None]).record(0)
     a, _, _ = sample(den, [None], [target], GuidanceParams(rho_base=0.0), sched,
                      steps=25, rngs=[np.random.default_rng(42)], shape=(16, 16))
     b, _, _ = sample(den, [None], [None], None, sched,
@@ -119,7 +119,7 @@ def test_criterion_6_ablation_gap(capsys):
     for i in range(n_poses):
         pose = sample_pose(np.random.default_rng(50_000 + i), K, sampling)
         poses.append(pose)
-        targets.append(extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)))
+        targets.append(extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)[None]).record(0))
         conds.append(apply_degradation(render_query(K, pose), DegradationSpec(occlusion_frac=0.25), 50_000 + i))
     success = {"guided": 0, "unguided": 0}
     for arm, guidance in (("unguided", None), ("guided", GuidanceParams(rho_base=10.0, sharpness=50.0))):
@@ -130,9 +130,10 @@ def test_criterion_6_ablation_gap(capsys):
                 den, [conds[i] for i in chunk], [targets[i] for i in chunk], guidance, sched, steps=30,
                 rngs=[np.random.default_rng(10_000 + i) for i in chunk], shape=(size, size),
             )
-            for i, image in zip(chunk, images):
+            observed = extract_axes_hard(images)
+            for b, i in enumerate(chunk):
                 try:
-                    pred = recover_pose(extract_axes_hard(image), K, scale_lambda_O=float(poses[i].T[2]))
+                    pred = recover_pose(observed.record(b), K, scale_lambda_O=float(poses[i].T[2]))
                     if reproj_metric(poses[i], pred, model, K) < threshold:
                         success[arm] += 1
                 except AxisForgeError:

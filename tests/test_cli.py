@@ -102,8 +102,9 @@ def test_analytic_infer_on_a_non_square_camera(tmp_path, capsys):
 
 def test_infer_runs_the_sampler_and_soft_extraction_by_name(tmp_path, monkeypatch, capsys):
     # a wrapper set on each module attribute and on every by-name binding of
-    # it, as a tracer sets one, sees one sample call per chunk of records and
-    # one soft extraction and one adjoint per guided step
+    # it, as a tracer sets one, sees one sample call per chunk of records,
+    # one soft extraction and one adjoint per guided step, and one hard
+    # extraction per INFER_BATCH targets and per chunk of generated images
     import sys
 
     from axisforge import cli, diffusion, extraction
@@ -111,8 +112,13 @@ def test_infer_runs_the_sampler_and_soft_extraction_by_name(tmp_path, monkeypatc
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**CONFIG, "sample_steps": 5}))
     data = _render(tmp_path, config, n_test=4)
-    counts = dict.fromkeys(("sample", "extract_axes_soft", "soft_extract_vjp"), 0)
-    for module, name in ((diffusion, "sample"), (extraction, "extract_axes_soft"), (extraction, "soft_extract_vjp")):
+    counts = dict.fromkeys(("sample", "extract_axes_soft", "soft_extract_vjp", "extract_axes_hard"), 0)
+    for module, name in (
+        (diffusion, "sample"),
+        (extraction, "extract_axes_soft"),
+        (extraction, "soft_extract_vjp"),
+        (extraction, "extract_axes_hard"),
+    ):
         fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -130,7 +136,35 @@ def test_infer_runs_the_sampler_and_soft_extraction_by_name(tmp_path, monkeypatc
     lines = (pred / "predictions.jsonl").read_text().splitlines()
     chunks = (sum("skipped_guidance_steps" in json.loads(line) for line in lines) + 1) // 2
     assert chunks >= 2
-    assert counts == {"sample": chunks, "extract_axes_soft": 5 * chunks, "soft_extract_vjp": 5 * chunks}
+    assert counts == {
+        "sample": chunks,
+        "extract_axes_soft": 5 * chunks,
+        "soft_extract_vjp": 5 * chunks,
+        "extract_axes_hard": 2 + chunks,  # 4 targets in slices of 2, then each chunk
+    }
+    capsys.readouterr()
+
+
+def test_infer_frees_its_frame_when_a_record_fails(tmp_path, capsys):
+    # a failed record's error is kept in its observation and raised from
+    # there; with its traceback it would keep infer's frame, and with it the
+    # denoiser, alive until the next garbage collection
+    import gc
+    import types
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "sample_steps": 5}))
+    data = _render(tmp_path, config, n_test=4)
+    pred = tmp_path / "pred"
+    gc.collect()
+    gc.disable()
+    try:
+        rc = main(["infer", "--config", str(config), "--dataset", str(data), "--analytic-denoiser", "--out", str(pred)])
+        frames = [o for o in gc.get_objects() if isinstance(o, types.FrameType) and o.f_code.co_name == "cmd_infer"]
+    finally:
+        gc.enable()
+    assert rc == 0 and '"ok": false' in (pred / "predictions.jsonl").read_text()
+    assert frames == []
     capsys.readouterr()
 
 

@@ -130,7 +130,7 @@ def test_geo_loss_and_adjoint():
     K = default_intrinsics(32)
     pose = sample_pose(rng, K, SamplingConfig(min_axis_px=6.0))
     x0 = render_triaxis(K, pose, thickness_px=1.5)[None]
-    obs = extract_axes_hard(x0[0])
+    obs = extract_axes_hard(x0).record(0)
     assert geo_loss(obs, obs) == 0.0
     # against its own soft observation an image's geo_loss and its gradient
     # vanish, leaving the loss and gradient of the ray term alone
@@ -192,7 +192,7 @@ def _guided_case(seed, size=16):
     K = default_intrinsics(size)
     pose = sample_pose(rng, K, SamplingConfig(depth_min=2.0, depth_max=2.8, lateral=0.2, min_axis_px=5.0))
     x0 = render_triaxis(K, pose, thickness_px=1.5)
-    return x0, extract_axes_hard(x0)
+    return x0, extract_axes_hard(x0[None]).record(0)
 
 
 GUIDANCE = GuidanceParams(rho_base=10.0)
@@ -397,7 +397,7 @@ def test_float32_sampling_agrees_with_float64():
             pose = sample_pose(rng, K, SamplingConfig(depth_min=2.0, depth_max=2.8, lateral=0.2, min_axis_px=5.0))
             x0 = render_triaxis(K, pose, thickness_px=1.5)
             try:
-                records.append((x0, render_query(K, pose), extract_axes_hard(x0)))
+                records.append((x0, render_query(K, pose), extract_axes_hard(x0[None]).record(0)))
             except AxisForgeError:
                 pass
         x0s, queries, targets = zip(*records)
@@ -411,10 +411,10 @@ def test_float32_sampling_agrees_with_float64():
         for den in (den32, den64):
             rngs = [np.random.default_rng(100 * seed + b) for b in range(4)]
             images, _, _ = sample(den, queries, targets, GUIDANCE, sched, 10, rngs, (size, size))
-            row = []
-            for image in images:
+            observed, row = extract_axes_hard(images), []
+            for b in range(len(images)):
                 try:
-                    row.append(extract_axes_hard(image))
+                    row.append(observed.record(b))
                 except AxisForgeError as exc:
                     row.append(type(exc))
             outcomes.append(row)

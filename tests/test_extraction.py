@@ -6,8 +6,9 @@ import pytest
 from axisforge.camera import AxisObservation, project_axes
 from axisforge.config import SamplingConfig, default_intrinsics
 from axisforge.dataset import sample_pose
-from axisforge.errors import DegenerateChannel, EmptyChannel, VanishingMass
+from axisforge.errors import DegenerateChannel, EmptyChannel, NoIntersection, VanishingMass
 from axisforge.extraction import (
+    MIN_HARD_PIXELS,
     _channel_sums,
     extract_axes_hard,
     extract_axes_soft,
@@ -30,7 +31,7 @@ def test_hard_extraction_matches_forward_projection():
         pose = sample_pose(rng, K, SAMPLING)
         img = render_triaxis(K, pose, thickness_px=2.0)
         lines = project_axes(K, pose)
-        obs = extract_axes_hard(img)
+        obs = extract_axes_hard(img[None]).record(0)
         assert np.linalg.norm(obs.origin_px - lines.origin_px) < 1.5
         for i in range(3):
             assert _angle_deg(obs.dir[i], lines.dir[i]) < 3.0
@@ -41,26 +42,64 @@ def test_hard_extraction_reads_float32_as_its_float64_widening():
     # summed in float32 would move the origin by about 1e-5 px
     pose = sample_pose(np.random.default_rng(3), K, SAMPLING)
     img = render_triaxis(K, pose, thickness_px=2.0).astype(np.float32)
-    assert extract_axes_hard(img).to_flat() == extract_axes_hard(img.astype(float)).to_flat()
+    widened = extract_axes_hard(img.astype(float)[None]).record(0)
+    assert extract_axes_hard(img[None]).record(0).to_flat() == widened.to_flat()
 
 
 def test_hard_extraction_empty_channel():
     with pytest.raises(EmptyChannel):
-        extract_axes_hard(np.zeros((32, 32, 3)))
+        extract_axes_hard(np.zeros((1, 32, 32, 3))).record(0)
 
 
 def test_hard_extraction_blob_is_degenerate():
     img = np.zeros((32, 32, 3))
     img[10:20, 10:20, :] = 1.0  # isotropic square in every channel
     with pytest.raises(DegenerateChannel):
-        extract_axes_hard(img)
+        extract_axes_hard(img[None]).record(0)
+
+
+def test_hard_extraction_of_a_batch_returns_each_images_error():
+    # a clean render, a channel with too few pixels above threshold, a blob
+    # channel, three parallel lines, and a blob channel before a sparse one:
+    # each healthy row is that image extracted alone, and each failed row is
+    # nan, with the error that the image's first failing channel gives
+    clean = render_triaxis(K, sample_pose(np.random.default_rng(2), K, SAMPLING), thickness_px=2.0)
+    sparse = clean.copy()
+    sparse[..., 1] = 0.0
+    sparse[60, 40 : 40 + MIN_HARD_PIXELS - 1, 1] = 1.0
+    blob = clean.copy()
+    blob[..., 2] = _blob_image(128)[..., 2]
+    parallel = np.zeros_like(clean)
+    for ch in range(3):
+        parallel[30 * (ch + 1), 10:110, ch] = 1.0
+    ordered = sparse.copy()
+    ordered[..., 0] = _blob_image(128)[..., 0]
+    images = np.stack([clean, sparse, blob, clean[::-1], parallel, ordered])
+    obs = extract_axes_hard(images)
+    expected = {
+        1: (EmptyChannel, 1, "channel 1 is empty"),
+        2: (DegenerateChannel, 2, "channel 2 is not line-like"),
+        4: (NoIntersection, None, "axis lines are mutually parallel"),
+        5: (DegenerateChannel, 0, "channel 0 is not line-like"),
+    }
+    for b in range(len(images)):
+        if b in expected:
+            kind, channel, message = expected[b]
+            err = obs.errors[b]
+            assert type(err) is kind and getattr(err, "channel", None) == channel and str(err) == message
+            assert np.isnan(obs.origin_px[b]).all() and np.isnan(obs.dir[b]).all() and np.isnan(obs.centroid[b]).all()
+        else:
+            alone = extract_axes_hard(images[b : b + 1])
+            assert alone.errors == [None] and obs.record(b).to_flat() == alone.record(0).to_flat()
+    with pytest.raises(ValueError, match=r"\(128, 128, 3\)"):
+        extract_axes_hard(clean)
 
 
 def test_directions_point_toward_channel_mass():
     rng = np.random.default_rng(1)
     pose = sample_pose(rng, K, SAMPLING)
     img = render_triaxis(K, pose, thickness_px=2.0)
-    obs = extract_axes_hard(img)
+    obs = extract_axes_hard(img[None]).record(0)
     for i in range(3):
         ys, xs = np.nonzero(img[:, :, i] > 0.5)
         mean = np.array([xs.mean(), ys.mean()])
@@ -118,7 +157,7 @@ def test_projected_centroid_matches_hard_extraction(size, thickness):
     for _ in range(100):
         pose = sample_pose(rng, cam, SamplingConfig())
         try:
-            obs = extract_axes_hard(render_triaxis(cam, pose, thickness_px=thickness))
+            obs = extract_axes_hard(render_triaxis(cam, pose, thickness_px=thickness)[None]).record(0)
         except (DegenerateChannel, EmptyChannel):
             continue
         gaps.append(float(np.linalg.norm(project_axes(cam, pose).centroid - obs.centroid)))
@@ -149,7 +188,7 @@ def _cotangent(rng):
 def test_soft_extraction_is_graded_on_blobs():
     img = _blob_image()
     with pytest.raises(DegenerateChannel):
-        extract_axes_hard(img)
+        extract_axes_hard(img[None]).record(0)
     rng = np.random.default_rng(5)
     cot_vec, adj = _cotangent(rng)
 
@@ -174,7 +213,7 @@ def test_soft_extraction_accepts_isotropic_channel():
     vv, uu = np.mgrid[0:32, 0:32].astype(float)
     img[:, :, 0] = np.exp(-0.5 * ((uu - 10.0) ** 2 + (vv - 12.0) ** 2) / 2.5**2)  # round, on a pixel
     with pytest.raises(DegenerateChannel):
-        extract_axes_hard(img)
+        extract_axes_hard(img[None]).record(0)
     obs, aniso, _, state = extract_axes_soft(img[None], 50.0)
     assert np.all(np.isfinite(np.array(obs.record(0).to_flat())))
     assert aniso[0, 0] < 1e-20 and np.all(aniso[0, 1:] > 0.05)
