@@ -77,14 +77,16 @@ class AxisObservation:
             raise ValueError("axis directions must be unit vectors")
 
     @classmethod
-    def stack(cls, observations: Sequence["AxisObservation"]) -> "AxisObservation":
-        """B single-image observations as one batch without errors."""
-        return cls(
-            origin_px=np.stack([o.origin_px for o in observations]),
-            dir=np.stack([o.dir for o in observations]),
-            centroid=np.stack([o.centroid for o in observations]),
-            errors=[None] * len(observations),
-        )
+    def concatenate(cls, batches: Sequence["AxisObservation"]) -> "AxisObservation":
+        """The records of batches, in order, as one batch, errors included."""
+        arrays = [np.concatenate([getattr(o, name) for o in batches]) for name in ("origin_px", "dir", "centroid")]
+        return cls(*arrays, errors=[exc for o in batches for exc in o.errors])
+
+    def take(self, rows: Sequence[int]) -> "AxisObservation":
+        """The batch of the given rows, in that order, repeats included, errors included."""
+        rows = np.asarray(rows, dtype=int)
+        errors = [self.errors[b] for b in rows.tolist()]
+        return AxisObservation(self.origin_px[rows], self.dir[rows], self.centroid[rows], errors)
 
     def record(self, b: int) -> "AxisObservation":
         """Record b of a batch; raises its extraction error if it failed."""

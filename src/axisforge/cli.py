@@ -194,6 +194,7 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     import numpy as np
 
+    from .camera import AxisObservation
     from .dataset import load_images, load_manifest, record_seed
     from .denoiser import load_checkpoint
     from .diffusion import GaussianDenoiser, sample
@@ -227,41 +228,38 @@ def cmd_infer(args) -> int:
 
     # only a guided run reads the ground-truth target, so only it can fail on one
     guidance = cfg.guidance if args.guidance and cfg.guidance.rho_base > 0 else None
-    pending = []  # (record, ground-truth tri-axis, condition, generator, target or None)
     gt_triaxes = load_images(args.dataset, manifest, "test", "triaxis")
     conds = load_images(args.dataset, manifest, "test", "degraded")
+    targets, rows = None, range(len(records))
     if guidance is not None:  # at most INFER_BATCH targets widened to float64 at once
         parts = [extract_axes_hard(gt_triaxes[i : i + INFER_BATCH]) for i in range(0, len(records), INFER_BATCH)]
-    for i, (rec, gt_triaxis, cond) in enumerate(zip(records, gt_triaxes, conds)):
-        rng = np.random.default_rng(record_seed(cfg.seed, rec.id))
-        target = None
-        if guidance is not None:
-            try:
-                target = parts[i // INFER_BATCH].record(i % INFER_BATCH)
-            except AxisForgeError as exc:
+        targets = AxisObservation.concatenate(parts)
+        for rec, exc in zip(records, targets.errors):
+            if exc is not None:
                 fail(rec, exc)
-                continue
-        pending.append((rec, gt_triaxis, cond, rng, target))
+        rows = [i for i, exc in enumerate(targets.errors) if exc is None]
+    rngs = [np.random.default_rng(record_seed(cfg.seed, rec.id)) for rec in records]
 
-    # records are sampled in batches: one denoiser pass per step for the batch
-    for start in range(0, len(pending), INFER_BATCH):
-        chunk = pending[start : start + INFER_BATCH]
+    # the surviving records are sampled in batches: one denoiser pass per step for the batch
+    for start in range(0, len(rows), INFER_BATCH):
+        chunk = rows[start : start + INFER_BATCH]
         batch_den = den
         if args.analytic_denoiser:
-            means = np.stack([item[1] for item in chunk])
+            means = gt_triaxes[chunk]
             batch_den = GaussianDenoiser(means, np.full(means.shape, ANALYTIC_FIELD_VAR), sched)
         images, norms, errors = sample(
             batch_den,
-            [item[2] for item in chunk],
-            [item[4] for item in chunk],
+            conds[chunk],
+            None if targets is None else targets.take(chunk),
             guidance,
             sched,
             steps=cfg.sample_steps,
-            rngs=[item[3] for item in chunk],
+            rngs=[rngs[i] for i in chunk],
             shape=(K.height, K.width),
         )
         observed = extract_axes_hard(images)
-        for b, ((rec, *_), image, record_norms, record_errors) in enumerate(zip(chunk, images, norms, errors)):
+        for b, (i, image, record_norms, record_errors) in enumerate(zip(chunk, images, norms, errors)):
+            rec = records[i]
             save_f32(args.out / "images" / f"{rec.id}_gen.f32", image)
             reasons = [type(exc).__name__ for exc in record_errors if exc is not None]
             lines[rec.id].update(

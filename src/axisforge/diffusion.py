@@ -11,11 +11,11 @@ distance from the target's axis ray. The guided estimate is
 x0_hat - rho_eff * (1 - alpha_bar_t) / alpha_bar_t * d loss / d x0_hat,
 which leaves the denoiser undifferentiated (manifold-preserving guidance,
 He et al., arXiv:2311.16424), so a guided step, ``guided_x0_batch``, costs
-one denoiser forward. ``sample`` runs several records through one
+one denoiser forward. ``sample`` takes a batch's conditions as one array
+and its targets as one AxisObservation whose rows all extracted, runs one
 denoiser pass and one batched soft extraction per step, under one
-GuidanceParams for the whole call and one target per record, and returns
-plain arrays: the clipped images and each record's per-step correction
-norms and skip errors.
+GuidanceParams for the whole call, and returns plain arrays: the clipped
+images and each record's per-step correction norms and skip errors.
 
 A chain runs in its denoiser's dtype (float32 for the network, float64 for
 ``GaussianDenoiser``) through every full-image pass: x_t, x0_hat, the soft
@@ -62,8 +62,8 @@ class DiffusionSchedule:
             raise InvalidSchedule("schedule arrays must have length T >= 1")
         if np.any(z <= 0) or np.any(z >= 1):
             raise InvalidSchedule("zeta values must lie in (0, 1)")
-        if np.any(ab <= 0) or np.any(ab > 1):
-            raise InvalidSchedule("alpha_bar values must lie in (0, 1]")
+        if np.any(ab <= 0) or np.any(ab >= 1):
+            raise InvalidSchedule("alpha_bar values must lie in (0, 1): DDIM divides by sqrt(1 - alpha_bar)")
         if np.any(np.diff(ab) >= 0):
             raise InvalidSchedule("alpha_bar must be strictly decreasing")
         if np.max(np.abs(ab - np.cumprod(1.0 - z))) > 1e-12:
@@ -212,7 +212,7 @@ def geo_image_gradient(
     x0_hat: np.ndarray,
     target: AxisObservation,
     sharpness: float,
-    rays: np.ndarray | None = None,
+    rays: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
     """Guidance losses of clip(x0_hat, 0, 1) for a batch x0_hat of shape
     (B, H, W, 3), and their gradients with respect to x0_hat, from one soft
@@ -223,13 +223,11 @@ def geo_image_gradient(
     smoothly as a channel nears isotropy, where the direction's adjoint is
     ill-defined, so the gradient stays bounded.
 
-    ``rays`` is ray_distance_map(target, (H, W)), built here when not
-    given. Returns (losses, grads, errors): a failed image has loss nan,
-    gradient 0 and its VanishingMass or NoIntersection in errors. grads is
-    a new array, which the caller may write into.
+    ``rays`` is ray_distance_map(target, (H, W)). Returns (losses, grads,
+    errors): a failed image has loss nan, gradient 0 and its VanishingMass
+    or NoIntersection in errors. grads is a new array, which the caller may
+    write into.
     """
-    if rays is None:
-        rays = ray_distance_map(target, x0_hat.shape[1:3])
     gen, aniso, spread, state = extract_axes_soft(np.clip(x0_hat, 0.0, 1.0), sharpness, rays)
     losses = geo_loss(gen, target, aniso) + spread.sum(axis=1)
     # geo_loss's cotangents (the origin does not enter it), then the ray
@@ -314,8 +312,8 @@ def gaussian_optimal_timesteps(sched: DiffusionSchedule, steps: int, data_var: f
 
 def sample(
     denoiser: DenoiserInterface,
-    conds: Sequence[np.ndarray | None],
-    targets: Sequence[AxisObservation | None],
+    conds: np.ndarray | None,
+    target: AxisObservation | None,
     guidance: GuidanceParams | None,
     sched: DiffusionSchedule,
     steps: int,
@@ -324,14 +322,15 @@ def sample(
 ) -> tuple[np.ndarray, np.ndarray, list[list[Exception | None]]]:
     """Full deterministic reverse chains of ``steps`` uniformly strided
     timesteps, one per record, producing (H, W) = ``shape`` tri-axis images,
-    guided toward the targets unless guidance is None or has rho_base 0.
+    guided toward target unless guidance is None or has rho_base 0.
 
-    Record b has its own condition, target and generator; the guidance
-    settings are the run's. Its initial noise comes from rngs[b] alone, in
-    float64, and the chain rounds it once to the denoiser's dtype, so its
-    image does not depend on the other records up to floating-point
-    rounding, which may differ between a batched and a single matrix
-    product. A denoiser taking no condition gets cond None for every record.
+    conds is a (B, H, W) array, or None for a denoiser taking no condition;
+    target is a batch observation of B records that all extracted, or None
+    unguided. Record b has row b of each and its own generator rngs[b], from
+    which alone its initial noise comes, in float64; the chain rounds it
+    once to the denoiser's dtype, so its image does not depend on the other
+    records up to floating-point rounding, which may differ between a
+    batched and a single matrix product.
 
     Returns (images, norms, errors), in the style of ``guided_x0_batch``:
     the images (B, H, W, 3) clipped to [0, 1] in the chain's dtype; norms
@@ -342,12 +341,11 @@ def sample(
     ts = uniform_timesteps(sched, steps)
     # the chain runs in the denoiser's dtype, from float64 draws rounded once
     x = np.stack([rng.standard_normal((shape[0], shape[1], 3)) for rng in rngs]).astype(denoiser.dtype, copy=False)
-    cond = None
-    if conds[0] is not None:  # prepared once for the whole chain
-        cond = denoiser.prepare_condition(np.stack(conds))
+    cond = None if conds is None else denoiser.prepare_condition(conds)  # prepared once for the whole chain
     guided = guidance is not None and guidance.rho_base != 0.0
-    if guided:  # the targets and the image shape are fixed along a chain
-        target = AxisObservation.stack(targets)
+    if guided:  # the target and the image shape are fixed along a chain
+        if any(exc is not None for exc in target.errors):
+            raise ValueError("a guidance target row failed to extract")
         rays = ray_distance_map(target, shape).astype(x.dtype, copy=False)
     step_norms, step_errors = [], []
     for i, t in enumerate(ts):

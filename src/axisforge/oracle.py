@@ -459,7 +459,7 @@ def oracle_analytic_sampler_image() -> tuple[str, str, bool]:
         pose = sample_pose(rng, K, _SAMPLING_16)
         x0 = render_triaxis(K, pose, thickness_px=1.5)
         den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
-        image = sample(den, [None], [None], None, sched, steps=50, rngs=[rng], shape=(16, 16))[0][0]
+        image = sample(den, None, None, None, sched, steps=50, rngs=[rng], shape=(16, 16))[0][0]
         maes.append(float(np.mean(np.abs(image - x0))))
     return "mean abs error < 0.05 (seeds 15 and 8)", ", ".join(f"{m:.4f}" for m in maes), max(maes) < 0.05
 
@@ -486,14 +486,15 @@ def oracle_ablation_direction() -> tuple[str, str, bool]:
         biased = Pose(R=rot_z(20.0) @ pose.R, T=pose.T)
         try:
             mean_img = render_triaxis(K, biased, thickness_px=1.5)
-            target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)[None]).record(0)
+            targets = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)[None])
+            target = targets.record(0)
         except AxisForgeError:
             continue
         den = GaussianDenoiser(mean_img, np.full(mean_img.shape, 0.01), sched)
         guidance = GuidanceParams(rho_base=10.0, sharpness=50.0)
         for params, sink in ((None, unguided_losses), (guidance, guided_losses)):
             image = sample(
-                den, [None], [target], params, sched, steps=25,
+                den, None, targets, params, sched, steps=25,
                 rngs=[np.random.default_rng(10_000 + i)], shape=(size, size),
             )[0][0]
             try:
@@ -557,7 +558,7 @@ def oracle_infer_upper_bound() -> tuple[str, str, bool]:
         pose = sample_pose(rng, K, sampling)
         gt_img = render_triaxis(K, pose, thickness_px=1.5)
         den = GaussianDenoiser(gt_img, np.full(gt_img.shape, 1e-4), sched)
-        image = sample(den, [None], [None], None, sched, steps=50, rngs=[rng], shape=(size, size))[0][0]
+        image = sample(den, None, None, None, sched, steps=50, rngs=[rng], shape=(size, size))[0][0]
         pred = recover_pose(extract_axes_hard(image[None]).record(0), K, scale_lambda_O=float(pose.T[2]))
         if reproj_metric(pose, pred, model, K) < threshold:
             passed += 1

@@ -86,10 +86,10 @@ def test_criterion_5_guidance_math(capsys, oracle):
     x0 = render_triaxis(K, pose, thickness_px=1.5)
     sched = make_schedule(100, 1e-4, 0.05)
     den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
-    target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)[None]).record(0)
-    a, _, _ = sample(den, [None], [target], GuidanceParams(rho_base=0.0), sched,
+    target = extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)[None])
+    a, _, _ = sample(den, None, target, GuidanceParams(rho_base=0.0), sched,
                      steps=25, rngs=[np.random.default_rng(42)], shape=(16, 16))
-    b, _, _ = sample(den, [None], [None], None, sched,
+    b, _, _ = sample(den, None, None, None, sched,
                      steps=25, rngs=[np.random.default_rng(42)], shape=(16, 16))
     bitexact = bool(np.array_equal(a, b))
     ok = fd.passed and bitexact
@@ -115,19 +115,20 @@ def test_criterion_6_ablation_gap(capsys):
     model = cuboid_model()
     threshold = reproj_threshold_px(K)
     n_poses = 100
-    poses, targets, conds = [], [], []
-    for i in range(n_poses):
-        pose = sample_pose(np.random.default_rng(50_000 + i), K, sampling)
-        poses.append(pose)
-        targets.append(extract_axes_hard(render_triaxis(K, pose, thickness_px=1.5)[None]).record(0))
-        conds.append(apply_degradation(render_query(K, pose), DegradationSpec(occlusion_frac=0.25), 50_000 + i))
+    poses = [sample_pose(np.random.default_rng(50_000 + i), K, sampling) for i in range(n_poses)]
+    # every target extracts: the guided sampler refuses a row that failed
+    targets = extract_axes_hard(np.stack([render_triaxis(K, pose, thickness_px=1.5) for pose in poses]))
+    conds = np.stack([
+        apply_degradation(render_query(K, pose), DegradationSpec(occlusion_frac=0.25), 50_000 + i)
+        for i, pose in enumerate(poses)
+    ])
     success = {"guided": 0, "unguided": 0}
     for arm, guidance in (("unguided", None), ("guided", GuidanceParams(rho_base=10.0, sharpness=50.0))):
         # sampled in chunks of infer's batch, as infer samples its records
         for start in range(0, n_poses, INFER_BATCH):
             chunk = range(start, min(start + INFER_BATCH, n_poses))
             images, _, _ = sample(
-                den, [conds[i] for i in chunk], [targets[i] for i in chunk], guidance, sched, steps=30,
+                den, conds[chunk], targets.take(chunk), guidance, sched, steps=30,
                 rngs=[np.random.default_rng(10_000 + i) for i in chunk], shape=(size, size),
             )
             observed = extract_axes_hard(images)

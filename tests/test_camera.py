@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from axisforge.camera import (
+    AxisObservation,
     Pose,
     project_axes,
     project_point,
@@ -16,8 +17,10 @@ from axisforge.camera import (
     rot_z,
     triaxis_lengths,
 )
-from axisforge.config import CameraIntrinsics
-from axisforge.errors import DegenerateAxis, NonPositiveDepth
+from axisforge.config import CameraIntrinsics, default_intrinsics
+from axisforge.errors import DegenerateAxis, EmptyChannel, NonPositiveDepth
+from axisforge.extraction import extract_axes_hard
+from axisforge.render import render_triaxis
 
 K = CameraIntrinsics(f_x=100.0, f_y=100.0, c_x=64.0, c_y=64.0, width=128, height=128)
 
@@ -85,6 +88,36 @@ def test_projected_axis_lengths_positive_and_consistent():
     for i in range(3):
         ref = np.linalg.norm(project_point(K, pose, np.eye(3)[i]) - origin)
         assert lengths[i] == ref
+
+
+def test_observation_batches_concatenate_and_take_rows_with_their_errors():
+    k32 = default_intrinsics(32)
+    images = [
+        render_triaxis(k32, Pose(R=rot_x(a) @ rot_y(b), T=np.array([0.0, 0.0, 3.0])), thickness_px=1.5)
+        for a, b in ((25.0, -40.0), (-30.0, 35.0))
+    ]
+    first = extract_axes_hard(np.stack([images[0], np.zeros_like(images[0])]))  # row 1 fails
+    second = extract_axes_hard(images[1][None])
+    joined = AxisObservation.concatenate([first, second])
+    sources = [(first, 0), (first, 1), (second, 0)]
+
+    def same_rows(batch, picked):
+        # each row of batch is row b of source, bit for bit, with its error object
+        assert batch.origin_px.shape == (len(picked), 2) and len(batch.errors) == len(picked)
+        for row, (source, b) in enumerate(picked):
+            for name in ("origin_px", "dir", "centroid"):
+                assert getattr(batch, name)[row].tobytes() == getattr(source, name)[b].tobytes()
+            assert batch.errors[row] is source.errors[b]
+
+    assert isinstance(first.errors[1], EmptyChannel) and np.isnan(first.origin_px[1]).all()
+    same_rows(joined, sources)
+    picked = joined.take([2, 1, 2, 0])
+    same_rows(picked, [sources[i] for i in (2, 1, 2, 0)])
+    same_rows(joined.take([]), [])
+    with pytest.raises(EmptyChannel) as raised:
+        picked.record(1)
+    assert raised.value is first.errors[1]
+    assert picked.record(0).origin_px.tobytes() == second.record(0).origin_px.tobytes()
 
 
 def test_project_points_matches_per_point_products():

@@ -104,15 +104,25 @@ def test_infer_runs_the_sampler_and_soft_extraction_by_name(tmp_path, monkeypatc
     # a wrapper set on each module attribute and on every by-name binding of
     # it, as a tracer sets one, sees one sample call per chunk of records,
     # one soft extraction and one adjoint per guided step, and one hard
-    # extraction per INFER_BATCH targets and per chunk of generated images
+    # extraction per INFER_BATCH targets and per chunk of generated images.
+    # The chunks are INFER_BATCH runs of the records whose target extracts,
+    # in manifest order, across the target slices
     import sys
 
     from axisforge import cli, diffusion, extraction
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**CONFIG, "sample_steps": 5}))
-    data = _render(tmp_path, config, n_test=4)
+    data = _render(tmp_path, config, n_test=6)
+    path = data / "images" / "test_triaxis.f32"
+    triaxes = np.fromfile(path, dtype="<f4").reshape(6, 16, 16, 3)
+    triaxes[1] = 0.0  # EmptyChannel: record 1 is never sampled
+    triaxes.tofile(path)
+    queries = np.fromfile(data / "images" / "test_degraded.f32", dtype="<f4").reshape(6, 16, 16)
+    surviving = [i for i, exc in enumerate(extraction.extract_axes_hard(triaxes).errors) if exc is None]
+    assert 1 not in surviving and len(surviving) >= 4
     counts = dict.fromkeys(("sample", "extract_axes_soft", "soft_extract_vjp", "extract_axes_hard"), 0)
+    chunks = []  # the records of each sample call, by their condition
     for module, name in (
         (diffusion, "sample"),
         (extraction, "extract_axes_soft"),
@@ -123,6 +133,8 @@ def test_infer_runs_the_sampler_and_soft_extraction_by_name(tmp_path, monkeypatc
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
+            if _name == "sample":
+                chunks.append([next(i for i, q in enumerate(queries) if np.array_equal(q, cond)) for cond in args[1]])
             return _fn(*args, **kwargs)
 
         for owner in [m for key, m in sys.modules.items() if key.startswith("axisforge.")]:
@@ -133,14 +145,15 @@ def test_infer_runs_the_sampler_and_soft_extraction_by_name(tmp_path, monkeypatc
     rc = main(["infer", "--config", str(config), "--dataset", str(data), "--analytic-denoiser", "--out", str(pred)])
     assert rc == 0
     # a record whose ground-truth target does not extract is never sampled
-    lines = (pred / "predictions.jsonl").read_text().splitlines()
-    chunks = (sum("skipped_guidance_steps" in json.loads(line) for line in lines) + 1) // 2
-    assert chunks >= 2
+    lines = [json.loads(line) for line in (pred / "predictions.jsonl").read_text().splitlines()]
+    assert [i for i, line in enumerate(lines) if "skipped_guidance_steps" in line] == surviving
+    assert lines[1]["error"] == "EmptyChannel"
+    assert chunks == [surviving[i : i + 2] for i in range(0, len(surviving), 2)]
     assert counts == {
-        "sample": chunks,
-        "extract_axes_soft": 5 * chunks,
-        "soft_extract_vjp": 5 * chunks,
-        "extract_axes_hard": 2 + chunks,  # 4 targets in slices of 2, then each chunk
+        "sample": len(chunks),
+        "extract_axes_soft": 5 * len(chunks),
+        "soft_extract_vjp": 5 * len(chunks),
+        "extract_axes_hard": 3 + len(chunks),  # 6 targets in slices of 2, then each chunk
     }
     capsys.readouterr()
 
@@ -583,6 +596,21 @@ def test_infer_out_of_range_steps_exits_2_before_writing(tmp_path, config_path, 
         assert rc == 2
         err = capsys.readouterr().err
         assert "'sample_steps'" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_schedule_reaching_alpha_bar_1_exits_2_before_writing(tmp_path, config_path, capsys):
+    # zeta_start below about 1.1e-16 rounds 1 - zeta to 1, and the DDIM step
+    # at t = 1 would divide by sqrt(1 - alpha_bar) = 0: every image nan
+    data = _render(tmp_path, config_path)
+    config = tmp_path / "tiny_zeta.json"
+    config.write_text(json.dumps({**CONFIG, "zeta_start": 1e-17}))
+    for command in (["infer", "--analytic-denoiser"], ["train"]):
+        out = tmp_path / f"out-{command[0]}"
+        rc = main([*command, "--config", str(config), "--dataset", str(data), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "alpha_bar" in err and "Traceback" not in err
         assert not out.exists()
 
 

@@ -467,6 +467,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
         {**good, "sigma_data": -1},
         {**good, "arch": {"hidden": "x"}},
         {**good, "schedule": {**SCHED.to_dict(), "T": 0}},
+        {**good, "schedule": {**SCHED.to_dict(), "zeta_start": 1e-17}},  # alpha_bar 1 at t = 1
     ]
     for raw in (
         b"not a checkpoint at all",

@@ -41,6 +41,8 @@ def test_make_schedule_validation():
         make_schedule(10, 0.05, 1e-4)  # decreasing
     with pytest.raises(InvalidSchedule):
         make_schedule(10, 0.0, 0.05)
+    with pytest.raises(InvalidSchedule):
+        make_schedule(200, 1e-17, 0.05)  # 1 - zeta rounds to 1: alpha_bar 1 at t = 1
 
 
 def test_forward_diffuse_marginal_identity():
@@ -161,29 +163,30 @@ def _near_isotropic_image(eps, size=32):
 
 
 def test_guidance_gradient_bounded_near_isotropy():
-    target = AxisObservation.stack([
-        AxisObservation(origin_px=[14.0, 15.0], dir=[[-0.6, -0.8], [1.0, 0.0], [0.0, 1.0]], centroid=[15.0, 15.0])
-    ])
+    target = AxisObservation(
+        origin_px=[[14.0, 15.0]], dir=[[[-0.6, -0.8], [1.0, 0.0], [0.0, 1.0]]], centroid=[[15.0, 15.0]], errors=[None]
+    )
+    rays = ray_distance_map(target, (32, 32))
     turn = (np.zeros((1, 2)), np.array([[[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]]), np.zeros((1, 2)))
     raw, weighted = [], []
     for eps in (1e-2, 1e-4, 1e-6):
         x0 = _near_isotropic_image(eps)[None]
         _, aniso, _, state = extract_axes_soft(x0, 50.0)
         raw.append(np.linalg.norm(soft_extract_vjp(state, *turn)))
-        weighted.append(np.linalg.norm(geo_image_gradient(x0, target, 50.0)[1]))
+        weighted.append(np.linalg.norm(geo_image_gradient(x0, target, 50.0, rays)[1]))
     assert aniso[0, 0] < 1e-10 and np.all(aniso[0, 1:] > 0.5)
     # the bare direction's adjoint grows like 1 / (lam_max - lam_min) ...
     assert raw[2] > 1e3 * raw[0]
     # ... while the anisotropy-weighted guidance loss keeps its gradient bounded
     assert max(weighted) < 1.1 * min(weighted)
-    _, grad, errors = geo_image_gradient(x0, target, 50.0)
+    _, grad, errors = geo_image_gradient(x0, target, 50.0, rays)
     assert errors == [None]
     rng = np.random.default_rng(11)
     h = 1e-6
     for _ in range(5):
         v = rng.standard_normal(x0.shape[1:])
         v /= np.linalg.norm(v)
-        fd = (geo_image_gradient(x0 + h * v, target, 50.0)[0] - geo_image_gradient(x0 - h * v, target, 50.0)[0])[0] / (2 * h)
+        fd = (geo_image_gradient(x0 + h * v, target, 50.0, rays)[0] - geo_image_gradient(x0 - h * v, target, 50.0, rays)[0])[0] / (2 * h)
         assert abs(float((grad * v).sum()) - fd) < 1e-4 * max(1.0, abs(fd))
 
 
@@ -192,7 +195,7 @@ def _guided_case(seed, size=16):
     K = default_intrinsics(size)
     pose = sample_pose(rng, K, SamplingConfig(depth_min=2.0, depth_max=2.8, lateral=0.2, min_axis_px=5.0))
     x0 = render_triaxis(K, pose, thickness_px=1.5)
-    return x0, extract_axes_hard(x0[None]).record(0)
+    return x0, extract_axes_hard(x0[None])  # a batch of one
 
 
 GUIDANCE = GuidanceParams(rho_base=10.0)
@@ -203,19 +206,19 @@ def test_batched_sampling_matches_single_records():
 
     sched = make_schedule(50, 1e-3, 0.05)
     cases = [_guided_case(s) for s in (1, 2, 3)]
-    targets = [target for _, target in cases]
+    targets = AxisObservation.concatenate([target for _, target in cases])
     # the analytic field is elementwise, so batching changes no arithmetic
     means = np.stack([x0 for x0, _ in cases])
     for guidance in (GUIDANCE, None):
         images, norms, errors = sample(
             GaussianDenoiser(means, np.full(means.shape, 0.01), sched),
-            [None] * 3, targets, guidance, sched, steps=10,
+            None, targets, guidance, sched, steps=10,
             rngs=[np.random.default_rng(10 + b) for b in range(3)], shape=(16, 16),
         )
         for b, (x0, target) in enumerate(cases):
             den = GaussianDenoiser(x0, np.full(x0.shape, 0.01), sched)
             image, step_norms, step_errors = sample(
-                den, [None], [target], guidance, sched, steps=10, rngs=[np.random.default_rng(10 + b)], shape=(16, 16)
+                den, None, target, guidance, sched, steps=10, rngs=[np.random.default_rng(10 + b)], shape=(16, 16)
             )
             assert np.array_equal(images[b], image[0])
             assert np.array_equal(norms[b], step_norms[0])
@@ -224,25 +227,19 @@ def test_batched_sampling_matches_single_records():
     mlp = MLPDenoiser(
         ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15, np.float64
     )
-    conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(3)]
+    conds = np.stack([np.random.default_rng(20 + b).random((16, 16)) for b in range(3)])
     images, _, _ = sample(mlp, conds, targets, GUIDANCE, sched, 10, [np.random.default_rng(b) for b in range(3)], (16, 16))
     for b in range(3):
-        image, _, _ = sample(mlp, conds[b : b + 1], targets[b : b + 1], GUIDANCE, sched, 10, [np.random.default_rng(b)], (16, 16))
+        image, _, _ = sample(mlp, conds[b : b + 1], targets.take([b]), GUIDANCE, sched, 10, [np.random.default_rng(b)], (16, 16))
         assert np.allclose(images[b], image[0], rtol=0.0, atol=1e-9)
-
-
-def _stacked(targets, shape=(16, 16)):
-    """A batch's stacked targets and their ray map, as sample builds them."""
-    target = AxisObservation.stack(targets)
-    return target, ray_distance_map(target, shape)
 
 
 def test_batched_guidance_gradient_finite_differences():
     from axisforge.denoiser import MLPDenoiser
 
     sched = make_schedule(50, 1e-3, 0.05)
-    targets = [_guided_case(s)[1] for s in (1, 2, 3)]
-    target, rays = _stacked(targets)
+    target = AxisObservation.concatenate([_guided_case(s)[1] for s in (1, 2, 3)])
+    rays = ray_distance_map(target, (16, 16))
     mlp = MLPDenoiser(
         ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15, np.float64
     )
@@ -261,7 +258,8 @@ def test_batched_guidance_gradient_finite_differences():
     assert errors == [None] * 3
     x0_hat, img_losses, img_grads, _ = network_step(x_t, cond, target, rays)
     for b in range(3):  # a batch of one gives the matching row of the larger batch
-        one_target, one_rays = _stacked([targets[b]])
+        one_target = target.take([b])
+        one_rays = ray_distance_map(one_target, (16, 16))
         one_guided = guided_x0_batch(x_t[b : b + 1], t, mlp, cond[b : b + 1], one_target, one_rays, GUIDANCE, sched)[0]
         _, one_losses, one_grads, _ = network_step(x_t[b : b + 1], cond[b : b + 1], one_target, one_rays)
         assert np.isclose(one_losses[0], img_losses[b], rtol=1e-12)
@@ -307,8 +305,8 @@ def test_guided_sampling_never_differentiates_the_network(monkeypatch):
     monkeypatch.setattr(MLPDenoiser, "evaluate", counted)
     sched = make_schedule(50, 1e-3, 0.05)
     mlp = MLPDenoiser(ArchConfig(image_size=16, hidden=32, time_embed_dim=8), sched, np.random.default_rng(4), 0.15)
-    targets = [_guided_case(1)[1], _guided_case(3)[1]]
-    conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(2)]
+    targets = AxisObservation.concatenate([_guided_case(1)[1], _guided_case(3)[1]])
+    conds = np.stack([np.random.default_rng(20 + b).random((16, 16)) for b in range(2)])
     for guidance in (GUIDANCE, None):
         steps.clear()
         _, norms, _ = sample(mlp, conds, targets, guidance, sched, 10, [np.random.default_rng(b) for b in range(2)], (16, 16))
@@ -329,11 +327,11 @@ def test_sampling_runs_in_the_denoiser_dtype(monkeypatch, kind, dtype):
     if kind == "mlp":
         arch = ArchConfig(image_size=16, hidden=32, time_embed_dim=8)
         den = MLPDenoiser(arch, sched, np.random.default_rng(4), 0.15, dtype)
-        conds = [np.random.default_rng(20 + b).random((16, 16)) for b in range(2)]
+        conds = np.stack([np.random.default_rng(20 + b).random((16, 16)) for b in range(2)])
     else:
         means = np.stack([x0 for x0, _ in cases])
         den = GaussianDenoiser(means, np.full(means.shape, 0.01), sched)
-        conds = [None, None]
+        conds = None
     assert den.dtype == dtype
     seen = {}
 
@@ -363,7 +361,8 @@ def test_sampling_runs_in_the_denoiser_dtype(monkeypatch, kind, dtype):
     for guidance in (GUIDANCE, None):
         seen.clear()
         rngs = [np.random.default_rng(b) for b in range(2)]
-        images, norms, errors = sample(den, conds, [target for _, target in cases], guidance, sched, 10, rngs, (16, 16))
+        targets = AxisObservation.concatenate([target for _, target in cases])
+        images, norms, errors = sample(den, conds, targets, guidance, sched, 10, rngs, (16, 16))
         expected = {"evaluate", "ddim_step"} | ({"gradient"} if guidance else set())
         assert seen == {name: {np.dtype(dtype)} for name in expected}
         # the images come back clipped in the chain's dtype, the norms in float64
@@ -397,7 +396,9 @@ def test_float32_sampling_agrees_with_float64():
             pose = sample_pose(rng, K, SamplingConfig(depth_min=2.0, depth_max=2.8, lateral=0.2, min_axis_px=5.0))
             x0 = render_triaxis(K, pose, thickness_px=1.5)
             try:
-                records.append((x0, render_query(K, pose), extract_axes_hard(x0[None]).record(0)))
+                target = extract_axes_hard(x0[None])
+                target.record(0)  # raises if the target failed
+                records.append((x0, render_query(K, pose), target))
             except AxisForgeError:
                 pass
         x0s, queries, targets = zip(*records)
@@ -410,7 +411,9 @@ def test_float32_sampling_agrees_with_float64():
         outcomes = []
         for den in (den32, den64):
             rngs = [np.random.default_rng(100 * seed + b) for b in range(4)]
-            images, _, _ = sample(den, queries, targets, GUIDANCE, sched, 10, rngs, (size, size))
+            images, _, _ = sample(
+                den, np.stack(queries), AxisObservation.concatenate(targets), GUIDANCE, sched, 10, rngs, (size, size)
+            )
             observed, row = extract_axes_hard(images), []
             for b in range(len(images)):
                 try:
@@ -437,19 +440,19 @@ def test_batched_guidance_isolates_failed_records():
     den = GaussianDenoiser(means, np.full(means.shape, 1e-4), sched)
     x_t = np.random.default_rng(3).standard_normal(means.shape)
     t = 10
-    stacked, rays = _stacked([target] * 4)
+    stacked = target.take([0] * 4)
+    rays = ray_distance_map(stacked, (16, 16))
     guided, norms, errors = guided_x0_batch(x_t, t, den, None, stacked, rays, GUIDANCE, sched)
     # the healthy record matches its batch of one bit for bit (the analytic
     # denoiser is elementwise, so batching changes no arithmetic)
     x0_hat = den.evaluate(x_t, t)
     sharpness = GUIDANCE.sharpness * sched.abar(t)
-    one_losses, one_grads, _ = geo_image_gradient(x0_hat[:1], AxisObservation.stack([target]), sharpness)
-    img_losses, img_grads, img_errors = geo_image_gradient(
-        x0_hat[:3], AxisObservation.stack([target] * 3), sharpness
-    )
+    one_rays = ray_distance_map(target, (16, 16))
+    one_losses, one_grads, _ = geo_image_gradient(x0_hat[:1], target, sharpness, one_rays)
+    img_losses, img_grads, img_errors = geo_image_gradient(x0_hat[:3], target.take([0] * 3), sharpness, rays[:3])
     assert img_losses[0] == one_losses[0] and np.array_equal(img_grads[0], one_grads[0])
     one_den = GaussianDenoiser(x0, np.full(x0.shape, 1e-4), sched)
-    one_guided, one_norms, _ = guided_x0_batch(x_t[:1], t, one_den, None, *_stacked([target]), GUIDANCE, sched)
+    one_guided, one_norms, _ = guided_x0_batch(x_t[:1], t, one_den, None, target, one_rays, GUIDANCE, sched)
     assert norms[0] == one_norms[0] > 0 and np.array_equal(guided[0], one_guided[0])
     # failed records: the network's estimate unchanged, their own exception
     assert isinstance(errors[1], VanishingMass) and errors[1].channel == 1
@@ -458,10 +461,12 @@ def test_batched_guidance_isolates_failed_records():
     assert errors[0] is None and errors[3] is None
     assert np.array_equal(guided[1:3], x0_hat[1:3]) and not np.any(norms[1:3])
     assert np.isnan(img_losses[1:]).all() and not np.any(img_grads[1:])
-    # targets stacked once for a chain, ray maps included, give what a
-    # fresh build gives at every step
+    # targets and ray maps built once for a chain give what a fresh build
+    # gives at every step
     for step in (30, 10):
-        fresh = guided_x0_batch(x_t, step, den, None, *_stacked([target] * 4), GUIDANCE, sched)
+        fresh_target = target.take([0] * 4)
+        fresh_rays = ray_distance_map(fresh_target, (16, 16))
+        fresh = guided_x0_batch(x_t, step, den, None, fresh_target, fresh_rays, GUIDANCE, sched)
         reused = guided_x0_batch(x_t, step, den, None, stacked, rays, GUIDANCE, sched)
         assert np.array_equal(fresh[0], reused[0])
         assert np.array_equal(fresh[1], reused[1])
@@ -482,8 +487,8 @@ class _StoredDenoiser(DenoiserInterface):
 def test_guidance_arithmetic_leaves_its_inputs_unchanged():
     sched = make_schedule(50, 1e-3, 0.05)
     cases = [_guided_case(s) for s in (1, 2)]
-    targets = [target for _, target in cases]
-    target, rays = _stacked(targets)
+    target = AxisObservation.concatenate([target for _, target in cases])
+    rays = ray_distance_map(target, (16, 16))
     rng = np.random.default_rng(15)
     # some pixels outside [0, 1], so the clamp mask acts
     x0_hat = np.stack([x0 for x0, _ in cases]) + 0.3 * rng.standard_normal((2, 16, 16, 3))
@@ -500,7 +505,7 @@ def test_guidance_arithmetic_leaves_its_inputs_unchanged():
     assert not np.shares_memory(first[0], x0_hat)
     # along a whole chain the stored estimate is read at every step, never written
     for guidance in (GUIDANCE, None):
-        sample(den, [None, None], targets, guidance, sched, 5, [np.random.default_rng(b) for b in range(2)], (16, 16))
+        sample(den, None, target, guidance, sched, 5, [np.random.default_rng(b) for b in range(2)], (16, 16))
     for a, c in zip(arrays, copies):
         assert np.array_equal(a, c)
 
@@ -513,12 +518,25 @@ def test_skipped_guidance_step_records_reason():
     # (on a blank 0 mean the x0_hat-space correction does, and no step skips)
     dark = np.full((16, 16, 3), -1.0)
     den = GaussianDenoiser(dark, np.full(dark.shape, 1e-4), sched)
-    _, (norms,), (errors,) = sample(den, [None], [target], GUIDANCE, sched, 10, [np.random.default_rng(0)], (16, 16))
+    _, (norms,), (errors,) = sample(den, None, target, GUIDANCE, sched, 10, [np.random.default_rng(0)], (16, 16))
     assert len(norms) == len(errors) == 10
     skipped = [e is not None for e in errors]
     assert any(skipped)
     assert {type(e).__name__ for e in errors if e is not None} == {"VanishingMass"}
     assert not np.any(norms[skipped])  # a skipped step corrects nothing
+
+
+def test_guided_sampling_refuses_a_target_row_that_failed():
+    # a failed row is nan, and its ray map would turn the record's image nan
+    sched = make_schedule(50, 1e-3, 0.05)
+    x0, target = _guided_case(1)
+    targets = AxisObservation.concatenate([target, extract_axes_hard(np.zeros((1, 16, 16, 3)))])
+    den = GaussianDenoiser(np.stack([x0, x0]), np.full((2, 16, 16, 3), 1e-4), sched)
+    rngs = [np.random.default_rng(b) for b in range(2)]
+    with pytest.raises(ValueError, match="failed to extract"):
+        sample(den, None, targets, GUIDANCE, sched, 5, rngs, (16, 16))
+    images, _, _ = sample(den, None, targets, None, sched, 5, rngs, (16, 16))  # unguided, the target is not read
+    assert np.isfinite(images).all()
 
 
 def test_ray_distance_map():
