@@ -89,13 +89,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="use the exact posterior mean of a Gaussian centred on each ground-truth tri-axis",
     )
-    p.add_argument(
-        "--guidance",
-        dest="guidance",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="enable geometric-consistency guidance",
-    )
     p.add_argument("--out", type=Path, required=True, help="predictions directory")
 
     p = sub.add_parser("eval", help="score predictions against the dataset")
@@ -227,7 +220,7 @@ def cmd_infer(args) -> int:
         exc.__traceback__ = None  # an error kept in an observation would keep this frame and its denoiser alive
 
     # only a guided run reads the ground-truth target, so only it can fail on one
-    guidance = cfg.guidance if args.guidance and cfg.guidance.rho_base > 0 else None
+    guidance = cfg.guidance if cfg.guidance.rho_base > 0 else None
     gt_triaxes = load_images(args.dataset, manifest, "test", "triaxis")
     conds = load_images(args.dataset, manifest, "test", "degraded")
     targets, rows = None, range(len(records))

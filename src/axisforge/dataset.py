@@ -4,8 +4,9 @@ A dataset directory holds a single JSON manifest (``manifest.json``,
 versioned): the intrinsics, render and degradation settings shared by every
 record, then each record's split, pose and seed. Its images are read through
 ``load_images``: one raw little-endian float32 file per split and kind, rows
-in manifest order. Poses are drawn by rejection sampling so that every
-record is nondegenerate for the full render -> extract -> solve path.
+in manifest order. Poses are drawn by rejection sampling: one predicate,
+pose_is_nondegenerate, judges every draw, so that every record is
+nondegenerate for the full render -> extract -> solve path.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import AXIS_DEGENERACY_PX, DEPTH_EPS, Pose, project_triaxis, random_rotation, triaxis_lengths
+from .camera import AXIS_DEGENERACY_PX, DEPTH_EPS, Pose, random_rotation
 from .config import CameraIntrinsics, DegradationSpec, RenderParams, RunConfig, SamplingConfig
-from .errors import DegenerateSamplingExhausted, ManifestError, NonPositiveDepth
+from .errors import DegenerateSamplingExhausted, ManifestError
 from .render import apply_degradation, atomic_write, load_f32, render_query, render_triaxis, save_f32
 
 MANIFEST_VERSION = 3  # load_manifest refuses every other version
@@ -77,58 +78,35 @@ class Manifest:
 
 def pose_is_nondegenerate(
     K: CameraIntrinsics,
-    pose: Pose,
+    R,
+    T,
     sampling: SamplingConfig,
     axis_len: float,
 ) -> bool:
-    """Acceptance test for sampled poses.
+    """Acceptance test for a sampled pose (R 3x3 with rows as sequences, T
+    three numbers), projected by project_triaxis's formula in Python floats.
 
-    Requires: origin and all axis endpoints projectable with positive depth,
-    the projected origin inside the central image box, every endpoint inside
-    the image, and each projected axis at least min_axis_px long.
+    Requires the origin and every axis endpoint at depth above DEPTH_EPS,
+    each projected axis at least max(min_axis_px, AXIS_DEGENERACY_PX) long
+    (project_axes raises DegenerateAxis below the latter), every endpoint
+    inside the image and the projected origin inside the central image box.
     """
-    try:
-        points = project_triaxis(K, pose, axis_len)
-    except NonPositiveDepth:
-        return False
-    lengths = triaxis_lengths(points)
-    if np.min(lengths) < AXIS_DEGENERACY_PX:  # project_axes would raise DegenerateAxis
-        return False
-    origin, endpoints = points[0], points[1:]
-    w, h = K.width, K.height
-    mx, my = sampling.origin_margin_frac * w, sampling.origin_margin_frac * h
-    if not (mx <= origin[0] <= w - 1 - mx and my <= origin[1] <= h - 1 - my):
-        return False
-    for p in endpoints:
-        if not (0 <= p[0] <= w - 1 and 0 <= p[1] <= h - 1):
-            return False
-    return bool(np.min(lengths) >= sampling.min_axis_px)
-
-
-# A draw whose shortest axis, projected in Python floats, falls short of
-# min_axis_px by more than this is refused before its Pose is built. Every
-# draw that pose_is_nondegenerate accepts projects inside the image, where
-# Python floats and project_triaxis agree to far better than 1e-6 px, so
-# the pre-test refuses only draws that the exact test refuses too.
-PRETEST_MARGIN_PX = 1e-6
-
-
-def _surely_degenerate(K: CameraIntrinsics, R: list, T: list, axis_len: float, min_axis_px: float) -> bool:
-    """Whether the draw (R as nested lists, T as a list) has a point at or
-    behind DEPTH_EPS, or an axis that projects shorter than min_axis_px by
-    more than PRETEST_MARGIN_PX: project_triaxis's formula in Python floats."""
     (fx, g, cx), (_, fy, cy), _ = K.K.tolist()
     tx, ty, tz = T
     if tz <= DEPTH_EPS:
-        return True
+        return False
     u0, v0 = (fx * tx + g * ty + cx * tz) / tz, (fy * ty + cy * tz) / tz
+    min_len = max(sampling.min_axis_px, AXIS_DEGENERACY_PX)
+    w, h = K.width - 1, K.height - 1
     for x, y, z in zip(*R):  # the axis endpoints: R's columns
         x, y, z = x * axis_len + tx, y * axis_len + ty, z * axis_len + tz
         if z <= DEPTH_EPS:
-            return True
-        if math.hypot((fx * x + g * y + cx * z) / z - u0, (fy * y + cy * z) / z - v0) < min_axis_px - PRETEST_MARGIN_PX:
-            return True
-    return False
+            return False
+        u, v = (fx * x + g * y + cx * z) / z, (fy * y + cy * z) / z
+        if math.hypot(u - u0, v - v0) < min_len or not (0 <= u <= w and 0 <= v <= h):
+            return False
+    mx, my = sampling.origin_margin_frac * K.width, sampling.origin_margin_frac * K.height
+    return mx <= u0 <= w - mx and my <= v0 <= h - my
 
 
 def sample_pose(
@@ -139,9 +117,8 @@ def sample_pose(
 ) -> Pose:
     """Rejection-sample a nondegenerate pose; uniform rotation, boxed translation.
 
-    The first draw that pose_is_nondegenerate accepts is returned. A draw
-    that _surely_degenerate refuses, which that test would refuse too, is
-    dropped before its Pose is built.
+    pose_is_nondegenerate judges every draw; the Pose of the first draw it
+    accepts is built and returned.
     """
     for _ in range(MAX_CONSECUTIVE_REJECTIONS):
         R = random_rotation(rng)
@@ -150,11 +127,8 @@ def sample_pose(
             rng.uniform(-sampling.lateral, sampling.lateral),
             rng.uniform(sampling.depth_min, sampling.depth_max),
         ]
-        if _surely_degenerate(K, R.tolist(), T, axis_len, sampling.min_axis_px):
-            continue
-        pose = Pose(R=R, T=np.array(T))
-        if pose_is_nondegenerate(K, pose, sampling, axis_len):
-            return pose
+        if pose_is_nondegenerate(K, R.tolist(), T, sampling, axis_len):
+            return Pose(R=R, T=np.array(T))
     raise DegenerateSamplingExhausted(
         f"{MAX_CONSECUTIVE_REJECTIONS} consecutive pose rejections"
     )

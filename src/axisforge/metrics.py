@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import Pose, project_point
+from .camera import Pose, project_points, row_norms
 from .config import CameraIntrinsics
 
 REPROJ_THRESHOLD_PX = 15.0
@@ -62,11 +62,10 @@ def add_metric(gt: Pose, pred: Pose, model: ModelPoints) -> float:
 
 
 def reproj_metric(gt: Pose, pred: Pose, model: ModelPoints, K: CameraIntrinsics) -> float:
-    """Mean pixel distance between projections under the two poses."""
-    total = 0.0
-    for p in model.points:
-        total += float(np.linalg.norm(project_point(K, gt, p) - project_point(K, pred, p)))
-    return total / len(model.points)
+    """Mean pixel distance between projections under the two poses, summed
+    left to right in Python floats."""
+    P = model.points
+    return sum(row_norms(project_points(K, gt, P) - project_points(K, pred, P)).tolist()) / len(P)
 
 
 def rotation_geodesic(R1: np.ndarray, R2: np.ndarray) -> float:

@@ -304,23 +304,25 @@ def test_eval_refuses_ids_that_name_no_test_record(tmp_path, config_path, capsys
     assert rc == 0
 
 
-def test_rho_base_zero_matches_no_guidance(tmp_path, config_path):
-    data = _render(tmp_path, config_path)
+def _rho0_config(tmp_path):
     rho0 = tmp_path / "rho0.json"
     rho0.write_text(json.dumps({**CONFIG, "guidance": {"rho_base": 0.0}}))
-    outs = []
-    for cfg, flags in ((rho0, []), (config_path, ["--no-guidance"])):
-        out = tmp_path / f"pred{len(outs)}"
-        rc = main([
-            "infer", "--config", str(cfg), "--dataset", str(data), "--analytic-denoiser", *flags, "--out", str(out),
-        ])
-        assert rc == 0
-        outs.append(out)
-    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    return rho0
+
+
+def test_rho_base_zero_matches_no_guidance(tmp_path, config_path):
+    data = _render(tmp_path, config_path)
+    out = tmp_path / "pred"
+    rc = main(["infer", "--config", str(_rho0_config(tmp_path)), "--dataset", str(data), "--analytic-denoiser", "--out", str(out)])
+    assert rc == 0
+    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
     assert [str(f) for f in files if f.suffix == ".jsonl"] == ["predictions.jsonl"]
     assert sum(f.name.endswith("_gen.f32") for f in files) == 2
-    for rel in files:
-        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+    # rho_base 0 is the one switch: the flag it replaced is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--config", str(config_path), "--dataset", str(data), "--analytic-denoiser", "--no-guidance",
+              "--out", str(tmp_path / "flag")])
+    assert exc.value.code == 1
 
 
 def test_unguided_infer_samples_a_record_whose_target_fails(tmp_path, config_path):
@@ -331,12 +333,11 @@ def test_unguided_infer_samples_a_record_whose_target_fails(tmp_path, config_pat
     rows = np.fromfile(path, dtype="<f4").reshape(2, 16, 16, 3)
     rows[0, :, :, 2] = 0.0
     rows.tofile(path)
-    for flags in (["--no-guidance"], []):
-        out = tmp_path / f"pred{len(flags)}"
-        rc = main(["infer", "--config", str(config_path), "--dataset", str(data), "--analytic-denoiser", *flags, "--out", str(out)])
+    for cfg, sampled in ((_rho0_config(tmp_path), True), (config_path, False)):  # a guided run fails it unsampled
+        out = tmp_path / f"pred{sampled}"
+        rc = main(["infer", "--config", str(cfg), "--dataset", str(data), "--analytic-denoiser", "--out", str(out)])
         assert rc == 0
         failing, healthy = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
-        sampled = bool(flags)  # a guided run fails the record before sampling it
         assert (out / "images" / f"{failing['id']}_gen.f32").is_file() == sampled
         assert ("skipped_guidance_steps" in failing) == sampled
         assert sampled or failing["error"] == "EmptyChannel"

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from axisforge.camera import AXIS_DEGENERACY_PX, Pose, project_point, project_triaxis, random_rotation, rot_y, triaxis_lengths
+from axisforge.camera import AXIS_DEGENERACY_PX, Pose, project_point, random_rotation, rot_y
 from axisforge.config import (
     ArchConfig,
     CameraIntrinsics,
@@ -20,7 +20,6 @@ from axisforge.config import (
 )
 from axisforge import dataset
 from axisforge.dataset import (
-    _surely_degenerate,
     generate_dataset,
     load_images,
     load_manifest,
@@ -69,7 +68,7 @@ def test_sample_pose_is_nondegenerate():
     K = CFG.intrinsics
     for _ in range(20):
         pose = sample_pose(rng, K, CFG.sampling)
-        assert pose_is_nondegenerate(K, pose, CFG.sampling, 1.0)
+        assert pose_is_nondegenerate(K, pose.R, pose.T, CFG.sampling, 1.0)
         assert CFG.sampling.depth_min <= pose.T[2] <= CFG.sampling.depth_max
 
 
@@ -94,11 +93,12 @@ def _draw(rng, sampling):
 
 
 def _sample_pose_reference(rng, K, sampling, axis_len):
-    """sample_pose as a plain loop: draw, build the Pose, judge it exactly."""
+    """sample_pose as a plain loop: draw, build the Pose, judge it with the
+    independent twelve-projection predicate."""
     while True:
         R, T = _draw(rng, sampling)
         pose = Pose(R=R, T=np.array(T))
-        if pose_is_nondegenerate(K, pose, sampling, axis_len):
+        if _twelve_projection_predicate(K, pose, sampling, axis_len):
             return pose
 
 
@@ -112,53 +112,31 @@ def test_sample_pose_matches_the_reference_loop(K, sampling, axis_len):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_pose_pretest_refuses_only_what_the_exact_test_refuses():
-    draws = refused = wrongly_refused = at_threshold = 0
-    for k, (K, sampling, axis_len) in enumerate(SAMPLING_CASES):
-        rng = np.random.default_rng(100 + k)
-        for _ in range(2500):
-            R, T = _draw(rng, sampling)
-            pose = Pose(R=R, T=np.array(T))
-            exact = pose_is_nondegenerate(K, pose, sampling, axis_len)
-            draws += 1
-            if _surely_degenerate(K, R.tolist(), T, axis_len, sampling.min_axis_px):
-                refused += 1
-                wrongly_refused += exact
-            elif exact:
-                # the same draw with its own shortest axis as the bound, which
-                # the exact test still accepts: the pre-test must too
-                shortest = float(triaxis_lengths(project_triaxis(K, pose, axis_len)).min())
-                tight = dataclasses.replace(sampling, min_axis_px=shortest)
-                assert pose_is_nondegenerate(K, pose, tight, axis_len)
-                wrongly_refused += _surely_degenerate(K, R.tolist(), T, axis_len, shortest)
-                at_threshold += 1
-    assert draws >= 10_000 and refused > 5000 and at_threshold > 200
-    assert wrongly_refused == 0
-
-
-def test_sample_pose_judges_few_draws_exactly(monkeypatch):
-    counts = {"draws": 0, "judged": 0}
+def test_sample_pose_judges_every_draw_once_and_builds_one_pose(monkeypatch):
+    counts = {"draws": 0, "judged": 0, "poses": 0}
 
     def counted(name, fn):
-        def call(*args):
+        def call(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return call
 
     monkeypatch.setattr(dataset, "random_rotation", counted("draws", random_rotation))
     monkeypatch.setattr(dataset, "pose_is_nondegenerate", counted("judged", pose_is_nondegenerate))
+    monkeypatch.setattr(dataset, "Pose", counted("poses", Pose))
     rng = np.random.default_rng(0)
     for _ in range(30):
-        sample_pose(rng, default_intrinsics(32), SamplingConfig())
-    # nearly every rejection at the default fails the min_axis_px length test
-    assert counts["draws"] > 150 and counts["judged"] < counts["draws"] / 4
+        assert isinstance(sample_pose(rng, default_intrinsics(32), SamplingConfig()), Pose)
+    # most draws at the default are refused, and each is judged once
+    assert counts["draws"] > 150 and counts["judged"] == counts["draws"]
+    assert counts["poses"] == 30
 
 
 def _twelve_projection_predicate(K, pose, sampling, axis_len):
     """pose_is_nondegenerate projecting a point for every use of it (twelve
-    project_point calls), the form the one-projection predicate must decide
-    identically."""
+    project_point calls) in NumPy, the form the Python-float predicate must
+    decide identically."""
 
     def endpoint(i):
         return axis_len * np.eye(3)[i]
@@ -202,9 +180,19 @@ def test_pose_predicate_matches_twelve_projections(size):
     for pose in candidates:
         for axis_len in (1.0, 0.4):
             ref = _twelve_projection_predicate(K, pose, sampling, axis_len)
-            assert pose_is_nondegenerate(K, pose, sampling, axis_len) == ref
+            assert pose_is_nondegenerate(K, pose.R, pose.T, sampling, axis_len) == ref
             decisions.append(ref)
     assert 100 < sum(decisions) < len(decisions) - 100
+    # draws of sample_pose's own distribution at every sampling case, 2,000
+    # a case over the two sizes
+    for case_K, case_sampling, axis_len in SAMPLING_CASES:
+        accepted = 0
+        for _ in range(1000):
+            R, T = _draw(rng, case_sampling)
+            ref = _twelve_projection_predicate(case_K, Pose(R=R, T=T), case_sampling, axis_len)
+            assert pose_is_nondegenerate(case_K, R.tolist(), T, case_sampling, axis_len) == ref
+            accepted += ref
+        assert 0 < accepted < 1000
 
 
 def test_render_caches_are_per_size_and_read_only(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from axisforge import metrics
-from axisforge.camera import Pose, rot_z
+from axisforge.camera import Pose, project_point, random_rotation, rot_z
 from axisforge.config import CameraIntrinsics, default_intrinsics
 from axisforge.metrics import (
     REPROJ_THRESHOLD_PX,
@@ -43,6 +43,23 @@ def test_reproj_metric_identity_and_monotonicity():
     small = Pose(R=rot_z(1.0) @ POSE.R, T=POSE.T)
     large = Pose(R=rot_z(10.0) @ POSE.R, T=POSE.T)
     assert reproj_metric(POSE, small, model, K) < reproj_metric(POSE, large, model, K)
+
+
+def test_reproj_metric_matches_the_per_point_loop():
+    # one projection of every model point per pose, bit for bit the loop
+    # that projects a point at a time
+    model = cuboid_model()
+    rng = np.random.default_rng(0)
+    for size in (24, 32, 128):
+        cam = default_intrinsics(size)
+        for _ in range(100):
+            gt, pred = (
+                Pose(R=random_rotation(rng), T=[*rng.uniform(-0.3, 0.3, 2), rng.uniform(3.0, 5.0)]) for _ in range(2)
+            )
+            total = 0.0
+            for p in model.points:
+                total += float(np.linalg.norm(project_point(cam, gt, p) - project_point(cam, pred, p)))
+            assert reproj_metric(gt, pred, model, cam) == total / len(model.points)
 
 
 def test_rotation_geodesic_known_angles():
